@@ -14,13 +14,16 @@ the identity.
 
 Stencils vanish on their own at the lattice boundary: every outward
 shift carries a factor (point coordinate or remaining degree) that is
-zero exactly where the shift would leave the simplex.  `apply` asserts
-this rather than clamping.
+zero exactly where the shift would leave the simplex.  Each operator
+evaluates its stencil on the lattice once, into its lattice form: for
+every point the (target, coefficient) pairs that survive the tolerance.
+Building that form refuses a surviving coefficient whose shift leaves
+the simplex rather than clamping it, so `apply` only reads the lattice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -85,38 +88,52 @@ class DifferenceOperator:
     stencil: dict
     eigenvalue: Callable | None
     name: str
+    _forms: dict = field(default_factory=dict, init=False, repr=False)
 
     def term_count(self) -> int:
         return len(self.stencil)
+
+    def lattice_form(self, tol: Scalar = 0) -> tuple:
+        """The stencil evaluated on the lattice, once per tolerance: one
+        (y, ((target, c), ...)) record per reduced point y in layout
+        order, keeping the terms whose c is not within tol of 0 in
+        stencil order.  A kept term whose target leaves the simplex
+        raises AssertionError."""
+        form = self._forms.get(tol)
+        if form is None:
+            form = self._forms[tol] = tuple(
+                (y, self._terms_at(y, tol))
+                for y in enumerate_degree_points(self.d, self.N)
+            )
+        return form
+
+    def _terms_at(self, y: MultiIndex, tol: Scalar) -> tuple:
+        terms = []
+        for s, coeff in self.stencil.items():
+            c = coeff(y)
+            if scalars_equal(c, 0, tol):
+                continue
+            target = tuple(a + b for a, b in zip(y, s))
+            if min(target) < 0 or sum(target) > self.N:
+                raise AssertionError(
+                    f"{self.name}: shift {s} at {y} leaves the lattice with "
+                    f"coefficient {format_scalar(c)}, reading outside it"
+                )
+            terms.append((target, c))
+        return tuple(terms)
 
 
 def _canonical(stencil: dict) -> dict:
     return {s: c for s, c in stencil.items() if not c.is_zero()}
 
 
-def _in_lattice(d: int, N: int, y: MultiIndex) -> bool:
-    return all(part >= 0 for part in y) and sum(y) <= N
-
-
-def _assert_boundary(op: DifferenceOperator, tol: Scalar = 0) -> None:
-    for y in enumerate_degree_points(op.d, op.N):
-        for s, coeff in op.stencil.items():
-            target = tuple(a + b for a, b in zip(y, s))
-            if _in_lattice(op.d, op.N, target):
-                continue
-            c = coeff(y)
-            if not scalars_equal(c, 0, tol):
-                raise AssertionError(
-                    f"{op.name}: shift {s} at {y} leaves the lattice "
-                    f"with coefficient {format_scalar(c)}"
-                )
-
-
 def _unit(d: int, k: int) -> tuple:
     return tuple(1 if l == k else 0 for l in range(d))
 
 
-def operator_mtilde(kappa: ParameterSet, N: int, i: int) -> DifferenceOperator:
+def operator_mtilde(
+    kappa: ParameterSet, N: int, i: int, tol: Scalar = 0
+) -> DifferenceOperator:
     """Generator i of the family shifting the second (tilde) index;
     eigenvalue m_i - N/(d+1) read off the first index."""
     d = kappa.d
@@ -157,11 +174,13 @@ def operator_mtilde(kappa: ParameterSet, N: int, i: int) -> DifferenceOperator:
     )
     if op.term_count() > d * d + d + 1:
         raise AssertionError(f"{op.name} stencil has {op.term_count()} terms")
-    _assert_boundary(op)
+    op.lattice_form(tol)
     return op
 
 
-def operator_m(kappa: ParameterSet, N: int, i: int) -> DifferenceOperator:
+def operator_m(
+    kappa: ParameterSet, N: int, i: int, tol: Scalar = 0
+) -> DifferenceOperator:
     """Generator i of the mirror family shifting the first index;
     coefficients read row i of u instead of column i, weights swapped.
     Eigenvalue mt_i - N/(d+1)."""
@@ -203,11 +222,13 @@ def operator_m(kappa: ParameterSet, N: int, i: int) -> DifferenceOperator:
     )
     if op.term_count() > d * d + d + 1:
         raise AssertionError(f"{op.name} stencil has {op.term_count()} terms")
-    _assert_boundary(op)
+    op.lattice_form(tol)
     return op
 
 
-def operator_universal(kappa: ParameterSet, N: int) -> DifferenceOperator:
+def operator_universal(
+    kappa: ParameterSet, N: int, tol: Scalar = 0
+) -> DifferenceOperator:
     """Parameter-light operator with eigenvalue -|m|: only the weights
     enter, never u."""
     d = kappa.d
@@ -234,7 +255,7 @@ def operator_universal(kappa: ParameterSet, N: int) -> DifferenceOperator:
     op = DifferenceOperator(
         d, N, _canonical(stencil), lambda m: -sum(m), "universal"
     )
-    _assert_boundary(op)
+    op.lattice_form(tol)
     return op
 
 
@@ -281,25 +302,12 @@ def stencils_equal(
 def apply(
     op: DifferenceOperator, F: Callable, tol: Scalar = 0
 ) -> dict:
-    """(op F)(y) = sum_s c_s(y) F(y+s) over the whole lattice; reading
-    outside the lattice is an implementation bug, which the boundary
-    factors prevent and this function asserts."""
-    out = {}
-    for y in enumerate_degree_points(op.d, op.N):
-        acc = 0
-        for s, coeff in op.stencil.items():
-            c = coeff(y)
-            if scalars_equal(c, 0, tol):
-                continue
-            target = tuple(a + b for a, b in zip(y, s))
-            if not _in_lattice(op.d, op.N, target):
-                raise AssertionError(
-                    f"{op.name}: nonzero coefficient at {y} shift {s} "
-                    "points outside the lattice"
-                )
-            acc = acc + c * F(target)
-        out[y] = acc
-    return out
+    """(op F)(y) = sum_s c_s(y) F(y+s) over the whole lattice, read off
+    the operator's lattice form, so F is only called on lattice points."""
+    return {
+        y: sum(c * F(target) for target, c in terms)
+        for y, terms in op.lattice_form(tol)
+    }
 
 
 def check_eigen(
@@ -317,9 +325,9 @@ def check_eigen(
     failures = []
     max_resid = 0
 
-    ops_second = [operator_mtilde(kappa, N, i) for i in range(1, d + 1)]
-    ops_first = [operator_m(kappa, N, i) for i in range(1, d + 1)]
-    universal = operator_universal(kappa, N)
+    ops_second = [operator_mtilde(kappa, N, i, tol) for i in range(1, d + 1)]
+    ops_first = [operator_m(kappa, N, i, tol) for i in range(1, d + 1)]
+    universal = operator_universal(kappa, N, tol)
 
     def record(op_name, fixed, y, got, want):
         nonlocal max_resid
@@ -378,7 +386,7 @@ def check_universal(
     d = kappa.d
     tab = values if values is not None else hyperg.table(kappa, N)
     reduced = {pt[1:]: idx for idx, pt in enumerate(tab.points)}
-    universal = operator_universal(kappa, N)
+    universal = operator_universal(kappa, N, tol)
     failures = []
     max_resid = 0
 
@@ -400,7 +408,7 @@ def check_universal(
                 )
 
     combo = op_combine(
-        [(-1, operator_mtilde(kappa, N, i)) for i in range(1, d + 1)]
+        [(-1, operator_mtilde(kappa, N, i, tol)) for i in range(1, d + 1)]
         + [(-Fraction(d * N, d + 1), identity_operator(d, N))],
         "negated generator sum",
     )
@@ -425,8 +433,12 @@ def check_commute(kappa: ParameterSet, N: int, tol: Scalar = 0) -> CheckReport:
     failures = []
     pair_count = 0
     families = {
-        "second_index_family": [operator_mtilde(kappa, N, i) for i in range(1, d + 1)],
-        "first_index_family": [operator_m(kappa, N, i) for i in range(1, d + 1)],
+        "second_index_family": [
+            operator_mtilde(kappa, N, i, tol) for i in range(1, d + 1)
+        ],
+        "first_index_family": [
+            operator_m(kappa, N, i, tol) for i in range(1, d + 1)
+        ],
     }
     for family_name, ops in families.items():
         for a in range(len(ops)):

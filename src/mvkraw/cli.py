@@ -173,6 +173,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         threads = int(os.environ.get("KRAW_THREADS", "1"))
     if threads < 1:
         raise UsageError(f"--threads must be >= 1, got {threads}")
+    if getattr(args, "N", None) is not None and args.N < 0:
+        raise UsageError(f"--N must be >= 0, got {args.N}")
 
     if args.verb == "params-validate":
         kap = _load_kappa(args.input, mode, tol)
@@ -276,11 +278,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         kap = _load_kappa(args.kappa, mode, tol)
         try:
             if args.operator == "mtilde":
-                op = bispec.operator_mtilde(kap, args.N, args.i)
+                op = bispec.operator_mtilde(kap, args.N, args.i, tol)
             elif args.operator == "m":
-                op = bispec.operator_m(kap, args.N, args.i)
+                op = bispec.operator_m(kap, args.N, args.i, tol)
             else:
-                op = bispec.operator_universal(kap, args.N)
+                op = bispec.operator_universal(kap, args.N, tol)
         except IndexError as exc:
             raise UsageError(str(exc)) from exc
         _emit(

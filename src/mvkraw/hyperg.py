@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from . import kappa as kappa_mod
@@ -35,6 +37,7 @@ from .numeric import (
     enumerate_lattice,
     exactify,
     format_scalar,
+    is_exact,
     multi_factorial,
     multinomial,
     parse_scalar,
@@ -209,6 +212,39 @@ def _weight_over_factorial(weights: Sequence[Scalar], lam: MultiIndex) -> Scalar
     return exactify(power_product(weights, lam)) / multi_factorial(lam)
 
 
+def _gram(
+    columns: Sequence[Sequence[Scalar]], weights: Sequence[Scalar], N: int
+) -> list:
+    """G[a][b] = N! sum_r col_a[r] col_b[r] weights[r] for every pair.
+
+    Exact columns and weights are each scaled to integers once, by the
+    lcm of their denominators, so every sum runs on ints and only its
+    quotient becomes a Fraction.  Floats sum as they are.  G is
+    symmetric, so each sum is taken once.
+    """
+    nfact = math.factorial(N)
+    if all(is_exact(x) for col in columns for x in col) and all(
+        is_exact(w) for w in weights
+    ):
+        scale = math.lcm(*(x.denominator for col in columns for x in col))
+        wscale = math.lcm(*(w.denominator for w in weights))
+        columns = [
+            [x.numerator * (scale // x.denominator) for x in col] for col in columns
+        ]
+        weights = [w.numerator * (wscale // w.denominator) for w in weights]
+        den = scale * scale * wscale
+        finish = lambda total: Fraction(nfact * total, den)
+    else:
+        finish = lambda total: nfact * total
+    size = len(columns)
+    gram = [[None] * size for _ in range(size)]
+    for a in range(size):
+        for b in range(a, size):
+            total = sum(map(mul, map(mul, columns[a], columns[b]), weights))
+            gram[a][b] = gram[b][a] = finish(total)
+    return gram
+
+
 def check_orthogonality(
     kappa: ParameterSet,
     N: int,
@@ -218,8 +254,10 @@ def check_orthogonality(
     """Both diagonalization identities over the table.
 
     Columns: N! sum_n P(n,nt) P(n,kt) pt^n / n!  =  delta
-    with diagonal value nt! / (N! nu^N p^nt); rows are the mirror with
-    the two weight vectors exchanged.  Failures carry the residual.
+    with diagonal value nt! / (N! nu^N p^nt); rows are the same identity
+    on the transposed table with the two weight vectors exchanged.  In
+    exact mode the Gram sums run on integers (see `_gram`).  Failures
+    carry the residual, the columns and rows side of each pair in turn.
     """
     tab = values if values is not None else table(kappa, N)
     points = tab.points
@@ -230,48 +268,30 @@ def check_orthogonality(
 
     col_weights = [_weight_over_factorial(kappa.pt, n) for n in points]
     row_weights = [_weight_over_factorial(kappa.p, nt) for nt in points]
+    sides = (
+        ("columns", _gram(list(zip(*tab.values)), col_weights, N), kappa.p),
+        ("rows", _gram(tab.values, row_weights, N), kappa.pt),
+    )
 
     for a in range(len(points)):
         for b in range(len(points)):
-            lhs = nfact * sum(
-                tab.values[r][a] * tab.values[r][b] * col_weights[r]
-                for r in range(len(points))
-            )
-            rhs = 0
-            if a == b:
-                rhs = multi_factorial(points[a]) / (
-                    nfact * nu_pow * exactify(power_product(kappa.p, points[a]))
-                )
-            resid = lhs - rhs
-            max_resid = max(max_resid, abs(resid))
-            if not scalars_equal(lhs, rhs, tol):
-                failures.append(
-                    {
-                        "side": "columns",
-                        "pair": [list(points[a]), list(points[b])],
-                        "residual": format_scalar(resid),
-                    }
-                )
-
-            lhs = nfact * sum(
-                tab.values[a][c] * tab.values[b][c] * row_weights[c]
-                for c in range(len(points))
-            )
-            rhs = 0
-            if a == b:
-                rhs = multi_factorial(points[a]) / (
-                    nfact * nu_pow * exactify(power_product(kappa.pt, points[a]))
-                )
-            resid = lhs - rhs
-            max_resid = max(max_resid, abs(resid))
-            if not scalars_equal(lhs, rhs, tol):
-                failures.append(
-                    {
-                        "side": "rows",
-                        "pair": [list(points[a]), list(points[b])],
-                        "residual": format_scalar(resid),
-                    }
-                )
+            for side, gram, diag_weights in sides:
+                lhs = gram[a][b]
+                rhs = 0
+                if a == b:
+                    rhs = multi_factorial(points[a]) / (
+                        nfact * nu_pow * exactify(power_product(diag_weights, points[a]))
+                    )
+                resid = lhs - rhs
+                max_resid = max(max_resid, abs(resid))
+                if not scalars_equal(lhs, rhs, tol):
+                    failures.append(
+                        {
+                            "side": side,
+                            "pair": [list(points[a]), list(points[b])],
+                            "residual": format_scalar(resid),
+                        }
+                    )
 
     details = {"pairs": 2 * len(points) ** 2, "max_residual": format_scalar(max_resid)}
     return CheckReport("orthogonality", not failures, failures, details)

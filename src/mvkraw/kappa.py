@@ -371,7 +371,9 @@ def to_json_dict(kappa: ParameterSet) -> dict:
 def from_json_dict(obj: dict, mode: str = EXACT, tol: Scalar = 0) -> ParameterSet:
     """Parse and re-validate the wire form."""
     try:
-        d = int(obj["d"])
+        d = obj["d"]
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise TypeError(f"d must be an integer, got {d!r}")
         nu = parse_scalar(str(obj["nu"]), mode)
         p = [parse_scalar(str(x), mode) for x in obj["p"]]
         pt = [parse_scalar(str(x), mode) for x in obj["pt"]]

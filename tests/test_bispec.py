@@ -132,13 +132,38 @@ class TestApply:
         with pytest.raises(AssertionError, match="outside"):
             bispec.apply(bad, lambda y: 1)
 
-    def test_construction_asserts_boundary(self):
+    def test_lattice_form_respects_tol(self):
+        # a coefficient that is tiny but not zero where its shift leaves
+        # the lattice: refused exactly, dropped within a tolerance
+        op = bispec.DifferenceOperator(
+            1, 2, {(1,): AffineCoeff(0.0, (1e-12,))}, None, "tiny"
+        )
         with pytest.raises(AssertionError, match="leaves the lattice"):
-            bispec._assert_boundary(
-                bispec.DifferenceOperator(
-                    1, 2, {(-1,): AffineCoeff(1, (0,))}, None, "broken"
-                )
-            )
+            op.lattice_form()
+        assert op.lattice_form(1e-10) == (((0,), ()), ((1,), ()), ((2,), ()))
+        assert op.lattice_form(1e-10) is op.lattice_form(1e-10)
+
+    def test_approx_constructors_take_tol(self):
+        # float round-off leaves a residual near 1e-15 on an outward
+        # shift of the DS family at N = 6
+        k = kappa.from_json_dict(
+            kappa.to_json_dict(kappa.family_ds(F(3), 2)), "approx", 1e-10
+        )
+        with pytest.raises(AssertionError, match="leaves the lattice"):
+            bispec.operator_m(k, 6, 1)
+        for op in (
+            bispec.operator_mtilde(k, 6, 1, 1e-10),
+            bispec.operator_m(k, 6, 1, 1e-10),
+            bispec.operator_universal(k, 6, 1e-10),
+        ):
+            assert len(op.lattice_form(1e-10)) == 28
+
+    def test_construction_asserts_boundary(self):
+        # the lattice form is where the boundary is checked
+        with pytest.raises(AssertionError, match="leaves the lattice"):
+            bispec.DifferenceOperator(
+                1, 2, {(-1,): AffineCoeff(1, (0,))}, None, "broken"
+            ).lattice_form()
 
 
 FAMILIES = [
@@ -186,6 +211,24 @@ class TestEigenChecks:
         # every failure names the corrupted row or column index
         pinned = (list(tab.points[r0]), list(tab.points[c0]))
         assert all(f["fixed_index"] in pinned for f in rep.failures)
+        # ... and a point one stencil step from the corrupted entry: the
+        # row operators see it at the column point, the column operators
+        # at the row point
+        row_ops = {f["operator"] for f in rep.failures if f["fixed_index"] == pinned[0]}
+        col_ops = {f["operator"] for f in rep.failures if f["fixed_index"] == pinned[1]}
+        assert row_ops and all(not name.startswith("m_") for name in row_ops)
+        assert col_ops and all(name.startswith("m_") for name in col_ops)
+        for f in rep.failures:
+            near = pinned[1] if f["fixed_index"] == pinned[0] else pinned[0]
+            assert max(abs(a - b) for a, b in zip(f["at"], near[1:])) <= 1
+
+        rep = bispec.check_universal(k, 2, values=broken)
+        assert not rep.passed
+        assert rep.details["symbolic_identity"] is True
+        for f in rep.failures:
+            assert f["operator"] == "universal"
+            assert f["fixed_index"] == pinned[0]
+            assert max(abs(a - b) for a, b in zip(f["at"], pinned[1][1:])) <= 1
 
     def test_reuses_supplied_table(self):
         k = classical()

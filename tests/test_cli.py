@@ -104,6 +104,24 @@ class TestParamsVerbs:
         code, _, err = run(capsys, "params-validate", "--input", str(path))
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "k,d",
+        [
+            (kappa.family_ds(F(2), 1), True),
+            (kappa.family_milch([F(1, 2), F(1, 4), F(1, 4)]), 2.5),
+        ],
+        ids=["true-for-1", "2.5-for-2"],
+    )
+    def test_non_integer_d_exit_2(self, capsys, tmp_path, k, d):
+        obj = kappa.to_json_dict(k)
+        obj["d"] = d  # int(d) would equal the true d
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "params-validate", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "d must be an integer" in err
+
     def test_unreadable_input_exit_2(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "params-validate", "--input", str(tmp_path / "absent.json")
@@ -278,6 +296,36 @@ class TestModes:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    def test_approx_recurrence_survives_round_off(self, capsys, tmp_path):
+        # float round-off leaves residuals near 1e-15 on outward shifts
+        # of this set; the stencils are built at the run's eps
+        ds = write_kappa(tmp_path, kappa.family_ds(F(3), 2))
+        code, out, _ = run(
+            capsys,
+            "--mode", "approx",
+            "check", "--kappa", ds, "--N", "10", "--suite", "recurrence",
+        )
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+        code, out, _ = run(
+            capsys,
+            "--mode", "approx",
+            "check", "--kappa", ds, "--N", "6", "--suite", "universal,commute",
+        )
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize("operator", ["m", "mtilde", "universal"])
+    def test_approx_stencil_survives_round_off(self, capsys, tmp_path, operator):
+        ds = write_kappa(tmp_path, kappa.family_ds(F(3), 2))
+        code, out, _ = run(
+            capsys,
+            "--mode", "approx",
+            "stencil", "--kappa", ds, "--N", "10", "--operator", operator,
+        )
+        assert code == 0
+        assert json.loads(out)["N"] == 10
+
     def test_eps_requires_approx_exit_2(self, capsys, milch2_file):
         code, _, err = run(
             capsys,
@@ -320,6 +368,23 @@ class TestStencil:
             "stencil", "--kappa", milch2_file, "--N", "2", "--i", "0",
         )
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--N", "-1"],
+        ["stencil", "--N", "-1"],
+        ["check", "--N", "-2"],
+        ["eval", "--N", "-1", "--m", "0,0", "--mt", "0,0"],
+    ],
+    ids=["table", "stencil", "check", "eval"],
+)
+def test_negative_N_exit_2(capsys, milch2_file, argv):
+    code, out, err = run(capsys, *argv, "--kappa", milch2_file)
+    assert code == 2
+    assert out == ""
+    assert "--N" in err
 
 
 class TestParser:

@@ -190,6 +190,64 @@ class TestOrthogonality:
         touched = {tuple(tab.points[1]), tuple(tab.points[2])}
         for f in rep.failures:
             assert touched & {tuple(f["pair"][0]), tuple(f["pair"][1])}
+        # the integer Gram sums agree with plain Fraction sums, record
+        # for record and in the same order
+        failures, max_resid = fraction_orthogonality(k, 2, broken)
+        assert rep.failures == failures
+        assert rep.details["max_residual"] == str(max_resid)
+
+    def test_approx_table_takes_float_path(self):
+        k = kappa.from_json_dict(kappa.to_json_dict(milch2()), "approx", 1e-10)
+        tab = hyperg.table(k, 2)
+        rep = hyperg.check_orthogonality(k, 2, 1e-10, tab)
+        assert rep.passed
+        values = [list(row) for row in tab.values]
+        values[1][2] += 1.0
+        broken = hyperg.PolynomialTable(
+            k, 2, tab.points, tuple(tuple(r) for r in values)
+        )
+        rep = hyperg.check_orthogonality(k, 2, 1e-10, broken)
+        assert not rep.passed
+        for f in rep.failures:
+            assert "/" not in f["residual"]
+            float(f["residual"])
+
+
+def fraction_orthogonality(k, N, tab):
+    """Both orthogonality sides summed term by term in Fractions; returns
+    the failure records and the largest residual."""
+    points = tab.points
+    nfact = math.factorial(N)
+    failures, max_resid = [], F(0)
+
+    def weight(w, lam):
+        return math.prod(F(x) ** e for x, e in zip(w, lam)) / math.prod(
+            math.factorial(e) for e in lam
+        )
+
+    for a, pa in enumerate(points):
+        for b, pb in enumerate(points):
+            sides = (
+                ("columns", [row[a] for row in tab.values],
+                 [row[b] for row in tab.values], k.pt, k.p),
+                ("rows", tab.values[a], tab.values[b], k.p, k.pt),
+            )
+            for side, col_a, col_b, w, diag in sides:
+                lhs = nfact * sum(
+                    x * y * weight(w, lam)
+                    for x, y, lam in zip(col_a, col_b, points)
+                )
+                rhs = F(0)
+                if a == b:
+                    rhs = 1 / (nfact * F(k.nu) ** N * weight(diag, pa))
+                resid = lhs - rhs
+                max_resid = max(max_resid, abs(resid))
+                if resid != 0:
+                    failures.append(
+                        {"side": side, "pair": [list(pa), list(pb)],
+                         "residual": str(resid)}
+                    )
+    return failures, max_resid
 
 
 class TestDuality:

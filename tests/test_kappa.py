@@ -199,6 +199,13 @@ class TestJson:
                  "u": [["1", "1"], ["1", "-1"]]}
             )
 
+    @pytest.mark.parametrize("d", [True, 2.5, 2.0, "2", None])
+    def test_d_must_be_json_integer(self, d):
+        obj = kappa.to_json_dict(kappa.family_milch([F(1, 2), F(1, 4), F(1, 4)]))
+        obj["d"] = d
+        with pytest.raises(ValueError, match="d must be an integer"):
+            kappa.from_json_dict(obj)
+
 
 rational = st.fractions(min_value=F(1, 30), max_value=1, max_denominator=30)
 
