@@ -4,13 +4,14 @@ Each operator is a stencil: a map from shift vectors s in Z^d to a
 coefficient that is an affine function of the lattice point, evaluated
 lazily.  The two canonical families (one shifting the second index of
 the table, one the first) have d generators each with at most
-d^2 + d + 1 stencil terms; their coefficients are built directly from
-the parameter set, and multiplying a table row or column by a generator
-reproduces the row or column scaled by an eigenvalue that depends only
-on the opposite index.  A parameter-free combination (the universal
-operator) has eigenvalue minus the reduced degree and is, at the level
-of coefficients, a signed sum of one family plus a constant shift of
-the identity.
+d^2 + d + 1 stencil terms.  One builder makes their coefficients from
+the parameter set, the first-index family from the involuted set, and
+every stencil here shares one shape of shifts (`_stencil`).
+Multiplying a table row or column by a generator reproduces the row or
+column scaled by an eigenvalue that depends only on the opposite index.
+A parameter-free combination (the universal operator) has eigenvalue
+minus the reduced degree and is, at the level of coefficients, a signed
+sum of one family plus a constant shift of the identity.
 
 Stencils vanish on their own at the lattice boundary: every outward
 shift carries a factor (point coordinate or remaining degree) that is
@@ -28,6 +29,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import hyperg
+from . import kappa as kappa_mod
 from .kappa import ParameterSet
 from .numeric import (
     MultiIndex,
@@ -69,13 +71,6 @@ class AffineCoeff:
             "constant": format_scalar(self.constant),
             "linear": [format_scalar(x) for x in self.linear],
         }
-
-
-def _affine(d: int, constant: Scalar = 0, **at) -> AffineCoeff:
-    linear = [0] * d
-    for key, value in at.items():
-        linear[int(key[1:]) - 1] = value  # y1, y2, ...
-    return AffineCoeff(constant, tuple(linear))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,99 +126,83 @@ def _unit(d: int, k: int) -> tuple:
     return tuple(1 if l == k else 0 for l in range(d))
 
 
+def _stencil(d: int, N: int, down, up, diag: AffineCoeff, cross) -> dict:
+    """The shape every stencil here shares, in one term order: shift
+    -e_l with coefficient down[l] y_l, shift e_k with up[k] (N - |y|),
+    no shift with diag, and shift e_k - e_l (k != l) with
+    cross[k][l] y_l, for k, l in 0..d-1; zero terms are dropped."""
+
+    def along(l: int, c: Scalar) -> AffineCoeff:
+        return AffineCoeff(0, tuple(c if m == l else 0 for m in range(d)))
+
+    stencil = {}
+    for l in range(d):
+        stencil[tuple(-x for x in _unit(d, l))] = along(l, down[l])
+    for k in range(d):
+        stencil[_unit(d, k)] = AffineCoeff(up[k] * N, tuple(-up[k] for _ in range(d)))
+    stencil[tuple(0 for _ in range(d))] = diag
+    for k in range(d):
+        for l in range(d):
+            if k != l:
+                s = tuple(a - b for a, b in zip(_unit(d, k), _unit(d, l)))
+                stencil[s] = along(l, cross[k][l])
+    return _canonical(stencil)
+
+
+def _generator(
+    kappa: ParameterSet, N: int, i: int, tol: Scalar, name: str
+) -> DifferenceOperator:
+    """Generator i of the family shifting the second (tilde) index of
+    kappa's table, under the given name; eigenvalue m_i - N/(d+1) read
+    off the first index."""
+    d = kappa.d
+    if not 1 <= i <= d:
+        raise IndexError(f"index {i} out of range for d = {d}")
+    nu = exactify(kappa.nu)
+    p, u = kappa.p, kappa.u
+    pti = exactify(kappa.pt[i])
+    js = range(1, d + 1)
+    up = [nu * pti * p[k] * u[k][i] for k in js]
+    diag_linear = [pti * (nu * p[j] * u[j][i] ** 2 - 1) for j in js]
+    stencil = _stencil(
+        d,
+        N,
+        down=[pti * u[l][i] for l in js],
+        up=up,
+        diag=AffineCoeff(-Fraction(N, d + 1) * sum(diag_linear), tuple(diag_linear)),
+        cross=[[b * u[l][i] for l in js] for b in up],
+    )
+
+    shift = Fraction(N, d + 1)
+    op = DifferenceOperator(
+        d,
+        N,
+        stencil,
+        lambda m, i=i, shift=shift: m[i - 1] - shift,
+        name,
+    )
+    if op.term_count() > d * d + d + 1:
+        raise AssertionError(f"{op.name} stencil has {op.term_count()} terms")
+    op.lattice_form(tol)
+    return op
+
+
 def operator_mtilde(
     kappa: ParameterSet, N: int, i: int, tol: Scalar = 0
 ) -> DifferenceOperator:
     """Generator i of the family shifting the second (tilde) index;
     eigenvalue m_i - N/(d+1) read off the first index."""
-    d = kappa.d
-    if not 1 <= i <= d:
-        raise IndexError(f"index {i} out of range for d = {d}")
-    nu = exactify(kappa.nu)
-    p, pt, u = kappa.p, kappa.pt, kappa.u
-    pti = exactify(kappa.pt[i])
-    stencil = {}
-    for l in range(1, d + 1):
-        stencil[tuple(-x for x in _unit(d, l - 1))] = _affine(
-            d, **{f"y{l}": pti * u[l][i]}
-        )
-    for k in range(1, d + 1):
-        base = nu * pti * p[k] * u[k][i]
-        stencil[_unit(d, k - 1)] = AffineCoeff(
-            base * N, tuple(-base for _ in range(d))
-        )
-    diag_linear = [pti * (nu * p[j] * u[j][i] ** 2 - 1) for j in range(1, d + 1)]
-    diag_const = -Fraction(N, d + 1) * sum(diag_linear)
-    stencil[tuple(0 for _ in range(d))] = AffineCoeff(
-        diag_const, tuple(diag_linear)
-    )
-    for k in range(1, d + 1):
-        for l in range(1, d + 1):
-            if k == l:
-                continue
-            s = tuple(a - b for a, b in zip(_unit(d, k - 1), _unit(d, l - 1)))
-            stencil[s] = _affine(d, **{f"y{l}": nu * pti * p[k] * u[k][i] * u[l][i]})
-
-    shift = Fraction(N, d + 1)
-    op = DifferenceOperator(
-        d,
-        N,
-        _canonical(stencil),
-        lambda m, i=i, shift=shift: m[i - 1] - shift,
-        f"mtilde_{i}",
-    )
-    if op.term_count() > d * d + d + 1:
-        raise AssertionError(f"{op.name} stencil has {op.term_count()} terms")
-    op.lattice_form(tol)
-    return op
+    return _generator(kappa, N, i, tol, f"mtilde_{i}")
 
 
 def operator_m(
     kappa: ParameterSet, N: int, i: int, tol: Scalar = 0
 ) -> DifferenceOperator:
-    """Generator i of the mirror family shifting the first index;
-    coefficients read row i of u instead of column i, weights swapped.
-    Eigenvalue mt_i - N/(d+1)."""
-    d = kappa.d
-    if not 1 <= i <= d:
-        raise IndexError(f"index {i} out of range for d = {d}")
-    nu = exactify(kappa.nu)
-    p, pt, u = kappa.p, kappa.pt, kappa.u
-    pi = exactify(kappa.p[i])
-    stencil = {}
-    for l in range(1, d + 1):
-        stencil[tuple(-x for x in _unit(d, l - 1))] = _affine(
-            d, **{f"y{l}": pi * u[i][l]}
-        )
-    for k in range(1, d + 1):
-        base = nu * pi * pt[k] * u[i][k]
-        stencil[_unit(d, k - 1)] = AffineCoeff(
-            base * N, tuple(-base for _ in range(d))
-        )
-    diag_linear = [pi * (nu * pt[j] * u[i][j] ** 2 - 1) for j in range(1, d + 1)]
-    diag_const = -Fraction(N, d + 1) * sum(diag_linear)
-    stencil[tuple(0 for _ in range(d))] = AffineCoeff(
-        diag_const, tuple(diag_linear)
-    )
-    for k in range(1, d + 1):
-        for l in range(1, d + 1):
-            if k == l:
-                continue
-            s = tuple(a - b for a, b in zip(_unit(d, k - 1), _unit(d, l - 1)))
-            stencil[s] = _affine(d, **{f"y{l}": nu * pi * pt[k] * u[i][k] * u[i][l]})
-
-    shift = Fraction(N, d + 1)
-    op = DifferenceOperator(
-        d,
-        N,
-        _canonical(stencil),
-        lambda mt, i=i, shift=shift: mt[i - 1] - shift,
-        f"m_{i}",
-    )
-    if op.term_count() > d * d + d + 1:
-        raise AssertionError(f"{op.name} stencil has {op.term_count()} terms")
-    op.lattice_form(tol)
-    return op
+    """Generator i of the mirror family shifting the first index: the
+    tilde generator of the involuted set, whose p and pt are swapped and
+    u transposed, so its coefficients read row i of u instead of column
+    i.  Eigenvalue mt_i - N/(d+1)."""
+    return _generator(kappa_mod.involute(kappa), N, i, tol, f"m_{i}")
 
 
 def operator_universal(
@@ -233,28 +212,15 @@ def operator_universal(
     enter, never u."""
     d = kappa.d
     p = [exactify(x) for x in kappa.p]
-    stencil = {}
-    for l in range(1, d + 1):
-        stencil[tuple(-x for x in _unit(d, l - 1))] = _affine(
-            d, **{f"y{l}": p[0]}
-        )
-    for k in range(1, d + 1):
-        stencil[_unit(d, k - 1)] = AffineCoeff(
-            p[k] * N, tuple(-p[k] for _ in range(d))
-        )
-    stencil[tuple(0 for _ in range(d))] = AffineCoeff(
-        p[0] * N - N, tuple(p[j] - p[0] for j in range(1, d + 1))
+    stencil = _stencil(
+        d,
+        N,
+        down=[p[0]] * d,
+        up=p[1:],
+        diag=AffineCoeff(p[0] * N - N, tuple(p[j] - p[0] for j in range(1, d + 1))),
+        cross=[[p[k]] * d for k in range(1, d + 1)],
     )
-    for k in range(1, d + 1):
-        for l in range(1, d + 1):
-            if k == l:
-                continue
-            s = tuple(a - b for a, b in zip(_unit(d, k - 1), _unit(d, l - 1)))
-            stencil[s] = _affine(d, **{f"y{l}": p[k]})
-
-    op = DifferenceOperator(
-        d, N, _canonical(stencil), lambda m: -sum(m), "universal"
-    )
+    op = DifferenceOperator(d, N, stencil, lambda m: -sum(m), "universal")
     op.lattice_form(tol)
     return op
 
@@ -329,36 +295,27 @@ def check_eigen(
     ops_first = [operator_m(kappa, N, i, tol) for i in range(1, d + 1)]
     universal = operator_universal(kappa, N, tol)
 
-    def record(op_name, fixed, y, got, want):
-        nonlocal max_resid
-        resid = abs(got - want)
-        max_resid = max(max_resid, resid)
-        if not scalars_equal(got, want, tol):
-            failures.append(
-                {
-                    "operator": op_name,
-                    "fixed_index": list(fixed),
-                    "at": list(y),
-                    "got": format_scalar(got),
-                    "want": format_scalar(want),
-                }
-            )
-
-    for r, n in enumerate(tab.points):
-        row = lambda y: tab.values[r][reduced[y]]
-        for op in ops_second + [universal]:
-            ev = op.eigenvalue(n[1:])
-            got = apply(op, row, tol)
-            for y, value in got.items():
-                record(op.name, n, y, value, ev * row(y))
-
-    for c, nt in enumerate(tab.points):
-        col = lambda y: tab.values[reduced[y]][c]
-        for op in ops_first:
-            ev = op.eigenvalue(nt[1:])
-            got = apply(op, col, tol)
-            for y, value in got.items():
-                record(op.name, nt, y, value, ev * col(y))
+    # columns are the rows of the transposed table, as the mirror family
+    # is the tilde family of the involuted set
+    columns = tuple(zip(*tab.values))
+    for lines, ops in ((tab.values, ops_second + [universal]), (columns, ops_first)):
+        for fixed, line in zip(tab.points, lines):
+            value = lambda y: line[reduced[y]]
+            for op in ops:
+                ev = op.eigenvalue(fixed[1:])
+                for y, got in apply(op, value, tol).items():
+                    want = ev * value(y)
+                    max_resid = max(max_resid, abs(got - want))
+                    if not scalars_equal(got, want, tol):
+                        failures.append(
+                            {
+                                "operator": op.name,
+                                "fixed_index": list(fixed),
+                                "at": list(y),
+                                "got": format_scalar(got),
+                                "want": format_scalar(want),
+                            }
+                        )
 
     details = {
         "term_counts": {

@@ -14,17 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bispec, hyperg, verify
 from . import kappa as kappa_mod
-from .kappa import (
-    FamilyParameterError,
-    GramSchmidtError,
-    InvalidParameterSetError,
-    ParameterSet,
-)
+from .kappa import InvalidParameterSetError, ParameterSet
 from .numeric import APPROX, DEFAULT_EPS, EXACT, Scalar, format_scalar, parse_scalar
 
 EXIT_OK = 0
@@ -35,6 +29,10 @@ EXIT_INVALID_PARAMS = 3
 
 class UsageError(ValueError):
     pass
+
+
+class ForbiddenFamilyError(ValueError):
+    """A family builder refused its parameters."""
 
 
 def _parse_scalar_list(text: str, mode: str) -> list[Scalar]:
@@ -71,6 +69,15 @@ def _load_kappa(path: str, mode: str, tol: Scalar) -> ParameterSet:
         raise UsageError(str(exc)) from exc
 
 
+def _build_family(builder, *params) -> ParameterSet:
+    """Run a family builder; whatever parameters it refuses, by any
+    ValueError, are forbidden family parameters (exit 3)."""
+    try:
+        return builder(*params)
+    except ValueError as exc:
+        raise ForbiddenFamilyError(str(exc)) from exc
+
+
 def _emit(obj, output: str | None) -> None:
     text = json.dumps(obj, indent=2)
     if output:
@@ -93,11 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--eps", type=float, default=None,
         help=f"tolerance for approximate mode (default {DEFAULT_EPS})",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="worker threads for table generation "
-        "(default: KRAW_THREADS or 1)",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -168,11 +170,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         tol = args.eps if args.eps is not None else DEFAULT_EPS
     elif args.eps is not None:
         raise UsageError("--eps only applies to --mode approx")
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("KRAW_THREADS", "1"))
-    if threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {threads}")
     if getattr(args, "N", None) is not None and args.N < 0:
         raise UsageError(f"--N must be >= 0, got {args.N}")
 
@@ -183,7 +180,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.verb == "params-griffiths":
         p = _parse_scalar_list(args.p, mode)
-        kap = kappa_mod.griffiths_from_p(p, tol if mode == APPROX else None)
+        kap = _build_family(
+            kappa_mod.griffiths_from_p, p, tol if mode == APPROX else None
+        )
         _emit(kappa_mod.to_json_dict(kap), args.output)
         return EXIT_OK
 
@@ -194,15 +193,19 @@ def _dispatch(args: argparse.Namespace) -> int:
             vals = _parse_scalar_list(args.params, mode)
             if len(vals) != 4:
                 raise UsageError("hoare-rahman takes exactly four parameters")
-            kap = kappa_mod.family_hoare_rahman(*vals)
+            kap = _build_family(kappa_mod.family_hoare_rahman, *vals)
         elif args.family == "milch":
             if not args.p:
                 raise UsageError("milch needs --p weight list")
-            kap = kappa_mod.family_milch(_parse_scalar_list(args.p, mode))
+            p = _parse_scalar_list(args.p, mode)
+            kap = _build_family(kappa_mod.family_milch, p)
         else:
             if args.q is None or args.d is None:
                 raise UsageError("ds needs --q and --d")
-            kap = kappa_mod.family_ds(parse_scalar(args.q, mode), args.d)
+            q = _parse_scalar_list(args.q, mode)
+            if len(q) != 1:
+                raise UsageError("ds takes exactly one --q")
+            kap = _build_family(kappa_mod.family_ds, q[0], args.d)
         _emit(kappa_mod.to_json_dict(kap), args.output)
         return EXIT_OK
 
@@ -233,7 +236,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.verb == "table":
         kap = _load_kappa(args.kappa, mode, tol)
-        tab = hyperg.table(kap, args.N, threads=threads)
+        tab = hyperg.table(kap, args.N)
         _emit(hyperg.table_to_json_dict(tab), args.output)
         return EXIT_OK
 
@@ -262,8 +265,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         if tab is not None and N != tab.N:
             raise UsageError(f"--N {N} does not match table N = {tab.N}")
         names = [s.strip() for s in args.suite.split(",") if s.strip()]
+        if not names:
+            raise UsageError(f"--suite {args.suite!r} names no suite")
         try:
-            reports = verify.run_suites(names, kap, N, tol, threads, tab)
+            reports = verify.run_suites(names, kap, N, tol, tab)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         out = {
@@ -310,7 +315,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvalidParameterSetError, FamilyParameterError, GramSchmidtError) as exc:
+    except (InvalidParameterSetError, ForbiddenFamilyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_PARAMS
 

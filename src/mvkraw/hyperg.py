@@ -7,21 +7,24 @@ route expands the defining generating function
 
     prod_i (1 + sum_j u[i][j] z_j)^mt_i  =  sum_m binom * P(m, mt) z^m
 
-by sparse polynomial multiplication and reads one coefficient.  Both
+with `numeric.expand_forms` and reads one coefficient.  The pairing
+route of `liemod` expands the same product (substitute y_j = pt_j x_j
+in xt^nt) through the same core, so routes 2 and 3 share their
+expansion and only the kernel sum is independent of it.  All routes
 take the reduced degree vectors m, mt (length d, with the 0-th
 coordinates N - |m|, N - |mt| implied) and agree exactly.
 
 Tables hold P over the full degree-N lattice in graded-lex order, rows
-indexed by the first argument.  On top of tables sit the two-sided
-orthogonality check (weighted columns and weighted rows both come out
-diagonal with explicit normalizations) and the duality check (the table
-of the involuted parameter set is the transpose).
+indexed by the first argument, built by kernel sums.  On top of tables
+sit the two-sided orthogonality check (weighted columns and weighted
+rows both come out diagonal with explicit normalizations) and the
+duality check (the table of the involuted parameter set is the
+transpose).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -36,6 +39,7 @@ from .numeric import (
     enumerate_kernels,
     enumerate_lattice,
     exactify,
+    expand_forms,
     format_scalar,
     is_exact,
     multi_factorial,
@@ -44,6 +48,7 @@ from .numeric import (
     pochhammer,
     power_product,
     scalars_equal,
+    weight_over_factorial,
 )
 from .report import CheckReport
 
@@ -91,57 +96,25 @@ def eval_hypergeometric(
     return acc
 
 
-def _linear_form_power(
-    coeffs: Sequence[Scalar], e: int, caps: Sequence[int]
-) -> dict:
-    """(1 + sum_j coeffs[j] z_j)^e as {exponent tuple: coefficient},
-    keeping only exponents below the componentwise caps."""
-    d = len(coeffs)
-    out: dict = {}
-
-    def rec(j: int, left: int, expo: tuple) -> None:
-        if j == d:
-            c = multinomial(e, (e - sum(expo),) + expo)
-            out[expo] = c * power_product(coeffs, expo)
-            return
-        for a in range(min(left, caps[j]) + 1):
-            rec(j + 1, left - a, expo + (a,))
-
-    rec(0, e, ())
-    return out
-
-
 def eval_generating(
     kappa: ParameterSet, N: int, m: Sequence[int], mt: Sequence[int]
 ) -> Scalar:
     """Generating-function evaluation of P(m, mt): expand the product of
-    the d+1 row factors, read the z^m coefficient, strip the multinomial
-    normalization.  Independent of the kernel sum; used as its oracle.
+    the d+1 row factors (1 + sum_j u[i][j] z_j)^mt_i (mt_0 = N - |mt|),
+    homogenised by a variable z_0 capped at N - |m|, read the z^m
+    coefficient and strip the multinomial normalization.  Independent
+    of the kernel sum; used as its oracle.
     """
     d = kappa.d
     m = _check_degree_vector(d, N, m, "m")
     mt = _check_degree_vector(d, N, mt, "mt")
-    m0 = N - sum(m)
-    exponents = (N - sum(mt),) + mt  # row i of u enters to the power mt_i
-
-    poly: dict = {tuple(0 for _ in range(d)): exactify(1)}
-    for i in range(d + 1):
-        e = exponents[i]
-        if e == 0:
-            continue
-        row = tuple(exactify(kappa.u[i][j]) for j in range(1, d + 1))
-        factor = _linear_form_power(row, e, m)
-        merged: dict = {}
-        for e1, c1 in poly.items():
-            for e2, c2 in factor.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                if any(a > cap for a, cap in zip(key, m)):
-                    continue
-                merged[key] = merged.get(key, 0) + c1 * c2
-        poly = merged
-
-    coeff = poly.get(m, 0)
-    return exactify(coeff) / multinomial(N, (m0,) + m)
+    n = (N - sum(m),) + m
+    forms = [
+        (1,) + tuple(exactify(kappa.u[i][j]) for j in range(1, d + 1))
+        for i in range(d + 1)
+    ]
+    coeff = expand_forms(forms, (N - sum(mt),) + mt, caps=n).get(n, 0)
+    return exactify(coeff) / multinomial(N, n)
 
 
 @dataclass(frozen=True)
@@ -163,20 +136,13 @@ class PolynomialTable:
         return self.values[r][c]
 
 
-def table(kappa: ParameterSet, N: int, threads: int = 1) -> PolynomialTable:
-    """Evaluate the full lattice-by-lattice grid of P."""
+def table(kappa: ParameterSet, N: int) -> PolynomialTable:
+    """Evaluate the full lattice-by-lattice grid of P by kernel sums."""
     points = tuple(enumerate_lattice(kappa.d, N))
-
-    def row(n: MultiIndex) -> tuple:
-        return tuple(
-            eval_hypergeometric(kappa, N, n[1:], nt[1:]) for nt in points
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = tuple(pool.map(row, points))
-    else:
-        values = tuple(row(n) for n in points)
+    values = tuple(
+        tuple(eval_hypergeometric(kappa, N, n[1:], nt[1:]) for nt in points)
+        for n in points
+    )
     return PolynomialTable(kappa, N, points, values)
 
 
@@ -206,10 +172,6 @@ def table_from_json_dict(obj: dict, mode: str = EXACT, tol: Scalar = 0) -> Polyn
         tuple(parse_scalar(str(x), mode) for x in row) for row in raw
     )
     return PolynomialTable(kap, N, points, values)
-
-
-def _weight_over_factorial(weights: Sequence[Scalar], lam: MultiIndex) -> Scalar:
-    return exactify(power_product(weights, lam)) / multi_factorial(lam)
 
 
 def _gram(
@@ -266,8 +228,8 @@ def check_orthogonality(
     failures = []
     max_resid = 0
 
-    col_weights = [_weight_over_factorial(kappa.pt, n) for n in points]
-    row_weights = [_weight_over_factorial(kappa.p, nt) for nt in points]
+    col_weights = [weight_over_factorial(kappa.pt, n) for n in points]
+    row_weights = [weight_over_factorial(kappa.p, nt) for nt in points]
     sides = (
         ("columns", _gram(list(zip(*tab.values)), col_weights, N), kappa.p),
         ("rows", _gram(tab.values, row_weights, N), kappa.pt),

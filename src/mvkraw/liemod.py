@@ -14,7 +14,10 @@ xt = x R carry the dual weight basis; a symmetric bilinear form is
 diagonal on plain monomials and, by a small miracle of the setup, also
 diagonal on the substituted ones.  The pairing <x^n, xt^nt> recovers
 the polynomial values P(n', nt') up to an explicit constant and serves
-as the third, independent evaluation route.
+as the third evaluation route.  Substituting y_j = pt_j x_j turns xt^nt
+into the generating function of `hyperg.eval_generating`, so both
+routes expand through the one core `numeric.expand_forms`, and so does
+the inverse substitution of `to_dual_coords`.
 """
 
 from __future__ import annotations
@@ -34,10 +37,12 @@ from .numeric import (
     Scalar,
     enumerate_lattice,
     exactify,
+    expand_forms,
     format_scalar,
     multi_factorial,
     power_product,
     scalars_equal,
+    weight_over_factorial,
 )
 from .report import CheckReport
 
@@ -379,15 +384,6 @@ def polys_equal(f: HomogPoly, g: HomogPoly, tol: Scalar = 0) -> bool:
     )
 
 
-def poly_mul(f: HomogPoly, g: HomogPoly) -> HomogPoly:
-    out: dict = {}
-    for lam, a in f.coeffs.items():
-        for mu, b in g.coeffs.items():
-            key = tuple(x + y for x, y in zip(lam, mu))
-            out[key] = out.get(key, 0) + a * b
-    return _poly(f.degree + g.degree, out)
-
-
 def act(beta: Matrix, f: HomogPoly) -> HomogPoly:
     """Derivation action: e_ij contributes lam_j x^(lam+v_i-v_j), the
     diagonal contributes sum_k beta_kk lam_k on the spot."""
@@ -411,23 +407,16 @@ def act(beta: Matrix, f: HomogPoly) -> HomogPoly:
     return _poly(f.degree, out)
 
 
-def _expand_in(matrix: Matrix, lam: MultiIndex) -> HomogPoly:
-    """prod_k (sum_j matrix[j][k] y_j)^(lam_k) over y-monomials."""
-    n = len(matrix)
-    acc = monomial(tuple(0 for _ in range(n)))
-    for k in range(n):
-        if lam[k] == 0:
-            continue
-        form = _poly(
-            1,
-            {
-                tuple(1 if r == j else 0 for r in range(n)): matrix[j][k]
-                for j in range(n)
-            },
-        )
-        for _ in range(lam[k]):
-            acc = poly_mul(acc, form)
-    return acc
+def _expand_in(matrix: Matrix, lam: MultiIndex) -> dict:
+    """prod_k (sum_j matrix[j][k] y_j)^(lam_k) over y-monomials: the
+    columns of the matrix are the linear forms."""
+    return expand_forms(tuple(zip(*matrix)), lam)
+
+
+def _add_scaled(acc: dict, coeffs: dict, c: Scalar) -> None:
+    """acc += c * coeffs, in place; zeros are left for `_poly` to drop."""
+    for lam, v in coeffs.items():
+        acc[lam] = acc.get(lam, 0) + c * v
 
 
 def xtilde_monomial(
@@ -439,7 +428,7 @@ def xtilde_monomial(
     if sum(lam) != N:
         raise DegreeMismatchError(f"|{lam}| != {N}")
     conj = conj if conj is not None else conjugator(kappa)
-    return _expand_in(conj.rhat, lam)
+    return HomogPoly(N, _expand_in(conj.rhat, lam))
 
 
 def to_dual_coords(
@@ -448,10 +437,10 @@ def to_dual_coords(
     """Coefficients of f over the substituted basis: apply the inverse
     substitution x = xt rhat_inv and collect."""
     conj = conj if conj is not None else conjugator(kappa)
-    out = HomogPoly(f.degree, {})
+    out: dict = {}
     for lam, c in f.coeffs.items():
-        out = out + _expand_in(conj.rhat_inv, lam).scale(c)
-    return out
+        _add_scaled(out, _expand_in(conj.rhat_inv, lam), c)
+    return _poly(f.degree, out)
 
 
 def bilinear(kappa: ParameterSet, N: int, f: HomogPoly, g: HomogPoly) -> Scalar:
@@ -507,20 +496,19 @@ def pairing_eval(
 
 def check_dual_norms(kappa: ParameterSet, N: int, tol: Scalar = 0) -> CheckReport:
     """The substituted monomials are themselves orthogonal for the form,
-    with norms n!/p^n (no nu power)."""
+    with norms n!/p^n (no nu power).  These grow like N!/min|p|^N, so
+    the tolerance of a pair is tol times the larger of its two norms."""
     conj = conjugator(kappa)
     points = tuple(enumerate_lattice(kappa.d, N))
     xt = {lam: xtilde_monomial(kappa, N, lam, conj) for lam in points}
+    norms = {lam: 1 / weight_over_factorial(kappa.p, lam) for lam in points}
     failures = []
     for n in points:
         for m in points:
             got = bilinear(kappa, N, xt[n], xt[m])
-            want = 0
-            if n == m:
-                want = exactify(multi_factorial(n)) / exactify(
-                    power_product(kappa.p, n)
-                )
-            if not scalars_equal(got, want, tol):
+            want = norms[n] if n == m else 0
+            scale = max(abs(norms[n]), abs(norms[m]))
+            if not scalars_equal(got, want, tol * scale):
                 failures.append(
                     {
                         "pair": [list(n), list(m)],
@@ -592,25 +580,29 @@ def check_adjacency(kappa: ParameterSet, N: int, tol: Scalar = 0) -> CheckReport
     points = tuple(enumerate_lattice(d, N))
     shift = Fraction(N, d + 1)
     failures = []
+
+    def check_support(side: str, i: int, lam: MultiIndex, f: HomogPoly) -> None:
+        for mu, c in f.coeffs.items():
+            if tol != 0 and abs(c) <= tol:
+                continue
+            if mu != lam and not _adjacent(lam, mu):
+                failures.append(
+                    {
+                        "side": side,
+                        "i": i,
+                        "from": list(lam),
+                        "to": list(mu),
+                        "coeff": format_scalar(c),
+                    }
+                )
+
     for i in range(1, d + 1):
         phi = basis_phi(d, i)
         dphi = dual_phi(kappa, i, conj)
         for lam in points:
             moved = act(phi, xtilde_monomial(kappa, N, lam, conj))
             support = to_dual_coords(kappa, moved, conj)
-            for mu, c in support.coeffs.items():
-                if tol != 0 and abs(c) <= tol:
-                    continue
-                if mu != lam and not _adjacent(lam, mu):
-                    failures.append(
-                        {
-                            "side": "plain-on-substituted",
-                            "i": i,
-                            "from": list(lam),
-                            "to": list(mu),
-                            "coeff": format_scalar(c),
-                        }
-                    )
+            check_support("plain-on-substituted", i, lam, support)
             want_diag = sum(
                 exactify(kappa.pt[i])
                 * (exactify(kappa.nu) * kappa.p[j] * kappa.u[j][i] ** 2 - 1)
@@ -628,72 +620,46 @@ def check_adjacency(kappa: ParameterSet, N: int, tol: Scalar = 0) -> CheckReport
                         "want": format_scalar(want_diag),
                     }
                 )
-
-            moved = act(dphi, monomial(lam))
-            for mu, c in moved.coeffs.items():
-                if tol != 0 and abs(c) <= tol:
-                    continue
-                if mu != lam and not _adjacent(lam, mu):
-                    failures.append(
-                        {
-                            "side": "dual-on-plain",
-                            "i": i,
-                            "from": list(lam),
-                            "to": list(mu),
-                            "coeff": format_scalar(c),
-                        }
-                    )
+            check_support("dual-on-plain", i, lam, act(dphi, monomial(lam)))
     return CheckReport(
         "adjacency", not failures, failures, {"points": len(points)}
     )
 
 
-def check_transition(kappa: ParameterSet, N: int, tol: Scalar = 0) -> CheckReport:
+def check_transition(
+    kappa: ParameterSet,
+    N: int,
+    tol: Scalar = 0,
+    values: hyperg.PolynomialTable | None = None,
+) -> CheckReport:
     """Both basis-transition expansions as exact polynomial identities:
 
         xt^nt        = N! sum_n P(n',nt') (pt^n/n!) x^n
         x^n / nu^N   = N! sum_nt P(n',nt') (p^nt/nt!) xt^nt
 
-    with P supplied by the kernel-sum route, so this cross-ties the
-    module picture to the series definition.
+    with P read from the table (kernel sums when none is given), so this
+    cross-ties the module picture to the series definition.
     """
-    d = kappa.d
+    tab = values if values is not None else hyperg.table(kappa, N)
     conj = conjugator(kappa)
-    points = tuple(enumerate_lattice(d, N))
-    xt = {lam: xtilde_monomial(kappa, N, lam, conj) for lam in points}
+    points = tab.points
+    xt = [xtilde_monomial(kappa, N, lam, conj) for lam in points]
     nfact = math.factorial(N)
-    pvals = {
-        (n, nt): hyperg.eval_hypergeometric(kappa, N, n[1:], nt[1:])
-        for n in points
-        for nt in points
-    }
+    pt_w = [nfact * weight_over_factorial(kappa.pt, lam) for lam in points]
+    p_w = [nfact * weight_over_factorial(kappa.p, lam) for lam in points]
     failures = []
 
-    for nt in points:
-        want = HomogPoly(N, {})
-        for n in points:
-            c = (
-                nfact
-                * pvals[(n, nt)]
-                * exactify(power_product(kappa.pt, n))
-                / multi_factorial(n)
-            )
-            want = want + monomial(n, c)
-        if not polys_equal(xt[nt], want, tol):
+    for c, nt in enumerate(points):
+        want = {n: tab.values[r][c] * pt_w[r] for r, n in enumerate(points)}
+        if not polys_equal(xt[c], _poly(N, want), tol):
             failures.append({"expansion": "substituted-over-plain", "at": list(nt)})
 
     inv_nu_pow = 1 / exactify(kappa.nu) ** N
-    for n in points:
-        rhs = HomogPoly(N, {})
-        for nt in points:
-            c = (
-                nfact
-                * pvals[(n, nt)]
-                * exactify(power_product(kappa.p, nt))
-                / multi_factorial(nt)
-            )
-            rhs = rhs + xt[nt].scale(c)
-        if not polys_equal(monomial(n, inv_nu_pow), rhs, tol):
+    for r, n in enumerate(points):
+        rhs: dict = {}
+        for c in range(len(points)):
+            _add_scaled(rhs, xt[c].coeffs, tab.values[r][c] * p_w[c])
+        if not polys_equal(monomial(n, inv_nu_pow), _poly(N, rhs), tol):
             failures.append({"expansion": "plain-over-substituted", "at": list(n)})
 
     return CheckReport(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le
 from typing import Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction, float, complex]
@@ -113,6 +114,53 @@ def power_product(base: Sequence[Scalar], lam: Sequence[int]) -> Scalar:
         if e:
             out *= b**e
     return out
+
+
+def weight_over_factorial(weights: Sequence[Scalar], lam: Sequence[int]) -> Scalar:
+    """weights^lam / lam!, kept exact for exact weights."""
+    return exactify(power_product(weights, lam)) / multi_factorial(lam)
+
+
+def expand_forms(
+    forms: Sequence[Sequence[Scalar]],
+    exponents: Sequence[int],
+    caps: Sequence[int] | None = None,
+) -> dict:
+    """prod_k (sum_j forms[k][j] y_j)^exponents[k] as {exponent tuple:
+    coefficient}, the single sparse-polynomial expansion of the library.
+
+    Each factor is expanded by the multinomial theorem and merged into
+    one dict.  A monomial whose exponent of some y_j exceeds caps[j] is
+    never formed, and zero coefficients are dropped.
+    """
+    n = len(forms[0])
+    acc = {(0,) * n: 1}
+    for form, e in zip(forms, exponents):
+        if e == 0:
+            continue
+        power: dict = {}
+
+        def rec(j: int, left: int, expo: tuple, c: Scalar) -> None:
+            # y_j takes a of the `left` factors still to place
+            top = left if caps is None else min(left, caps[j])
+            if form[j] == 0:
+                top = 0
+            if j == n - 1:  # the last variable takes all that is left
+                if left <= top:
+                    power[expo + (left,)] = c * form[j] ** left
+                return
+            for a in range(top + 1):
+                rec(j + 1, left - a, expo + (a,), c * math.comb(left, a) * form[j] ** a)
+
+        rec(0, e, (), 1)
+        merged: dict = {}
+        for k1, c1 in acc.items():
+            for k2, c2 in power.items():
+                key = tuple(map(add, k1, k2))
+                if caps is None or all(map(le, key, caps)):
+                    merged[key] = merged.get(key, 0) + c1 * c2
+        acc = merged
+    return {key: c for key, c in acc.items() if c != 0}
 
 
 def enumerate_lattice(d: int, degree: int) -> Iterator[MultiIndex]:

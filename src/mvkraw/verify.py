@@ -12,7 +12,7 @@ from typing import Sequence
 from . import bispec, hyperg, liemod
 from . import kappa as kappa_mod
 from .kappa import ParameterSet
-from .numeric import Scalar, enumerate_lattice, format_scalar, scalars_equal
+from .numeric import Scalar, format_scalar, scalars_equal
 from .report import CheckReport
 
 SUITES = (
@@ -44,27 +44,34 @@ def check_def11(kappa: ParameterSet, tol: Scalar = 0) -> CheckReport:
     )
 
 
-def check_threeway(kappa: ParameterSet, N: int, tol: Scalar = 0) -> CheckReport:
-    """All three evaluation routes on every index pair of the lattice."""
-    points = tuple(enumerate_lattice(kappa.d, N))
+def check_threeway(
+    kappa: ParameterSet,
+    N: int,
+    tol: Scalar = 0,
+    values: hyperg.PolynomialTable | None = None,
+) -> CheckReport:
+    """All three evaluation routes on every index pair of the lattice;
+    the kernel-sum route is read from the table (built when none is given)."""
+    tab = values if values is not None else hyperg.table(kappa, N)
+    points = tab.points
     conj = liemod.conjugator(kappa)
     cache: dict = {}
     failures = []
     max_resid = 0
-    for n in points:
-        for nt in points:
-            a = hyperg.eval_hypergeometric(kappa, N, n[1:], nt[1:])
+    for r, n in enumerate(points):
+        for c, nt in enumerate(points):
+            a = tab.values[r][c]
             b = hyperg.eval_generating(kappa, N, n[1:], nt[1:])
-            c = liemod.pairing_eval(kappa, N, n, nt, conj, cache)
-            resid = max(abs(a - b), abs(a - c))
+            p = liemod.pairing_eval(kappa, N, n, nt, conj, cache)
+            resid = max(abs(a - b), abs(a - p))
             max_resid = max(max_resid, resid)
-            if not (scalars_equal(a, b, tol) and scalars_equal(a, c, tol)):
+            if not (scalars_equal(a, b, tol) and scalars_equal(a, p, tol)):
                 failures.append(
                     {
                         "pair": [list(n), list(nt)],
                         "kernel_sum": format_scalar(a),
                         "generating": format_scalar(b),
-                        "pairing": format_scalar(c),
+                        "pairing": format_scalar(p),
                     }
                 )
     return CheckReport(
@@ -80,7 +87,6 @@ def run_suites(
     kappa: ParameterSet,
     N: int | None,
     tol: Scalar = 0,
-    threads: int = 1,
     table: hyperg.PolynomialTable | None = None,
 ) -> list[CheckReport]:
     """Run the named suites in order, evaluating the table lazily once."""
@@ -93,7 +99,7 @@ def run_suites(
     def shared_table() -> hyperg.PolynomialTable:
         nonlocal table
         if table is None:
-            table = hyperg.table(kappa, N, threads=threads)
+            table = hyperg.table(kappa, N)
         return table
 
     reports = []
@@ -121,7 +127,9 @@ def run_suites(
         elif name == "adjacency":
             reports.append(liemod.check_adjacency(kappa, N, tol))
         elif name == "transition":
-            reports.append(liemod.check_transition(kappa, N, tol))
+            reports.append(
+                liemod.check_transition(kappa, N, tol, shared_table())
+            )
         elif name == "threeway":
-            reports.append(check_threeway(kappa, N, tol))
+            reports.append(check_threeway(kappa, N, tol, shared_table()))
     return reports

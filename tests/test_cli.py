@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from mvkraw import cli, kappa
+from mvkraw.numeric import enumerate_lattice
 
 
 def run(capsys, *argv):
@@ -89,11 +90,35 @@ class TestParamsVerbs:
         assert code == 3
         assert "1-p1-p2" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["params-family", "--family", "ds", "--q", "2", "--d", "0"],
+             "d must be positive"),
+            (["params-griffiths", "--p", "1"], "need at least two weights"),
+            (["params-griffiths", "--p", "1/2,1/2,0"], "weights must be nonzero"),
+            (["params-griffiths", "--p", "1/2,1/4,1/8"], "must sum to 1"),
+            (["params-family", "--family", "milch", "--p", "1"],
+             "need at least two weights"),
+        ],
+        ids=["ds-d0", "griffiths-one-weight", "griffiths-zero-weight",
+             "griffiths-sum", "milch-one-weight"],
+    )
+    def test_refused_family_input_exit_3(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert message in err
+
     def test_missing_family_args_exit_2(self, capsys):
         code, _, _ = run(capsys, "params-family", "--family", "hoare-rahman")
         assert code == 2
         code, _, _ = run(capsys, "params-family", "--family", "ds", "--q", "2")
         assert code == 2
+        code, _, err = run(
+            capsys, "params-family", "--family", "ds", "--q", "x", "--d", "2"
+        )
+        assert code == 2 and "bad scalar list" in err
 
     def test_invalid_set_exit_3(self, capsys, tmp_path):
         k = kappa.family_ds(F(2), 1)
@@ -206,6 +231,14 @@ class TestCheck:
         )
         assert code == 2
 
+    def test_empty_suite_list_exit_2(self, capsys, milch2_file):
+        code, out, err = run(
+            capsys, "check", "--kappa", milch2_file, "--N", "2", "--suite", ",",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--suite" in err
+
     def test_needs_kappa_or_table_exit_2(self, capsys):
         code, _, _ = run(capsys, "check", "--N", "2")
         assert code == 2
@@ -246,6 +279,31 @@ class TestTableFlow:
         report = json.loads(out)
         assert report["pass"] is False
         assert report["reports"][0]["failures"]
+
+    def test_corrupted_table_fails_threeway_and_transition(
+        self, capsys, milch2_file, tmp_path
+    ):
+        tab_path = tmp_path / "table.json"
+        run(capsys, "table", "--kappa", milch2_file, "--N", "2",
+            "--output", str(tab_path))
+        obj = json.loads(tab_path.read_text())
+        assert obj["values"][1][2] != "9"
+        obj["values"][1][2] = "9"
+        tab_path.write_text(json.dumps(obj))
+        code, out, _ = run(
+            capsys, "check", "--table", str(tab_path),
+            "--suite", "threeway,transition",
+        )
+        assert code == 1
+        threeway, transition = json.loads(out)["reports"]
+        row, col = [list(lam) for lam in enumerate_lattice(2, 2)][1:3]
+        assert [(f["pair"], f["kernel_sum"]) for f in threeway["failures"]] == [
+            ([row, col], "9")
+        ]
+        assert transition["failures"] == [
+            {"expansion": "substituted-over-plain", "at": col},
+            {"expansion": "plain-over-substituted", "at": row},
+        ]
 
     def test_table_kappa_mismatch_exit_2(self, capsys, milch2_file, classical_file, tmp_path):
         tab_path = tmp_path / "table.json"
@@ -335,19 +393,26 @@ class TestModes:
         assert code == 2
         assert "approx" in err
 
-    def test_bad_threads_exit_2(self, capsys, milch2_file):
-        code, _, _ = run(
+    def test_threads_is_usage_error(self, capsys, milch2_file):
+        code, out, _ = run(
             capsys,
-            "--threads", "0",
+            "--threads", "2",
             "table", "--kappa", milch2_file, "--N", "2",
         )
         assert code == 2
+        assert out == ""
 
-    def test_threads_env(self, capsys, milch2_file, monkeypatch):
-        monkeypatch.setenv("KRAW_THREADS", "3")
-        code, out, _ = run(capsys, "table", "--kappa", milch2_file, "--N", "2")
+    def test_approx_norms_relative_to_large_values(self, capsys, tmp_path):
+        # the norms of this set reach 6e9, where float round-off exceeds
+        # the absolute eps
+        hr = write_kappa(tmp_path, kappa.family_hoare_rahman(1, 2, 3, 4))
+        code, out, _ = run(
+            capsys,
+            "--mode", "approx",
+            "check", "--kappa", hr, "--N", "4", "--suite", "norms",
+        )
         assert code == 0
-        assert json.loads(out)["N"] == 2
+        assert json.loads(out)["pass"] is True
 
 
 class TestStencil:

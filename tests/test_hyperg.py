@@ -128,10 +128,6 @@ class TestTable:
             k, 2, (1, 0), (1, 0)
         )
 
-    def test_threaded_matches_serial(self):
-        k = kappa.family_ds(F(2), 2)
-        assert hyperg.table(k, 2, threads=4).values == hyperg.table(k, 2).values
-
     def test_json_round_trip(self):
         k = kappa.family_hoare_rahman(1, 2, 3, 4)
         tab = hyperg.table(k, 2)

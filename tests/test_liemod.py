@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvkraw import hyperg, kappa, liemod, linalg
-from mvkraw.numeric import DegreeMismatchError, enumerate_lattice
+from mvkraw.numeric import DegreeMismatchError, enumerate_lattice, expand_forms
 
 
 def classical():
@@ -181,10 +181,22 @@ class TestPolynomials:
         with pytest.raises(DegreeMismatchError):
             liemod.monomial((1, 0)) + liemod.monomial((1, 1))
 
-    def test_poly_mul(self):
-        f = liemod.monomial((1, 0)) + liemod.monomial((0, 1))
-        sq = liemod.poly_mul(f, f)
-        assert sq.coeffs == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+    def test_expand_forms(self):
+        # (y0 + y1)(y0 + y1)
+        sq = expand_forms([(1, 1), (1, 1)], (1, 1))
+        assert sq == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+        # (y0 - y1)(y0 + y1): the cancelled y0 y1 term is dropped
+        assert expand_forms([(1, -1), (1, 1)], (1, 1)) == {(2, 0): 1, (0, 2): -1}
+        # (y0 + 2 y1)^2 (y0/2 + 3 y2)^2: caps prune monomials, never
+        # the coefficients of those kept
+        forms, exponents = [(1, 2, 0), (F(1, 2), 0, 3)], (2, 2)
+        full = expand_forms(forms, exponents)
+        assert full[(4, 0, 0)] == F(1, 4) and full[(0, 2, 2)] == 36
+        capped = expand_forms(forms, exponents, caps=(3, 1, 4))
+        assert capped == {
+            key: c for key, c in full.items() if key[0] <= 3 and key[1] <= 1
+        }
+        assert 0 < len(capped) < len(full)
 
     def test_act_moves_one_unit(self):
         out = liemod.act(liemod.basis_e(2, 1, 0), liemod.monomial((2, 0, 0)))
@@ -270,6 +282,23 @@ class TestBilinearForm:
     def test_dual_norms_check(self, k):
         rep = liemod.check_dual_norms(k, 2)
         assert rep.passed and rep.failures == []
+
+    def test_approx_dual_norms_detect_perturbed_pt(self):
+        # one pt entry off by 8e-11 of itself, built past validation; the
+        # conjugator's absolute 1e-10 check lets it through, but the
+        # degree-6 norms carry the defect about three times over, above
+        # the relative tolerance that round-off (near 1e-15) stays below
+        k = kappa.from_json_dict(
+            kappa.to_json_dict(kappa.family_hoare_rahman(1, 2, 3, 4)),
+            "approx",
+            1e-10,
+        )
+        assert liemod.check_dual_norms(k, 6, 1e-10).passed
+        pt = list(k.pt)
+        pt[1] *= 1 + 8e-11
+        bad = kappa.ParameterSet(k.d, k.nu, k.p, tuple(pt), k.u)
+        rep = liemod.check_dual_norms(bad, 6, 1e-10)
+        assert not rep.passed
 
     @pytest.mark.parametrize("k", FAMILIES)
     def test_adjoint_check(self, k):
