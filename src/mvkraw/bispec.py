@@ -276,6 +276,16 @@ def apply(
     }
 
 
+def _bounds(op: DifferenceOperator, F: Callable, tol: Scalar) -> dict:
+    """The tolerance of (op F)(y) at each lattice point y: tol times the
+    larger of 1 and the summed magnitudes |c_s(y) F(y+s)| of its stencil
+    terms; 0 (literal equality) in exact mode, where nothing is summed."""
+    return {
+        y: tol * max(1, sum(abs(c * F(t)) for t, c in terms)) if tol else 0
+        for y, terms in op.lattice_form(tol)
+    }
+
+
 def check_eigen(
     kappa: ParameterSet,
     N: int,
@@ -303,10 +313,11 @@ def check_eigen(
             value = lambda y: line[reduced[y]]
             for op in ops:
                 ev = op.eigenvalue(fixed[1:])
+                bounds = _bounds(op, value, tol)
                 for y, got in apply(op, value, tol).items():
                     want = ev * value(y)
                     max_resid = max(max_resid, abs(got - want))
-                    if not scalars_equal(got, want, tol):
+                    if not scalars_equal(got, want, bounds[y]):
                         failures.append(
                             {
                                 "operator": op.name,
@@ -350,11 +361,12 @@ def check_universal(
     for r, n in enumerate(tab.points):
         row = lambda y: tab.values[r][reduced[y]]
         ev = universal.eigenvalue(n[1:])
+        bounds = _bounds(universal, row, tol)
         got = apply(universal, row, tol)
         for y, value in got.items():
             resid = abs(value - ev * row(y))
             max_resid = max(max_resid, resid)
-            if not scalars_equal(value, ev * row(y), tol):
+            if not scalars_equal(value, ev * row(y), bounds[y]):
                 failures.append(
                     {
                         "operator": "universal",

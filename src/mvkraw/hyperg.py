@@ -14,6 +14,11 @@ expansion and only the kernel sum is independent of it.  All routes
 take the reduced degree vectors m, mt (length d, with the 0-th
 coordinates N - |m|, N - |mt| implied) and agree exactly.
 
+The kernel sum runs on integers: omega is scaled to W/D once per
+(parameter set, N, mode), in a small cache keyed by the mode too, since
+an approx set compares equal to its exact twin.  Each value is then one
+division, one Fraction, at the end; floats take the same loop.
+
 Tables hold P over the full degree-N lattice in graded-lex order, rows
 indexed by the first argument, built by kernel sums.  On top of tables
 sit the two-sided orthogonality check (weighted columns and weighted
@@ -24,6 +29,7 @@ transpose).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +42,7 @@ from .numeric import (
     EXACT,
     MultiIndex,
     Scalar,
+    enumerate_degree_points,
     enumerate_kernels,
     enumerate_lattice,
     exactify,
@@ -45,7 +52,6 @@ from .numeric import (
     multi_factorial,
     multinomial,
     parse_scalar,
-    pochhammer,
     power_product,
     scalars_equal,
     weight_over_factorial,
@@ -64,6 +70,37 @@ def _check_degree_vector(d: int, N: int, v: Sequence[int], name: str) -> tuple:
     return v
 
 
+@functools.lru_cache(maxsize=16)
+def _integer_view(kappa: ParameterSet, N: int, exact: bool) -> tuple:
+    """omega = W/D with integer W and D for exact sets (W = omega and
+    D = 1 for floats), as the term factors that depend only on
+    (kappa, N): the factorials up to N, (-1)^t D^(N-t) (N-t)! per kernel
+    total t, {row: (W_i^row, row!)} per row i, and the scale N!^2 D^N.
+
+    `exact` is part of the key: an approx set compares and hashes equal
+    to its exact twin (Fraction(1, 2) == 0.5), so without it one mode
+    would be served the other's view.
+    """
+    om = kappa_mod.omega(kappa)
+    if exact:
+        D = math.lcm(*(Fraction(w).denominator for row in om for w in row))
+        W = [[int(w * D) for w in row] for row in om]
+    else:
+        D, W = 1, om
+    fact = tuple(math.factorial(k) for k in range(N + 1))
+    by_total = tuple((-1) ** t * D ** (N - t) * fact[N - t] for t in range(N + 1))
+    vectors = list(enumerate_degree_points(kappa.d, N))
+    rows = tuple(
+        {v: (power_product(Wi, v), multi_factorial(v)) for v in vectors} for Wi in W
+    )
+    return fact, by_total, rows, fact[N] ** 2 * D**N
+
+
+def _falling(fact: tuple, n: int) -> list:
+    """n!/(n-c)! for c = 0..n."""
+    return [fact[n] // fact[n - c] for c in range(n + 1)]
+
+
 def eval_hypergeometric(
     kappa: ParameterSet, N: int, m: Sequence[int], mt: Sequence[int]
 ) -> Scalar:
@@ -73,27 +110,39 @@ def eval_hypergeometric(
     factorials of -m and -mt kill every A whose column sums exceed m or
     whose row sums exceed mt, so enumeration is capped accordingly (and
     the total never exceeds N, keeping the denominator nonzero).
+
+    The sum runs on the integer view omega = W/D of `_integer_view`:
+    with c, r the column and row sums of A and t its total,
+
+        N!^2 D^N term(A) = (-1)^t D^(N-t) (N-t)! N!/prod A!
+                           prod_j m_j!/(m_j-c_j)! prod_i mt_i!/(mt_i-r_i)!
+                           prod W^A
+
+    is an integer (the signs of the two rising factorials cancel, as
+    sum c = sum r = t), so the terms add up on ints and the sum is
+    divided by N!^2 D^N once.  Floats take the same loop with D = 1 and
+    a true division.
     """
     d = kappa.d
     m = _check_degree_vector(d, N, m, "m")
     mt = _check_degree_vector(d, N, mt, "mt")
-    om = tuple(tuple(exactify(w) for w in row) for row in kappa_mod.omega(kappa))
+    exact = all(is_exact(x) for row in kappa.u for x in row)
+    fact, by_total, rows, scale = _integer_view(kappa, N, exact)
+    col_falls = [_falling(fact, x) for x in m]
+    row_falls = [_falling(fact, x) for x in mt]
 
     acc = 0
     for ker in enumerate_kernels(d, N, row_caps=mt, col_caps=m):
-        coeff = 1
-        for j in range(d):
-            coeff *= pochhammer(-m[j], ker.col_sums[j])
-        for i in range(d):
-            coeff *= pochhammer(-mt[i], ker.row_sums[i])
-        weight = 1
-        cells_fact = 1
-        for i in range(d):
-            weight *= power_product(om[i], ker.entries[i])
-            cells_fact *= multi_factorial(ker.entries[i])
-        den = pochhammer(-N, ker.total) * cells_fact
-        acc += exactify(coeff * weight) / den
-    return acc
+        term = by_total[ker.total]
+        cells = 1
+        for row, r, powers, falls in zip(ker.entries, ker.row_sums, rows, row_falls):
+            w, f = powers[row]
+            term *= w * falls[r]
+            cells *= f
+        for c, falls in zip(ker.col_sums, col_falls):
+            term *= falls[c]
+        acc += term * (fact[N] // cells)
+    return Fraction(acc, scale) if exact else acc / scale
 
 
 def eval_generating(
@@ -218,8 +267,10 @@ def check_orthogonality(
     Columns: N! sum_n P(n,nt) P(n,kt) pt^n / n!  =  delta
     with diagonal value nt! / (N! nu^N p^nt); rows are the same identity
     on the transposed table with the two weight vectors exchanged.  In
-    exact mode the Gram sums run on integers (see `_gram`).  Failures
-    carry the residual, the columns and rows side of each pair in turn.
+    exact mode the Gram sums run on integers (see `_gram`).  In approx
+    mode a pair passes within tol times the larger of 1 and the two
+    diagonal values of its side.  Failures carry the residual, the
+    columns and rows side of each pair in turn.
     """
     tab = values if values is not None else table(kappa, N)
     points = tab.points
@@ -230,23 +281,23 @@ def check_orthogonality(
 
     col_weights = [weight_over_factorial(kappa.pt, n) for n in points]
     row_weights = [weight_over_factorial(kappa.p, nt) for nt in points]
+    diagonal = lambda w: [
+        1 / (nfact * nu_pow * weight_over_factorial(w, x)) for x in points
+    ]
     sides = (
-        ("columns", _gram(list(zip(*tab.values)), col_weights, N), kappa.p),
-        ("rows", _gram(tab.values, row_weights, N), kappa.pt),
+        ("columns", _gram(list(zip(*tab.values)), col_weights, N), diagonal(kappa.p)),
+        ("rows", _gram(tab.values, row_weights, N), diagonal(kappa.pt)),
     )
 
     for a in range(len(points)):
         for b in range(len(points)):
-            for side, gram, diag_weights in sides:
+            for side, gram, diag in sides:
                 lhs = gram[a][b]
-                rhs = 0
-                if a == b:
-                    rhs = multi_factorial(points[a]) / (
-                        nfact * nu_pow * exactify(power_product(diag_weights, points[a]))
-                    )
+                rhs = diag[a] if a == b else 0
+                bound = tol * max(1, abs(diag[a]), abs(diag[b])) if tol else 0
                 resid = lhs - rhs
                 max_resid = max(max_resid, abs(resid))
-                if not scalars_equal(lhs, rhs, tol):
+                if not scalars_equal(lhs, rhs, bound):
                     failures.append(
                         {
                             "side": side,

@@ -26,10 +26,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from . import hyperg, linalg
-from . import kappa as kappa_mod
 from .kappa import ParameterSet, default_tol
 from .numeric import (
     DegreeMismatchError,
@@ -432,14 +430,24 @@ def xtilde_monomial(
 
 
 def to_dual_coords(
-    kappa: ParameterSet, f: HomogPoly, conj: Conjugator | None = None
+    kappa: ParameterSet,
+    f: HomogPoly,
+    conj: Conjugator | None = None,
+    cache: dict | None = None,
 ) -> HomogPoly:
     """Coefficients of f over the substituted basis: apply the inverse
-    substitution x = xt rhat_inv and collect."""
+    substitution x = xt rhat_inv and collect.
+
+    A dict passed as ``cache`` memoizes the expansion of each monomial
+    (keyed by its exponent) across calls with the same conjugator.
+    """
     conj = conj if conj is not None else conjugator(kappa)
+    cache = {} if cache is None else cache
     out: dict = {}
     for lam, c in f.coeffs.items():
-        _add_scaled(out, _expand_in(conj.rhat_inv, lam), c)
+        if lam not in cache:
+            cache[lam] = _expand_in(conj.rhat_inv, lam)
+        _add_scaled(out, cache[lam], c)
     return _poly(f.degree, out)
 
 
@@ -579,6 +587,7 @@ def check_adjacency(kappa: ParameterSet, N: int, tol: Scalar = 0) -> CheckReport
     conj = conjugator(kappa)
     points = tuple(enumerate_lattice(d, N))
     shift = Fraction(N, d + 1)
+    expansions: dict = {}
     failures = []
 
     def check_support(side: str, i: int, lam: MultiIndex, f: HomogPoly) -> None:
@@ -601,7 +610,7 @@ def check_adjacency(kappa: ParameterSet, N: int, tol: Scalar = 0) -> CheckReport
         dphi = dual_phi(kappa, i, conj)
         for lam in points:
             moved = act(phi, xtilde_monomial(kappa, N, lam, conj))
-            support = to_dual_coords(kappa, moved, conj)
+            support = to_dual_coords(kappa, moved, conj, expansions)
             check_support("plain-on-substituted", i, lam, support)
             want_diag = sum(
                 exactify(kappa.pt[i])

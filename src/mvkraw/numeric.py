@@ -16,10 +16,9 @@ hypergeometric evaluation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le
-from typing import Iterator, Sequence, Union
+from operator import add, le, sub
+from typing import Iterator, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction, float, complex]
 
@@ -193,14 +192,23 @@ def enumerate_degree_points(d: int, degree: int) -> Iterator[tuple]:
         yield lam[1:]
 
 
-@dataclass(frozen=True)
-class KernelMatrix:
+class KernelMatrix(NamedTuple):
     """A d x d nonnegative-integer matrix with cached marginal sums."""
 
     entries: tuple  # tuple of d row-tuples
     row_sums: tuple
     col_sums: tuple
     total: int
+
+
+def _row_vectors(caps: tuple, limit: int) -> Iterator[tuple]:
+    """Every (v, |v|) with v[j] <= caps[j] and |v| <= limit, in lex order."""
+    if not caps:
+        yield (), 0
+        return
+    for a in range(min(caps[0], limit) + 1):
+        for rest, s in _row_vectors(caps[1:], limit - a):
+            yield (a,) + rest, a + s
 
 
 def enumerate_kernels(
@@ -210,36 +218,32 @@ def enumerate_kernels(
     col_caps: Sequence[int],
 ) -> Iterator[KernelMatrix]:
     """All d x d matrices with row i sum <= row_caps[i], column j sum
-    <= col_caps[j] and total sum <= degree.
+    <= col_caps[j] and total sum <= degree, in lex order of the
+    flattened entries.
 
-    Caps are enforced during generation, not by post-filtering, so the
-    work is proportional to the matrices actually yielded.
+    The matrix is built a row at a time: each row runs over the vectors
+    that fit under the column caps still left, so caps are enforced
+    during generation, not by post-filtering, and the work is
+    proportional to the matrices actually yielded.
     """
     if len(row_caps) != d or len(col_caps) != d:
         raise ValueError("need one cap per row and per column")
     if any(c < 0 for c in row_caps) or any(c < 0 for c in col_caps):
         raise ValueError("caps must be nonnegative")
+    col_caps = tuple(min(c, degree) for c in col_caps)
 
-    flat = [0] * (d * d)
-    row_rem = [min(c, degree) for c in row_caps]
-    col_rem = [min(c, degree) for c in col_caps]
+    def rec(i: int, col_rem: tuple, total: int, rows: tuple, rsums: tuple):
+        limit = min(row_caps[i], degree - total)
+        for row, s in _row_vectors(col_rem, limit):
+            rest = tuple(map(sub, col_rem, row))
+            if i == d - 1:
+                yield KernelMatrix(
+                    rows + (row,),
+                    rsums + (s,),
+                    tuple(map(sub, col_caps, rest)),
+                    total + s,
+                )
+            else:
+                yield from rec(i + 1, rest, total + s, rows + (row,), rsums + (s,))
 
-    def rec(idx: int, total_rem: int) -> Iterator[KernelMatrix]:
-        if idx == d * d:
-            rows = tuple(tuple(flat[i * d : (i + 1) * d]) for i in range(d))
-            rsums = tuple(sum(r) for r in rows)
-            csums = tuple(sum(rows[i][j] for i in range(d)) for j in range(d))
-            yield KernelMatrix(rows, rsums, csums, sum(rsums))
-            return
-        i, j = divmod(idx, d)
-        cap = min(row_rem[i], col_rem[j], total_rem)
-        for v in range(cap + 1):
-            flat[idx] = v
-            row_rem[i] -= v
-            col_rem[j] -= v
-            yield from rec(idx + 1, total_rem - v)
-            row_rem[i] += v
-            col_rem[j] += v
-        flat[idx] = 0
-
-    yield from rec(0, degree)
+    yield from rec(0, col_caps, 0, (), ())

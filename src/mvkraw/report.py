@@ -31,14 +31,3 @@ class CheckReport:
             "details": self.details,
         }
 
-
-def merge(check: str, parts: list[CheckReport]) -> CheckReport:
-    """Combine sub-reports, prefixing each failure with its source."""
-    failures = []
-    details = {}
-    for part in parts:
-        for f in part.failures:
-            failures.append({"from": part.check, **f})
-        if part.details:
-            details[part.check] = part.details
-    return CheckReport(check, all(p.passed for p in parts), failures, details)

@@ -51,7 +51,9 @@ def check_threeway(
     values: hyperg.PolynomialTable | None = None,
 ) -> CheckReport:
     """All three evaluation routes on every index pair of the lattice;
-    the kernel-sum route is read from the table (built when none is given)."""
+    the kernel-sum route is read from the table (built when none is given).
+    In approx mode the routes agree within tol times the larger of 1 and
+    their largest magnitude."""
     tab = values if values is not None else hyperg.table(kappa, N)
     points = tab.points
     conj = liemod.conjugator(kappa)
@@ -65,7 +67,8 @@ def check_threeway(
             p = liemod.pairing_eval(kappa, N, n, nt, conj, cache)
             resid = max(abs(a - b), abs(a - p))
             max_resid = max(max_resid, resid)
-            if not (scalars_equal(a, b, tol) and scalars_equal(a, p, tol)):
+            bound = tol * max(1, abs(a), abs(b), abs(p)) if tol else 0
+            if not (scalars_equal(a, b, bound) and scalars_equal(a, p, bound)):
                 failures.append(
                     {
                         "pair": [list(n), list(nt)],

@@ -415,6 +415,23 @@ class TestModes:
         assert json.loads(out)["pass"] is True
 
 
+    def test_approx_check_relative_to_large_values(self, capsys, tmp_path):
+        # values of this set reach 6e5, where float round-off exceeds the
+        # absolute eps in orthogonality, recurrence, universal and threeway
+        hr = write_kappa(
+            tmp_path,
+            kappa.family_hoare_rahman(F(17, 101), F(-3, 7), F(29, 113), F(5, 211)),
+        )
+        code, out, _ = run(
+            capsys,
+            "--mode", "approx",
+            "check", "--kappa", hr, "--N", "3",
+        )
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert len(reports) == 12 and all(r["pass"] for r in reports)
+
+
 class TestStencil:
     def test_dump_universal(self, capsys, milch2_file):
         code, out, _ = run(

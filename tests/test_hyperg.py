@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvkraw import hyperg, kappa
+from mvkraw import hyperg, kappa, verify
 from mvkraw.numeric import enumerate_degree_points, enumerate_lattice
 
 
@@ -128,6 +128,35 @@ class TestTable:
             k, 2, (1, 0), (1, 0)
         )
 
+    @pytest.mark.parametrize("exact_first", [True, False], ids=["exact-first", "approx-first"])
+    def test_exact_and_approx_twins_keep_their_types(self, exact_first):
+        # the two sets compare and hash equal (their entries are dyadic),
+        # so a view cached without the mode would serve one of them the
+        # other's arithmetic
+        exact = kappa.family_ds(F(2), 2)
+        approx = kappa.from_json_dict(kappa.to_json_dict(exact), "approx", 1e-10)
+        assert approx == exact and hash(approx) == hash(exact)
+        hyperg._integer_view.cache_clear()
+        order = [exact, approx] if exact_first else [approx, exact]
+        tables = [hyperg.table(k, 3) for k in order]
+        exact_tab, approx_tab = tables if exact_first else tables[::-1]
+        for erow, arow in zip(exact_tab.values, approx_tab.values):
+            for e, a in zip(erow, arow):
+                assert isinstance(e, (F, int)) and not isinstance(e, bool)
+                assert isinstance(a, float)
+                assert abs(a - e) <= 1e-12 * max(1, abs(e))
+
+    def test_exact_table_where_omega_is_integral(self):
+        # omega has denominator 1 here (D = 1), which must not be taken
+        # for the float path: exactness comes from the parameters
+        k = kappa.family_milch([F(1, 2), F(1, 6), F(1, 6), F(1, 6)])
+        assert all(F(w).denominator == 1 for row in kappa.omega(k) for w in row)
+        tab = hyperg.table(k, 3)
+        for n, row in zip(tab.points, tab.values):
+            for nt, value in zip(tab.points, row):
+                assert isinstance(value, F)
+                assert value == hyperg.eval_generating(k, 3, n[1:], nt[1:])
+
     def test_json_round_trip(self):
         k = kappa.family_hoare_rahman(1, 2, 3, 4)
         tab = hyperg.table(k, 2)
@@ -207,6 +236,25 @@ class TestOrthogonality:
         for f in rep.failures:
             assert "/" not in f["residual"]
             float(f["residual"])
+
+    def test_approx_relative_bounds_detect_perturbed_pt(self):
+        # the approx comparisons are relative to the values compared; one
+        # pt entry off by 8e-11 of itself (built past validation, as in the
+        # norms control) must still fail orthogonality, where the degree-6
+        # diagonal carries the defect twice over, and the universal identity
+        k = kappa.from_json_dict(
+            kappa.to_json_dict(kappa.family_hoare_rahman(1, 2, 3, 4)),
+            "approx",
+            1e-10,
+        )
+        suites = ["orthogonality", "recurrence", "universal", "threeway"]
+        assert all(r.passed for r in verify.run_suites(suites, k, 6, 1e-10))
+        pt = list(k.pt)
+        pt[1] *= 1 + 8e-11
+        bad = kappa.ParameterSet(k.d, k.nu, k.p, tuple(pt), k.u)
+        reports = {r.check: r for r in verify.run_suites(suites, bad, 6, 1e-10)}
+        assert not reports["orthogonality"].passed
+        assert not reports["universal"].passed
 
 
 def fraction_orthogonality(k, N, tab):

@@ -175,6 +175,21 @@ class TestKernels:
             assert k.entries not in seen
             seen.add(k.entries)
 
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 4),
+        st.data(),
+    )
+    def test_lex_order_of_flattened_entries(self, d, degree, data):
+        # approx kernel sums add in this order, so it is part of the contract
+        row_caps = data.draw(st.lists(st.integers(0, 4), min_size=d, max_size=d))
+        col_caps = data.draw(st.lists(st.integers(0, 4), min_size=d, max_size=d))
+        flat = [
+            sum(k.entries, ())
+            for k in enumerate_kernels(d, degree, row_caps, col_caps)
+        ]
+        assert all(a < b for a, b in zip(flat, flat[1:]))
+
     def test_zero_matrix_always_first_present(self):
         kernels = list(enumerate_kernels(2, 0, (5, 5), (5, 5)))
         assert len(kernels) == 1
