@@ -202,7 +202,7 @@ def operator_m(
     tilde generator of the involuted set, whose p and pt are swapped and
     u transposed, so its coefficients read row i of u instead of column
     i.  Eigenvalue mt_i - N/(d+1)."""
-    return _generator(kappa_mod.involute(kappa), N, i, tol, f"m_{i}")
+    return _generator(kappa_mod.involute(kappa, tol), N, i, tol, f"m_{i}")
 
 
 def operator_universal(

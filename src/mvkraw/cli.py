@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from . import bispec, hyperg, verify
+from . import bispec, hyperg, liemod, verify
 from . import kappa as kappa_mod
 from .kappa import InvalidParameterSetError, ParameterSet
 from .numeric import APPROX, DEFAULT_EPS, EXACT, Scalar, format_scalar, parse_scalar
@@ -224,8 +224,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             elif args.method == "gen":
                 value = hyperg.eval_generating(kap, args.N, m, mt)
             else:
-                from . import liemod
-
                 n = (args.N - sum(m),) + m
                 nt = (args.N - sum(mt),) + mt
                 value = liemod.pairing_eval(kap, args.N, n, nt)

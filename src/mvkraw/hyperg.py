@@ -7,12 +7,13 @@ route expands the defining generating function
 
     prod_i (1 + sum_j u[i][j] z_j)^mt_i  =  sum_m binom * P(m, mt) z^m
 
-with `numeric.expand_forms` and reads one coefficient.  The pairing
-route of `liemod` expands the same product (substitute y_j = pt_j x_j
-in xt^nt) through the same core, so routes 2 and 3 share their
-expansion and only the kernel sum is independent of it.  All routes
-take the reduced degree vectors m, mt (length d, with the 0-th
-coordinates N - |m|, N - |mt| implied) and agree exactly.
+with `numeric.expand_forms`: one expansion is the whole column P(., mt)
+(`generating_column`), a capped one a single value.  The pairing route
+of `liemod` expands the same product (substitute y_j = pt_j x_j in
+xt^nt) through the same core, so routes 2 and 3 share their expansion
+and only the kernel sum is independent of it.  All routes take the
+reduced degree vectors m, mt (length d, with the 0-th coordinates
+N - |m|, N - |mt| implied) and agree exactly.
 
 The kernel sum runs on integers: omega is scaled to W/D once per
 (parameter set, N, mode), in a small cache keyed by the mode too, since
@@ -23,8 +24,8 @@ Tables hold P over the full degree-N lattice in graded-lex order, rows
 indexed by the first argument, built by kernel sums.  On top of tables
 sit the two-sided orthogonality check (weighted columns and weighted
 rows both come out diagonal with explicit normalizations) and the
-duality check (the table of the involuted parameter set is the
-transpose).
+duality check: row n of the table is the generating column of n for
+the involuted parameter set, so duality crosses the two routes.
 """
 
 from __future__ import annotations
@@ -145,25 +146,34 @@ def eval_hypergeometric(
     return Fraction(acc, scale) if exact else acc / scale
 
 
-def eval_generating(
-    kappa: ParameterSet, N: int, m: Sequence[int], mt: Sequence[int]
-) -> Scalar:
-    """Generating-function evaluation of P(m, mt): expand the product of
-    the d+1 row factors (1 + sum_j u[i][j] z_j)^mt_i (mt_0 = N - |mt|),
-    homogenised by a variable z_0 capped at N - |m|, read the z^m
-    coefficient and strip the multinomial normalization.  Independent
-    of the kernel sum; used as its oracle.
+def generating_column(
+    kappa: ParameterSet, N: int, mt: Sequence[int], caps: Sequence[int] | None = None
+) -> dict:
+    """Generating-function evaluation of the column {n: P(n', mt)} over
+    full lattice points n: one expansion of the product of the d+1 row
+    factors (1 + sum_j u[i][j] z_j)^mt_i (mt_0 = N - |mt|), homogenised
+    by z_0, each coefficient divided by the multinomial of n.  No point
+    above ``caps`` is formed; a point missing from the result has P = 0.
+    Independent of the kernel sum; used as its oracle.
     """
     d = kappa.d
-    m = _check_degree_vector(d, N, m, "m")
     mt = _check_degree_vector(d, N, mt, "mt")
-    n = (N - sum(m),) + m
     forms = [
         (1,) + tuple(exactify(kappa.u[i][j]) for j in range(1, d + 1))
         for i in range(d + 1)
     ]
-    coeff = expand_forms(forms, (N - sum(mt),) + mt, caps=n).get(n, 0)
-    return exactify(coeff) / multinomial(N, n)
+    coeffs = expand_forms(forms, (N - sum(mt),) + mt, caps)
+    return {n: exactify(c) / multinomial(N, n) for n, c in coeffs.items()}
+
+
+def eval_generating(
+    kappa: ParameterSet, N: int, m: Sequence[int], mt: Sequence[int]
+) -> Scalar:
+    """P(m, mt) read off `generating_column`, capped at n = (N - |m|, m)
+    so that no monomial beyond the one wanted is formed."""
+    m = _check_degree_vector(kappa.d, N, m, "m")
+    n = (N - sum(m),) + m
+    return generating_column(kappa, N, mt, n).get(n, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -315,22 +325,26 @@ def check_duality(
     N: int,
     tol: Scalar = 0,
     values: PolynomialTable | None = None,
-    dual_values: PolynomialTable | None = None,
 ) -> CheckReport:
-    """The table of the involuted parameter set is the transpose."""
+    """The table is the transpose of the involuted set's: row n of the
+    table (kernel sums when none is given) against the generating
+    column of n' for the involuted set, one expansion per row, so the
+    check crosses the two routes.  In approx mode a pair passes within
+    tol times the larger of 1 and the two values."""
     tab = values if values is not None else table(kappa, N)
-    dual = dual_values if dual_values is not None else table(
-        kappa_mod.involute(kappa), N
-    )
+    dual = kappa_mod.involute(kappa, tol)
     failures = []
-    for r, n in enumerate(tab.points):
-        for c, nt in enumerate(tab.points):
-            if not scalars_equal(tab.values[r][c], dual.values[c][r], tol):
+    for n, row in zip(tab.points, tab.values):
+        column = generating_column(dual, N, n[1:])
+        for nt, a in zip(tab.points, row):
+            b = column.get(nt, Fraction(0))
+            bound = tol * max(1, abs(a), abs(b)) if tol else 0
+            if not scalars_equal(a, b, bound):
                 failures.append(
                     {
                         "pair": [list(n), list(nt)],
-                        "value": format_scalar(tab.values[r][c]),
-                        "dual_value": format_scalar(dual.values[c][r]),
+                        "value": format_scalar(a),
+                        "dual_value": format_scalar(b),
                     }
                 )
     return CheckReport(

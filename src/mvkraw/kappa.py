@@ -91,6 +91,12 @@ def default_tol(*values: Scalar) -> Scalar:
     return 0 if all(is_exact(v) for v in values) else DEFAULT_EPS
 
 
+def tol_for(kappa: ParameterSet, tol: Scalar = 0) -> Scalar:
+    """The tolerance of a re-check on a sealed set: the run's tol, or
+    `default_tol` of the set's weights when that is 0."""
+    return tol or default_tol(kappa.nu, *kappa.p, *kappa.pt)
+
+
 def diagnose(
     nu: Scalar,
     p: Sequence[Scalar],
@@ -176,13 +182,14 @@ def validate(
     return ParameterSet(len(p) - 1, nu, tuple(p), tuple(pt), linalg.freeze(u))
 
 
-def involute(kappa: ParameterSet) -> ParameterSet:
+def involute(kappa: ParameterSet, tol: Scalar = 0) -> ParameterSet:
     """Swap the two weight vectors and transpose the mixing matrix.
 
     Validity of the image is a consequence of the defining identity, so
-    a failure here means the input was corrupted.
+    a failure here means the input was corrupted.  The image is
+    validated at `tol_for(kappa, tol)`.
     """
-    tol = default_tol(kappa.nu, *kappa.p, *kappa.pt)
+    tol = tol_for(kappa, tol)
     return validate(kappa.nu, kappa.pt, kappa.p, linalg.transpose(kappa.u), tol)
 
 

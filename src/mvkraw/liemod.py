@@ -15,20 +15,22 @@ diagonal on plain monomials and, by a small miracle of the setup, also
 diagonal on the substituted ones.  The pairing <x^n, xt^nt> recovers
 the polynomial values P(n', nt') up to an explicit constant and serves
 as the third evaluation route.  Substituting y_j = pt_j x_j turns xt^nt
-into the generating function of `hyperg.eval_generating`, so both
+into the generating function of `hyperg.generating_column`, so both
 routes expand through the one core `numeric.expand_forms`, and so does
-the inverse substitution of `to_dual_coords`.
+the inverse substitution of `to_dual_coords`.  A `Conjugator` expands
+each power of its columns once per direction and keeps it, so a check
+that holds one conjugator never expands the same xt^lam twice.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import hyperg, linalg
-from .kappa import ParameterSet, default_tol
+from .kappa import ParameterSet, tol_for
 from .numeric import (
     DegreeMismatchError,
     MultiIndex,
@@ -78,14 +80,27 @@ class Conjugator:
 
     rhat: Matrix
     rhat_inv: Matrix
+    _expansions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def expand(self, lam: MultiIndex, inverse: bool = False) -> dict:
+        """prod_k (sum_j M[j][k] y_j)^lam_k over y-monomials, M = rhat_inv
+        if inverse else rhat, expanded once per conjugator and direction;
+        the dict returned is shared, so callers must not change it."""
+        key = (inverse, tuple(lam))
+        out = self._expansions.get(key)
+        if out is None:
+            matrix = self.rhat_inv if inverse else self.rhat
+            out = self._expansions[key] = expand_forms(tuple(zip(*matrix)), key[1])
+        return out
 
 
-def conjugator(kappa: ParameterSet) -> Conjugator:
+def conjugator(kappa: ParameterSet, tol: Scalar = 0) -> Conjugator:
+    """The conjugator of kappa, its inverse checked at `tol_for(kappa, tol)`."""
     rhat = linalg.mat_mul(linalg.diagonal(kappa.pt), linalg.transpose(kappa.u))
     rhat_inv = linalg.mat_scale(
         exactify(kappa.nu), linalg.mat_mul(linalg.diagonal(kappa.p), kappa.u)
     )
-    tol = default_tol(kappa.nu, *kappa.p, *kappa.pt)
+    tol = tol_for(kappa, tol)
     if not linalg.mats_equal(
         linalg.mat_mul(rhat, rhat_inv), linalg.identity(kappa.d + 1), tol
     ):
@@ -122,21 +137,27 @@ def _dual_phi_closed_form(kappa: ParameterSet, i: int) -> Matrix:
     return linalg.freeze(out)
 
 
+def _closed_form_defects(kappa: ParameterSet, conj: Conjugator, tol: Scalar) -> list:
+    """(i, defect) for every conjugated phi_i, i = 0..d, that differs
+    from its closed-form expansion beyond tol."""
+    out = []
+    for i in range(kappa.d + 1):
+        got = _conjugate(conj, basis_phi(kappa.d, i))
+        want = _dual_phi_closed_form(kappa, i)
+        if not linalg.mats_equal(got, want, tol):
+            out.append((i, format_scalar(linalg.max_defect(got, want))))
+    return out
+
+
 def dual_phi(
     kappa: ParameterSet, i: int, conj: Conjugator | None = None
 ) -> Matrix:
-    """Conjugated Cartan element, computed by conjugation and checked
-    against its closed-form expansion on every call."""
+    """Conjugated Cartan element; its closed form is checked by
+    `check_conjugation` and the lemma22 suite."""
     if not 0 <= i <= kappa.d:
         raise IndexError(f"index {i} out of range for d = {kappa.d}")
     conj = conj if conj is not None else conjugator(kappa)
-    out = _conjugate(conj, basis_phi(kappa.d, i))
-    tol = default_tol(kappa.nu, *kappa.p, *kappa.pt)
-    if not linalg.mats_equal(out, _dual_phi_closed_form(kappa, i), tol):
-        raise AssertionError(
-            f"conjugation of phi_{i} disagrees with its closed form"
-        )
-    return out
+    return _conjugate(conj, basis_phi(kappa.d, i))
 
 
 def dual_e(
@@ -185,18 +206,11 @@ def check_conjugation(kappa: ParameterSet) -> CheckReport:
     Cartan elements over the plain basis, and the plain ones over the
     dual basis."""
     conj = conjugator(kappa)
-    tol = default_tol(kappa.nu, *kappa.p, *kappa.pt)
-    failures = []
-    for i in range(kappa.d + 1):
-        got = _conjugate(conj, basis_phi(kappa.d, i))
-        want = _dual_phi_closed_form(kappa, i)
-        if not linalg.mats_equal(got, want, tol):
-            failures.append(
-                {
-                    "element": f"dual_phi_{i}",
-                    "defect": format_scalar(linalg.max_defect(got, want)),
-                }
-            )
+    tol = tol_for(kappa)
+    failures = [
+        {"element": f"dual_phi_{i}", "defect": defect}
+        for i, defect in _closed_form_defects(kappa, conj, tol)
+    ]
     for i in range(1, kappa.d + 1):
         got = phi_in_dual_basis(kappa, i, conj)
         want = basis_phi(kappa.d, i)
@@ -210,13 +224,13 @@ def check_conjugation(kappa: ParameterSet) -> CheckReport:
     return CheckReport("conjugation", not failures, failures, {})
 
 
-def check_lemma21(kappa: ParameterSet, seed: int = 0) -> CheckReport:
+def check_lemma21(kappa: ParameterSet, tol: Scalar = 0, seed: int = 0) -> CheckReport:
     """The antiautomorphism suite: fixed points, transport of matrix
     units with weight ratios, involutivity, and product reversal on a
     seeded random sample."""
     d = kappa.d
-    conj = conjugator(kappa)
-    tol = default_tol(kappa.nu, *kappa.p, *kappa.pt)
+    conj = conjugator(kappa, tol)
+    tol = tol_for(kappa, tol)
     failures = []
 
     def expect(tag: str, got: Matrix, want: Matrix) -> None:
@@ -280,13 +294,14 @@ def check_lemma21(kappa: ParameterSet, seed: int = 0) -> CheckReport:
     return CheckReport("lemma21", not failures, failures, {"samples": 20})
 
 
-def check_generation(kappa: ParameterSet) -> CheckReport:
-    """Bracket-generation suite: the two closed forms of the conjugated
-    phi_0 and the triple-commutator identity producing every matrix unit
-    from the plain Cartan elements and that single dual one."""
+def check_generation(kappa: ParameterSet, tol: Scalar = 0) -> CheckReport:
+    """Bracket-generation suite: the conjugated phi_0 against minus the
+    sum of the others, every conjugated phi_i against its closed form,
+    and the triple-commutator identity producing every matrix unit from
+    the plain Cartan elements and the single dual phi_0."""
     d = kappa.d
-    conj = conjugator(kappa)
-    tol = default_tol(kappa.nu, *kappa.p, *kappa.pt)
+    conj = conjugator(kappa, tol)
+    tol = tol_for(kappa, tol)
     failures = []
 
     dphi0 = _conjugate(conj, basis_phi(d, 0))
@@ -302,14 +317,10 @@ def check_generation(kappa: ParameterSet) -> CheckReport:
                 "defect": format_scalar(linalg.max_defect(dphi0, minus_sum)),
             }
         )
-    closed = _dual_phi_closed_form(kappa, 0)
-    if not linalg.mats_equal(dphi0, closed, tol):
-        failures.append(
-            {
-                "identity": "dual_phi_0 columns-constant form",
-                "defect": format_scalar(linalg.max_defect(dphi0, closed)),
-            }
-        )
+    failures += [
+        {"identity": f"dual_phi_{i} closed form", "defect": defect}
+        for i, defect in _closed_form_defects(kappa, conj, tol)
+    ]
 
     for i in range(d + 1):
         for j in range(d + 1):
@@ -405,12 +416,6 @@ def act(beta: Matrix, f: HomogPoly) -> HomogPoly:
     return _poly(f.degree, out)
 
 
-def _expand_in(matrix: Matrix, lam: MultiIndex) -> dict:
-    """prod_k (sum_j matrix[j][k] y_j)^(lam_k) over y-monomials: the
-    columns of the matrix are the linear forms."""
-    return expand_forms(tuple(zip(*matrix)), lam)
-
-
 def _add_scaled(acc: dict, coeffs: dict, c: Scalar) -> None:
     """acc += c * coeffs, in place; zeros are left for `_poly` to drop."""
     for lam, v in coeffs.items():
@@ -426,28 +431,18 @@ def xtilde_monomial(
     if sum(lam) != N:
         raise DegreeMismatchError(f"|{lam}| != {N}")
     conj = conj if conj is not None else conjugator(kappa)
-    return HomogPoly(N, _expand_in(conj.rhat, lam))
+    return HomogPoly(N, conj.expand(lam))
 
 
 def to_dual_coords(
-    kappa: ParameterSet,
-    f: HomogPoly,
-    conj: Conjugator | None = None,
-    cache: dict | None = None,
+    kappa: ParameterSet, f: HomogPoly, conj: Conjugator | None = None
 ) -> HomogPoly:
     """Coefficients of f over the substituted basis: apply the inverse
-    substitution x = xt rhat_inv and collect.
-
-    A dict passed as ``cache`` memoizes the expansion of each monomial
-    (keyed by its exponent) across calls with the same conjugator.
-    """
+    substitution x = xt rhat_inv and collect."""
     conj = conj if conj is not None else conjugator(kappa)
-    cache = {} if cache is None else cache
     out: dict = {}
     for lam, c in f.coeffs.items():
-        if lam not in cache:
-            cache[lam] = _expand_in(conj.rhat_inv, lam)
-        _add_scaled(out, cache[lam], c)
+        _add_scaled(out, conj.expand(lam, inverse=True), c)
     return _poly(f.degree, out)
 
 
@@ -478,25 +473,15 @@ def pairing_eval(
     n: MultiIndex,
     nt: MultiIndex,
     conj: Conjugator | None = None,
-    cache: dict | None = None,
 ) -> Scalar:
     """P(n', nt') = <x^n, xt^nt> / (nu^N N!); the nu^N cancels against
-    the form's weight, leaving coeff_n(xt^nt) n!/(pt^n N!).
-
-    A dict passed as ``cache`` memoizes the xt expansions across calls
-    (keyed by nt), which turns a full-grid sweep from quadratic into
-    linear in the lattice size.
+    the form's weight, leaving coeff_n(xt^nt) n!/(pt^n N!).  A full-grid
+    sweep with one conjugator expands each xt^nt once (`Conjugator.expand`).
     """
     n, nt = tuple(n), tuple(nt)
     if sum(n) != N or sum(nt) != N:
         raise DegreeMismatchError(f"|{n}| or |{nt}| differs from N = {N}")
-    if cache is not None and nt in cache:
-        f = cache[nt]
-    else:
-        f = xtilde_monomial(kappa, N, nt, conj)
-        if cache is not None:
-            cache[nt] = f
-    c = f.coeffs.get(n, 0)
+    c = xtilde_monomial(kappa, N, nt, conj).coeffs.get(n, 0)
     return exactify(c * multi_factorial(n)) / (
         exactify(power_product(kappa.pt, n)) * math.factorial(N)
     )
@@ -506,7 +491,7 @@ def check_dual_norms(kappa: ParameterSet, N: int, tol: Scalar = 0) -> CheckRepor
     """The substituted monomials are themselves orthogonal for the form,
     with norms n!/p^n (no nu power).  These grow like N!/min|p|^N, so
     the tolerance of a pair is tol times the larger of its two norms."""
-    conj = conjugator(kappa)
+    conj = conjugator(kappa, tol)
     points = tuple(enumerate_lattice(kappa.d, N))
     xt = {lam: xtilde_monomial(kappa, N, lam, conj) for lam in points}
     norms = {lam: 1 / weight_over_factorial(kappa.p, lam) for lam in points}
@@ -584,10 +569,9 @@ def check_adjacency(kappa: ParameterSet, N: int, tol: Scalar = 0) -> CheckReport
     dual statement); the self-coefficient matches the re-expansion's
     diagonal part."""
     d = kappa.d
-    conj = conjugator(kappa)
+    conj = conjugator(kappa, tol)
     points = tuple(enumerate_lattice(d, N))
     shift = Fraction(N, d + 1)
-    expansions: dict = {}
     failures = []
 
     def check_support(side: str, i: int, lam: MultiIndex, f: HomogPoly) -> None:
@@ -610,7 +594,7 @@ def check_adjacency(kappa: ParameterSet, N: int, tol: Scalar = 0) -> CheckReport
         dphi = dual_phi(kappa, i, conj)
         for lam in points:
             moved = act(phi, xtilde_monomial(kappa, N, lam, conj))
-            support = to_dual_coords(kappa, moved, conj, expansions)
+            support = to_dual_coords(kappa, moved, conj)
             check_support("plain-on-substituted", i, lam, support)
             want_diag = sum(
                 exactify(kappa.pt[i])
@@ -650,7 +634,7 @@ def check_transition(
     cross-ties the module picture to the series definition.
     """
     tab = values if values is not None else hyperg.table(kappa, N)
-    conj = conjugator(kappa)
+    conj = conjugator(kappa, tol)
     points = tab.points
     xt = [xtilde_monomial(kappa, N, lam, conj) for lam in points]
     nfact = math.factorial(N)

@@ -1,12 +1,15 @@
 """Named verification suites over the whole library.
 
 Each suite name maps to one check; `run_suites` executes a list of them
-against a parameter set, sharing the polynomial table between the
-checks that consume one so it is evaluated at most once per run.
+against a parameter set at the run's tolerance, sharing the polynomial
+table between the checks that consume one so it is evaluated at most
+once per run.  The three-way check reads the kernel sums from that
+table and the generating route one column expansion at a time.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from . import bispec, hyperg, liemod
@@ -31,6 +34,9 @@ SUITES = (
 )
 
 KAPPA_ONLY_SUITES = frozenset({"def11", "lemma21", "lemma22"})
+TABLE_SUITES = frozenset(
+    {"orthogonality", "duality", "recurrence", "universal", "transition", "threeway"}
+)
 
 
 def check_def11(kappa: ParameterSet, tol: Scalar = 0) -> CheckReport:
@@ -51,20 +57,21 @@ def check_threeway(
     values: hyperg.PolynomialTable | None = None,
 ) -> CheckReport:
     """All three evaluation routes on every index pair of the lattice;
-    the kernel-sum route is read from the table (built when none is given).
-    In approx mode the routes agree within tol times the larger of 1 and
-    their largest magnitude."""
+    the kernel-sum route is read from the table (built when none is
+    given), the generating route one column at a time.  In approx mode
+    the routes agree within tol times the larger of 1 and their largest
+    magnitude."""
     tab = values if values is not None else hyperg.table(kappa, N)
     points = tab.points
-    conj = liemod.conjugator(kappa)
-    cache: dict = {}
+    conj = liemod.conjugator(kappa, tol)
+    columns = [hyperg.generating_column(kappa, N, nt[1:]) for nt in points]
     failures = []
     max_resid = 0
     for r, n in enumerate(points):
         for c, nt in enumerate(points):
             a = tab.values[r][c]
-            b = hyperg.eval_generating(kappa, N, n[1:], nt[1:])
-            p = liemod.pairing_eval(kappa, N, n, nt, conj, cache)
+            b = columns[c].get(n, Fraction(0))
+            p = liemod.pairing_eval(kappa, N, n, nt, conj)
             resid = max(abs(a - b), abs(a - p))
             max_resid = max(max_resid, resid)
             bound = tol * max(1, abs(a), abs(b), abs(p)) if tol else 0
@@ -99,40 +106,28 @@ def run_suites(
         if name not in KAPPA_ONLY_SUITES and N is None:
             raise ValueError(f"suite {name!r} needs N")
 
-    def shared_table() -> hyperg.PolynomialTable:
-        nonlocal table
-        if table is None:
-            table = hyperg.table(kappa, N)
-        return table
-
+    # built per call, so a check rebound on its module (as the perfbench
+    # tracer does) is the one run
+    checks = {
+        "def11": check_def11,
+        "orthogonality": hyperg.check_orthogonality,
+        "duality": hyperg.check_duality,
+        "recurrence": bispec.check_eigen,
+        "universal": bispec.check_universal,
+        "commute": bispec.check_commute,
+        "lemma21": liemod.check_lemma21,
+        "lemma22": liemod.check_generation,
+        "norms": liemod.check_dual_norms,
+        "adjacency": liemod.check_adjacency,
+        "transition": liemod.check_transition,
+        "threeway": check_threeway,
+    }
     reports = []
     for name in names:
-        if name == "def11":
-            reports.append(check_def11(kappa, tol))
-        elif name == "orthogonality":
-            reports.append(
-                hyperg.check_orthogonality(kappa, N, tol, shared_table())
-            )
-        elif name == "duality":
-            reports.append(hyperg.check_duality(kappa, N, tol, shared_table()))
-        elif name == "recurrence":
-            reports.append(bispec.check_eigen(kappa, N, tol, shared_table()))
-        elif name == "universal":
-            reports.append(bispec.check_universal(kappa, N, tol, shared_table()))
-        elif name == "commute":
-            reports.append(bispec.check_commute(kappa, N, tol))
-        elif name == "lemma21":
-            reports.append(liemod.check_lemma21(kappa))
-        elif name == "lemma22":
-            reports.append(liemod.check_generation(kappa))
-        elif name == "norms":
-            reports.append(liemod.check_dual_norms(kappa, N, tol))
-        elif name == "adjacency":
-            reports.append(liemod.check_adjacency(kappa, N, tol))
-        elif name == "transition":
-            reports.append(
-                liemod.check_transition(kappa, N, tol, shared_table())
-            )
-        elif name == "threeway":
-            reports.append(check_threeway(kappa, N, tol, shared_table()))
+        args = (kappa, tol) if name in KAPPA_ONLY_SUITES else (kappa, N, tol)
+        if name in TABLE_SUITES:
+            if table is None:
+                table = hyperg.table(kappa, N)
+            args += (table,)
+        reports.append(checks[name](*args))
     return reports

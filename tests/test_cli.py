@@ -280,6 +280,28 @@ class TestTableFlow:
         assert report["pass"] is False
         assert report["reports"][0]["failures"]
 
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_corrupted_table_fails_duality_at_the_pair(
+        self, capsys, milch2_file, tmp_path, mode
+    ):
+        tab_path = tmp_path / "table.json"
+        run(capsys, "table", "--kappa", milch2_file, "--N", "2",
+            "--output", str(tab_path))
+        obj = json.loads(tab_path.read_text())
+        assert obj["values"][1][2] != "9"
+        obj["values"][1][2] = "9"
+        tab_path.write_text(json.dumps(obj))
+        code, out, _ = run(
+            capsys, "--mode", mode,
+            "check", "--table", str(tab_path), "--suite", "duality",
+        )
+        assert code == 1
+        (report,) = json.loads(out)["reports"]
+        row, col = [list(lam) for lam in enumerate_lattice(2, 2)][1:3]
+        assert [(f["pair"], f["value"]) for f in report["failures"]] == [
+            ([row, col], "9")
+        ]
+
     def test_corrupted_table_fails_threeway_and_transition(
         self, capsys, milch2_file, tmp_path
     ):
@@ -414,6 +436,46 @@ class TestModes:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    def test_approx_duality_relative_to_large_values(self, capsys, tmp_path):
+        # values of this set reach 2.6e6 at N = 4, where the two routes
+        # differ by more than the absolute eps
+        hr = write_kappa(
+            tmp_path,
+            kappa.family_hoare_rahman(F(17, 101), F(-3, 7), F(29, 113), F(5, 211)),
+        )
+        code, out, _ = run(
+            capsys,
+            "--mode", "approx",
+            "check", "--kappa", hr, "--N", "4", "--suite", "duality",
+        )
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
+    def test_eps_reaches_internal_rechecks(self, capsys, tmp_path):
+        # decimals with one pt entry off by 1e-7 of itself: a valid set
+        # at eps 1e-6, which the conjugator and the involution must
+        # re-check at that eps too, not at the default 1e-10
+        obj = kappa.to_json_dict(kappa.family_hoare_rahman(1, 2, 3, 4))
+        decimals = lambda xs: [repr(float(F(x))) for x in xs]
+        obj = {
+            "d": obj["d"],
+            "nu": repr(float(F(obj["nu"]))),
+            "p": decimals(obj["p"]),
+            "pt": decimals(obj["pt"]),
+            "u": [decimals(row) for row in obj["u"]],
+        }
+        obj["pt"][1] = repr(float(obj["pt"][1]) * (1 + 1e-7))
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(obj))
+        code, out, _ = run(
+            capsys,
+            "--mode", "approx", "--eps", "1e-6",
+            "check", "--kappa", str(path), "--N", "2",
+        )
+        assert code in (0, 1)
+        reports = json.loads(out)["reports"]
+        assert len(reports) == 12
+        assert code == (0 if all(r["pass"] for r in reports) else 1)
 
     def test_approx_check_relative_to_large_values(self, capsys, tmp_path):
         # values of this set reach 6e5, where float round-off exceeds the

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mvkraw import hyperg, kappa, verify
 from mvkraw.numeric import enumerate_degree_points, enumerate_lattice
+from test_bispec import FAMILIES
 
 
 def milch1():
@@ -111,6 +112,20 @@ class TestGeneratingAgreement:
         assert hyperg.eval_hypergeometric(
             k, N, m, mt
         ) == hyperg.eval_generating(k, N, m, mt)
+
+
+class TestGeneratingColumn:
+    @pytest.mark.parametrize("k,N", FAMILIES)
+    def test_equals_table_columns_capped_or_not(self, k, N):
+        tab = hyperg.table(k, N)
+        for c, nt in enumerate(tab.points):
+            column = hyperg.generating_column(k, N, nt[1:])
+            assert set(column) <= set(tab.points)
+            for n, row in zip(tab.points, tab.values):
+                assert column.get(n, 0) == row[c], (n, nt)
+                capped = hyperg.generating_column(k, N, nt[1:], n)
+                assert all(map(lambda a, b: a <= b, key, n) for key in capped)
+                assert capped.get(n, 0) == row[c], (n, nt)
 
 
 class TestTable:
@@ -308,6 +323,55 @@ class TestDuality:
         rep = hyperg.check_duality(k, N)
         assert rep.passed
         assert rep.failures == []
+
+    def test_full_check_sums_each_kernel_once_and_expands_per_column(
+        self, monkeypatch
+    ):
+        # one table of kernel sums for the whole run; duality and
+        # threeway each expand the generating function once per column
+        k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        N = 2
+        L = len(list(enumerate_lattice(k.d, N)))
+        calls = {"sums": 0, "expansions": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            hyperg, "eval_hypergeometric", counting("sums", hyperg.eval_hypergeometric)
+        )
+        monkeypatch.setattr(
+            hyperg, "expand_forms", counting("expansions", hyperg.expand_forms)
+        )
+        reports = verify.run_suites(verify.SUITES, k, N)
+        assert all(r.passed for r in reports)
+        assert calls == {"sums": L**2, "expansions": 2 * L}
+
+    @pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])
+    def test_detects_corruption_at_the_pair(self, approx):
+        k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        tol = 0
+        if approx:
+            k = kappa.from_json_dict(kappa.to_json_dict(k), "approx", 1e-10)
+            tol = 1e-10
+        tab = hyperg.table(k, 3)
+        values = [list(row) for row in tab.values]
+        values[4][7] += 1
+        broken = hyperg.PolynomialTable(
+            k, 3, tab.points, tuple(tuple(r) for r in values)
+        )
+        rep = hyperg.check_duality(k, 3, tol, broken)
+        assert [f["pair"] for f in rep.failures] == [
+            [list(tab.points[4]), list(tab.points[7])]
+        ]
+        # the dual side is the generating route, not the broken entry
+        assert float(F(rep.failures[0]["dual_value"])) == pytest.approx(
+            float(tab.values[4][7])
+        )
 
     def test_pointwise_swap(self):
         k = kappa.family_milch([F(1, 2), F(1, 4), F(1, 4)])

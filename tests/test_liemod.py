@@ -52,6 +52,41 @@ class TestConjugator:
         conj = liemod.conjugator(k)
         assert linalg.mat_mul(conj.rhat, conj.rhat_inv) == linalg.identity(3)
 
+    def test_expands_each_power_once_per_direction(self, monkeypatch):
+        calls = []
+
+        def counting(forms, exponents, caps=None):
+            calls.append((forms, tuple(exponents)))
+            return expand_forms(forms, exponents, caps)
+
+        monkeypatch.setattr(liemod, "expand_forms", counting)
+        k = milch2()
+        N = 2
+        points = list(enumerate_lattice(k.d, N))
+        conj = liemod.conjugator(k)
+        for _ in range(2):
+            for lam in points:
+                assert conj.expand(lam) == expand_forms(tuple(zip(*conj.rhat)), lam)
+                liemod.xtilde_monomial(k, N, lam, conj)
+                liemod.to_dual_coords(k, liemod.monomial(lam), conj)
+                for n in points:
+                    liemod.pairing_eval(k, N, n, lam, conj)
+        assert len(calls) == 2 * len(points)
+        assert len(set(calls)) == len(calls)
+
+    def test_adjacency_expands_each_power_once(self, monkeypatch):
+        calls = []
+
+        def counting(forms, exponents, caps=None):
+            calls.append((forms, tuple(exponents)))
+            return expand_forms(forms, exponents, caps)
+
+        monkeypatch.setattr(liemod, "expand_forms", counting)
+        k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        assert liemod.check_adjacency(k, 3).passed
+        assert len(set(calls)) == len(calls)
+        assert len(calls) <= 2 * len(list(enumerate_lattice(k.d, 3)))
+
     def test_seal_rejects_corrupt_set(self):
         # bypass validation on purpose: this u breaks the defining identity
         k = classical()
@@ -165,6 +200,24 @@ class TestStructureChecks:
         rep = liemod.check_conjugation(bad)
         assert not rep.passed
         assert len(rep.failures) == 2
+
+    def test_generation_suite_checks_every_closed_form(self):
+        # scaling row 1 of u by 2 and p_1 by 1/4 keeps nu P u Pt u^t = I
+        # and every conjugated phi_i, but breaks the closed form of the
+        # conjugated phi_1 only, which lemma22 must name
+        k = milch2()
+        u = [list(row) for row in k.u]
+        u[1] = [2 * x for x in u[1]]
+        p = list(k.p)
+        p[1] /= 4
+        bad = kappa.ParameterSet(k.d, k.nu, tuple(p), k.pt, linalg.freeze(u))
+        rep = liemod.check_generation(bad)
+        assert not rep.passed
+        assert [f["identity"] for f in rep.failures] == ["dual_phi_1 closed form"]
+        conj_rep = liemod.check_conjugation(bad)
+        assert {"element": "dual_phi_1", "defect": rep.failures[0]["defect"]} in (
+            conj_rep.failures
+        )
 
 
 class TestPolynomials:
@@ -318,10 +371,9 @@ class TestPairingRoute:
     )
     def test_matches_kernel_sum(self, k, N):
         conj = liemod.conjugator(k)
-        cache = {}
         for n in enumerate_lattice(k.d, N):
             for nt in enumerate_lattice(k.d, N):
-                via_pairing = liemod.pairing_eval(k, N, n, nt, conj, cache)
+                via_pairing = liemod.pairing_eval(k, N, n, nt, conj)
                 via_series = hyperg.eval_hypergeometric(k, N, n[1:], nt[1:])
                 assert via_pairing == via_series
 
