@@ -16,10 +16,17 @@ sum of one family plus a constant shift of the identity.
 Stencils vanish on their own at the lattice boundary: every outward
 shift carries a factor (point coordinate or remaining degree) that is
 zero exactly where the shift would leave the simplex.  Each operator
-evaluates its stencil on the lattice once, into its lattice form: for
-every point the (target, coefficient) pairs that survive the tolerance.
-Building that form refuses a surviving coefficient whose shift leaves
-the simplex rather than clamping it, so `apply` only reads the lattice.
+has one integer form: its affine coefficients are scaled once by D, the
+lcm of their denominators, and the scaled stencil is evaluated on the
+lattice once per tolerance, into its lattice form: for every point the
+(target, c(y) D) pairs that survive the tolerance, on Python ints.
+Float coefficients are kept as they are, with D = 1, so approximate
+mode runs the same code.  Building that form refuses a surviving
+coefficient whose shift leaves the simplex rather than clamping it, so
+`apply` only reads the lattice.  `apply` sums each point's terms and
+divides by D once; the eigen checks feed it table lines scaled to
+integers, and `check_commute` composes two integer forms directly, so
+a Fraction is built once per lattice point, or only for a failure.
 """
 
 from __future__ import annotations
@@ -34,9 +41,11 @@ from .kappa import ParameterSet
 from .numeric import (
     MultiIndex,
     Scalar,
+    clear_denominators,
     enumerate_degree_points,
     exactify,
     format_scalar,
+    is_exact,
     scalars_equal,
 )
 from .report import CheckReport
@@ -76,40 +85,57 @@ class AffineCoeff:
 @dataclass(frozen=True, eq=False)
 class DifferenceOperator:
     """Stencil plus the eigenvalue law it satisfies on tables (the law
-    takes the reduced opposite-side index)."""
+    takes the reduced opposite-side index).  `scale` is D, the lcm of
+    the stencil's denominators (1 when a coefficient is a float), and
+    the lattice form holds every coefficient times D."""
 
     d: int
     N: int
     stencil: dict
     eigenvalue: Callable | None
     name: str
+    scale: int = field(init=False, repr=False)
+    _scaled: dict = field(init=False, repr=False)
     _forms: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        ints, D = clear_denominators(
+            [x for c in self.stencil.values() for x in (c.constant, *c.linear)]
+        )
+        it = iter(ints)
+        scaled = {
+            s: AffineCoeff(next(it), tuple(next(it) for _ in c.linear))
+            for s, c in self.stencil.items()
+        }
+        object.__setattr__(self, "scale", D)
+        object.__setattr__(self, "_scaled", scaled)
 
     def term_count(self) -> int:
         return len(self.stencil)
 
     def lattice_form(self, tol: Scalar = 0) -> tuple:
-        """The stencil evaluated on the lattice, once per tolerance: one
-        (y, ((target, c), ...)) record per reduced point y in layout
-        order, keeping the terms whose c is not within tol of 0 in
-        stencil order.  A kept term whose target leaves the simplex
+        """The scaled stencil evaluated on the lattice, once per
+        tolerance: one (y, ((target, c D), ...)) record per reduced point
+        y in layout order, keeping the terms whose c is not within tol of
+        0 in stencil order.  A kept term whose target leaves the simplex
         raises AssertionError."""
         form = self._forms.get(tol)
         if form is None:
             form = self._forms[tol] = tuple(
-                (y, self._terms_at(y, tol))
+                (y, self._terms_at(y, tol * self.scale))
                 for y in enumerate_degree_points(self.d, self.N)
             )
         return form
 
     def _terms_at(self, y: MultiIndex, tol: Scalar) -> tuple:
         terms = []
-        for s, coeff in self.stencil.items():
+        for s, coeff in self._scaled.items():
             c = coeff(y)
             if scalars_equal(c, 0, tol):
                 continue
             target = tuple(a + b for a, b in zip(y, s))
             if min(target) < 0 or sum(target) > self.N:
+                c = Fraction(c, self.scale) if is_exact(c) else c
                 raise AssertionError(
                     f"{self.name}: shift {s} at {y} leaves the lattice with "
                     f"coefficient {format_scalar(c)}, reading outside it"
@@ -269,21 +295,46 @@ def apply(
     op: DifferenceOperator, F: Callable, tol: Scalar = 0
 ) -> dict:
     """(op F)(y) = sum_s c_s(y) F(y+s) over the whole lattice, read off
-    the operator's lattice form, so F is only called on lattice points."""
-    return {
-        y: sum(c * F(target) for target, c in terms)
-        for y, terms in op.lattice_form(tol)
-    }
+    the operator's lattice form, so F is only called on lattice points.
+    Each point sums c_s(y) D F(y+s), on ints when F gives ints, and is
+    divided by D once."""
+    D = op.scale
+    out = {}
+    for y, terms in op.lattice_form(tol):
+        acc = 0
+        for target, c in terms:
+            acc += c * F(target)
+        out[y] = Fraction(acc, D) if isinstance(acc, (int, Fraction)) else acc / D
+    return out
 
 
 def _bounds(op: DifferenceOperator, F: Callable, tol: Scalar) -> dict:
     """The tolerance of (op F)(y) at each lattice point y: tol times the
     larger of 1 and the summed magnitudes |c_s(y) F(y+s)| of its stencil
-    terms; 0 (literal equality) in exact mode, where nothing is summed."""
+    terms."""
     return {
-        y: tol * max(1, sum(abs(c * F(t)) for t, c in terms)) if tol else 0
+        y: tol * max(1, sum(abs(c * F(t)) for t, c in terms) / op.scale)
         for y, terms in op.lattice_form(tol)
     }
+
+
+def _misses(
+    op: DifferenceOperator, ev: Scalar, line: tuple, reduced: dict, tol: Scalar
+):
+    """Where op applied to a table line is not literally ev times the
+    line: (y, got, want, bound) per such point y, with the tolerance of
+    `_bounds` (0 in exact mode).  The line goes to `apply` scaled to
+    integers, and each point is compared on ints; a Fraction is built
+    only for a miss."""
+    ints, S = clear_denominators(line)
+    got = apply(op, lambda y: ints[reduced[y]], tol)
+    bounds = _bounds(op, lambda y: line[reduced[y]], tol) if tol else {}
+    num, den = ev.numerator, ev.denominator
+    for y, g in got.items():
+        k = reduced[y]
+        if is_exact(g) and g.numerator * den == num * ints[k] * g.denominator:
+            continue
+        yield y, g / S, ev * line[k], bounds.get(y, 0)
 
 
 def check_eigen(
@@ -310,14 +361,11 @@ def check_eigen(
     columns = tuple(zip(*tab.values))
     for lines, ops in ((tab.values, ops_second + [universal]), (columns, ops_first)):
         for fixed, line in zip(tab.points, lines):
-            value = lambda y: line[reduced[y]]
             for op in ops:
                 ev = op.eigenvalue(fixed[1:])
-                bounds = _bounds(op, value, tol)
-                for y, got in apply(op, value, tol).items():
-                    want = ev * value(y)
+                for y, got, want, bound in _misses(op, ev, line, reduced, tol):
                     max_resid = max(max_resid, abs(got - want))
-                    if not scalars_equal(got, want, bounds[y]):
+                    if not scalars_equal(got, want, bound):
                         failures.append(
                             {
                                 "operator": op.name,
@@ -358,15 +406,12 @@ def check_universal(
     failures = []
     max_resid = 0
 
-    for r, n in enumerate(tab.points):
-        row = lambda y: tab.values[r][reduced[y]]
+    for n, row in zip(tab.points, tab.values):
         ev = universal.eigenvalue(n[1:])
-        bounds = _bounds(universal, row, tol)
-        got = apply(universal, row, tol)
-        for y, value in got.items():
-            resid = abs(value - ev * row(y))
+        for y, got, want, bound in _misses(universal, ev, row, reduced, tol):
+            resid = abs(got - want)
             max_resid = max(max_resid, resid)
-            if not scalars_equal(value, ev * row(y), bounds[y]):
+            if not scalars_equal(got, want, bound):
                 failures.append(
                     {
                         "operator": "universal",
@@ -393,12 +438,29 @@ def check_universal(
     )
 
 
+def _compose(a: DifferenceOperator, b: DifferenceOperator, tol: Scalar) -> dict:
+    """The product ab as a matrix scaled by D_a D_b: {y: {z: entry}},
+    row y of a's lattice form times the rows of b's, on ints."""
+    rows_b = dict(b.lattice_form(tol))
+    out = {}
+    for y, terms in a.lattice_form(tol):
+        row: dict = {}
+        for x, c in terms:
+            for z, e in rows_b[x]:
+                row[z] = row.get(z, 0) + c * e
+        out[y] = row
+    return out
+
+
 def check_commute(kappa: ParameterSet, N: int, tol: Scalar = 0) -> CheckReport:
     """Pairwise commutation of each generator family as operators on the
     full function space, tested on every delta basis function (not on
-    table eigenfunctions, which would be circular)."""
+    table eigenfunctions, which would be circular): column y0 of the
+    composed matrices ab and ba is the image of the delta at y0, and
+    every entry of both is compared, scaled by D_a D_b."""
     d = kappa.d
     points = list(enumerate_degree_points(d, N))
+    index = {y: k for k, y in enumerate(points)}
     failures = []
     pair_count = 0
     families = {
@@ -413,22 +475,24 @@ def check_commute(kappa: ParameterSet, N: int, tol: Scalar = 0) -> CheckReport:
         for a in range(len(ops)):
             for b in range(a + 1, len(ops)):
                 pair_count += 1
-                for y0 in points:
-                    delta = lambda y, y0=y0: 1 if y == y0 else 0
-                    ab_inner = apply(ops[b], delta, tol)
-                    ab = apply(ops[a], lambda y: ab_inner[y], tol)
-                    ba_inner = apply(ops[a], delta, tol)
-                    ba = apply(ops[b], lambda y: ba_inner[y], tol)
-                    for y in points:
-                        if not scalars_equal(ab[y], ba[y], tol):
-                            failures.append(
-                                {
-                                    "family": family_name,
-                                    "pair": [ops[a].name, ops[b].name],
-                                    "basis_point": list(y0),
-                                    "at": list(y),
-                                }
-                            )
+                ab = _compose(ops[a], ops[b], tol)
+                ba = _compose(ops[b], ops[a], tol)
+                bound = tol * ops[a].scale * ops[b].scale
+                misses = sorted(
+                    (index[y0], index[y])
+                    for y in points
+                    for y0 in ab[y].keys() | ba[y].keys()
+                    if not scalars_equal(ab[y].get(y0, 0), ba[y].get(y0, 0), bound)
+                )
+                for k0, k in misses:
+                    failures.append(
+                        {
+                            "family": family_name,
+                            "pair": [ops[a].name, ops[b].name],
+                            "basis_point": list(points[k0]),
+                            "at": list(points[k]),
+                        }
+                    )
     details = {"pairs": pair_count, "basis_size": len(points)}
     if d == 1:
         details["note"] = "single generator per family; commutation is vacuous"

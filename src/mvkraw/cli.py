@@ -7,7 +7,8 @@ mode 17-significant-digit decimals); `eval` prints the bare scalar.
 
 Exit codes: 0 success / all checks pass, 1 at least one check failed
 (report still emitted), 2 usage or parse error, 3 invalid parameter
-set or forbidden family parameters.
+set or forbidden family parameters, 4 an internal invariant failed
+(AssertionError), 5 approximate arithmetic left the float range.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INVALID_PARAMS = 3
+EXIT_INTERNAL = 4
+EXIT_FLOAT_RANGE = 5
 
 
 class UsageError(ValueError):
@@ -316,6 +319,12 @@ def main(argv=None) -> int:
     except (InvalidParameterSetError, ForbiddenFamilyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_PARAMS
+    except AssertionError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except OverflowError as exc:
+        print(f"error: {exc}; exact mode has no float range", file=sys.stderr)
+        return EXIT_FLOAT_RANGE
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ the involuted parameter set, so duality crosses the two routes.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ from .numeric import (
     EXACT,
     MultiIndex,
     Scalar,
+    clear_denominators,
     enumerate_degree_points,
     enumerate_kernels,
     enumerate_lattice,
@@ -83,11 +85,8 @@ def _integer_view(kappa: ParameterSet, N: int, exact: bool) -> tuple:
     would be served the other's view.
     """
     om = kappa_mod.omega(kappa)
-    if exact:
-        D = math.lcm(*(Fraction(w).denominator for row in om for w in row))
-        W = [[int(w * D) for w in row] for row in om]
-    else:
-        D, W = 1, om
+    flat, D = clear_denominators([w for row in om for w in row])
+    W = [flat[i : i + kappa.d] for i in range(0, len(flat), kappa.d)]
     fact = tuple(math.factorial(k) for k in range(N + 1))
     by_total = tuple((-1) ** t * D ** (N - t) * fact[N - t] for t in range(N + 1))
     vectors = list(enumerate_degree_points(kappa.d, N))
@@ -122,7 +121,8 @@ def eval_hypergeometric(
     is an integer (the signs of the two rising factorials cancel, as
     sum c = sum r = t), so the terms add up on ints and the sum is
     divided by N!^2 D^N once.  Floats take the same loop with D = 1 and
-    a true division.
+    a true division; where a term or the quotient leaves the float
+    range, the OverflowError names the value.
     """
     d = kappa.d
     m = _check_degree_vector(d, N, m, "m")
@@ -133,17 +133,28 @@ def eval_hypergeometric(
     row_falls = [_falling(fact, x) for x in mt]
 
     acc = 0
-    for ker in enumerate_kernels(d, N, row_caps=mt, col_caps=m):
-        term = by_total[ker.total]
-        cells = 1
-        for row, r, powers, falls in zip(ker.entries, ker.row_sums, rows, row_falls):
-            w, f = powers[row]
-            term *= w * falls[r]
-            cells *= f
-        for c, falls in zip(ker.col_sums, col_falls):
-            term *= falls[c]
-        acc += term * (fact[N] // cells)
-    return Fraction(acc, scale) if exact else acc / scale
+    try:  # only floats overflow; ints and Fractions have no range
+        for ker in enumerate_kernels(d, N, row_caps=mt, col_caps=m):
+            term = by_total[ker.total]
+            cells = 1
+            for row, r, powers, falls in zip(ker.entries, ker.row_sums, rows, row_falls):
+                w, f = powers[row]
+                term *= w * falls[r]
+                cells *= f
+            for c, falls in zip(ker.col_sums, col_falls):
+                term *= falls[c]
+            acc += term * (fact[N] // cells)
+        if exact:
+            return Fraction(acc, scale)
+        value = acc / scale
+    except OverflowError:
+        value = math.inf
+    if cmath.isfinite(value):
+        return value
+    raise OverflowError(
+        f"the approx kernel sum of P({list(m)}, {list(mt)}) at N = {N} "
+        "leaves the float range"
+    )
 
 
 def generating_column(
@@ -238,31 +249,24 @@ def _gram(
 ) -> list:
     """G[a][b] = N! sum_r col_a[r] col_b[r] weights[r] for every pair.
 
-    Exact columns and weights are each scaled to integers once, by the
-    lcm of their denominators, so every sum runs on ints and only its
-    quotient becomes a Fraction.  Floats sum as they are.  G is
-    symmetric, so each sum is taken once.
+    Each exact column and the weights are scaled to integers once, by
+    the lcm of their own denominators (`clear_denominators`), so every
+    sum runs on ints and only its quotient becomes a Fraction.  Floats
+    sum as they are.  G is symmetric, so each sum is taken once.
     """
     nfact = math.factorial(N)
-    if all(is_exact(x) for col in columns for x in col) and all(
-        is_exact(w) for w in weights
-    ):
-        scale = math.lcm(*(x.denominator for col in columns for x in col))
-        wscale = math.lcm(*(w.denominator for w in weights))
-        columns = [
-            [x.numerator * (scale // x.denominator) for x in col] for col in columns
-        ]
-        weights = [w.numerator * (wscale // w.denominator) for w in weights]
-        den = scale * scale * wscale
-        finish = lambda total: Fraction(nfact * total, den)
-    else:
-        finish = lambda total: nfact * total
+    weights, wscale = clear_denominators(weights)
+    columns = [clear_denominators(col) for col in columns]
     size = len(columns)
     gram = [[None] * size for _ in range(size)]
-    for a in range(size):
+    for a, (col_a, scale_a) in enumerate(columns):
         for b in range(a, size):
-            total = sum(map(mul, map(mul, columns[a], columns[b]), weights))
-            gram[a][b] = gram[b][a] = finish(total)
+            col_b, scale_b = columns[b]
+            total = nfact * sum(map(mul, map(mul, col_a, col_b), weights))
+            den = scale_a * scale_b * wscale
+            gram[a][b] = gram[b][a] = (
+                Fraction(total, den) if is_exact(total) else total / den
+            )
     return gram
 
 

@@ -467,6 +467,14 @@ def bilinear(kappa: ParameterSet, N: int, f: HomogPoly, g: HomogPoly) -> Scalar:
     return acc
 
 
+def pairing_weight(kappa: ParameterSet, N: int, n: MultiIndex) -> Scalar:
+    """n!/(pt^n N!), which turns coeff_n(xt^nt) into P(n', nt') for
+    every nt: a full-grid sweep computes it once per n."""
+    return exactify(multi_factorial(n)) / (
+        exactify(power_product(kappa.pt, n)) * math.factorial(N)
+    )
+
+
 def pairing_eval(
     kappa: ParameterSet,
     N: int,
@@ -475,23 +483,24 @@ def pairing_eval(
     conj: Conjugator | None = None,
 ) -> Scalar:
     """P(n', nt') = <x^n, xt^nt> / (nu^N N!); the nu^N cancels against
-    the form's weight, leaving coeff_n(xt^nt) n!/(pt^n N!).  A full-grid
-    sweep with one conjugator expands each xt^nt once (`Conjugator.expand`).
+    the form's weight, leaving coeff_n(xt^nt) times `pairing_weight`.
+    A full-grid sweep with one conjugator expands each xt^nt once
+    (`Conjugator.expand`).
     """
     n, nt = tuple(n), tuple(nt)
     if sum(n) != N or sum(nt) != N:
         raise DegreeMismatchError(f"|{n}| or |{nt}| differs from N = {N}")
     c = xtilde_monomial(kappa, N, nt, conj).coeffs.get(n, 0)
-    return exactify(c * multi_factorial(n)) / (
-        exactify(power_product(kappa.pt, n)) * math.factorial(N)
-    )
+    return c * pairing_weight(kappa, N, n)
 
 
-def check_dual_norms(kappa: ParameterSet, N: int, tol: Scalar = 0) -> CheckReport:
+def check_dual_norms(
+    kappa: ParameterSet, N: int, tol: Scalar = 0, conj: Conjugator | None = None
+) -> CheckReport:
     """The substituted monomials are themselves orthogonal for the form,
     with norms n!/p^n (no nu power).  These grow like N!/min|p|^N, so
     the tolerance of a pair is tol times the larger of its two norms."""
-    conj = conjugator(kappa, tol)
+    conj = conj if conj is not None else conjugator(kappa, tol)
     points = tuple(enumerate_lattice(kappa.d, N))
     xt = {lam: xtilde_monomial(kappa, N, lam, conj) for lam in points}
     norms = {lam: 1 / weight_over_factorial(kappa.p, lam) for lam in points}
@@ -563,13 +572,15 @@ def _adjacent(lam: MultiIndex, mu: MultiIndex) -> bool:
     )
 
 
-def check_adjacency(kappa: ParameterSet, N: int, tol: Scalar = 0) -> CheckReport:
+def check_adjacency(
+    kappa: ParameterSet, N: int, tol: Scalar = 0, conj: Conjugator | None = None
+) -> CheckReport:
     """Support condition: a plain Cartan element moves a substituted
     monomial only to itself and its adjacent lattice points (and the
     dual statement); the self-coefficient matches the re-expansion's
     diagonal part."""
     d = kappa.d
-    conj = conjugator(kappa, tol)
+    conj = conj if conj is not None else conjugator(kappa, tol)
     points = tuple(enumerate_lattice(d, N))
     shift = Fraction(N, d + 1)
     failures = []
@@ -624,6 +635,7 @@ def check_transition(
     N: int,
     tol: Scalar = 0,
     values: hyperg.PolynomialTable | None = None,
+    conj: Conjugator | None = None,
 ) -> CheckReport:
     """Both basis-transition expansions as exact polynomial identities:
 
@@ -634,7 +646,7 @@ def check_transition(
     cross-ties the module picture to the series definition.
     """
     tab = values if values is not None else hyperg.table(kappa, N)
-    conj = conjugator(kappa, tol)
+    conj = conj if conj is not None else conjugator(kappa, tol)
     points = tab.points
     xt = [xtilde_monomial(kappa, N, lam, conj) for lam in points]
     nfact = math.factorial(N)

@@ -76,6 +76,17 @@ def scalars_equal(a: Scalar, b: Scalar, tol: Scalar = 0) -> bool:
     return abs(a - b) <= tol
 
 
+def clear_denominators(values: Sequence[Scalar]) -> tuple:
+    """(ints, D) with values[k] = ints[k] / D, where D is the lcm of the
+    denominators of exact values; values with a float among them are
+    returned as they are, with D = 1.  Sums over the ints stay on ints,
+    with one division by D at the end."""
+    if not all(is_exact(x) for x in values):
+        return list(values), 1
+    D = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (D // x.denominator) for x in values], D
+
+
 def pochhammer(a: Scalar, k: int) -> Scalar:
     """Rising factorial a(a+1)...(a+k-1); the empty product for k = 0."""
     if k < 0:

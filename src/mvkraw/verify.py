@@ -2,9 +2,11 @@
 
 Each suite name maps to one check; `run_suites` executes a list of them
 against a parameter set at the run's tolerance, sharing the polynomial
-table between the checks that consume one so it is evaluated at most
-once per run.  The three-way check reads the kernel sums from that
-table and the generating route one column expansion at a time.
+table, and the conjugator with its memoized expansions, between the
+checks that consume one, so each is built at most once per run.  The
+three-way check reads the kernel sums from that table, the generating
+route one column expansion at a time, and the pairing route from the
+shared expansions.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ KAPPA_ONLY_SUITES = frozenset({"def11", "lemma21", "lemma22"})
 TABLE_SUITES = frozenset(
     {"orthogonality", "duality", "recurrence", "universal", "transition", "threeway"}
 )
+CONJUGATOR_SUITES = frozenset({"norms", "adjacency", "transition", "threeway"})
 
 
 def check_def11(kappa: ParameterSet, tol: Scalar = 0) -> CheckReport:
@@ -55,23 +58,27 @@ def check_threeway(
     N: int,
     tol: Scalar = 0,
     values: hyperg.PolynomialTable | None = None,
+    conj: liemod.Conjugator | None = None,
 ) -> CheckReport:
     """All three evaluation routes on every index pair of the lattice;
     the kernel-sum route is read from the table (built when none is
-    given), the generating route one column at a time.  In approx mode
-    the routes agree within tol times the larger of 1 and their largest
+    given), the generating route one column at a time, and the pairing
+    route from each xt^nt and the weight of each n.  In approx mode the
+    routes agree within tol times the larger of 1 and their largest
     magnitude."""
     tab = values if values is not None else hyperg.table(kappa, N)
     points = tab.points
-    conj = liemod.conjugator(kappa, tol)
+    conj = conj if conj is not None else liemod.conjugator(kappa, tol)
     columns = [hyperg.generating_column(kappa, N, nt[1:]) for nt in points]
+    xt = [liemod.xtilde_monomial(kappa, N, nt, conj).coeffs for nt in points]
+    weights = [liemod.pairing_weight(kappa, N, n) for n in points]
     failures = []
     max_resid = 0
     for r, n in enumerate(points):
         for c, nt in enumerate(points):
             a = tab.values[r][c]
             b = columns[c].get(n, Fraction(0))
-            p = liemod.pairing_eval(kappa, N, n, nt, conj)
+            p = xt[c].get(n, 0) * weights[r]
             resid = max(abs(a - b), abs(a - p))
             max_resid = max(max_resid, resid)
             bound = tol * max(1, abs(a), abs(b), abs(p)) if tol else 0
@@ -99,7 +106,8 @@ def run_suites(
     tol: Scalar = 0,
     table: hyperg.PolynomialTable | None = None,
 ) -> list[CheckReport]:
-    """Run the named suites in order, evaluating the table lazily once."""
+    """Run the named suites in order, evaluating the table and the
+    conjugator lazily, once each."""
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown check suite {name!r}")
@@ -123,11 +131,17 @@ def run_suites(
         "threeway": check_threeway,
     }
     reports = []
+    conj = None
     for name in names:
         args = (kappa, tol) if name in KAPPA_ONLY_SUITES else (kappa, N, tol)
         if name in TABLE_SUITES:
             if table is None:
                 table = hyperg.table(kappa, N)
             args += (table,)
-        reports.append(checks[name](*args))
+        shared = {}
+        if name in CONJUGATOR_SUITES:
+            if conj is None:
+                conj = liemod.conjugator(kappa, tol)
+            shared["conj"] = conj
+        reports.append(checks[name](*args, **shared))
     return reports

@@ -6,7 +6,7 @@ import pytest
 
 from mvkraw import bispec, hyperg, kappa
 from mvkraw.bispec import AffineCoeff
-from mvkraw.numeric import enumerate_degree_points
+from mvkraw.numeric import enumerate_degree_points, format_scalar
 
 
 def classical():
@@ -19,6 +19,39 @@ def milch1():
 
 def milch2():
     return kappa.family_milch([F(1, 2), F(1, 4), F(1, 4)])
+
+
+def plain_apply(op, func):
+    """(op F)(y) from the stencil's own coefficients in Fractions, with
+    no lattice form and no scaling: the reference for `apply`."""
+    out = {}
+    for y in enumerate_degree_points(op.d, op.N):
+        total = F(0)
+        for s, coeff in op.stencil.items():
+            c = coeff(y)
+            if c != 0:
+                total += c * func(tuple(a + b for a, b in zip(y, s)))
+        out[y] = total
+    return out
+
+
+def plain_eigen(tab, ops_rows, ops_columns, record):
+    """(failure records, max residual) of the eigen identities over a
+    table, recomputed with `plain_apply`, in check_eigen's order."""
+    reduced = {pt[1:]: idx for idx, pt in enumerate(tab.points)}
+    columns = tuple(zip(*tab.values))
+    failures, max_resid = [], 0
+    for lines, ops in ((tab.values, ops_rows), (columns, ops_columns)):
+        for fixed, line in zip(tab.points, lines):
+            value = lambda y: line[reduced[y]]
+            for op in ops:
+                ev = op.eigenvalue(fixed[1:])
+                for y, got in plain_apply(op, value).items():
+                    want = ev * value(y)
+                    max_resid = max(max_resid, abs(got - want))
+                    if got != want:
+                        failures.append(record(op, fixed, y, got, want))
+    return failures, format_scalar(max_resid)
 
 
 class TestAffineCoeff:
@@ -158,6 +191,61 @@ class TestApply:
         ):
             assert len(op.lattice_form(1e-10)) == 28
 
+    def test_kept_integer_coefficient_leaving_simplex_raises(self):
+        # an exact coefficient is kept as c D on ints; the refusal still
+        # names the coefficient itself
+        op = bispec.DifferenceOperator(
+            2, 2, {(1, 0): AffineCoeff(F(1, 3), (F(1, 2), 0))}, None, "broken"
+        )
+        assert op.scale == 6
+        with pytest.raises(AssertionError, match=r"leaves the lattice with coefficient 4/3"):
+            op.lattice_form()
+
+    def test_integer_form_is_the_stencil_times_scale(self):
+        small = kappa.family_hoare_rahman(F(17, 101), F(-3, 7), F(29, 113), F(5, 211))
+        for op in (
+            bispec.operator_mtilde(kappa.family_hoare_rahman(1, 2, 3, 4), 3, 2),
+            bispec.operator_m(small, 2, 1),
+            bispec.operator_universal(milch2(), 3),
+        ):
+            D = op.scale
+            assert D > 1
+            for y, terms in op.lattice_form():
+                want = [
+                    (tuple(a + b for a, b in zip(y, s)), c(y))
+                    for s, c in op.stencil.items()
+                    if c(y) != 0
+                ]
+                assert all(type(c) is int for _, c in terms)
+                assert [(t, F(c, D)) for t, c in terms] == want
+
+    def test_approx_operator_keeps_floats_unscaled(self):
+        k = kappa.from_json_dict(
+            kappa.to_json_dict(kappa.family_hoare_rahman(1, 2, 3, 4)), "approx", 1e-10
+        )
+        for op in (
+            bispec.operator_mtilde(k, 3, 1, 1e-10),
+            bispec.operator_m(k, 3, 2, 1e-10),
+            bispec.operator_universal(k, 3, 1e-10),
+        ):
+            assert op.scale == 1
+            coeffs = [c for _, terms in op.lattice_form(1e-10) for _, c in terms]
+            assert coeffs and all(type(c) is float for c in coeffs)
+            for y, terms in op.lattice_form(1e-10):
+                assert [c for _, c in terms] == [
+                    c(y) for c in op.stencil.values() if abs(c(y)) > 1e-10
+                ]
+
+    def test_apply_equals_plain_fractions(self):
+        k = kappa.family_hoare_rahman(F(17, 101), F(-3, 7), F(29, 113), F(5, 211))
+        func = lambda y: F(3 * y[0] - y[1] + 1, 7 + y[1])
+        for op in (
+            bispec.operator_mtilde(k, 3, 1),
+            bispec.operator_m(k, 3, 2),
+            bispec.operator_universal(k, 3),
+        ):
+            assert bispec.apply(op, func) == plain_apply(op, func)
+
     def test_construction_asserts_boundary(self):
         # the lattice form is where the boundary is checked
         with pytest.raises(AssertionError, match="leaves the lattice"):
@@ -230,6 +318,54 @@ class TestEigenChecks:
             assert f["fixed_index"] == pinned[0]
             assert max(abs(a - b) for a, b in zip(f["at"], pinned[1][1:])) <= 1
 
+    @pytest.mark.parametrize(
+        "k,N,entry",
+        [
+            (milch2(), 2, (2, 3)),
+            (kappa.family_hoare_rahman(F(17, 101), F(-3, 7), F(29, 113), F(5, 211)), 3, (4, 7)),
+            (kappa.family_milch([F(1, 2), F(1, 4), F(1, 8), F(1, 8)]), 2, (5, 1)),
+        ],
+        ids=["milch-d2", "hr-small", "milch-d3"],
+    )
+    def test_failures_equal_plain_fraction_recomputation(self, k, N, entry):
+        # the integer path reports the same records, in the same order,
+        # and the same max_residual as Fraction arithmetic on the stencil
+        tab = hyperg.table(k, N)
+        vals = [list(r) for r in tab.values]
+        vals[entry[0]][entry[1]] += F(1, 7)
+        tab = hyperg.PolynomialTable(k, N, tab.points, tuple(tuple(r) for r in vals))
+        d = k.d
+        rows = [bispec.operator_mtilde(k, N, i) for i in range(1, d + 1)]
+        cols = [bispec.operator_m(k, N, i) for i in range(1, d + 1)]
+        universal = bispec.operator_universal(k, N)
+
+        want, resid = plain_eigen(
+            tab, rows + [universal], cols,
+            lambda op, fixed, y, got, want: {
+                "operator": op.name,
+                "fixed_index": list(fixed),
+                "at": list(y),
+                "got": format_scalar(got),
+                "want": format_scalar(want),
+            },
+        )
+        rep = bispec.check_eigen(k, N, values=tab)
+        assert want and rep.failures == want
+        assert rep.details["max_residual"] == resid
+
+        want, resid = plain_eigen(
+            tab, [universal], [],
+            lambda op, fixed, y, got, want: {
+                "operator": "universal",
+                "fixed_index": list(fixed),
+                "at": list(y),
+                "residual": format_scalar(abs(got - want)),
+            },
+        )
+        rep = bispec.check_universal(k, N, values=tab)
+        assert want and rep.failures == want
+        assert rep.details["max_residual"] == resid
+
     def test_reuses_supplied_table(self):
         k = classical()
         tab = hyperg.table(k, 3)
@@ -251,6 +387,52 @@ class TestCommute:
         rep = bispec.check_commute(k, N)
         assert rep.passed and rep.failures == []
         assert rep.details["pairs"] == k.d * (k.d - 1) // 2 * 2
+
+    @pytest.mark.parametrize(
+        "family,k,other",
+        [
+            ("mtilde", milch2(), kappa.griffiths_from_p([F(1, 4), F(1, 4), F(1, 2)])),
+            (
+                "m",
+                kappa.family_hoare_rahman(1, 2, 3, 4),
+                kappa.family_hoare_rahman(F(17, 101), F(-3, 7), F(29, 113), F(5, 211)),
+            ),
+        ],
+        ids=["mtilde", "m"],
+    )
+    def test_foreign_generator_fails_located(self, monkeypatch, family, k, other):
+        # generator 2 of one family taken from another parameter set: the
+        # pair no longer commutes, and the records are the delta-basis
+        # entries where ab and ba differ, as Fraction arithmetic finds them
+        # (the mtilde misses are not symmetric in y0 and y, so the order
+        # of the records is tested too)
+        N = 2
+        name = f"operator_{family}"
+        original = getattr(bispec, name)
+        monkeypatch.setattr(
+            bispec, name, lambda kap, N, i, tol=0: original(other if i == 2 else kap, N, i, tol)
+        )
+        rep = bispec.check_commute(k, N)
+        assert not rep.passed
+
+        a, b = (getattr(bispec, name)(k, N, i) for i in (1, 2))
+        points = list(enumerate_degree_points(k.d, N))
+        want = []
+        for y0 in points:
+            delta = lambda y: F(1 if y == y0 else 0)
+            ab = plain_apply(a, lambda y: plain_apply(b, delta)[y])
+            ba = plain_apply(b, lambda y: plain_apply(a, delta)[y])
+            want += [
+                {
+                    "family": {"mtilde": "second", "m": "first"}[family] + "_index_family",
+                    "pair": [a.name, b.name],
+                    "basis_point": list(y0),
+                    "at": list(y),
+                }
+                for y in points
+                if ab[y] != ba[y]
+            ]
+        assert want and rep.failures == want
 
     def test_d1_is_vacuous(self):
         rep = bispec.check_commute(milch1(), 3)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mvkraw import cli, kappa
+from mvkraw import bispec, cli, kappa
 from mvkraw.numeric import enumerate_lattice
 
 
@@ -529,6 +529,43 @@ def test_negative_N_exit_2(capsys, milch2_file, argv):
     assert code == 2
     assert out == ""
     assert "--N" in err
+
+
+class TestInternalErrors:
+    def test_internal_assertion_exit_4(self, capsys, milch2_file, monkeypatch):
+        # a hand-built universal operator whose constant shift leaves the
+        # lattice: the boundary refusal is an internal error, not a
+        # failed check
+        def broken(k, N, tol=0):
+            return bispec.DifferenceOperator(
+                k.d, N, {(1, 0): bispec.AffineCoeff(F(1, 2), (0, 0))},
+                lambda m: -sum(m), "universal",
+            )
+
+        monkeypatch.setattr(bispec, "operator_universal", broken)
+        code, out, err = run(
+            capsys, "check", "--kappa", milch2_file, "--N", "2", "--suite", "universal"
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: internal invariant failed: universal: shift (1, 0)")
+        assert "leaves the lattice" in err
+
+    def test_approx_overflow_exit_5(self, capsys, tmp_path):
+        # N!^2 is beyond the float range at N = 100; exact mode is unchanged
+        ds = write_kappa(tmp_path, kappa.family_ds(F(3), 1))
+        code, out, err = run(
+            capsys, "--mode", "approx", "table", "--kappa", ds, "--N", "100"
+        )
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error: the approx kernel sum of P([")
+        assert "at N = 100 leaves the float range" in err
+        argv = ("eval", "--kappa", ds, "--N", "100", "--m", "1", "--mt", "1")
+        code, _, err = run(capsys, "--mode", "approx", *argv)
+        assert code == 5 and "P([1], [1]) at N = 100" in err
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.strip() == "197/200"
 
 
 class TestParser:

@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvkraw import hyperg, kappa, liemod, linalg
-from mvkraw.numeric import DegreeMismatchError, enumerate_lattice, expand_forms
+from mvkraw import hyperg, kappa, liemod, linalg, verify
+from mvkraw.numeric import (
+    DegreeMismatchError,
+    enumerate_lattice,
+    expand_forms,
+    multi_factorial,
+    power_product,
+)
 
 
 def classical():
@@ -86,6 +92,22 @@ class TestConjugator:
         assert liemod.check_adjacency(k, 3).passed
         assert len(set(calls)) == len(calls)
         assert len(calls) <= 2 * len(list(enumerate_lattice(k.d, 3)))
+
+    def test_one_conjugator_per_check_run(self, monkeypatch):
+        # norms, adjacency, transition and threeway share the run's
+        # conjugator, so all 12 suites expand each power once: 19 distinct
+        # expansions at HR N = 3, where one conjugator per suite made 49
+        calls = []
+
+        def counting(forms, exponents, caps=None):
+            calls.append((forms, tuple(exponents)))
+            return expand_forms(forms, exponents, caps)
+
+        monkeypatch.setattr(liemod, "expand_forms", counting)
+        k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        reports = verify.run_suites(verify.SUITES, k, 3)
+        assert all(r.passed for r in reports)
+        assert len(calls) == len(set(calls)) == 19
 
     def test_seal_rejects_corrupt_set(self):
         # bypass validation on purpose: this u breaks the defining identity
@@ -376,6 +398,19 @@ class TestPairingRoute:
                 via_pairing = liemod.pairing_eval(k, N, n, nt, conj)
                 via_series = hyperg.eval_hypergeometric(k, N, n[1:], nt[1:])
                 assert via_pairing == via_series
+
+    def test_weight_is_the_per_entry_factor(self):
+        # P(n', nt') = coeff_n(xt^nt) n!/(pt^n N!), the weight depending
+        # on n only; the same value as the one-expression form
+        k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        N = 3
+        conj = liemod.conjugator(k)
+        for n in enumerate_lattice(k.d, N):
+            w = liemod.pairing_weight(k, N, n)
+            assert w == F(multi_factorial(n)) / (power_product(k.pt, n) * 6)
+            for nt in enumerate_lattice(k.d, N):
+                c = conj.expand(nt).get(n, 0)
+                assert liemod.pairing_eval(k, N, n, nt, conj) == c * w
 
     def test_degree_guard(self):
         with pytest.raises(DegreeMismatchError):
