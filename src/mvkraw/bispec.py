@@ -2,16 +2,20 @@
 
 Each operator is a stencil: a map from shift vectors s in Z^d to a
 coefficient that is an affine function of the lattice point, evaluated
-lazily.  The two canonical families (one shifting the second index of
-the table, one the first) have d generators each with at most
-d^2 + d + 1 stencil terms.  One builder makes their coefficients from
-the parameter set, the first-index family from the involuted set, and
-every stencil here shares one shape of shifts (`_stencil`).
-Multiplying a table row or column by a generator reproduces the row or
-column scaled by an eigenvalue that depends only on the opposite index.
-A parameter-free combination (the universal operator) has eigenvalue
-minus the reduced degree and is, at the level of coefficients, a signed
-sum of one family plus a constant shift of the identity.
+lazily.  Every stencil here is the derivation action of one
+(d+1) x (d+1) matrix M on degree-N monomials, x^lam ->
+sum_kl M[k][l] lam_l x^(lam+v_k-v_l), read at reduced points, and one
+builder makes it (`_stencil`).  The two canonical families (one
+shifting the second index of the table, one the first) have d
+generators each with at most d^2 + d + 1 stencil terms: generator i of
+the first is the action of plain phi_i over the conjugated basis
+(`liemod.mirror_closed_form`), and the second is the first of the
+involuted set.  Multiplying a table row or column by a generator
+reproduces the row or column scaled by an eigenvalue that depends only
+on the opposite index.  The universal operator, the action of
+p 1^t - I, has eigenvalue minus the reduced degree; as the stencil is
+linear in its matrix, its identity with minus the sum of one family
+less a multiple of the identity is checked once, as a matrix identity.
 
 Stencils vanish on their own at the lattice boundary: every outward
 shift carries a factor (point coordinate or remaining degree) that is
@@ -35,9 +39,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from . import hyperg
+from . import hyperg, liemod, linalg
 from . import kappa as kappa_mod
 from .kappa import ParameterSet
+from .linalg import Matrix
 from .numeric import (
     MultiIndex,
     Scalar,
@@ -62,15 +67,6 @@ class AffineCoeff:
         return self.constant + sum(
             c * y[l] for l, c in enumerate(self.linear) if c != 0
         )
-
-    def plus(self, other: AffineCoeff) -> AffineCoeff:
-        return AffineCoeff(
-            self.constant + other.constant,
-            tuple(a + b for a, b in zip(self.linear, other.linear)),
-        )
-
-    def scale(self, c: Scalar) -> AffineCoeff:
-        return AffineCoeff(c * self.constant, tuple(c * x for x in self.linear))
 
     def is_zero(self) -> bool:
         return self.constant == 0 and all(x == 0 for x in self.linear)
@@ -148,69 +144,62 @@ def _canonical(stencil: dict) -> dict:
     return {s: c for s, c in stencil.items() if not c.is_zero()}
 
 
-def _unit(d: int, k: int) -> tuple:
-    return tuple(1 if l == k else 0 for l in range(d))
+def _stencil(M: Matrix, N: int) -> dict:
+    """The derivation action x^lam -> sum_kl M[k][l] lam_l x^(lam+v_k-v_l)
+    of a (d+1) x (d+1) matrix on degree-N monomials, read at reduced
+    points y = lam[1:]: shift e_k - e_l with coefficient M[k][l] lam_l,
+    where e_0 = 0 and lam_0 = N - |y|, so the no-shift term is
+    M[0][0] N + sum_j (M[j][j] - M[0][0]) y_j.  One term order: the
+    shifts -e_l, then e_k, then none, then e_k - e_l for k, l >= 1;
+    zero terms are dropped."""
+    d = len(M) - 1
+    js = range(1, d + 1)
 
+    def times_lam(l: int, c: Scalar) -> AffineCoeff:
+        if l == 0:
+            return AffineCoeff(c * N, tuple(-c for _ in js))
+        return AffineCoeff(0, tuple(c if m == l else 0 for m in js))
 
-def _stencil(d: int, N: int, down, up, diag: AffineCoeff, cross) -> dict:
-    """The shape every stencil here shares, in one term order: shift
-    -e_l with coefficient down[l] y_l, shift e_k with up[k] (N - |y|),
-    no shift with diag, and shift e_k - e_l (k != l) with
-    cross[k][l] y_l, for k, l in 0..d-1; zero terms are dropped."""
-
-    def along(l: int, c: Scalar) -> AffineCoeff:
-        return AffineCoeff(0, tuple(c if m == l else 0 for m in range(d)))
-
+    pairs = [(0, l) for l in js] + [(k, 0) for k in js] + [(0, 0)]
+    pairs += [(k, l) for k in js for l in js if k != l]
     stencil = {}
-    for l in range(d):
-        stencil[tuple(-x for x in _unit(d, l))] = along(l, down[l])
-    for k in range(d):
-        stencil[_unit(d, k)] = AffineCoeff(up[k] * N, tuple(-up[k] for _ in range(d)))
-    stencil[tuple(0 for _ in range(d))] = diag
-    for k in range(d):
-        for l in range(d):
-            if k != l:
-                s = tuple(a - b for a, b in zip(_unit(d, k), _unit(d, l)))
-                stencil[s] = along(l, cross[k][l])
+    for k, l in pairs:
+        shift = tuple((m == k) - (m == l) for m in js)
+        if k == l:
+            diag = tuple(M[j][j] - M[0][0] for j in js)
+            stencil[shift] = AffineCoeff(M[0][0] * N, diag)
+        else:
+            stencil[shift] = times_lam(l, M[k][l])
     return _canonical(stencil)
+
+
+def _operator(
+    M: Matrix, N: int, eigenvalue: Callable, name: str, tol: Scalar
+) -> DifferenceOperator:
+    """The operator of M's stencil, its lattice form built at tol."""
+    op = DifferenceOperator(len(M) - 1, N, _stencil(M, N), eigenvalue, name)
+    op.lattice_form(tol)
+    return op
 
 
 def _generator(
     kappa: ParameterSet, N: int, i: int, tol: Scalar, name: str
 ) -> DifferenceOperator:
     """Generator i of the family shifting the second (tilde) index of
-    kappa's table, under the given name; eigenvalue m_i - N/(d+1) read
-    off the first index."""
+    kappa's table, under the given name: the stencil of plain phi_i over
+    the conjugated basis (`liemod.mirror_closed_form`), eigenvalue
+    m_i - N/(d+1) read off the first index."""
     d = kappa.d
     if not 1 <= i <= d:
         raise IndexError(f"index {i} out of range for d = {d}")
-    nu = exactify(kappa.nu)
-    p, u = kappa.p, kappa.u
-    pti = exactify(kappa.pt[i])
-    js = range(1, d + 1)
-    up = [nu * pti * p[k] * u[k][i] for k in js]
-    diag_linear = [pti * (nu * p[j] * u[j][i] ** 2 - 1) for j in js]
-    stencil = _stencil(
-        d,
-        N,
-        down=[pti * u[l][i] for l in js],
-        up=up,
-        diag=AffineCoeff(-Fraction(N, d + 1) * sum(diag_linear), tuple(diag_linear)),
-        cross=[[b * u[l][i] for l in js] for b in up],
-    )
-
     shift = Fraction(N, d + 1)
-    op = DifferenceOperator(
-        d,
+    return _operator(
+        liemod.mirror_closed_form(kappa, i),
         N,
-        stencil,
         lambda m, i=i, shift=shift: m[i - 1] - shift,
         name,
+        tol,
     )
-    if op.term_count() > d * d + d + 1:
-        raise AssertionError(f"{op.name} stencil has {op.term_count()} terms")
-    op.lattice_form(tol)
-    return op
 
 
 def operator_mtilde(
@@ -226,69 +215,24 @@ def operator_m(
 ) -> DifferenceOperator:
     """Generator i of the mirror family shifting the first index: the
     tilde generator of the involuted set, whose p and pt are swapped and
-    u transposed, so its coefficients read row i of u instead of column
-    i.  Eigenvalue mt_i - N/(d+1)."""
+    u transposed, so its matrix is the closed form of the conjugated
+    phi_i itself.  Eigenvalue mt_i - N/(d+1)."""
     return _generator(kappa_mod.involute(kappa, tol), N, i, tol, f"m_{i}")
+
+
+def _universal_matrix(kappa: ParameterSet) -> Matrix:
+    """p 1^t - I: only the weights enter, never u."""
+    p = [exactify(x) for x in kappa.p]
+    columns_p = tuple(tuple(x for _ in p) for x in p)
+    return linalg.mat_sub(columns_p, linalg.identity(len(p)))
 
 
 def operator_universal(
     kappa: ParameterSet, N: int, tol: Scalar = 0
 ) -> DifferenceOperator:
-    """Parameter-light operator with eigenvalue -|m|: only the weights
-    enter, never u."""
-    d = kappa.d
-    p = [exactify(x) for x in kappa.p]
-    stencil = _stencil(
-        d,
-        N,
-        down=[p[0]] * d,
-        up=p[1:],
-        diag=AffineCoeff(p[0] * N - N, tuple(p[j] - p[0] for j in range(1, d + 1))),
-        cross=[[p[k]] * d for k in range(1, d + 1)],
-    )
-    op = DifferenceOperator(d, N, stencil, lambda m: -sum(m), "universal")
-    op.lattice_form(tol)
-    return op
-
-
-def identity_operator(d: int, N: int) -> DifferenceOperator:
-    return DifferenceOperator(
-        d,
-        N,
-        {tuple(0 for _ in range(d)): AffineCoeff(1, tuple(0 for _ in range(d)))},
-        None,
-        "identity",
-    )
-
-
-def op_combine(
-    terms: list[tuple[Scalar, DifferenceOperator]], name: str
-) -> DifferenceOperator:
-    """Linear combination sum_k c_k L_k at the stencil level."""
-    d, N = terms[0][1].d, terms[0][1].N
-    stencil: dict = {}
-    for c, op in terms:
-        for s, coeff in op.stencil.items():
-            scaled = coeff.scale(c)
-            stencil[s] = stencil[s].plus(scaled) if s in stencil else scaled
-    return DifferenceOperator(d, N, _canonical(stencil), None, name)
-
-
-def stencils_equal(
-    a: DifferenceOperator, b: DifferenceOperator, tol: Scalar = 0
-) -> bool:
-    keys = set(a.stencil) | set(b.stencil)
-    zero = AffineCoeff(0, tuple(0 for _ in range(a.d)))
-    for s in keys:
-        ca = a.stencil.get(s, zero)
-        cb = b.stencil.get(s, zero)
-        if not scalars_equal(ca.constant, cb.constant, tol):
-            return False
-        if any(
-            not scalars_equal(x, y, tol) for x, y in zip(ca.linear, cb.linear)
-        ):
-            return False
-    return True
+    """Parameter-light operator with eigenvalue -|m|: the stencil of
+    p 1^t - I."""
+    return _operator(_universal_matrix(kappa), N, lambda m: -sum(m), "universal", tol)
 
 
 def apply(
@@ -394,12 +338,13 @@ def check_universal(
     tol: Scalar = 0,
     values: hyperg.PolynomialTable | None = None,
 ) -> CheckReport:
-    """Eigenvalue -|m| on every table row, plus the coefficient-level
-    identity: universal = -(sum of the tilde-shifting generators)
-    - dN/(d+1) * identity.  The identity collapses the u-dependence via
-    the defining matrix equation, so it is checked symbolically on the
-    affine records, not pointwise."""
-    d = kappa.d
+    """Eigenvalue -|m| on every table row, plus the identity
+    universal = -(sum of the tilde-shifting generators) - dN/(d+1) as the
+    matrix identity p 1^t - I = -sum_i M_i - d/(d+1) I of the matrices
+    whose stencils they are (M_i = `liemod.mirror_closed_form`).  The
+    stencil is linear in its matrix, so this gives the stencil identity
+    at every N; it collapses the u-dependence via the defining matrix
+    equation, and its trace reads sum p = 1."""
     tab = values if values is not None else hyperg.table(kappa, N)
     reduced = {pt[1:]: idx for idx, pt in enumerate(tab.points)}
     universal = operator_universal(kappa, N, tol)
@@ -421,12 +366,13 @@ def check_universal(
                     }
                 )
 
-    combo = op_combine(
-        [(-1, operator_mtilde(kappa, N, i, tol)) for i in range(1, d + 1)]
-        + [(-Fraction(d * N, d + 1), identity_operator(d, N))],
-        "negated generator sum",
+    d = kappa.d
+    rhs = linalg.mat_scale(Fraction(d, d + 1), linalg.identity(d + 1))
+    for i in range(1, d + 1):
+        rhs = linalg.mat_add(rhs, liemod.mirror_closed_form(kappa, i))
+    symbolic = linalg.mats_equal(
+        _universal_matrix(kappa), linalg.mat_scale(-1, rhs), tol
     )
-    symbolic = stencils_equal(combo, universal, tol)
     if not symbolic:
         failures.append({"identity": "universal as signed generator sum"})
 

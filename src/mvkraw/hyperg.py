@@ -62,7 +62,7 @@ from .numeric import (
 from .report import CheckReport
 
 
-def _check_degree_vector(d: int, N: int, v: Sequence[int], name: str) -> tuple:
+def check_degree_vector(d: int, N: int, v: Sequence[int], name: str) -> tuple:
     v = tuple(v)
     if len(v) != d:
         raise ValueError(f"{name} must have {d} parts, got {len(v)}")
@@ -125,8 +125,8 @@ def eval_hypergeometric(
     range, the OverflowError names the value.
     """
     d = kappa.d
-    m = _check_degree_vector(d, N, m, "m")
-    mt = _check_degree_vector(d, N, mt, "mt")
+    m = check_degree_vector(d, N, m, "m")
+    mt = check_degree_vector(d, N, mt, "mt")
     exact = all(is_exact(x) for row in kappa.u for x in row)
     fact, by_total, rows, scale = _integer_view(kappa, N, exact)
     col_falls = [_falling(fact, x) for x in m]
@@ -168,7 +168,7 @@ def generating_column(
     Independent of the kernel sum; used as its oracle.
     """
     d = kappa.d
-    mt = _check_degree_vector(d, N, mt, "mt")
+    mt = check_degree_vector(d, N, mt, "mt")
     forms = [
         (1,) + tuple(exactify(kappa.u[i][j]) for j in range(1, d + 1))
         for i in range(d + 1)
@@ -182,7 +182,7 @@ def eval_generating(
 ) -> Scalar:
     """P(m, mt) read off `generating_column`, capped at n = (N - |m|, m)
     so that no monomial beyond the one wanted is formed."""
-    m = _check_degree_vector(kappa.d, N, m, "m")
+    m = check_degree_vector(kappa.d, N, m, "m")
     n = (N - sum(m),) + m
     return generating_column(kappa, N, mt, n).get(n, Fraction(0))
 

@@ -4,9 +4,12 @@ Two commuting pictures of sl_{d+1} drive everything here.  The plain
 picture uses the diagonal Cartan elements phi_i = e_ii - I/(d+1) and
 matrix units e_ij; the dual picture conjugates them by the matrix
 R = Pt U^t (whose inverse is nu P U, a restatement of the defining
-identity of the parameter set).  The antiautomorphism
-a(b) = Pt b^t Pt^{-1} fixes both Cartan bases and transports matrix
-units with explicit weight ratios.
+identity of the parameter set).  `closed_form` writes the conjugated
+phi_i over the plain basis once; with p and pt swapped and u transposed
+it writes plain phi_i over the conjugated basis, the matrix whose
+derivation action is the i-th difference operator of `bispec`.  The
+antiautomorphism a(b) = Pt b^t Pt^{-1} fixes both Cartan bases and
+transports matrix units with explicit weight ratios.
 
 Matrices act on homogeneous polynomials in x_0..x_d as derivations:
 e_ij sends x^lam to lam_j x^(lam+v_i-v_j).  The substituted variables
@@ -112,13 +115,17 @@ def _conjugate(conj: Conjugator, beta: Matrix) -> Matrix:
     return linalg.mat_mul(linalg.mat_mul(conj.rhat, beta), conj.rhat_inv)
 
 
-def _dual_phi_closed_form(kappa: ParameterSet, i: int) -> Matrix:
-    """Explicit expansion of the conjugated phi_i over {e_kl, phi_j}."""
-    d = kappa.d
-    nu, p, pt, u = exactify(kappa.nu), kappa.p, kappa.pt, kappa.u
+def closed_form(nu: Scalar, p: tuple, pt: tuple, u: Matrix, i: int) -> Matrix:
+    """The conjugated phi_i of the set (nu, p, pt, u), expanded over
+    {e_kl, phi_j}: e_kl (k != l) with nu p_i pt_k u_ik u_il, phi_j
+    (j >= 1) with p_i (nu pt_j u_ij^2 - 1).  With p and pt swapped and u
+    transposed it is the mirror, plain phi_i over the conjugated basis
+    (`mirror_closed_form`).  The data are not re-validated."""
+    d = len(p) - 1
+    nu = exactify(nu)
+    shift = Fraction(1, d + 1)
     if i == 0:
         # every column is the pt vector, then the trace correction
-        shift = Fraction(1, d + 1)
         return tuple(
             tuple(pt[r] - (shift if r == c else 0) for c in range(d + 1))
             for r in range(d + 1)
@@ -128,7 +135,6 @@ def _dual_phi_closed_form(kappa: ParameterSet, i: int) -> Matrix:
         for l in range(d + 1):
             if k != l:
                 out[k][l] = nu * p[i] * pt[k] * u[i][k] * u[i][l]
-    shift = Fraction(1, d + 1)
     for j in range(1, d + 1):
         c = p[i] * (nu * pt[j] * u[i][j] ** 2 - 1)
         for r in range(d + 1):
@@ -137,13 +143,20 @@ def _dual_phi_closed_form(kappa: ParameterSet, i: int) -> Matrix:
     return linalg.freeze(out)
 
 
+def mirror_closed_form(kappa: ParameterSet, i: int) -> Matrix:
+    """Plain phi_i as the matrix of its coefficients over the conjugated
+    basis {R e_kl R^-1, R phi_j R^-1}: the closed form of the involuted
+    set, read off kappa without validating it."""
+    return closed_form(kappa.nu, kappa.pt, kappa.p, linalg.transpose(kappa.u), i)
+
+
 def _closed_form_defects(kappa: ParameterSet, conj: Conjugator, tol: Scalar) -> list:
     """(i, defect) for every conjugated phi_i, i = 0..d, that differs
     from its closed-form expansion beyond tol."""
     out = []
     for i in range(kappa.d + 1):
         got = _conjugate(conj, basis_phi(kappa.d, i))
-        want = _dual_phi_closed_form(kappa, i)
+        want = closed_form(kappa.nu, kappa.p, kappa.pt, kappa.u, i)
         if not linalg.mats_equal(got, want, tol):
             out.append((i, format_scalar(linalg.max_defect(got, want))))
     return out
@@ -179,26 +192,13 @@ def antiauto(kappa: ParameterSet, beta: Matrix) -> Matrix:
 
 
 def phi_in_dual_basis(kappa: ParameterSet, i: int, conj: Conjugator | None = None) -> Matrix:
-    """Re-expansion of plain phi_i over the conjugated basis, with the
-    mirrored coefficients (column i of u instead of row i)."""
+    """Re-expansion of plain phi_i over the conjugated basis: conjugation
+    is linear, so summing the mirrored coefficients times the conjugated
+    basis elements is conjugating `mirror_closed_form` once."""
     if not 1 <= i <= kappa.d:
         raise IndexError(f"index {i} out of range for d = {kappa.d}")
-    d = kappa.d
-    nu, p, pt, u = exactify(kappa.nu), kappa.p, kappa.pt, kappa.u
     conj = conj if conj is not None else conjugator(kappa)
-    acc = None
-    for k in range(d + 1):
-        for l in range(d + 1):
-            if k == l:
-                continue
-            c = nu * pt[i] * p[k] * u[k][i] * u[l][i]
-            term = linalg.mat_scale(c, dual_e(kappa, k, l, conj))
-            acc = term if acc is None else linalg.mat_add(acc, term)
-    for j in range(1, d + 1):
-        c = pt[i] * (nu * p[j] * u[j][i] ** 2 - 1)
-        term = linalg.mat_scale(c, _conjugate(conj, basis_phi(d, j)))
-        acc = linalg.mat_add(acc, term)
-    return acc
+    return _conjugate(conj, mirror_closed_form(kappa, i))
 
 
 def check_conjugation(kappa: ParameterSet) -> CheckReport:
@@ -244,31 +244,23 @@ def check_lemma21(kappa: ParameterSet, tol: Scalar = 0, seed: int = 0) -> CheckR
         expect(f"a(phi_{i}) = phi_{i}", antiauto(kappa, phi), phi)
         dphi = _conjugate(conj, phi)
         expect(f"a(dual_phi_{i}) = dual_phi_{i}", antiauto(kappa, dphi), dphi)
-    for i in range(d + 1):
-        for j in range(d + 1):
-            if i == j:
-                continue
-            e = basis_e(d, i, j)
-            expect(
-                f"a(e_{i}{j}) = (pt_{j}/pt_{i}) e_{j}{i}",
-                antiauto(kappa, e),
-                linalg.mat_scale(
-                    exactify(kappa.pt[j]) / kappa.pt[i], basis_e(d, j, i)
-                ),
-            )
-            de = dual_e(kappa, i, j, conj)
-            expect(
-                f"a(dual_e_{i}{j}) = (p_{j}/p_{i}) dual_e_{j}{i}",
-                antiauto(kappa, de),
-                linalg.mat_scale(
-                    exactify(kappa.p[j]) / kappa.p[i], dual_e(kappa, j, i, conj)
-                ),
-            )
-            expect(
-                f"a(a(e_{i}{j})) = e_{i}{j}",
-                antiauto(kappa, antiauto(kappa, e)),
-                e,
-            )
+    units = {
+        (i, j): basis_e(d, i, j) for i in range(d + 1) for j in range(d + 1) if i != j
+    }
+    duals = {ij: _conjugate(conj, e) for ij, e in units.items()}
+    for (i, j), e in units.items():
+        image = antiauto(kappa, e)
+        expect(
+            f"a(e_{i}{j}) = (pt_{j}/pt_{i}) e_{j}{i}",
+            image,
+            linalg.mat_scale(exactify(kappa.pt[j]) / kappa.pt[i], units[j, i]),
+        )
+        expect(
+            f"a(dual_e_{i}{j}) = (p_{j}/p_{i}) dual_e_{j}{i}",
+            antiauto(kappa, duals[i, j]),
+            linalg.mat_scale(exactify(kappa.p[j]) / kappa.p[i], duals[j, i]),
+        )
+        expect(f"a(a(e_{i}{j})) = e_{i}{j}", antiauto(kappa, image), e)
 
     rng = random.Random(seed)
 
@@ -484,10 +476,14 @@ def pairing_eval(
 ) -> Scalar:
     """P(n', nt') = <x^n, xt^nt> / (nu^N N!); the nu^N cancels against
     the form's weight, leaving coeff_n(xt^nt) times `pairing_weight`.
+    The reduced indices n[1:] and nt[1:] are refused as the other
+    routes refuse them (`hyperg.check_degree_vector`), then the degrees.
     A full-grid sweep with one conjugator expands each xt^nt once
     (`Conjugator.expand`).
     """
     n, nt = tuple(n), tuple(nt)
+    hyperg.check_degree_vector(kappa.d, N, n[1:], "m")
+    hyperg.check_degree_vector(kappa.d, N, nt[1:], "mt")
     if sum(n) != N or sum(nt) != N:
         raise DegreeMismatchError(f"|{n}| or |{nt}| differs from N = {N}")
     c = xtilde_monomial(kappa, N, nt, conj).coeffs.get(n, 0)
@@ -582,7 +578,6 @@ def check_adjacency(
     d = kappa.d
     conj = conj if conj is not None else conjugator(kappa, tol)
     points = tuple(enumerate_lattice(d, N))
-    shift = Fraction(N, d + 1)
     failures = []
 
     def check_support(side: str, i: int, lam: MultiIndex, f: HomogPoly) -> None:
@@ -603,16 +598,12 @@ def check_adjacency(
     for i in range(1, d + 1):
         phi = basis_phi(d, i)
         dphi = dual_phi(kappa, i, conj)
+        diag = [row[k] for k, row in enumerate(mirror_closed_form(kappa, i))]
         for lam in points:
             moved = act(phi, xtilde_monomial(kappa, N, lam, conj))
             support = to_dual_coords(kappa, moved, conj)
             check_support("plain-on-substituted", i, lam, support)
-            want_diag = sum(
-                exactify(kappa.pt[i])
-                * (exactify(kappa.nu) * kappa.p[j] * kappa.u[j][i] ** 2 - 1)
-                * (lam[j] - shift)
-                for j in range(1, d + 1)
-            )
+            want_diag = sum(c * x for c, x in zip(diag, lam))
             got_diag = support.coeffs.get(lam, 0)
             if not scalars_equal(got_diag, want_diag, tol):
                 failures.append(

@@ -174,6 +174,25 @@ class TestEval:
         assert code == 2
         assert "exceeds" in err
 
+    @pytest.mark.parametrize(
+        "m,mt,message",
+        [
+            ("1", "1", "m must have 2 parts, got 1"),
+            ("1,0", "-1,1", "mt parts must be nonnegative integers: (-1, 1)"),
+            ("1,0", "3,0", "|mt| = 3 exceeds N = 2"),
+            ("3,0", "1,0", "|m| = 3 exceeds N = 2"),
+        ],
+    )
+    def test_bad_index_same_error_on_every_route(self, capsys, tmp_path, m, mt, message):
+        path = write_kappa(tmp_path, kappa.family_hoare_rahman(1, 2, 3, 4))
+        for method in ("hyper", "gen", "pairing"):
+            code, out, err = run(
+                capsys,
+                "eval", "--kappa", path, "--N", "2",
+                f"--m={m}", f"--mt={mt}", "--method", method,
+            )
+            assert (code, out, err) == (2, "", f"error: {message}\n"), method
+
     def test_bad_index_list_exit_2(self, capsys, milch2_file):
         code, _, _ = run(
             capsys,
