@@ -35,7 +35,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
 from . import kappa as kappa_mod
@@ -50,6 +49,7 @@ from .numeric import (
     exactify,
     expand_forms,
     format_scalar,
+    gram,
     is_exact,
     multi_factorial,
     multinomial,
@@ -238,32 +238,6 @@ def table_from_json_dict(obj: dict, mode: str = EXACT, tol: Scalar = 0) -> Polyn
     return PolynomialTable(kap, N, points, values)
 
 
-def _gram(
-    columns: Sequence[Sequence[Scalar]], weights: Sequence[Scalar], N: int
-) -> list:
-    """G[a][b] = N! sum_r col_a[r] col_b[r] weights[r] for every pair.
-
-    Each exact column and the weights are scaled to integers once, by
-    the lcm of their own denominators (`clear_denominators`), so every
-    sum runs on ints and only its quotient becomes a Fraction.  Floats
-    sum as they are.  G is symmetric, so each sum is taken once.
-    """
-    nfact = math.factorial(N)
-    weights, wscale = clear_denominators(weights)
-    columns = [clear_denominators(col) for col in columns]
-    size = len(columns)
-    gram = [[None] * size for _ in range(size)]
-    for a, (col_a, scale_a) in enumerate(columns):
-        for b in range(a, size):
-            col_b, scale_b = columns[b]
-            total = nfact * sum(map(mul, map(mul, col_a, col_b), weights))
-            den = scale_a * scale_b * wscale
-            gram[a][b] = gram[b][a] = (
-                Fraction(total, den) if is_exact(total) else total / den
-            )
-    return gram
-
-
 def check_orthogonality(
     kappa: ParameterSet,
     N: int,
@@ -275,7 +249,7 @@ def check_orthogonality(
     Columns: N! sum_n P(n,nt) P(n,kt) pt^n / n!  =  delta
     with diagonal value nt! / (N! nu^N p^nt); rows are the same identity
     on the transposed table with the two weight vectors exchanged.  In
-    exact mode the Gram sums run on integers (see `_gram`).  In approx
+    exact mode the Gram sums run on integers (`numeric.gram`).  In approx
     mode a pair passes within tol times the larger of 1 and the two
     diagonal values of its side.  Failures carry the residual, the
     columns and rows side of each pair in turn.
@@ -287,20 +261,20 @@ def check_orthogonality(
     failures = []
     max_resid = 0
 
-    col_weights = [weight_over_factorial(kappa.pt, n) for n in points]
-    row_weights = [weight_over_factorial(kappa.p, nt) for nt in points]
+    col_weights = [nfact * weight_over_factorial(kappa.pt, n) for n in points]
+    row_weights = [nfact * weight_over_factorial(kappa.p, nt) for nt in points]
     diagonal = lambda w: [
         1 / (nfact * nu_pow * weight_over_factorial(w, x)) for x in points
     ]
     sides = (
-        ("columns", _gram(list(zip(*tab.values)), col_weights, N), diagonal(kappa.p)),
-        ("rows", _gram(tab.values, row_weights, N), diagonal(kappa.pt)),
+        ("columns", gram(list(zip(*tab.values)), col_weights), diagonal(kappa.p)),
+        ("rows", gram(tab.values, row_weights), diagonal(kappa.pt)),
     )
 
     for a in range(len(points)):
         for b in range(len(points)):
-            for side, gram, diag in sides:
-                lhs = gram[a][b]
+            for side, grams, diag in sides:
+                lhs = grams[a][b]
                 rhs = diag[a] if a == b else 0
                 bound = tol * max(1, abs(diag[a]), abs(diag[b])) if tol else 0
                 resid = lhs - rhs

@@ -14,18 +14,19 @@ transports matrix units with explicit weight ratios (the lemma21 suite).
 
 Matrices act on homogeneous polynomials in x_0..x_d as derivations:
 e_ij sends x^lam to lam_j x^(lam+v_i-v_j).  The substituted variables
-xt = x R carry the dual weight basis; a symmetric bilinear form is
-diagonal on plain monomials and, by a small miracle of the setup, also
-diagonal on the substituted ones.  It is contravariant for a,
-<b.f, g> = <f, a(b).g>, so the elements a fixes have orthogonal
-eigenvectors; the norms suite checks both facts.  The pairing <x^n, xt^nt> recovers
-the polynomial values P(n', nt') up to an explicit constant and serves
-as the third evaluation route.  Substituting y_j = pt_j x_j turns xt^nt
-into the generating function of `hyperg.generating_column`, so both
-routes expand through the one core `numeric.expand_forms`, and so does
-the inverse substitution of `to_dual_coords`.  A `Conjugator` expands
-each power of its columns once per direction and keeps it, so a check
-that holds one conjugator never expands the same xt^lam twice.
+xt = x R carry the dual weight basis, and the module suites are
+identities of the expansion matrix X[lam][n] = coeff_n(xt^lam): the d
+recurrences as intertwinings (adjacency); orthogonality of the xt^lam
+for a form diagonal on plain monomials with weight nu^N n!/pt^n, and
+the form's contravariance <b.f, g> = <f, a(b).g> (norms); both basis
+transitions against the table (transition).  The pairing <x^n, xt^nt>
+recovers P(n', nt') up to an explicit constant and serves as the third
+evaluation route.  Substituting y_j = pt_j x_j turns xt^nt into the
+generating function of `hyperg.generating_column`, so both routes
+expand through the one core `numeric.expand_forms`, as does the inverse
+substitution of `to_dual_coords`.  A `Conjugator` expands each power of
+its columns once per direction and keeps it, so a check that holds one
+conjugator never expands the same xt^lam twice.
 """
 
 from __future__ import annotations
@@ -41,10 +42,12 @@ from .numeric import (
     DegreeMismatchError,
     MultiIndex,
     Scalar,
+    clear_denominators,
     enumerate_lattice,
     exactify,
     expand_forms,
     format_scalar,
+    gram,
     multi_factorial,
     power_product,
     scalars_equal,
@@ -214,7 +217,7 @@ def check_lemma21(kappa: ParameterSet, tol: Scalar = 0, seed: int = 0) -> CheckR
 
     def rand_matrix() -> Matrix:
         return tuple(
-            tuple(Fraction(rng.randint(-3, 3)) for _ in range(d + 1))
+            tuple(rng.randint(-3, 3) for _ in range(d + 1))
             for _ in range(d + 1)
         )
 
@@ -377,37 +380,24 @@ def to_dual_coords(
     return _poly(f.degree, out)
 
 
+def pairing_weight(kappa: ParameterSet, N: int, n: MultiIndex) -> Scalar:
+    """n!/(pt^n N!), which turns coeff_n(xt^nt) into P(n', nt') for
+    every nt: a full-grid sweep computes it once per n.  The one place
+    the form's weight n!/pt^n is written."""
+    return exactify(multi_factorial(n)) / (
+        exactify(power_product(kappa.pt, n)) * math.factorial(N)
+    )
+
+
 def _form_weights(kappa: ParameterSet, N: int) -> dict:
     """The form's diagonal {n: <x^n, x^n> = n! nu^N / pt^n} over the
     degree-N lattice; the form is diagonal on monomials, so this is all
     of it."""
-    nu_pow = exactify(kappa.nu) ** N
+    scale = exactify(kappa.nu) ** N * math.factorial(N)
     return {
-        lam: nu_pow / weight_over_factorial(kappa.pt, lam)
+        lam: scale * pairing_weight(kappa, N, lam)
         for lam in enumerate_lattice(kappa.d, N)
     }
-
-
-def bilinear(
-    kappa: ParameterSet, N: int, f: HomogPoly, g: HomogPoly, weights: dict | None = None
-) -> Scalar:
-    """Symmetric form, diagonal on monomials with the weights of
-    `_form_weights` (computed when none are given)."""
-    if f.degree != N or g.degree != N:
-        raise DegreeMismatchError(
-            f"form needs degree {N}, got {f.degree} and {g.degree}"
-        )
-    w = weights if weights is not None else _form_weights(kappa, N)
-    shared = (lam for lam in f.coeffs if lam in g.coeffs)
-    return sum(f.coeffs[lam] * g.coeffs[lam] * w[lam] for lam in shared)
-
-
-def pairing_weight(kappa: ParameterSet, N: int, n: MultiIndex) -> Scalar:
-    """n!/(pt^n N!), which turns coeff_n(xt^nt) into P(n', nt') for
-    every nt: a full-grid sweep computes it once per n."""
-    return exactify(multi_factorial(n)) / (
-        exactify(power_product(kappa.pt, n)) * math.factorial(N)
-    )
 
 
 def pairing_eval(
@@ -437,21 +427,24 @@ def check_dual_norms(
     kappa: ParameterSet, N: int, tol: Scalar = 0, conj: Conjugator | None = None
 ) -> CheckReport:
     """Two facts about the form.  The substituted monomials are
-    orthogonal for it, with norms n!/p^n (no nu power); these grow like
-    N!/min|p|^N, so the tolerance of a pair is tol times the larger of
-    its two norms.  And it is contravariant for the antiautomorphism
+    orthogonal for it, with norms n!/p^n (no nu power): the Gram of the
+    rows of X[lam][n] = coeff_n(xt^lam) under the form's weights, summed
+    on integers (`numeric.gram`).  The norms grow like N!/min|p|^N, so
+    the tolerance of a pair is tol times the larger of its two norms.
+    And the form is contravariant for the antiautomorphism
     (`_adjoint_failures`)."""
     conj = conj if conj is not None else conjugator(kappa, tol)
     points = tuple(enumerate_lattice(kappa.d, N))
     weights = _form_weights(kappa, N)
-    xt = {lam: xtilde_monomial(kappa, N, lam, conj) for lam in points}
-    norms = {lam: 1 / weight_over_factorial(kappa.p, lam) for lam in points}
+    xt = [xtilde_monomial(kappa, N, lam, conj).coeffs for lam in points]
+    grams = gram([[x.get(n, 0) for n in points] for x in xt], list(weights.values()))
+    norms = [1 / weight_over_factorial(kappa.p, lam) for lam in points]
     failures = []
-    for n in points:
-        for m in points:
-            got = bilinear(kappa, N, xt[n], xt[m], weights)
-            want = norms[n] if n == m else 0
-            scale = max(abs(norms[n]), abs(norms[m]))
+    for a, n in enumerate(points):
+        for b, m in enumerate(points):
+            got = grams[a][b]
+            want = norms[a] if a == b else 0
+            scale = max(abs(norms[a]), abs(norms[b]))
             if not scalars_equal(got, want, tol * scale):
                 failures.append(
                     {
@@ -508,62 +501,62 @@ def _adjoint_failures(
     return failures
 
 
-def _adjacent(lam: MultiIndex, mu: MultiIndex) -> bool:
-    """Differ by moving a single unit between two coordinates."""
-    diff = sorted(a - b for a, b in zip(lam, mu))
-    return diff[0] == -1 and diff[-1] == 1 and all(
-        x == 0 for x in diff[1:-1]
-    )
-
-
 def check_adjacency(
     kappa: ParameterSet, N: int, tol: Scalar = 0, conj: Conjugator | None = None
 ) -> CheckReport:
-    """Support condition: a plain Cartan element moves a substituted
-    monomial only to itself and its adjacent lattice points (and the
-    dual statement); the self-coefficient matches the re-expansion's
-    diagonal part."""
+    """The d recurrences as two intertwinings of the expansion matrix
+    X[lam][n] = coeff_n(xt^lam), for i = 1..d and every lam:
+
+        plain-on-substituted   phi_i.xt^lam = sum_mu S[lam][mu] xt^mu
+        dual-on-plain          dual_phi_i.xt^lam = (lam_i - N/(d+1)) xt^lam
+
+    where sum_mu S[lam][mu] x^mu is the action of `mirror_closed_form`
+    on x^lam (d^2+d+1 terms), so the first is X C_i = S_i X with C_i the
+    diagonal of phi_i, and dual_phi_i is `closed_form`.  Any derivation
+    action moves one unit, so the first implies that phi_i moves xt^lam
+    only to itself and its adjacent lattice points.  Every coefficient
+    is compared, on integers in exact mode.  Approx mode compares within
+    tol times the larger of 1 and a bound of the terms of either side:
+    the largest |X[mu][n]| of each row mu involved times its factor."""
     d = kappa.d
     conj = conj if conj is not None else conjugator(kappa, tol)
     points = tuple(enumerate_lattice(d, N))
+    xt = [xtilde_monomial(kappa, N, lam, conj).coeffs for lam in points]
+    # both sides are linear in X and in the matrices, so X and the three
+    # matrices of each i are scaled to integers once, by D and K
+    ints, D = clear_denominators([c for f in xt for c in f.values()])
+    it = iter(ints)
+    X = {lam: {n: next(it) for n in f} for lam, f in zip(points, xt)}
+    size = {lam: max(map(abs, f.values()), default=0) for lam, f in X.items()}
     failures = []
-
-    def check_support(side: str, i: int, lam: MultiIndex, f: HomogPoly) -> None:
-        for mu, c in f.coeffs.items():
-            if tol != 0 and abs(c) <= tol:
-                continue
-            if mu != lam and not _adjacent(lam, mu):
-                failures.append(
-                    {
-                        "side": side,
-                        "i": i,
-                        "from": list(lam),
-                        "to": list(mu),
-                        "coeff": format_scalar(c),
-                    }
-                )
-
     for i in range(1, d + 1):
-        phi = basis_phi(d, i)
-        dphi = _conjugate(conj, phi)
-        diag = [row[k] for k, row in enumerate(mirror_closed_form(kappa, i))]
+        mats = (
+            basis_phi(d, i),
+            mirror_closed_form(kappa, i),
+            closed_form(kappa.nu, kappa.p, kappa.pt, kappa.u, i),
+        )
+        ints, K = clear_denominators([x for m in mats for row in m for x in row])
+        it = iter(ints)
+        phi, mirror, dual = (
+            tuple(tuple(next(it) for _ in row) for row in m) for m in mats
+        )
+        dual_mass = N * sum(abs(x) for row in dual for x in row)
         for lam in points:
-            moved = act(phi, xtilde_monomial(kappa, N, lam, conj))
-            support = to_dual_coords(kappa, moved, conj)
-            check_support("plain-on-substituted", i, lam, support)
-            want_diag = sum(c * x for c, x in zip(diag, lam))
-            got_diag = support.coeffs.get(lam, 0)
-            if not scalars_equal(got_diag, want_diag, tol):
-                failures.append(
-                    {
-                        "side": "self-coefficient",
-                        "i": i,
-                        "at": list(lam),
-                        "got": format_scalar(got_diag),
-                        "want": format_scalar(want_diag),
-                    }
-                )
-            check_support("dual-on-plain", i, lam, act(dphi, monomial(lam)))
+            f = HomogPoly(N, X[lam])
+            recurrence = act(mirror, monomial(lam)).coeffs
+            rhs: dict = {}
+            for mu, c in recurrence.items():
+                _add_scaled(rhs, X[mu], c)
+            ev = K * (lam[i] - Fraction(N, d + 1))
+            eigen = {n: ev * c for n, c in f.coeffs.items()}
+            terms = sum(abs(c) * size[mu] for mu, c in recurrence.items())
+            plain_mass = max(N * K * size[lam], terms)
+            for side, got, want, mass in (
+                ("plain-on-substituted", act(phi, f), rhs, plain_mass),
+                ("dual-on-plain", act(dual, f), eigen, dual_mass * size[lam]),
+            ):
+                if not polys_equal(got, _poly(N, want), tol * max(K * D, mass)):
+                    failures.append({"side": side, "i": i, "at": list(lam)})
     return CheckReport(
         "adjacency", not failures, failures, {"points": len(points)}
     )
@@ -582,28 +575,30 @@ def check_transition(
         x^n / nu^N   = N! sum_nt P(n',nt') (p^nt/nt!) xt^nt
 
     with P read from the table (kernel sums when none is given), so this
-    cross-ties the module picture to the series definition.
+    cross-ties the module picture to the series definition.  The first
+    compares the expansion of each xt^nt with a column of the table; the
+    second reads x^n / nu^N in the substituted basis (`to_dual_coords`,
+    the inverse expansion) and compares it with a row.
     """
     tab = values if values is not None else hyperg.table(kappa, N)
     conj = conj if conj is not None else conjugator(kappa, tol)
     points = tab.points
-    xt = [xtilde_monomial(kappa, N, lam, conj) for lam in points]
+    pt_w = [1 / pairing_weight(kappa, N, n) for n in points]
     nfact = math.factorial(N)
-    pt_w = [nfact * weight_over_factorial(kappa.pt, lam) for lam in points]
-    p_w = [nfact * weight_over_factorial(kappa.p, lam) for lam in points]
+    p_w = [nfact * weight_over_factorial(kappa.p, nt) for nt in points]
     failures = []
 
     for c, nt in enumerate(points):
         want = {n: tab.values[r][c] * pt_w[r] for r, n in enumerate(points)}
-        if not polys_equal(xt[c], _poly(N, want), tol):
+        got = xtilde_monomial(kappa, N, nt, conj)
+        if not polys_equal(got, _poly(N, want), tol):
             failures.append({"expansion": "substituted-over-plain", "at": list(nt)})
 
     inv_nu_pow = 1 / exactify(kappa.nu) ** N
     for r, n in enumerate(points):
-        rhs: dict = {}
-        for c in range(len(points)):
-            _add_scaled(rhs, xt[c].coeffs, tab.values[r][c] * p_w[c])
-        if not polys_equal(monomial(n, inv_nu_pow), _poly(N, rhs), tol):
+        want = {nt: tab.values[r][c] * p_w[c] for c, nt in enumerate(points)}
+        got = to_dual_coords(kappa, monomial(n, inv_nu_pow), conj)
+        if not polys_equal(got, _poly(N, want), tol):
             failures.append({"expansion": "plain-over-substituted", "at": list(n)})
 
     return CheckReport(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add, le, mul, sub
 from typing import Iterator, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction, float, complex]
@@ -85,6 +85,29 @@ def clear_denominators(values: Sequence[Scalar]) -> tuple:
         return list(values), 1
     D = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (D // x.denominator) for x in values], D
+
+
+def gram(columns: Sequence[Sequence[Scalar]], weights: Sequence[Scalar]) -> list:
+    """G[a][b] = sum_r columns[a][r] columns[b][r] weights[r] for every pair.
+
+    Each exact column and the weights are scaled to integers once, by
+    the lcm of their own denominators (`clear_denominators`), so every
+    sum runs on ints and only its quotient becomes a Fraction.  Floats
+    sum as they are.  G is symmetric, so each sum is taken once.
+    """
+    weights, wscale = clear_denominators(weights)
+    columns = [clear_denominators(col) for col in columns]
+    size = len(columns)
+    out = [[None] * size for _ in range(size)]
+    for a, (col_a, scale_a) in enumerate(columns):
+        for b in range(a, size):
+            col_b, scale_b = columns[b]
+            total = sum(map(mul, map(mul, col_a, col_b), weights))
+            den = scale_a * scale_b * wscale
+            out[a][b] = out[b][a] = (
+                Fraction(total, den) if is_exact(total) else total / den
+            )
+    return out
 
 
 def multinomial(n: int, lam: Sequence[int]) -> int:

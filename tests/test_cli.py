@@ -455,6 +455,31 @@ class TestModes:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize(
+        "family,N,suites",
+        [
+            ("hr", 7, "adjacency"),
+            ("hr", 8, "adjacency,norms,transition"),
+            ("ds", 20, "adjacency,norms,transition"),
+        ],
+    )
+    def test_approx_module_suites_at_larger_N(self, capsys, tmp_path, family, N, suites):
+        # round-off of the degree-N expansions reached 1.5e-10 at HR N = 8,
+        # past the absolute eps; adjacency compares within eps times a
+        # bound of its terms, and norms and transition keep passing
+        k = {
+            "hr": kappa.family_hoare_rahman(1, 2, 3, 4),
+            "ds": kappa.family_ds(F(3), 1),
+        }[family]
+        code, out, _ = run(
+            capsys,
+            "--mode", "approx",
+            "check", "--kappa", write_kappa(tmp_path, k), "--N", str(N),
+            "--suite", suites,
+        )
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
     def test_approx_duality_relative_to_large_values(self, capsys, tmp_path):
         # values of this set reach 2.6e6 at N = 4, where the two routes
         # differ by more than the absolute eps

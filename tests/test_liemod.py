@@ -15,6 +15,7 @@ from mvkraw.numeric import (
     enumerate_lattice,
     exactify,
     expand_forms,
+    gram,
     multi_factorial,
     power_product,
 )
@@ -103,14 +104,17 @@ class TestConjugator:
 
         monkeypatch.setattr(liemod, "expand_forms", counting)
         k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        forward = tuple(zip(*liemod.conjugator(k).rhat))
         assert liemod.check_adjacency(k, 3).passed
-        assert len(set(calls)) == len(calls)
-        assert len(calls) <= 2 * len(list(enumerate_lattice(k.d, 3)))
+        # the intertwinings need only the forward expansions, one per point
+        assert len(set(calls)) == len(calls) == len(list(enumerate_lattice(k.d, 3)))
+        assert all(forms == forward for forms, _ in calls)
 
     def test_one_conjugator_per_check_run(self, monkeypatch):
         # norms, adjacency, transition and threeway share the run's
-        # conjugator, so all 12 suites expand each power once: 19 distinct
-        # expansions at HR N = 3, where one conjugator per suite made 49
+        # conjugator, so all 12 suites expand each power once: 20 distinct
+        # expansions at HR N = 3, each of the 10 points once forward and,
+        # by transition, once inverse; one conjugator per suite made 49
         calls = []
 
         def counting(forms, exponents, caps=None):
@@ -121,7 +125,7 @@ class TestConjugator:
         k = kappa.family_hoare_rahman(1, 2, 3, 4)
         reports = verify.run_suites(verify.SUITES, k, 3)
         assert all(r.passed for r in reports)
-        assert len(calls) == len(set(calls)) == 19
+        assert len(calls) == len(set(calls)) == 20
 
     def test_seal_rejects_corrupt_set(self):
         # bypass validation on purpose: this u breaks the defining identity
@@ -339,22 +343,13 @@ class TestSubstitutedBasis:
 
 class TestBilinearForm:
     def test_hand_norms(self):
+        # the form is diagonal on monomials: <x^11, x^11> is a weight, and
+        # <xt^20, xt^20> the Gram of xt^20's coefficients under them
         k = classical()
-        x11 = liemod.monomial((1, 1))
-        assert liemod.bilinear(k, 2, x11, x11) == 16
-        xt20 = liemod.xtilde_monomial(k, 2, (2, 0))
-        assert liemod.bilinear(k, 2, xt20, xt20) == 8
-
-    def test_diagonal_on_monomials(self):
-        k = milch2()
-        assert (
-            liemod.bilinear(k, 2, liemod.monomial((2, 0, 0)), liemod.monomial((1, 1, 0)))
-            == 0
-        )
-
-    def test_degree_guard(self):
-        with pytest.raises(DegreeMismatchError):
-            liemod.bilinear(classical(), 2, liemod.monomial((1, 0)), liemod.monomial((1, 1)))
+        weights = liemod._form_weights(k, 2)
+        assert weights[(1, 1)] == 16
+        xt20 = liemod.xtilde_monomial(k, 2, (2, 0)).coeffs
+        assert gram([[xt20.get(n, 0) for n in weights]], list(weights.values())) == [[8]]
 
     @pytest.mark.parametrize("k", FAMILIES)
     def test_dual_norms_check(self, k):
@@ -385,6 +380,12 @@ class TestBilinearForm:
         N = 2
         d = k.d
         points = list(enumerate_lattice(d, N))
+        weights = liemod._form_weights(k, N)
+
+        def form(f, g):
+            shared = f.coeffs.keys() & g.coeffs.keys()
+            return sum(f.coeffs[lam] * g.coeffs[lam] * weights[lam] for lam in shared)
+
         elements = [liemod.basis_phi(d, i) for i in range(d + 1)]
         elements += [
             liemod.basis_e(d, i, j)
@@ -398,9 +399,7 @@ class TestBilinearForm:
                 f = liemod.monomial(n)
                 for m in points:
                     g = liemod.monomial(m)
-                    assert liemod.bilinear(k, N, liemod.act(beta, f), g) == (
-                        liemod.bilinear(k, N, f, liemod.act(adj, g))
-                    )
+                    assert form(liemod.act(beta, f), g) == form(f, liemod.act(adj, g))
         assert liemod.check_dual_norms(k, N).passed
 
     def test_norms_detect_antiauto_without_transpose(self, monkeypatch):
@@ -468,3 +467,54 @@ class TestLatticeChecks:
     def test_transition(self, k):
         rep = liemod.check_transition(k, 2)
         assert rep.passed and rep.failures == []
+
+    @pytest.mark.parametrize("k", FAMILIES)
+    def test_intertwining_against_inverse_expansion(self, k):
+        # the independent reference for the plain half: phi_i.xt^lam read
+        # in the substituted basis through the inverse expansion is the
+        # mirror's action on x^lam, coefficient by coefficient
+        conj = liemod.conjugator(k)
+        for N in range(1, 4):
+            for lam in enumerate_lattice(k.d, N):
+                xt = liemod.xtilde_monomial(k, N, lam, conj)
+                for i in range(1, k.d + 1):
+                    moved = liemod.act(liemod.basis_phi(k.d, i), xt)
+                    got = liemod.to_dual_coords(k, moved, conj)
+                    mirror = liemod.mirror_closed_form(k, i)
+                    want = liemod.act(mirror, liemod.monomial(lam))
+                    assert got.coeffs == want.coeffs
+
+    def test_adjacency_detects_row_scaled_set(self):
+        # u row 1 times 2 and p_1 / 4 keeps nu P U Pt U^t = I, so the
+        # conjugator accepts it, but the closed form of the conjugated
+        # phi_1 no longer fixes the substituted monomials
+        k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        u = [list(row) for row in k.u]
+        u[1] = [2 * x for x in u[1]]
+        p = list(k.p)
+        p[1] /= 4
+        bad = kappa.ParameterSet(k.d, k.nu, tuple(p), k.pt, linalg.freeze(u))
+        rep = liemod.check_adjacency(bad, 2)
+        assert not rep.passed
+        points = [list(lam) for lam in enumerate_lattice(k.d, 2)]
+        assert rep.failures == [
+            {"side": "dual-on-plain", "i": 1, "at": lam} for lam in points
+        ]
+
+    def test_adjacency_detects_denormalized_set(self):
+        # the set of test_conjugation_check_detects_denormalized_set: plain
+        # phi_1 is no longer its mirror's action over the substituted basis
+        k = classical()
+        bad = kappa.ParameterSet(
+            k.d,
+            k.nu,
+            k.p,
+            tuple(x / 4 for x in k.pt),
+            tuple(tuple(2 * x for x in row) for row in k.u),
+        )
+        rep = liemod.check_adjacency(bad, 2)
+        assert not rep.passed
+        assert rep.failures == [
+            {"side": "plain-on-substituted", "i": 1, "at": [2, 0]},
+            {"side": "plain-on-substituted", "i": 1, "at": [0, 2]},
+        ]

@@ -16,6 +16,7 @@ from mvkraw.numeric import (
     enumerate_lattice,
     exactify,
     format_scalar,
+    gram,
     is_exact,
     multi_factorial,
     multinomial,
@@ -62,6 +63,21 @@ class TestScalars:
     def test_tolerance(self):
         assert scalars_equal(1.0, 1.0 + 1e-12, 1e-10)
         assert not scalars_equal(1.0, 1.0 + 1e-12, 0)
+
+    def test_gram(self):
+        # G[a][b] = sum_r col_a[r] col_b[r] w[r], exact on Fractions (the
+        # ints it sums on are an implementation detail) and on floats
+        cols = [[Fraction(1, 2), 0, 3], [Fraction(1, 3), 2, -1]]
+        w = [Fraction(2), Fraction(1, 5), 1]
+        want = [[sum(x * y * v for x, y, v in zip(a, b, w)) for b in cols] for a in cols]
+        assert want == [
+            [Fraction(19, 2), Fraction(-8, 3)],
+            [Fraction(-8, 3), Fraction(91, 45)],
+        ]
+        assert gram(cols, w) == want
+        floats = gram([[float(x) for x in c] for c in cols], [float(x) for x in w])
+        for got_row, want_row in zip(floats, want):
+            assert all(abs(g - h) < 1e-12 for g, h in zip(got_row, want_row))
 
 
 class TestCombinatorics:
