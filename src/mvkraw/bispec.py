@@ -1,36 +1,35 @@
 """Difference operators on the degree lattice and the eigen checks.
 
-Each operator is a stencil: a map from shift vectors s in Z^d to a
-coefficient that is an affine function of the lattice point, evaluated
-lazily.  Every stencil here is the derivation action of one
-(d+1) x (d+1) matrix M on degree-N monomials, x^lam ->
-sum_kl M[k][l] lam_l x^(lam+v_k-v_l), read at reduced points, and one
-builder makes it (`_stencil`).  The two canonical families (one
-shifting the second index of the table, one the first) have d
-generators each with at most d^2 + d + 1 stencil terms: generator i of
-the first is the action of plain phi_i over the conjugated basis
-(`liemod.mirror_closed_form`), and the second is the first of the
-involuted set.  Multiplying a table row or column by a generator
-reproduces the row or column scaled by an eigenvalue that depends only
-on the opposite index.  The universal operator, the action of
-p 1^t - I, has eigenvalue minus the reduced degree; as the stencil is
-linear in its matrix, its identity with minus the sum of one family
-less a multiple of the identity is checked once, as a matrix identity.
+Every operator here is the derivation action of one (d+1) x (d+1)
+matrix M on degree-N monomials, x^lam -> sum_kl M[k][l] lam_l
+x^(lam+v_k-v_l), transposed into an operator on lattice functions:
+(op F)(y) = sum c F(mu[1:]) over the terms c x^mu of M.x^lam, with
+lam = (N - |y|, y).  The two canonical families (one shifting the
+second index of the table, one the first) have d generators each with
+at most d^2 + d + 1 terms: generator i of the first is the action of
+plain phi_i over the conjugated basis (`liemod.mirror_closed_form`),
+and the second is the first of the involuted set, whose matrix is the
+closed form of the conjugated phi_i itself (`liemod.closed_form`).
+Multiplying a table row or column by a generator reproduces the row or
+column scaled by an eigenvalue that depends only on the opposite index.
+The universal operator, the action of p 1^t - I, has eigenvalue minus
+the reduced degree; as the action is linear in its matrix, its identity
+with minus the sum of one family less a multiple of the identity is
+checked once, as a matrix identity.
 
-Stencils vanish on their own at the lattice boundary: every outward
-shift carries a factor (point coordinate or remaining degree) that is
-zero exactly where the shift would leave the simplex.  Each operator
-has one integer form: its affine coefficients are scaled once by D, the
-lcm of their denominators, and the scaled stencil is evaluated on the
-lattice once per tolerance, into its lattice form: for every point the
-(target, c(y) D) pairs that survive the tolerance, on Python ints.
-Float coefficients are kept as they are, with D = 1, so approximate
-mode runs the same code.  Building that form refuses a surviving
-coefficient whose shift leaves the simplex rather than clamping it, so
-`apply` only reads the lattice.  `apply` sums each point's terms and
-divides by D once; the eigen checks feed it table lines scaled to
-integers, and `check_commute` composes two integer forms directly, so
-a Fraction is built once per lattice point, or only for a failure.
+An operator is built from its matrix alone.  M is scaled to integers
+once by D, the lcm of its denominators, and the lattice form `rows` is
+`liemod.act` of D M on every monomial, read at reduced points: for
+every point the (target, c D) pairs, on Python ints.  A float matrix
+keeps its floats, with D = 1, so approximate mode runs the same code.
+The action stays on the lattice: an outward term carries the integer
+lam_l, which is 0 exactly where the shift would leave the simplex.  `apply` sums each point's terms and divides by D once; the
+eigen checks feed it table lines scaled to integers, and
+`check_commute` composes two integer forms directly, so a Fraction is
+built once per lattice point, or only for a failure.  The affine form
+of the action, one coefficient per shift that is affine in the point
+(`_stencil`), is kept for output and counting: the `stencil` dump and
+`term_count`.
 """
 
 from __future__ import annotations
@@ -40,14 +39,13 @@ from fractions import Fraction
 from typing import Callable
 
 from . import hyperg, liemod, linalg
-from . import kappa as kappa_mod
 from .kappa import ParameterSet
 from .linalg import Matrix
 from .numeric import (
-    MultiIndex,
     Scalar,
     clear_denominators,
     enumerate_degree_points,
+    enumerate_lattice,
     exactify,
     format_scalar,
     is_exact,
@@ -63,11 +61,6 @@ class AffineCoeff:
     constant: Scalar
     linear: tuple
 
-    def __call__(self, y: MultiIndex) -> Scalar:
-        return self.constant + sum(
-            c * y[l] for l, c in enumerate(self.linear) if c != 0
-        )
-
     def is_zero(self) -> bool:
         return self.constant == 0 and all(x == 0 for x in self.linear)
 
@@ -80,78 +73,52 @@ class AffineCoeff:
 
 @dataclass(frozen=True, eq=False)
 class DifferenceOperator:
-    """Stencil plus the eigenvalue law it satisfies on tables (the law
+    """The operator of a (d+1) x (d+1) matrix on degree-N lattice
+    functions, plus the eigenvalue law it satisfies on tables (the law
     takes the reduced opposite-side index).  `scale` is D, the lcm of
-    the stencil's denominators (1 when a coefficient is a float), and
-    the lattice form holds every coefficient times D."""
+    the matrix's denominators (1 when an entry is a float), and `rows`
+    the lattice form: one (y, ((target, c D), ...)) record per reduced
+    point y in layout order, the terms of D M acting on x^lam."""
 
-    d: int
+    matrix: Matrix
     N: int
-    stencil: dict
     eigenvalue: Callable | None
     name: str
     scale: int = field(init=False, repr=False)
-    _scaled: dict = field(init=False, repr=False)
-    _forms: dict = field(default_factory=dict, init=False, repr=False)
+    rows: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        ints, D = clear_denominators(
-            [x for c in self.stencil.values() for x in (c.constant, *c.linear)]
-        )
+        ints, D = clear_denominators([x for row in self.matrix for x in row])
         it = iter(ints)
-        scaled = {
-            s: AffineCoeff(next(it), tuple(next(it) for _ in c.linear))
-            for s, c in self.stencil.items()
-        }
+        scaled = tuple(tuple(next(it) for _ in row) for row in self.matrix)
+        rows = []
+        for lam in enumerate_lattice(self.d, self.N):
+            image = liemod.act(scaled, liemod.monomial(lam)).coeffs
+            rows.append((lam[1:], tuple((mu[1:], c) for mu, c in image.items())))
         object.__setattr__(self, "scale", D)
-        object.__setattr__(self, "_scaled", scaled)
+        object.__setattr__(self, "rows", tuple(rows))
+
+    @property
+    def d(self) -> int:
+        return len(self.matrix) - 1
+
+    @property
+    def stencil(self) -> dict:
+        """The affine form of the action (`_stencil`)."""
+        return _stencil(self.matrix, self.N)
 
     def term_count(self) -> int:
         return len(self.stencil)
-
-    def lattice_form(self, tol: Scalar = 0) -> tuple:
-        """The scaled stencil evaluated on the lattice, once per
-        tolerance: one (y, ((target, c D), ...)) record per reduced point
-        y in layout order, keeping the terms whose c is not within tol of
-        0 in stencil order.  A kept term whose target leaves the simplex
-        raises AssertionError."""
-        form = self._forms.get(tol)
-        if form is None:
-            form = self._forms[tol] = tuple(
-                (y, self._terms_at(y, tol * self.scale))
-                for y in enumerate_degree_points(self.d, self.N)
-            )
-        return form
-
-    def _terms_at(self, y: MultiIndex, tol: Scalar) -> tuple:
-        terms = []
-        for s, coeff in self._scaled.items():
-            c = coeff(y)
-            if scalars_equal(c, 0, tol):
-                continue
-            target = tuple(a + b for a, b in zip(y, s))
-            if min(target) < 0 or sum(target) > self.N:
-                c = Fraction(c, self.scale) if is_exact(c) else c
-                raise AssertionError(
-                    f"{self.name}: shift {s} at {y} leaves the lattice with "
-                    f"coefficient {format_scalar(c)}, reading outside it"
-                )
-            terms.append((target, c))
-        return tuple(terms)
-
-
-def _canonical(stencil: dict) -> dict:
-    return {s: c for s, c in stencil.items() if not c.is_zero()}
 
 
 def _stencil(M: Matrix, N: int) -> dict:
     """The derivation action x^lam -> sum_kl M[k][l] lam_l x^(lam+v_k-v_l)
     of a (d+1) x (d+1) matrix on degree-N monomials, read at reduced
-    points y = lam[1:]: shift e_k - e_l with coefficient M[k][l] lam_l,
-    where e_0 = 0 and lam_0 = N - |y|, so the no-shift term is
-    M[0][0] N + sum_j (M[j][j] - M[0][0]) y_j.  One term order: the
-    shifts -e_l, then e_k, then none, then e_k - e_l for k, l >= 1;
-    zero terms are dropped."""
+    points y = lam[1:] as affine coefficients: shift e_k - e_l with
+    coefficient M[k][l] lam_l, where e_0 = 0 and lam_0 = N - |y|, so the
+    no-shift term is M[0][0] N + sum_j (M[j][j] - M[0][0]) y_j.  One term
+    order: the shifts -e_l, then e_k, then none, then e_k - e_l for
+    k, l >= 1; zero terms are dropped."""
     d = len(M) - 1
     js = range(1, d + 1)
 
@@ -167,57 +134,40 @@ def _stencil(M: Matrix, N: int) -> dict:
         shift = tuple((m == k) - (m == l) for m in js)
         if k == l:
             diag = tuple(M[j][j] - M[0][0] for j in js)
-            stencil[shift] = AffineCoeff(M[0][0] * N, diag)
+            coeff = AffineCoeff(M[0][0] * N, diag)
         else:
-            stencil[shift] = times_lam(l, M[k][l])
-    return _canonical(stencil)
+            coeff = times_lam(l, M[k][l])
+        if not coeff.is_zero():
+            stencil[shift] = coeff
+    return stencil
 
 
-def _operator(
-    M: Matrix, N: int, eigenvalue: Callable, name: str, tol: Scalar
-) -> DifferenceOperator:
-    """The operator of M's stencil, its lattice form built at tol."""
-    op = DifferenceOperator(len(M) - 1, N, _stencil(M, N), eigenvalue, name)
-    op.lattice_form(tol)
-    return op
-
-
-def _generator(
-    kappa: ParameterSet, N: int, i: int, tol: Scalar, name: str
-) -> DifferenceOperator:
-    """Generator i of the family shifting the second (tilde) index of
-    kappa's table, under the given name: the stencil of plain phi_i over
-    the conjugated basis (`liemod.mirror_closed_form`), eigenvalue
-    m_i - N/(d+1) read off the first index."""
-    d = kappa.d
+def _tilde_law(d: int, N: int, i: int) -> Callable:
+    """The eigenvalue law m_i - N/(d+1) of generator i, refusing an i
+    outside 1..d."""
     if not 1 <= i <= d:
         raise IndexError(f"index {i} out of range for d = {d}")
     shift = Fraction(N, d + 1)
-    return _operator(
-        liemod.mirror_closed_form(kappa, i),
-        N,
-        lambda m, i=i, shift=shift: m[i - 1] - shift,
-        name,
-        tol,
-    )
+    return lambda m: m[i - 1] - shift
 
 
-def operator_mtilde(
-    kappa: ParameterSet, N: int, i: int, tol: Scalar = 0
-) -> DifferenceOperator:
-    """Generator i of the family shifting the second (tilde) index;
-    eigenvalue m_i - N/(d+1) read off the first index."""
-    return _generator(kappa, N, i, tol, f"mtilde_{i}")
+def operator_mtilde(kappa: ParameterSet, N: int, i: int) -> DifferenceOperator:
+    """Generator i of the family shifting the second (tilde) index: the
+    action of plain phi_i over the conjugated basis
+    (`liemod.mirror_closed_form`); eigenvalue m_i - N/(d+1) read off the
+    first index."""
+    law = _tilde_law(kappa.d, N, i)
+    return DifferenceOperator(liemod.mirror_closed_form(kappa, i), N, law, f"mtilde_{i}")
 
 
-def operator_m(
-    kappa: ParameterSet, N: int, i: int, tol: Scalar = 0
-) -> DifferenceOperator:
+def operator_m(kappa: ParameterSet, N: int, i: int) -> DifferenceOperator:
     """Generator i of the mirror family shifting the first index: the
     tilde generator of the involuted set, whose p and pt are swapped and
     u transposed, so its matrix is the closed form of the conjugated
-    phi_i itself.  Eigenvalue mt_i - N/(d+1)."""
-    return _generator(kappa_mod.involute(kappa, tol), N, i, tol, f"m_{i}")
+    phi_i of kappa itself.  Eigenvalue mt_i - N/(d+1)."""
+    law = _tilde_law(kappa.d, N, i)
+    closed = liemod.closed_form(kappa.nu, kappa.p, kappa.pt, kappa.u, i)
+    return DifferenceOperator(closed, N, law, f"m_{i}")
 
 
 def _universal_matrix(kappa: ParameterSet) -> Matrix:
@@ -227,24 +177,20 @@ def _universal_matrix(kappa: ParameterSet) -> Matrix:
     return linalg.mat_sub(columns_p, linalg.identity(len(p)))
 
 
-def operator_universal(
-    kappa: ParameterSet, N: int, tol: Scalar = 0
-) -> DifferenceOperator:
-    """Parameter-light operator with eigenvalue -|m|: the stencil of
+def operator_universal(kappa: ParameterSet, N: int) -> DifferenceOperator:
+    """Parameter-light operator with eigenvalue -|m|: the action of
     p 1^t - I."""
-    return _operator(_universal_matrix(kappa), N, lambda m: -sum(m), "universal", tol)
+    return DifferenceOperator(_universal_matrix(kappa), N, lambda m: -sum(m), "universal")
 
 
-def apply(
-    op: DifferenceOperator, F: Callable, tol: Scalar = 0
-) -> dict:
-    """(op F)(y) = sum_s c_s(y) F(y+s) over the whole lattice, read off
-    the operator's lattice form, so F is only called on lattice points.
-    Each point sums c_s(y) D F(y+s), on ints when F gives ints, and is
+def apply(op: DifferenceOperator, F: Callable) -> dict:
+    """(op F)(y) = sum c F(target) over the terms of row y of the
+    operator's lattice form, so F is only called on lattice points.
+    Each point sums c D F(target), on ints when F gives ints, and is
     divided by D once."""
     D = op.scale
     out = {}
-    for y, terms in op.lattice_form(tol):
+    for y, terms in op.rows:
         acc = 0
         for target, c in terms:
             acc += c * F(target)
@@ -254,11 +200,10 @@ def apply(
 
 def _bounds(op: DifferenceOperator, F: Callable, tol: Scalar) -> dict:
     """The tolerance of (op F)(y) at each lattice point y: tol times the
-    larger of 1 and the summed magnitudes |c_s(y) F(y+s)| of its stencil
-    terms."""
+    larger of 1 and the summed magnitudes |c F(target)| of its terms."""
     return {
         y: tol * max(1, sum(abs(c * F(t)) for t, c in terms) / op.scale)
-        for y, terms in op.lattice_form(tol)
+        for y, terms in op.rows
     }
 
 
@@ -271,7 +216,7 @@ def _misses(
     integers, and each point is compared on ints; a Fraction is built
     only for a miss."""
     ints, S = clear_denominators(line)
-    got = apply(op, lambda y: ints[reduced[y]], tol)
+    got = apply(op, lambda y: ints[reduced[y]])
     bounds = _bounds(op, lambda y: line[reduced[y]], tol) if tol else {}
     num, den = ev.numerator, ev.denominator
     for y, g in got.items():
@@ -296,9 +241,9 @@ def check_eigen(
     failures = []
     max_resid = 0
 
-    ops_second = [operator_mtilde(kappa, N, i, tol) for i in range(1, d + 1)]
-    ops_first = [operator_m(kappa, N, i, tol) for i in range(1, d + 1)]
-    universal = operator_universal(kappa, N, tol)
+    ops_second = [operator_mtilde(kappa, N, i) for i in range(1, d + 1)]
+    ops_first = [operator_m(kappa, N, i) for i in range(1, d + 1)]
+    universal = operator_universal(kappa, N)
 
     # columns are the rows of the transposed table, as the mirror family
     # is the tilde family of the involuted set
@@ -341,13 +286,13 @@ def check_universal(
     """Eigenvalue -|m| on every table row, plus the identity
     universal = -(sum of the tilde-shifting generators) - dN/(d+1) as the
     matrix identity p 1^t - I = -sum_i M_i - d/(d+1) I of the matrices
-    whose stencils they are (M_i = `liemod.mirror_closed_form`).  The
-    stencil is linear in its matrix, so this gives the stencil identity
-    at every N; it collapses the u-dependence via the defining matrix
+    the operators are built from (M_i = `liemod.mirror_closed_form`).
+    The action is linear in its matrix, so this gives the operator
+    identity at every N; it collapses the u-dependence via the defining matrix
     equation, and its trace reads sum p = 1."""
     tab = values if values is not None else hyperg.table(kappa, N)
     reduced = {pt[1:]: idx for idx, pt in enumerate(tab.points)}
-    universal = operator_universal(kappa, N, tol)
+    universal = operator_universal(kappa, N)
     failures = []
     max_resid = 0
 
@@ -384,12 +329,12 @@ def check_universal(
     )
 
 
-def _compose(a: DifferenceOperator, b: DifferenceOperator, tol: Scalar) -> dict:
+def _compose(a: DifferenceOperator, b: DifferenceOperator) -> dict:
     """The product ab as a matrix scaled by D_a D_b: {y: {z: entry}},
     row y of a's lattice form times the rows of b's, on ints."""
-    rows_b = dict(b.lattice_form(tol))
+    rows_b = dict(b.rows)
     out = {}
-    for y, terms in a.lattice_form(tol):
+    for y, terms in a.rows:
         row: dict = {}
         for x, c in terms:
             for z, e in rows_b[x]:
@@ -410,19 +355,15 @@ def check_commute(kappa: ParameterSet, N: int, tol: Scalar = 0) -> CheckReport:
     failures = []
     pair_count = 0
     families = {
-        "second_index_family": [
-            operator_mtilde(kappa, N, i, tol) for i in range(1, d + 1)
-        ],
-        "first_index_family": [
-            operator_m(kappa, N, i, tol) for i in range(1, d + 1)
-        ],
+        "second_index_family": [operator_mtilde(kappa, N, i) for i in range(1, d + 1)],
+        "first_index_family": [operator_m(kappa, N, i) for i in range(1, d + 1)],
     }
     for family_name, ops in families.items():
         for a in range(len(ops)):
             for b in range(a + 1, len(ops)):
                 pair_count += 1
-                ab = _compose(ops[a], ops[b], tol)
-                ba = _compose(ops[b], ops[a], tol)
+                ab = _compose(ops[a], ops[b])
+                ba = _compose(ops[b], ops[a])
                 bound = tol * ops[a].scale * ops[b].scale
                 misses = sorted(
                     (index[y0], index[y])

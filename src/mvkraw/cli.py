@@ -284,11 +284,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         kap = _load_kappa(args.kappa, mode, tol)
         try:
             if args.operator == "mtilde":
-                op = bispec.operator_mtilde(kap, args.N, args.i, tol)
+                op = bispec.operator_mtilde(kap, args.N, args.i)
             elif args.operator == "m":
-                op = bispec.operator_m(kap, args.N, args.i, tol)
+                op = bispec.operator_m(kap, args.N, args.i)
             else:
-                op = bispec.operator_universal(kap, args.N, tol)
+                op = bispec.operator_universal(kap, args.N)
         except IndexError as exc:
             raise UsageError(str(exc)) from exc
         _emit(

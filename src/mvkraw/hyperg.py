@@ -222,11 +222,13 @@ def table_to_json_dict(tab: PolynomialTable) -> dict:
 def table_from_json_dict(obj: dict, mode: str = EXACT, tol: Scalar = 0) -> PolynomialTable:
     try:
         kap = kappa_mod.from_json_dict(obj["kappa"], mode, tol)
-        N = int(obj["N"])
+        N = obj["N"]
         order = obj["order"]
         raw = obj["values"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed table object: {exc}") from exc
+    if isinstance(N, bool) or not isinstance(N, int) or N < 0:
+        raise ValueError(f"table N must be a non-negative integer, got {N!r}")
     if order != "grlex":
         raise ValueError(f"unknown table order {order!r}")
     points = tuple(enumerate_lattice(kap.d, N))

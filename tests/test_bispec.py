@@ -1,10 +1,11 @@
-"""Difference operators: stencils, boundary behavior, eigen checks."""
+"""Difference operators: matrices, lattice forms, stencils, eigen checks."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
-from mvkraw import bispec, hyperg, kappa, liemod
+from mvkraw import bispec, hyperg, kappa, liemod, linalg
 from mvkraw.bispec import AffineCoeff
 from mvkraw.numeric import enumerate_degree_points, format_scalar
 
@@ -21,14 +22,20 @@ def milch2():
     return kappa.family_milch([F(1, 2), F(1, 4), F(1, 4)])
 
 
+def affine_at(coeff, y):
+    """An affine stencil coefficient evaluated at the reduced point y."""
+    return coeff.constant + sum(c * a for c, a in zip(coeff.linear, y))
+
+
 def plain_apply(op, func):
-    """(op F)(y) from the stencil's own coefficients in Fractions, with
-    no lattice form and no scaling: the reference for `apply`."""
+    """(op F)(y) from the affine coefficients of the operator's stencil
+    dump, evaluated in Fractions, with no lattice form and no scaling:
+    the reference for `apply`."""
     out = {}
     for y in enumerate_degree_points(op.d, op.N):
         total = F(0)
         for s, coeff in op.stencil.items():
-            c = coeff(y)
+            c = affine_at(coeff, y)
             if c != 0:
                 total += c * func(tuple(a + b for a, b in zip(y, s)))
         out[y] = total
@@ -55,11 +62,6 @@ def plain_eigen(tab, ops_rows, ops_columns, record):
 
 
 class TestAffineCoeff:
-    def test_evaluate(self):
-        c = AffineCoeff(F(1, 2), (2, -1))
-        assert c((3, 4)) == F(1, 2) + 6 - 4
-        assert c((0, 0)) == F(1, 2)
-
     def test_algebra(self):
         assert AffineCoeff(0, (0, 0)).is_zero()
         assert not AffineCoeff(1, (2, 0)).is_zero()
@@ -68,6 +70,16 @@ class TestAffineCoeff:
     def test_json_form(self):
         c = AffineCoeff(F(1, 3), (F(-2, 5), 0))
         assert c.to_json_dict() == {"constant": "1/3", "linear": ["-2/5", "0"]}
+
+
+FAMILIES = [
+    pytest.param(kappa.griffiths_from_p([F(1, 2), F(1, 2)]), 4, id="classical-d1"),
+    pytest.param(kappa.family_milch([F(1, 3), F(2, 3)]), 3, id="milch-d1"),
+    pytest.param(kappa.family_milch([F(1, 2), F(1, 4), F(1, 4)]), 3, id="milch-d2"),
+    pytest.param(kappa.family_hoare_rahman(1, 2, 3, 4), 2, id="hr"),
+    pytest.param(kappa.family_ds(F(2), 2), 2, id="ds-d2"),
+    pytest.param(kappa.family_ds(F(2), 3), 2, id="ds-d3"),
+]
 
 
 class TestStencils:
@@ -112,18 +124,19 @@ class TestStencils:
                 )
 
     @pytest.mark.parametrize(
-        "k",
-        [
-            kappa.family_hoare_rahman(1, 2, 3, 4),
-            kappa.family_milch([F(1, 2), F(1, 4), F(1, 8), F(1, 8)]),
-            kappa.family_ds(F(3), 1),
+        "k,N",
+        FAMILIES
+        + [
+            pytest.param(
+                kappa.family_milch([F(1, 2), F(1, 4), F(1, 8), F(1, 8)]), 3, id="milch-d3"
+            ),
+            pytest.param(kappa.family_ds(F(3), 1), 3, id="ds-d1"),
         ],
-        ids=["hr", "milch-d3", "ds-d1"],
     )
-    def test_stencils_are_the_lie_action(self, k):
-        # row y of a lattice form, divided by D, is the image of x^lam,
-        # lam = (N - |y|, y), under the matrix the operator is built from
-        N = 3
+    def test_stencils_are_the_lie_action(self, k, N):
+        # each operator is built from the matrix it is said to act by, and
+        # its dumped stencil, evaluated at every point y, is row y of its
+        # integer lattice form divided by D
         p_ones = tuple(tuple(x - (r == c) for c in range(k.d + 1)) for r, x in enumerate(k.p))
         ops = [(bispec.operator_universal(k, N), p_ones)]
         for i in range(1, k.d + 1):
@@ -131,11 +144,18 @@ class TestStencils:
             ops.append(
                 (bispec.operator_m(k, N, i), liemod.mirror_closed_form(kappa.involute(k), i))
             )
-        full = lambda y: (N - sum(y),) + tuple(y)
         for op, M in ops:
-            for y, terms in op.lattice_form():
-                row = {full(t): F(c, op.scale) for t, c in terms}
-                assert row == liemod.act(M, liemod.monomial(full(y))).coeffs, op.name
+            assert op.matrix == M, op.name
+            D = op.scale
+            assert D == math.lcm(*(F(x).denominator for row in M for x in row))
+            for y, terms in op.rows:
+                assert all(type(c) is int for _, c in terms)
+                want = {
+                    tuple(a + b for a, b in zip(y, s)): affine_at(c, y)
+                    for s, c in op.stencil.items()
+                }
+                want = {t: c for t, c in want.items() if c != 0}
+                assert {t: F(c, D) for t, c in terms} == want, op.name
 
     def test_stencil_json(self):
         op = bispec.operator_mtilde(milch1(), 2, 1)
@@ -150,8 +170,10 @@ class TestStencils:
 
 class TestApply:
     def test_identity(self):
+        # the identity matrix acts on degree-N monomials as N, so I/N
+        # gives the identity operator
         op = bispec.DifferenceOperator(
-            2, 3, {(0, 0): AffineCoeff(1, (0, 0))}, None, "identity"
+            linalg.mat_scale(F(1, 3), linalg.identity(3)), 3, None, "identity"
         )
         out = bispec.apply(op, lambda y: sum(y) + 1)
         assert all(out[y] == sum(y) + 1 for y in out)
@@ -173,85 +195,48 @@ class TestApply:
         ):
             bispec.apply(op, guarded)
 
-    def test_outward_shift_detected(self):
-        # hand-built broken stencil: constant coefficient on an outward
-        # shift survives at the boundary
-        bad = bispec.DifferenceOperator(
-            1, 2, {(1,): AffineCoeff(1, (0,))}, None, "broken"
+    @pytest.mark.parametrize("scalar", [F, float], ids=["exact", "approx"])
+    def test_any_matrix_stays_on_the_lattice(self, scalar):
+        # a dense matrix with no zero entry: every outward term carries
+        # the integer lam_l, which is 0 on the face it would leave, so
+        # even arbitrary float entries never reach outside the simplex
+        d, N = 3, 4
+        M = tuple(
+            tuple(scalar(F(3 * r + c + 1, 7 + r * c)) for c in range(d + 1))
+            for r in range(d + 1)
         )
-        with pytest.raises(AssertionError, match="outside"):
-            bispec.apply(bad, lambda y: 1)
-
-    def test_lattice_form_respects_tol(self):
-        # a coefficient that is tiny but not zero where its shift leaves
-        # the lattice: refused exactly, dropped within a tolerance
-        op = bispec.DifferenceOperator(
-            1, 2, {(1,): AffineCoeff(0.0, (1e-12,))}, None, "tiny"
-        )
-        with pytest.raises(AssertionError, match="leaves the lattice"):
-            op.lattice_form()
-        assert op.lattice_form(1e-10) == (((0,), ()), ((1,), ()), ((2,), ()))
-        assert op.lattice_form(1e-10) is op.lattice_form(1e-10)
-
-    def test_approx_constructors_take_tol(self):
-        # float round-off leaves a residual near 1e-15 on an outward
-        # shift of the DS family at N = 6
-        k = kappa.from_json_dict(
-            kappa.to_json_dict(kappa.family_ds(F(3), 2)), "approx", 1e-10
-        )
-        with pytest.raises(AssertionError, match="leaves the lattice"):
-            bispec.operator_m(k, 6, 1)
-        for op in (
-            bispec.operator_mtilde(k, 6, 1, 1e-10),
-            bispec.operator_m(k, 6, 1, 1e-10),
-            bispec.operator_universal(k, 6, 1e-10),
-        ):
-            assert len(op.lattice_form(1e-10)) == 28
-
-    def test_kept_integer_coefficient_leaving_simplex_raises(self):
-        # an exact coefficient is kept as c D on ints; the refusal still
-        # names the coefficient itself
-        op = bispec.DifferenceOperator(
-            2, 2, {(1, 0): AffineCoeff(F(1, 3), (F(1, 2), 0))}, None, "broken"
-        )
-        assert op.scale == 6
-        with pytest.raises(AssertionError, match=r"leaves the lattice with coefficient 4/3"):
-            op.lattice_form()
-
-    def test_integer_form_is_the_stencil_times_scale(self):
-        small = kappa.family_hoare_rahman(F(17, 101), F(-3, 7), F(29, 113), F(5, 211))
-        for op in (
-            bispec.operator_mtilde(kappa.family_hoare_rahman(1, 2, 3, 4), 3, 2),
-            bispec.operator_m(small, 2, 1),
-            bispec.operator_universal(milch2(), 3),
-        ):
-            D = op.scale
-            assert D > 1
-            for y, terms in op.lattice_form():
-                want = [
-                    (tuple(a + b for a, b in zip(y, s)), c(y))
-                    for s, c in op.stencil.items()
-                    if c(y) != 0
-                ]
-                assert all(type(c) is int for _, c in terms)
-                assert [(t, F(c, D)) for t, c in terms] == want
+        op = bispec.DifferenceOperator(M, N, None, "dense")
+        pts = list(enumerate_degree_points(d, N))
+        assert [y for y, _ in op.rows] == pts
+        for y, terms in op.rows:
+            assert {t for t, _ in terms} <= set(pts)
+            assert len(terms) <= d * d + d + 1
+        assert sum(len(terms) for _, terms in op.rows) < len(pts) * (d * d + d + 1)
+        if scalar is F:
+            assert op.scale == math.lcm(*(x.denominator for row in M for x in row))
+        else:
+            assert op.scale == 1
 
     def test_approx_operator_keeps_floats_unscaled(self):
-        k = kappa.from_json_dict(
-            kappa.to_json_dict(kappa.family_hoare_rahman(1, 2, 3, 4)), "approx", 1e-10
-        )
-        for op in (
-            bispec.operator_mtilde(k, 3, 1, 1e-10),
-            bispec.operator_m(k, 3, 2, 1e-10),
-            bispec.operator_universal(k, 3, 1e-10),
+        # a float matrix is not scaled (D = 1), and its lattice form agrees
+        # with the exact one within round-off, target by target
+        exact = kappa.family_hoare_rahman(1, 2, 3, 4)
+        k = kappa.from_json_dict(kappa.to_json_dict(exact), "approx", 1e-10)
+        for build, args in (
+            (bispec.operator_mtilde, (3, 1)),
+            (bispec.operator_m, (3, 2)),
+            (bispec.operator_universal, (3,)),
         ):
+            op, ref = build(k, *args), build(exact, *args)
             assert op.scale == 1
-            coeffs = [c for _, terms in op.lattice_form(1e-10) for _, c in terms]
+            coeffs = [c for _, terms in op.rows for _, c in terms]
             assert coeffs and all(type(c) is float for c in coeffs)
-            for y, terms in op.lattice_form(1e-10):
-                assert [c for _, c in terms] == [
-                    c(y) for c in op.stencil.values() if abs(c(y)) > 1e-10
-                ]
+            for (y, terms), (z, want) in zip(op.rows, ref.rows):
+                assert y == z
+                got, want = dict(terms), {t: F(c, ref.scale) for t, c in want}
+                for t in got.keys() | want.keys():
+                    w = want.get(t, 0)
+                    assert abs(got.get(t, 0) - w) <= 1e-12 * max(1, abs(w))
 
     def test_apply_equals_plain_fractions(self):
         k = kappa.family_hoare_rahman(F(17, 101), F(-3, 7), F(29, 113), F(5, 211))
@@ -262,23 +247,6 @@ class TestApply:
             bispec.operator_universal(k, 3),
         ):
             assert bispec.apply(op, func) == plain_apply(op, func)
-
-    def test_construction_asserts_boundary(self):
-        # the lattice form is where the boundary is checked
-        with pytest.raises(AssertionError, match="leaves the lattice"):
-            bispec.DifferenceOperator(
-                1, 2, {(-1,): AffineCoeff(1, (0,))}, None, "broken"
-            ).lattice_form()
-
-
-FAMILIES = [
-    pytest.param(kappa.griffiths_from_p([F(1, 2), F(1, 2)]), 4, id="classical-d1"),
-    pytest.param(kappa.family_milch([F(1, 3), F(2, 3)]), 3, id="milch-d1"),
-    pytest.param(kappa.family_milch([F(1, 2), F(1, 4), F(1, 4)]), 3, id="milch-d2"),
-    pytest.param(kappa.family_hoare_rahman(1, 2, 3, 4), 2, id="hr"),
-    pytest.param(kappa.family_ds(F(2), 2), 2, id="ds-d2"),
-    pytest.param(kappa.family_ds(F(2), 3), 2, id="ds-d3"),
-]
 
 
 class TestEigenChecks:
@@ -443,7 +411,7 @@ class TestCommute:
         name = f"operator_{family}"
         original = getattr(bispec, name)
         monkeypatch.setattr(
-            bispec, name, lambda kap, N, i, tol=0: original(other if i == 2 else kap, N, i, tol)
+            bispec, name, lambda kap, N, i: original(other if i == 2 else kap, N, i)
         )
         rep = bispec.check_commute(k, N)
         assert not rep.passed
@@ -466,6 +434,19 @@ class TestCommute:
                 if ab[y] != ba[y]
             ]
         assert want and rep.failures == want
+
+    def test_checks_make_no_involute_call(self, monkeypatch):
+        # the mirror family reads the closed form off kappa itself, so
+        # neither check validates the involuted set again
+        k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        tab = hyperg.table(k, 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kappa.involute called")
+
+        monkeypatch.setattr(kappa, "involute", refuse)
+        assert bispec.check_eigen(k, 2, values=tab).passed
+        assert bispec.check_commute(k, 2).passed
 
     def test_d1_is_vacuous(self):
         rep = bispec.check_commute(milch1(), 3)

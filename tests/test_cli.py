@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import inspect
 import io
 import json
 from fractions import Fraction as F
@@ -346,6 +347,30 @@ class TestTableFlow:
             {"expansion": "plain-over-substituted", "at": row},
         ]
 
+    @pytest.mark.parametrize(
+        "N,values",
+        [(2.5, None), (-1, []), (True, None), ("2", None)],
+        ids=["fraction", "negative", "bool", "string"],
+    )
+    def test_table_bad_N_exit_2(self, capsys, milch2_file, tmp_path, N, values):
+        # N is refused unless it is a JSON integer >= 0: 2.5 is not read
+        # as 2, and -1 with no values is not an empty table
+        tab_path = tmp_path / "table.json"
+        run(capsys, "table", "--kappa", milch2_file, "--N", "2",
+            "--output", str(tab_path))
+        obj = json.loads(tab_path.read_text())
+        obj["N"] = N
+        if values is not None:
+            obj["values"] = values
+        tab_path.write_text(json.dumps(obj))
+        for suites in ("orthogonality", "def11,lemma21"):
+            code, out, err = run(
+                capsys, "check", "--table", str(tab_path), "--suite", suites
+            )
+            assert code == 2
+            assert out == ""
+            assert err == f"error: table N must be a non-negative integer, got {N!r}\n"
+
     def test_table_kappa_mismatch_exit_2(self, capsys, milch2_file, classical_file, tmp_path):
         tab_path = tmp_path / "table.json"
         run(capsys, "table", "--kappa", milch2_file, "--N", "2",
@@ -396,8 +421,9 @@ class TestModes:
         assert json.loads(out)["pass"] is True
 
     def test_approx_recurrence_survives_round_off(self, capsys, tmp_path):
-        # float round-off leaves residuals near 1e-15 on outward shifts
-        # of this set; the stencils are built at the run's eps
+        # float round-off leaves residuals near 1e-15 in the affine
+        # coefficients of this set's outward shifts; the lattice forms
+        # read the integer lam_l instead, which is exactly 0 there
         ds = write_kappa(tmp_path, kappa.family_ds(F(3), 2))
         code, out, _ = run(
             capsys,
@@ -410,6 +436,21 @@ class TestModes:
             capsys,
             "--mode", "approx",
             "check", "--kappa", ds, "--N", "6", "--suite", "universal,commute",
+        )
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
+    def test_approx_operators_take_no_tolerance(self, capsys, tmp_path):
+        # the operators are built with no tolerance at all; only the
+        # comparisons of the three stencil suites use the run's eps
+        for fn in (bispec.operator_mtilde, bispec.operator_m, bispec.operator_universal,
+                   bispec.apply, bispec._compose):
+            assert "tol" not in inspect.signature(fn).parameters, fn.__name__
+        ds = write_kappa(tmp_path, kappa.family_ds(F(3), 2))
+        code, out, _ = run(
+            capsys,
+            "--mode", "approx",
+            "check", "--kappa", ds, "--N", "6", "--suite", "recurrence,universal,commute",
         )
         assert code == 0
         assert json.loads(out)["pass"] is True
@@ -577,23 +618,19 @@ def test_negative_N_exit_2(capsys, milch2_file, argv):
 
 class TestInternalErrors:
     def test_internal_assertion_exit_4(self, capsys, milch2_file, monkeypatch):
-        # a hand-built universal operator whose constant shift leaves the
-        # lattice: the boundary refusal is an internal error, not a
-        # failed check
-        def broken(k, N, tol=0):
-            return bispec.DifferenceOperator(
-                k.d, N, {(1, 0): bispec.AffineCoeff(F(1, 2), (0, 0))},
-                lambda m: -sum(m), "universal",
-            )
-
-        monkeypatch.setattr(bispec, "operator_universal", broken)
+        # a set corrupted past validation (pt_1 moved by 1/7) breaks the
+        # conjugator's inverse: an internal error, not a failed check
+        k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        pt = (k.pt[0], k.pt[1] + F(1, 7)) + k.pt[2:]
+        corrupt = kappa.ParameterSet(k.d, k.nu, k.p, pt, k.u)
+        monkeypatch.setattr(cli, "_load_kappa", lambda path, mode, tol: corrupt)
         code, out, err = run(
-            capsys, "check", "--kappa", milch2_file, "--N", "2", "--suite", "universal"
+            capsys, "check", "--kappa", milch2_file, "--N", "2", "--suite", "norms"
         )
         assert code == 4
         assert out == ""
-        assert err.startswith("error: internal invariant failed: universal: shift (1, 0)")
-        assert "leaves the lattice" in err
+        assert err.startswith("error: internal invariant failed: ")
+        assert "conjugator inverse failed; parameter set corrupt" in err
 
     def test_approx_overflow_exit_5(self, capsys, tmp_path):
         # N!^2 is beyond the float range at N = 100; exact mode is unchanged

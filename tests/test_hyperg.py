@@ -190,6 +190,10 @@ class TestTable:
         bad["values"] = obj["values"][:-1]
         with pytest.raises(ValueError, match="dimensions"):
             hyperg.table_from_json_dict(bad)
+        for N in (2.5, -1, True, "2"):
+            bad = dict(obj, N=N)
+            with pytest.raises(ValueError, match="table N must be a non-negative integer"):
+                hyperg.table_from_json_dict(bad)
 
 
 class TestOrthogonality:
