@@ -17,13 +17,14 @@ the reduced degree; as the action is linear in its matrix, its identity
 with minus the sum of one family less a multiple of the identity is
 checked once, as a matrix identity.
 
-An operator is built from its matrix alone.  M is scaled to integers
-once by D, the lcm of its denominators, and the lattice form `rows` is
-`liemod.act` of D M on every monomial, read at reduced points: for
-every point the (target, c D) pairs, on Python ints.  A float matrix
-keeps its floats, with D = 1, so approximate mode runs the same code.
-The action stays on the lattice: an outward term carries the integer
-lam_l, which is 0 exactly where the shift would leave the simplex.  `apply` sums each point's terms and divides by D once; the
+An operator is built from its matrix alone.  On first use M is scaled
+to integers once by D, the lcm of its denominators, and the lattice
+form `rows` is `liemod.act` of D M on every monomial, read at reduced
+points: for every point the (target, c D) pairs, on Python ints.  A
+float matrix keeps its floats, with D = 1, so approximate mode runs the
+same code.  The action stays on the lattice: an outward term carries
+the integer lam_l, which is 0 exactly where the shift would leave the
+simplex.  `apply` sums each point's terms and divides by D once; the
 eigen checks feed it table lines scaled to integers, and
 `check_commute` composes two integer forms directly, so a Fraction is
 built once per lattice point, or only for a failure.  The affine form
@@ -34,7 +35,8 @@ of the action, one coefficient per shift that is affine in the point
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -78,16 +80,17 @@ class DifferenceOperator:
     takes the reduced opposite-side index).  `scale` is D, the lcm of
     the matrix's denominators (1 when an entry is a float), and `rows`
     the lattice form: one (y, ((target, c D), ...)) record per reduced
-    point y in layout order, the terms of D M acting on x^lam."""
+    point y in layout order, the terms of D M acting on x^lam.  Both are
+    built on first use, so the `stencil` dump, which reads neither,
+    never acts on the lattice."""
 
     matrix: Matrix
     N: int
     eigenvalue: Callable | None
     name: str
-    scale: int = field(init=False, repr=False)
-    rows: tuple = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    @functools.cached_property
+    def _lattice_form(self) -> tuple:
         ints, D = clear_denominators([x for row in self.matrix for x in row])
         it = iter(ints)
         scaled = tuple(tuple(next(it) for _ in row) for row in self.matrix)
@@ -95,8 +98,10 @@ class DifferenceOperator:
         for lam in enumerate_lattice(self.d, self.N):
             image = liemod.act(scaled, liemod.monomial(lam)).coeffs
             rows.append((lam[1:], tuple((mu[1:], c) for mu, c in image.items())))
-        object.__setattr__(self, "scale", D)
-        object.__setattr__(self, "rows", tuple(rows))
+        return D, tuple(rows)
+
+    scale = property(lambda self: self._lattice_form[0])
+    rows = property(lambda self: self._lattice_form[1])
 
     @property
     def d(self) -> int:
@@ -230,13 +235,13 @@ def check_eigen(
     kappa: ParameterSet,
     N: int,
     tol: Scalar = 0,
-    values: hyperg.PolynomialTable | None = None,
+    *,
+    tab: hyperg.PolynomialTable,
 ) -> CheckReport:
     """Both generator families against a full table: rows are
     eigenfunctions of the tilde-shifting family, columns of the mirror
     family, and everything of the universal operator."""
     d = kappa.d
-    tab = values if values is not None else hyperg.table(kappa, N)
     reduced = {pt[1:]: idx for idx, pt in enumerate(tab.points)}
     failures = []
     max_resid = 0
@@ -281,7 +286,8 @@ def check_universal(
     kappa: ParameterSet,
     N: int,
     tol: Scalar = 0,
-    values: hyperg.PolynomialTable | None = None,
+    *,
+    tab: hyperg.PolynomialTable,
 ) -> CheckReport:
     """Eigenvalue -|m| on every table row, plus the identity
     universal = -(sum of the tilde-shifting generators) - dN/(d+1) as the
@@ -290,7 +296,6 @@ def check_universal(
     The action is linear in its matrix, so this gives the operator
     identity at every N; it collapses the u-dependence via the defining matrix
     equation, and its trace reads sum p = 1."""
-    tab = values if values is not None else hyperg.table(kappa, N)
     reduced = {pt[1:]: idx for idx, pt in enumerate(tab.points)}
     universal = operator_universal(kappa, N)
     failures = []

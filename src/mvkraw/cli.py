@@ -214,7 +214,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.verb == "params-involute":
         kap = _load_kappa(args.kappa, mode, tol)
-        _emit(kappa_mod.to_json_dict(kappa_mod.involute(kap)), args.output)
+        _emit(kappa_mod.to_json_dict(kappa_mod.involute(kap, tol)), args.output)
         return EXIT_OK
 
     if args.verb == "eval":
@@ -229,7 +229,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             else:
                 n = (args.N - sum(m),) + m
                 nt = (args.N - sum(mt),) + mt
-                value = liemod.pairing_eval(kap, args.N, n, nt)
+                conj = liemod.conjugator(kap, tol)
+                value = liemod.pairing_eval(kap, args.N, n, nt, conj)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         print(format_scalar(value))

@@ -244,7 +244,8 @@ def check_orthogonality(
     kappa: ParameterSet,
     N: int,
     tol: Scalar = 0,
-    values: PolynomialTable | None = None,
+    *,
+    tab: PolynomialTable,
 ) -> CheckReport:
     """Both diagonalization identities over the table.
 
@@ -256,7 +257,6 @@ def check_orthogonality(
     diagonal values of its side.  Failures carry the residual, the
     columns and rows side of each pair in turn.
     """
-    tab = values if values is not None else table(kappa, N)
     points = tab.points
     nu_pow = exactify(kappa.nu) ** N
     nfact = math.factorial(N)
@@ -298,14 +298,14 @@ def check_duality(
     kappa: ParameterSet,
     N: int,
     tol: Scalar = 0,
-    values: PolynomialTable | None = None,
+    *,
+    tab: PolynomialTable,
 ) -> CheckReport:
     """The table is the transpose of the involuted set's: row n of the
-    table (kernel sums when none is given) against the generating
-    column of n' for the involuted set, one expansion per row, so the
-    check crosses the two routes.  In approx mode a pair passes within
-    tol times the larger of 1 and the two values."""
-    tab = values if values is not None else table(kappa, N)
+    table against the generating column of n' for the involuted set, one
+    expansion per row, so the check crosses the two routes.  In approx
+    mode a pair passes within tol times the larger of 1 and the two
+    values."""
     dual = kappa_mod.involute(kappa, tol)
     failures = []
     for n, row in zip(tab.points, tab.values):

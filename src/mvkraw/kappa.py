@@ -182,7 +182,7 @@ def validate(
     return ParameterSet(len(p) - 1, nu, tuple(p), tuple(pt), linalg.freeze(u))
 
 
-def involute(kappa: ParameterSet, tol: Scalar = 0) -> ParameterSet:
+def involute(kappa: ParameterSet, tol: Scalar) -> ParameterSet:
     """Swap the two weight vectors and transpose the mixing matrix.
 
     Validity of the image is a consequence of the defining identity, so

@@ -24,16 +24,15 @@ recovers P(n', nt') up to an explicit constant and serves as the third
 evaluation route.  Substituting y_j = pt_j x_j turns xt^nt into the
 generating function of `hyperg.generating_column`, so both routes
 expand through the one core `numeric.expand_forms`, as does the inverse
-substitution of `to_dual_coords`.  A `Conjugator` expands each power of
-its columns once per direction and keeps it, so a check that holds one
-conjugator never expands the same xt^lam twice.
+substitution of `to_dual_coords`.  The module suites read X as one
+`expansion_matrix`, made once per run from the run's one conjugator.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hyperg, linalg
@@ -89,21 +88,9 @@ class Conjugator:
 
     rhat: Matrix
     rhat_inv: Matrix
-    _expansions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def expand(self, lam: MultiIndex, inverse: bool = False) -> dict:
-        """prod_k (sum_j M[j][k] y_j)^lam_k over y-monomials, M = rhat_inv
-        if inverse else rhat, expanded once per conjugator and direction;
-        the dict returned is shared, so callers must not change it."""
-        key = (inverse, tuple(lam))
-        out = self._expansions.get(key)
-        if out is None:
-            matrix = self.rhat_inv if inverse else self.rhat
-            out = self._expansions[key] = expand_forms(tuple(zip(*matrix)), key[1])
-        return out
 
 
-def conjugator(kappa: ParameterSet, tol: Scalar = 0) -> Conjugator:
+def conjugator(kappa: ParameterSet, tol: Scalar) -> Conjugator:
     """The conjugator of kappa, its inverse checked at `tol_for(kappa, tol)`."""
     rhat = linalg.mat_mul(linalg.diagonal(kappa.pt), linalg.transpose(kappa.u))
     rhat_inv = linalg.mat_scale(
@@ -176,12 +163,13 @@ def _expect(failures: list, tol: Scalar, tag: str, got: Matrix, want: Matrix) ->
         )
 
 
-def check_lemma21(kappa: ParameterSet, tol: Scalar = 0, seed: int = 0) -> CheckReport:
+def check_lemma21(
+    kappa: ParameterSet, tol: Scalar = 0, *, conj: Conjugator
+) -> CheckReport:
     """The antiautomorphism suite: fixed points, transport of matrix
     units with weight ratios, involutivity, and product reversal on a
     seeded random sample."""
     d = kappa.d
-    conj = conjugator(kappa, tol)
     tol = tol_for(kappa, tol)
     failures = []
 
@@ -213,7 +201,7 @@ def check_lemma21(kappa: ParameterSet, tol: Scalar = 0, seed: int = 0) -> CheckR
         )
         _expect(failures, tol, f"a(a(e_{i}{j})) = e_{i}{j}", antiauto(kappa, image), e)
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
 
     def rand_matrix() -> Matrix:
         return tuple(
@@ -236,7 +224,9 @@ def check_lemma21(kappa: ParameterSet, tol: Scalar = 0, seed: int = 0) -> CheckR
     return CheckReport("lemma21", not failures, failures, {"samples": 20})
 
 
-def check_generation(kappa: ParameterSet, tol: Scalar = 0) -> CheckReport:
+def check_generation(
+    kappa: ParameterSet, tol: Scalar = 0, *, conj: Conjugator
+) -> CheckReport:
     """Bracket-generation suite: the conjugated phi_0 against minus the
     sum of the others, both closed forms (every conjugated phi_i over
     the plain basis, and every plain phi_i, i >= 1, as the conjugation
@@ -244,7 +234,6 @@ def check_generation(kappa: ParameterSet, tol: Scalar = 0) -> CheckReport:
     matrix unit from the plain Cartan elements and the single dual
     phi_0."""
     d = kappa.d
-    conj = conjugator(kappa, tol)
     tol = tol_for(kappa, tol)
     failures = []
 
@@ -356,27 +345,27 @@ def _add_scaled(acc: dict, coeffs: dict, c: Scalar) -> None:
         acc[lam] = acc.get(lam, 0) + c * v
 
 
-def xtilde_monomial(
-    kappa: ParameterSet, N: int, lam: MultiIndex, conj: Conjugator | None = None
-) -> HomogPoly:
+def xtilde_monomial(conj: Conjugator, lam: MultiIndex) -> HomogPoly:
     """The substituted monomial xt^lam = prod_k (sum_j x_j rhat[j][k])^lam_k
     expanded over plain monomials."""
     lam = tuple(lam)
-    if sum(lam) != N:
-        raise DegreeMismatchError(f"|{lam}| != {N}")
-    conj = conj if conj is not None else conjugator(kappa)
-    return HomogPoly(N, conj.expand(lam))
+    return HomogPoly(sum(lam), expand_forms(tuple(zip(*conj.rhat)), lam))
 
 
-def to_dual_coords(
-    kappa: ParameterSet, f: HomogPoly, conj: Conjugator | None = None
-) -> HomogPoly:
+def expansion_matrix(conj: Conjugator, points) -> dict:
+    """X[lam][n] = coeff_n(xt^lam) for every lam of `points`, in their
+    order, as {lam: {n: coefficient}} with zeros left out: one
+    expansion per point."""
+    return {lam: xtilde_monomial(conj, lam).coeffs for lam in points}
+
+
+def to_dual_coords(conj: Conjugator, f: HomogPoly) -> HomogPoly:
     """Coefficients of f over the substituted basis: apply the inverse
     substitution x = xt rhat_inv and collect."""
-    conj = conj if conj is not None else conjugator(kappa)
+    forms = tuple(zip(*conj.rhat_inv))
     out: dict = {}
     for lam, c in f.coeffs.items():
-        _add_scaled(out, conj.expand(lam, inverse=True), c)
+        _add_scaled(out, expand_forms(forms, lam), c)
     return _poly(f.degree, out)
 
 
@@ -405,26 +394,24 @@ def pairing_eval(
     N: int,
     n: MultiIndex,
     nt: MultiIndex,
-    conj: Conjugator | None = None,
+    conj: Conjugator,
 ) -> Scalar:
     """P(n', nt') = <x^n, xt^nt> / (nu^N N!); the nu^N cancels against
     the form's weight, leaving coeff_n(xt^nt) times `pairing_weight`.
     The reduced indices n[1:] and nt[1:] are refused as the other
     routes refuse them (`hyperg.check_degree_vector`), then the degrees.
-    A full-grid sweep with one conjugator expands each xt^nt once
-    (`Conjugator.expand`).
     """
     n, nt = tuple(n), tuple(nt)
     hyperg.check_degree_vector(kappa.d, N, n[1:], "m")
     hyperg.check_degree_vector(kappa.d, N, nt[1:], "mt")
     if sum(n) != N or sum(nt) != N:
         raise DegreeMismatchError(f"|{n}| or |{nt}| differs from N = {N}")
-    c = xtilde_monomial(kappa, N, nt, conj).coeffs.get(n, 0)
+    c = xtilde_monomial(conj, nt).coeffs.get(n, 0)
     return c * pairing_weight(kappa, N, n)
 
 
 def check_dual_norms(
-    kappa: ParameterSet, N: int, tol: Scalar = 0, conj: Conjugator | None = None
+    kappa: ParameterSet, N: int, tol: Scalar = 0, *, X: dict
 ) -> CheckReport:
     """Two facts about the form.  The substituted monomials are
     orthogonal for it, with norms n!/p^n (no nu power): the Gram of the
@@ -433,11 +420,10 @@ def check_dual_norms(
     the tolerance of a pair is tol times the larger of its two norms.
     And the form is contravariant for the antiautomorphism
     (`_adjoint_failures`)."""
-    conj = conj if conj is not None else conjugator(kappa, tol)
     points = tuple(enumerate_lattice(kappa.d, N))
     weights = _form_weights(kappa, N)
-    xt = [xtilde_monomial(kappa, N, lam, conj).coeffs for lam in points]
-    grams = gram([[x.get(n, 0) for n in points] for x in xt], list(weights.values()))
+    rows = [[X[lam].get(n, 0) for n in points] for lam in points]
+    grams = gram(rows, list(weights.values()))
     norms = [1 / weight_over_factorial(kappa.p, lam) for lam in points]
     failures = []
     for a, n in enumerate(points):
@@ -502,7 +488,7 @@ def _adjoint_failures(
 
 
 def check_adjacency(
-    kappa: ParameterSet, N: int, tol: Scalar = 0, conj: Conjugator | None = None
+    kappa: ParameterSet, N: int, tol: Scalar = 0, *, X: dict
 ) -> CheckReport:
     """The d recurrences as two intertwinings of the expansion matrix
     X[lam][n] = coeff_n(xt^lam), for i = 1..d and every lam:
@@ -519,14 +505,12 @@ def check_adjacency(
     tol times the larger of 1 and a bound of the terms of either side:
     the largest |X[mu][n]| of each row mu involved times its factor."""
     d = kappa.d
-    conj = conj if conj is not None else conjugator(kappa, tol)
     points = tuple(enumerate_lattice(d, N))
-    xt = [xtilde_monomial(kappa, N, lam, conj).coeffs for lam in points]
     # both sides are linear in X and in the matrices, so X and the three
     # matrices of each i are scaled to integers once, by D and K
-    ints, D = clear_denominators([c for f in xt for c in f.values()])
+    ints, D = clear_denominators([c for lam in points for c in X[lam].values()])
     it = iter(ints)
-    X = {lam: {n: next(it) for n in f} for lam, f in zip(points, xt)}
+    X = {lam: {n: next(it) for n in X[lam]} for lam in points}
     size = {lam: max(map(abs, f.values()), default=0) for lam, f in X.items()}
     failures = []
     for i in range(1, d + 1):
@@ -566,22 +550,22 @@ def check_transition(
     kappa: ParameterSet,
     N: int,
     tol: Scalar = 0,
-    values: hyperg.PolynomialTable | None = None,
-    conj: Conjugator | None = None,
+    *,
+    tab: hyperg.PolynomialTable,
+    conj: Conjugator,
+    X: dict,
 ) -> CheckReport:
     """Both basis-transition expansions as exact polynomial identities:
 
         xt^nt        = N! sum_n P(n',nt') (pt^n/n!) x^n
         x^n / nu^N   = N! sum_nt P(n',nt') (p^nt/nt!) xt^nt
 
-    with P read from the table (kernel sums when none is given), so this
-    cross-ties the module picture to the series definition.  The first
-    compares the expansion of each xt^nt with a column of the table; the
-    second reads x^n / nu^N in the substituted basis (`to_dual_coords`,
-    the inverse expansion) and compares it with a row.
+    with P read from the table, so this cross-ties the module picture to
+    the series definition.  The first compares each row X[nt] of the
+    expansion matrix with a column of the table; the second reads
+    x^n / nu^N in the substituted basis (`to_dual_coords`, the inverse
+    expansion) and compares it with a row.
     """
-    tab = values if values is not None else hyperg.table(kappa, N)
-    conj = conj if conj is not None else conjugator(kappa, tol)
     points = tab.points
     pt_w = [1 / pairing_weight(kappa, N, n) for n in points]
     nfact = math.factorial(N)
@@ -590,14 +574,13 @@ def check_transition(
 
     for c, nt in enumerate(points):
         want = {n: tab.values[r][c] * pt_w[r] for r, n in enumerate(points)}
-        got = xtilde_monomial(kappa, N, nt, conj)
-        if not polys_equal(got, _poly(N, want), tol):
+        if not polys_equal(HomogPoly(N, X[nt]), _poly(N, want), tol):
             failures.append({"expansion": "substituted-over-plain", "at": list(nt)})
 
     inv_nu_pow = 1 / exactify(kappa.nu) ** N
     for r, n in enumerate(points):
         want = {nt: tab.values[r][c] * p_w[c] for c, nt in enumerate(points)}
-        got = to_dual_coords(kappa, monomial(n, inv_nu_pow), conj)
+        got = to_dual_coords(conj, monomial(n, inv_nu_pow))
         if not polys_equal(got, _poly(N, want), tol):
             failures.append({"expansion": "plain-over-substituted", "at": list(n)})
 

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction as F
 from math import comb
 
-from mvkraw import bispec, hyperg, kappa, liemod, verify
+from mvkraw import bispec, hyperg, kappa, verify
 from mvkraw.numeric import APPROX
 
 
@@ -137,7 +137,7 @@ def test_criterion_02_three_way_agreement(capsys):
     ok = True
     runs = 0
     for name, k, N in eval_grid():
-        rep = verify.check_threeway(k, N)
+        rep = verify.run_suites(["threeway"], k, N, 0, table_for(k, N))[0]
         ok = ok and rep.passed
         runs += 1
     elapsed = time.monotonic() - t0
@@ -153,7 +153,7 @@ def test_criterion_03_orthogonality(capsys):
     ok = True
     runs = 0
     for name, k, N in eval_grid(max_n_low_d=4, max_n_d3=3):
-        rep = hyperg.check_orthogonality(k, N, values=table_for(k, N))
+        rep = hyperg.check_orthogonality(k, N, tab=table_for(k, N))
         ok = ok and rep.passed
         runs += 1
 
@@ -188,7 +188,7 @@ def test_criterion_04_bispectral_recurrences(capsys):
     ok = True
     attained = {}
     for name, k, N in eval_grid(max_n_low_d=4, max_n_d3=4):
-        rep = bispec.check_eigen(k, N, values=table_for(k, N))
+        rep = bispec.check_eigen(k, N, tab=table_for(k, N))
         ok = ok and rep.passed
         counts = rep.details["term_counts"]
         attained[(name, k.d)] = (
@@ -213,7 +213,7 @@ def test_criterion_05_universal_equation(capsys):
     ok = True
     symbolic_d2 = False
     for name, k, N in eval_grid(max_n_low_d=4, max_n_d3=4):
-        rep = bispec.check_universal(k, N, values=table_for(k, N))
+        rep = bispec.check_universal(k, N, tab=table_for(k, N))
         ok = ok and rep.passed
         if k.d == 2:
             symbolic_d2 = symbolic_d2 or rep.details["symbolic_identity"]
@@ -246,13 +246,11 @@ def test_criterion_07_lie_structure_suite(capsys):
     ok = True
     for d in (1, 2):
         for name, k in reps_by_d()[d].items():
-            reports = [liemod.check_lemma21(k), liemod.check_generation(k)]
+            reports = verify.run_suites(["lemma21", "lemma22"], k, None)
             for N in range(1, 4):
-                reports += [
-                    liemod.check_dual_norms(k, N),
-                    liemod.check_transition(k, N),
-                    liemod.check_adjacency(k, N),
-                ]
+                reports += verify.run_suites(
+                    ["norms", "transition", "adjacency"], k, N, 0, table_for(k, N)
+                )
             ok = ok and all(r.passed for r in reports)
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 30.0
@@ -271,7 +269,7 @@ def test_criterion_08_duality(capsys):
     for d in (1, 2):
         for name, k in reps_by_d()[d].items():
             for N in range(1, 5):
-                rep = hyperg.check_duality(k, N, values=table_for(k, N))
+                rep = hyperg.check_duality(k, N, tab=table_for(k, N))
                 ok = ok and rep.passed
                 runs += 1
 
@@ -280,7 +278,7 @@ def test_criterion_08_duality(capsys):
     for quad in [(1, 2, 3, 4), (F(1, 2), 2, 3, F(5, 2)), (1, 3, 5, 7)]:
         a, b, c, e = quad
         ok = ok and kappa.involute(
-            kappa.family_hoare_rahman(a, b, c, e)
+            kappa.family_hoare_rahman(a, b, c, e), 0
         ) == kappa.family_hoare_rahman(a, c, b, e)
 
     announce(
@@ -329,11 +327,11 @@ def test_criterion_10_approximate_mode(capsys):
             max_resid = max(max_resid, abs(float(rep.details["max_residual"])))
 
     for name, k, N in eval_grid():
-        track(verify.check_threeway(approx(k), N, tol))
+        track(*verify.run_suites(["threeway"], approx(k), N, tol))
     for name, k, N in eval_grid(max_n_low_d=4, max_n_d3=3):
-        track(hyperg.check_orthogonality(approx(k), N, tol))
+        track(*verify.run_suites(["orthogonality"], approx(k), N, tol))
     for name, k, N in eval_grid(max_n_low_d=4, max_n_d3=4):
-        track(bispec.check_eigen(approx(k), N, tol))
+        track(*verify.run_suites(["recurrence"], approx(k), N, tol))
 
     ok = ok and max_resid < tol
     announce(

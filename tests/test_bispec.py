@@ -104,7 +104,7 @@ class TestStencils:
         # same weights, swapped-in foreign pt and u: identical universal
         # stencils, because only p enters
         a = milch2()
-        b = kappa.involute(a)
+        b = kappa.involute(a, 0)
         assert a.u != b.u
         swapped = kappa.ParameterSet(a.d, a.nu, a.p, b.pt, b.u)
         assert (
@@ -116,7 +116,7 @@ class TestStencils:
         # the mirror generator of kappa is the plain generator of the
         # involuted set, stencil for stencil
         for k in (milch2(), kappa.family_hoare_rahman(1, 2, 3, 4)):
-            b = kappa.involute(k)
+            b = kappa.involute(k, 0)
             for i in range(1, k.d + 1):
                 assert (
                     bispec.operator_m(k, 2, i).stencil
@@ -142,7 +142,7 @@ class TestStencils:
         for i in range(1, k.d + 1):
             ops.append((bispec.operator_mtilde(k, N, i), liemod.mirror_closed_form(k, i)))
             ops.append(
-                (bispec.operator_m(k, N, i), liemod.mirror_closed_form(kappa.involute(k), i))
+                (bispec.operator_m(k, N, i), liemod.mirror_closed_form(kappa.involute(k, 0), i))
             )
         for op, M in ops:
             assert op.matrix == M, op.name
@@ -252,7 +252,7 @@ class TestApply:
 class TestEigenChecks:
     @pytest.mark.parametrize("k,N", FAMILIES)
     def test_recurrence_passes(self, k, N):
-        rep = bispec.check_eigen(k, N)
+        rep = bispec.check_eigen(k, N, tab=hyperg.table(k, N))
         assert rep.passed and rep.failures == []
         assert rep.check == "recurrence"
         assert rep.details["term_bound"] == k.d * k.d + k.d + 1
@@ -266,7 +266,7 @@ class TestEigenChecks:
 
     @pytest.mark.parametrize("k,N", FAMILIES)
     def test_universal_passes(self, k, N):
-        rep = bispec.check_universal(k, N)
+        rep = bispec.check_universal(k, N, tab=hyperg.table(k, N))
         assert rep.passed and rep.failures == []
         assert rep.details["symbolic_identity"] is True
 
@@ -279,7 +279,7 @@ class TestEigenChecks:
         broken = hyperg.PolynomialTable(
             k, 2, tab.points, tuple(tuple(r) for r in vals)
         )
-        rep = bispec.check_eigen(k, 2, values=broken)
+        rep = bispec.check_eigen(k, 2, tab=broken)
         assert not rep.passed
         # every failure names the corrupted row or column index
         pinned = (list(tab.points[r0]), list(tab.points[c0]))
@@ -295,7 +295,7 @@ class TestEigenChecks:
             near = pinned[1] if f["fixed_index"] == pinned[0] else pinned[0]
             assert max(abs(a - b) for a, b in zip(f["at"], near[1:])) <= 1
 
-        rep = bispec.check_universal(k, 2, values=broken)
+        rep = bispec.check_universal(k, 2, tab=broken)
         assert not rep.passed
         assert rep.details["symbolic_identity"] is True
         for f in rep.failures:
@@ -312,10 +312,10 @@ class TestEigenChecks:
         u = [list(row) for row in k.u]
         u[1][2] += F(1, 7)
         bad = kappa.ParameterSet(k.d, k.nu, k.p, k.pt, tuple(map(tuple, u)))
-        rep = bispec.check_universal(bad, 2, values=hyperg.table(k, 2))
+        rep = bispec.check_universal(bad, 2, tab=hyperg.table(k, 2))
         assert rep.details["symbolic_identity"] is False
         assert rep.failures == [{"identity": "universal as signed generator sum"}]
-        rep = bispec.check_universal(bad, 2)
+        rep = bispec.check_universal(bad, 2, tab=hyperg.table(bad, 2))
         assert rep.details["symbolic_identity"] is False
         assert rep.failures[-1] == {"identity": "universal as signed generator sum"}
 
@@ -350,7 +350,7 @@ class TestEigenChecks:
                 "want": format_scalar(want),
             },
         )
-        rep = bispec.check_eigen(k, N, values=tab)
+        rep = bispec.check_eigen(k, N, tab=tab)
         assert want and rep.failures == want
         assert rep.details["max_residual"] == resid
 
@@ -363,15 +363,9 @@ class TestEigenChecks:
                 "residual": format_scalar(abs(got - want)),
             },
         )
-        rep = bispec.check_universal(k, N, values=tab)
+        rep = bispec.check_universal(k, N, tab=tab)
         assert want and rep.failures == want
         assert rep.details["max_residual"] == resid
-
-    def test_reuses_supplied_table(self):
-        k = classical()
-        tab = hyperg.table(k, 3)
-        rep = bispec.check_eigen(k, 3, values=tab)
-        assert rep.passed
 
 
 class TestCommute:
@@ -445,7 +439,7 @@ class TestCommute:
             raise AssertionError("kappa.involute called")
 
         monkeypatch.setattr(kappa, "involute", refuse)
-        assert bispec.check_eigen(k, 2, values=tab).passed
+        assert bispec.check_eigen(k, 2, tab=tab).passed
         assert bispec.check_commute(k, 2).passed
 
     def test_d1_is_vacuous(self):

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mvkraw import bispec, cli, kappa
+from mvkraw import bispec, cli, kappa, liemod
 from mvkraw.numeric import enumerate_lattice
 
 
@@ -35,6 +35,25 @@ def classical_file(tmp_path):
     return write_kappa(
         tmp_path, kappa.griffiths_from_p([F(1, 2), F(1, 2)]), "classical.json"
     )
+
+
+@pytest.fixture
+def perturbed_hr_file(tmp_path):
+    # Hoare-Rahman (1,2,3,4) in decimals with one pt entry off by 1e-7 of
+    # itself: a valid set at eps 1e-6, but not at the default 1e-10
+    obj = kappa.to_json_dict(kappa.family_hoare_rahman(1, 2, 3, 4))
+    decimals = lambda xs: [repr(float(F(x))) for x in xs]
+    obj = {
+        "d": obj["d"],
+        "nu": repr(float(F(obj["nu"]))),
+        "p": decimals(obj["p"]),
+        "pt": decimals(obj["pt"]),
+        "u": [decimals(row) for row in obj["u"]],
+    }
+    obj["pt"][1] = repr(float(obj["pt"][1]) * (1 + 1e-7))
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
 
 
 class TestParamsVerbs:
@@ -536,31 +555,34 @@ class TestModes:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
-    def test_eps_reaches_internal_rechecks(self, capsys, tmp_path):
-        # decimals with one pt entry off by 1e-7 of itself: a valid set
-        # at eps 1e-6, which the conjugator and the involution must
-        # re-check at that eps too, not at the default 1e-10
-        obj = kappa.to_json_dict(kappa.family_hoare_rahman(1, 2, 3, 4))
-        decimals = lambda xs: [repr(float(F(x))) for x in xs]
-        obj = {
-            "d": obj["d"],
-            "nu": repr(float(F(obj["nu"]))),
-            "p": decimals(obj["p"]),
-            "pt": decimals(obj["pt"]),
-            "u": [decimals(row) for row in obj["u"]],
-        }
-        obj["pt"][1] = repr(float(obj["pt"][1]) * (1 + 1e-7))
-        path = tmp_path / "k.json"
-        path.write_text(json.dumps(obj))
+    def test_eps_reaches_internal_rechecks(self, capsys, perturbed_hr_file):
+        # the conjugator and the involution must re-check the set at the
+        # run's eps too, not at the default 1e-10
         code, out, _ = run(
             capsys,
             "--mode", "approx", "--eps", "1e-6",
-            "check", "--kappa", str(path), "--N", "2",
+            "check", "--kappa", perturbed_hr_file, "--N", "2",
         )
         assert code in (0, 1)
         reports = json.loads(out)["reports"]
         assert len(reports) == 12
         assert code == (0 if all(r["pass"] for r in reports) else 1)
+
+    def test_eps_reaches_params_involute(self, capsys, perturbed_hr_file):
+        code, out, err = run(
+            capsys,
+            "--mode", "approx", "--eps", "1e-6",
+            "params-involute", "--kappa", perturbed_hr_file,
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["d"] == 2
+
+    def test_eps_reaches_pairing_eval(self, capsys, perturbed_hr_file):
+        argv = ("--mode", "approx", "--eps", "1e-6", "eval", "--kappa", perturbed_hr_file,
+                "--N", "2", "--m", "1,0", "--mt", "1,0", "--method")
+        code, pairing, err = run(capsys, *argv, "pairing")
+        assert (code, err) == (0, "")
+        assert pairing == run(capsys, *argv, "hyper")[1]
 
     def test_approx_check_relative_to_large_values(self, capsys, tmp_path):
         # values of this set reach 6e5, where float round-off exceeds the
@@ -590,6 +612,19 @@ class TestStencil:
         obj = json.loads(out)
         assert obj["operator"] == "universal"
         assert len(obj["terms"]) == 7
+
+    def test_dump_builds_no_lattice_form(self, capsys, milch2_file, monkeypatch):
+        # the dump reads the affine stencil only, so no monomial is acted on
+        def refuse(*args):
+            raise AssertionError("liemod.act called")
+
+        monkeypatch.setattr(liemod, "act", refuse)
+        for operator in ("mtilde", "m", "universal"):
+            code, out, _ = run(
+                capsys,
+                "stencil", "--kappa", milch2_file, "--N", "40", "--operator", operator,
+            )
+            assert code == 0 and json.loads(out)["terms"]
 
     def test_bad_generator_index_exit_2(self, capsys, milch2_file):
         code, _, _ = run(

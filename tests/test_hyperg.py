@@ -208,7 +208,7 @@ class TestOrthogonality:
         ids=["milch-d1", "milch-d2", "ds-d2", "hr"],
     )
     def test_passes(self, k, N):
-        rep = hyperg.check_orthogonality(k, N)
+        rep = hyperg.check_orthogonality(k, N, tab=hyperg.table(k, N))
         assert rep.passed
         assert rep.failures == []
         assert rep.details["pairs"] == 2 * len(list(enumerate_lattice(k.d, N))) ** 2
@@ -221,7 +221,7 @@ class TestOrthogonality:
         broken = hyperg.PolynomialTable(
             k, 2, tab.points, tuple(tuple(r) for r in values)
         )
-        rep = hyperg.check_orthogonality(k, 2, values=broken)
+        rep = hyperg.check_orthogonality(k, 2, tab=broken)
         assert not rep.passed
         # every reported pair involves the corrupted row or column point
         touched = {tuple(tab.points[1]), tuple(tab.points[2])}
@@ -236,14 +236,14 @@ class TestOrthogonality:
     def test_approx_table_takes_float_path(self):
         k = kappa.from_json_dict(kappa.to_json_dict(milch2()), "approx", 1e-10)
         tab = hyperg.table(k, 2)
-        rep = hyperg.check_orthogonality(k, 2, 1e-10, tab)
+        rep = hyperg.check_orthogonality(k, 2, 1e-10, tab=tab)
         assert rep.passed
         values = [list(row) for row in tab.values]
         values[1][2] += 1.0
         broken = hyperg.PolynomialTable(
             k, 2, tab.points, tuple(tuple(r) for r in values)
         )
-        rep = hyperg.check_orthogonality(k, 2, 1e-10, broken)
+        rep = hyperg.check_orthogonality(k, 2, 1e-10, tab=broken)
         assert not rep.passed
         for f in rep.failures:
             assert "/" not in f["residual"]
@@ -317,7 +317,7 @@ class TestDuality:
         ids=["hr", "milch-d2", "ds-d2"],
     )
     def test_involute_transposes_table(self, k, N):
-        rep = hyperg.check_duality(k, N)
+        rep = hyperg.check_duality(k, N, tab=hyperg.table(k, N))
         assert rep.passed
         assert rep.failures == []
 
@@ -361,7 +361,7 @@ class TestDuality:
         broken = hyperg.PolynomialTable(
             k, 3, tab.points, tuple(tuple(r) for r in values)
         )
-        rep = hyperg.check_duality(k, 3, tol, broken)
+        rep = hyperg.check_duality(k, 3, tol, tab=broken)
         assert [f["pair"] for f in rep.failures] == [
             [list(tab.points[4]), list(tab.points[7])]
         ]
@@ -372,7 +372,7 @@ class TestDuality:
 
     def test_pointwise_swap(self):
         k = kappa.family_milch([F(1, 2), F(1, 4), F(1, 4)])
-        b = kappa.involute(k)
+        b = kappa.involute(k, 0)
         for m in enumerate_degree_points(2, 2):
             for mt in enumerate_degree_points(2, 2):
                 assert hyperg.eval_hypergeometric(

@@ -103,7 +103,7 @@ class TestFamilies:
 
     def test_hoare_rahman_involution_is_parameter_swap(self):
         k = kappa.family_hoare_rahman(1, 2, 3, 4)
-        assert kappa.involute(k) == kappa.family_hoare_rahman(1, 3, 2, 4)
+        assert kappa.involute(k, 0) == kappa.family_hoare_rahman(1, 3, 2, 4)
 
     def test_milch_structure(self):
         k = kappa.family_milch([F(1, 2), F(1, 6), F(1, 3)])
@@ -168,18 +168,18 @@ class TestFamilies:
 class TestInvolution:
     def test_involution_swaps(self):
         k = kappa.family_milch([F(1, 2), F(1, 4), F(1, 4)])
-        b = kappa.involute(k)
+        b = kappa.involute(k, 0)
         assert b.p == k.pt and b.pt == k.p
         assert b.u == linalg.transpose(k.u)
         assert b.nu == k.nu
 
     def test_involution_is_involutive(self):
         k = kappa.family_hoare_rahman(F(1, 2), 2, 3, F(4, 3))
-        assert kappa.involute(kappa.involute(k)) == k
+        assert kappa.involute(kappa.involute(k, 0), 0) == k
 
     def test_self_dual_family(self):
         k = kappa.family_ds(2, 3)
-        b = kappa.involute(k)
+        b = kappa.involute(k, 0)
         assert b.p == k.p  # weights fixed; u transposes
 
 
@@ -244,12 +244,12 @@ class TestPropertyBased:
             assert err.factor == "1-p1-p2"
             return
         assert matrix_identity_holds(k)
-        assert kappa.involute(k) == kappa.family_hoare_rahman(a, c, b, e)
+        assert kappa.involute(k, 0) == kappa.family_hoare_rahman(a, c, b, e)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 3), st.data())
     def test_involution_preserves_validity(self, d, data):
         p = data.draw(weight_vectors(d))
         k = kappa.family_milch(p)
-        b = kappa.involute(k)
+        b = kappa.involute(k, 0)
         assert kappa.diagnose(b.nu, b.p, b.pt, b.u) == []

@@ -73,3 +73,61 @@ def test_every_parameter_is_read():
                 if a.arg not in read and (name, label, a.arg) not in UNREAD_PARAMETERS
             ]
     assert unread == []
+
+
+def _function(tree, name):
+    return next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+# the one home of a run's inputs: (module, function) allowed to build them
+INPUT_BUILDERS = {("verify.py", "run_suites"), ("cli.py", "_dispatch")}
+
+
+def test_run_inputs_are_built_in_one_place():
+    # a check that builds its own table or conjugator builds it once
+    # more per run, and a conjugator at a tolerance that is not the run's
+    calls = []
+    for name, tree in _modules().items():
+        homes = [_function(tree, f) for m, f in INPUT_BUILDERS if m == name]
+        inside = {id(n) for home in homes for n in ast.walk(home)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in inside:
+                continue
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if callee in ("conjugator", "table"):
+                calls.append(f"{name}:{node.lineno}:{callee}")
+    assert calls == []
+
+
+def test_checks_have_no_none_defaults():
+    # a None default on a check is a build-it-yourself fallback
+    modules = _modules()
+    run_suites = _function(modules["verify.py"], "run_suites")
+    checks = next(
+        node.value
+        for node in ast.walk(run_suites)
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["checks"]
+    )
+    fallbacks = []
+    for entry in checks.values:
+        ref = entry.elts[0]  # (check, input, ...)
+        if isinstance(ref, ast.Attribute):
+            module, fn = f"{ref.value.id}.py", ref.attr
+        else:
+            module, fn = "verify.py", ref.id
+        args = _function(modules[module], fn).args
+        params = args.posonlyargs + args.args
+        defaults = list(zip(params[len(params) - len(args.defaults):], args.defaults))
+        defaults += [(a, v) for a, v in zip(args.kwonlyargs, args.kw_defaults) if v]
+        fallbacks += [
+            f"{module}:{fn}:{a.arg}"
+            for a, v in defaults
+            if isinstance(v, ast.Constant) and v.value is None
+        ]
+    assert len(checks.values) == 12
+    assert fallbacks == []

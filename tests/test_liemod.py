@@ -34,9 +34,14 @@ def milch2():
     return kappa.family_milch([F(1, 2), F(1, 4), F(1, 4)])
 
 
+def suite(name, k, N=None, tol=0):
+    """One suite as `mvkraw check` runs it, on the inputs the run builds."""
+    return verify.run_suites([name], k, N, tol)[0]
+
+
 def conjugated(k, beta):
     """R beta R^-1, the element of the conjugated basis that beta names."""
-    conj = liemod.conjugator(k)
+    conj = liemod.conjugator(k, 0)
     return linalg.mat_mul(linalg.mat_mul(conj.rhat, beta), conj.rhat_inv)
 
 
@@ -64,16 +69,18 @@ class TestBasis:
 
 class TestConjugator:
     def test_hand_value(self):
-        conj = liemod.conjugator(classical())
+        conj = liemod.conjugator(classical(), 0)
         assert conj.rhat == ((F(1, 2), F(1, 2)), (F(1, 2), F(-1, 2)))
         assert conj.rhat_inv == ((1, 1), (1, -1))
 
     def test_inverse_pair(self):
         k = milch2()
-        conj = liemod.conjugator(k)
+        conj = liemod.conjugator(k, 0)
         assert linalg.mat_mul(conj.rhat, conj.rhat_inv) == linalg.identity(3)
 
     def test_expands_each_power_once_per_direction(self, monkeypatch):
+        # the expansion matrix expands each xt^lam once, forward, and the
+        # inverse substitution of a monomial expands it once, backward
         calls = []
 
         def counting(forms, exponents, caps=None):
@@ -82,16 +89,13 @@ class TestConjugator:
 
         monkeypatch.setattr(liemod, "expand_forms", counting)
         k = milch2()
-        N = 2
-        points = list(enumerate_lattice(k.d, N))
-        conj = liemod.conjugator(k)
-        for _ in range(2):
-            for lam in points:
-                assert conj.expand(lam) == expand_forms(tuple(zip(*conj.rhat)), lam)
-                liemod.xtilde_monomial(k, N, lam, conj)
-                liemod.to_dual_coords(k, liemod.monomial(lam), conj)
-                for n in points:
-                    liemod.pairing_eval(k, N, n, lam, conj)
+        points = list(enumerate_lattice(k.d, 2))
+        conj = liemod.conjugator(k, 0)
+        X = liemod.expansion_matrix(conj, points)
+        assert list(X) == points
+        for lam in points:
+            assert X[lam] == expand_forms(tuple(zip(*conj.rhat)), lam)
+            liemod.to_dual_coords(conj, liemod.monomial(lam))
         assert len(calls) == 2 * len(points)
         assert len(set(calls)) == len(calls)
 
@@ -104,35 +108,44 @@ class TestConjugator:
 
         monkeypatch.setattr(liemod, "expand_forms", counting)
         k = kappa.family_hoare_rahman(1, 2, 3, 4)
-        forward = tuple(zip(*liemod.conjugator(k).rhat))
-        assert liemod.check_adjacency(k, 3).passed
+        forward = tuple(zip(*liemod.conjugator(k, 0).rhat))
+        assert suite("adjacency", k, 3).passed
         # the intertwinings need only the forward expansions, one per point
         assert len(set(calls)) == len(calls) == len(list(enumerate_lattice(k.d, 3)))
         assert all(forms == forward for forms, _ in calls)
 
     def test_one_conjugator_per_check_run(self, monkeypatch):
-        # norms, adjacency, transition and threeway share the run's
-        # conjugator, so all 12 suites expand each power once: 20 distinct
-        # expansions at HR N = 3, each of the 10 points once forward and,
-        # by transition, once inverse; one conjugator per suite made 49
+        # lemma21, lemma22 and transition share the run's conjugator, and
+        # norms, adjacency, transition and threeway its expansion matrix,
+        # so all 12 suites expand each power once: 20 distinct expansions
+        # at HR N = 3, each of the 10 points once forward and, by
+        # transition, once inverse
         calls = []
+        conjugators = []
 
         def counting(forms, exponents, caps=None):
             calls.append((forms, tuple(exponents)))
             return expand_forms(forms, exponents, caps)
 
+        def counting_conjugator(k, tol):
+            conjugators.append(tol)
+            return conjugator(k, tol)
+
+        conjugator = liemod.conjugator
         monkeypatch.setattr(liemod, "expand_forms", counting)
+        monkeypatch.setattr(liemod, "conjugator", counting_conjugator)
         k = kappa.family_hoare_rahman(1, 2, 3, 4)
         reports = verify.run_suites(verify.SUITES, k, 3)
         assert all(r.passed for r in reports)
         assert len(calls) == len(set(calls)) == 20
+        assert conjugators == [0]
 
     def test_seal_rejects_corrupt_set(self):
         # bypass validation on purpose: this u breaks the defining identity
         k = classical()
         corrupt = kappa.ParameterSet(k.d, k.nu, k.p, k.pt, ((1, 1), (1, 1)))
         with pytest.raises(AssertionError, match="corrupt"):
-            liemod.conjugator(corrupt)
+            liemod.conjugator(corrupt, 0)
 
 
 class TestDualElements:
@@ -209,13 +222,13 @@ class TestStructureChecks:
 
     @pytest.mark.parametrize("k", FAMILIES)
     def test_antiauto_suite_passes(self, k):
-        rep = liemod.check_lemma21(k)
+        rep = suite("lemma21", k)
         assert rep.passed and rep.failures == []
         assert rep.check == "lemma21"
 
     @pytest.mark.parametrize("k", FAMILIES)
     def test_generation_suite_passes(self, k):
-        rep = liemod.check_generation(k)
+        rep = suite("lemma22", k)
         assert rep.passed and rep.failures == []
         assert rep.check == "lemma22"
 
@@ -231,7 +244,7 @@ class TestStructureChecks:
             tuple(x / 4 for x in k.pt),
             tuple(tuple(2 * x for x in row) for row in k.u),
         )
-        rep = liemod.check_generation(bad)
+        rep = suite("lemma22", bad)
         assert not rep.passed
         assert rep.failures == [
             {"identity": "dual_phi_0 closed form", "defect": "3/8"},
@@ -250,7 +263,7 @@ class TestStructureChecks:
         p = list(k.p)
         p[1] /= 4
         bad = kappa.ParameterSet(k.d, k.nu, tuple(p), k.pt, linalg.freeze(u))
-        rep = liemod.check_generation(bad)
+        rep = suite("lemma22", bad)
         assert not rep.passed
         assert [f["identity"] for f in rep.failures] == ["dual_phi_1 closed form"]
 
@@ -312,18 +325,14 @@ class TestPolynomials:
 class TestSubstitutedBasis:
     def test_hand_expansion(self):
         k = classical()
-        xt = liemod.xtilde_monomial(k, 2, (1, 1))
+        xt = liemod.xtilde_monomial(liemod.conjugator(k, 0), (1, 1))
         assert xt.coeffs == {(2, 0): F(1, 4), (0, 2): F(-1, 4)}
 
-    def test_degree_guard(self):
-        with pytest.raises(DegreeMismatchError):
-            liemod.xtilde_monomial(classical(), 3, (1, 1))
-
     def test_round_trip_through_dual_coords(self):
-        k = milch2()
+        conj = liemod.conjugator(milch2(), 0)
         for lam in enumerate_lattice(2, 2):
-            xt = liemod.xtilde_monomial(k, 2, lam)
-            back = liemod.to_dual_coords(k, xt)
+            xt = liemod.xtilde_monomial(conj, lam)
+            back = liemod.to_dual_coords(conj, xt)
             assert liemod.polys_equal(back, liemod.monomial(lam))
 
     def test_weight_property(self):
@@ -331,9 +340,9 @@ class TestSubstitutedBasis:
         # Cartan elements, eigenvalue lam_i - N/(d+1)
         k = milch2()
         N = 3
-        conj = liemod.conjugator(k)
+        conj = liemod.conjugator(k, 0)
         for lam in enumerate_lattice(2, N):
-            xt = liemod.xtilde_monomial(k, N, lam, conj)
+            xt = liemod.xtilde_monomial(conj, lam)
             for i in range(3):
                 moved = liemod.act(conjugated(k, liemod.basis_phi(2, i)), xt)
                 ev = lam[i] - F(N, 3)
@@ -348,12 +357,12 @@ class TestBilinearForm:
         k = classical()
         weights = liemod._form_weights(k, 2)
         assert weights[(1, 1)] == 16
-        xt20 = liemod.xtilde_monomial(k, 2, (2, 0)).coeffs
+        xt20 = liemod.xtilde_monomial(liemod.conjugator(k, 0), (2, 0)).coeffs
         assert gram([[xt20.get(n, 0) for n in weights]], list(weights.values())) == [[8]]
 
     @pytest.mark.parametrize("k", FAMILIES)
     def test_dual_norms_check(self, k):
-        rep = liemod.check_dual_norms(k, 2)
+        rep = suite("norms", k, 2)
         assert rep.passed and rep.failures == []
 
     def test_approx_dual_norms_detect_perturbed_pt(self):
@@ -366,11 +375,11 @@ class TestBilinearForm:
             "approx",
             1e-10,
         )
-        assert liemod.check_dual_norms(k, 6, 1e-10).passed
+        assert suite("norms", k, 6, 1e-10).passed
         pt = list(k.pt)
         pt[1] *= 1 + 8e-11
         bad = kappa.ParameterSet(k.d, k.nu, k.p, tuple(pt), k.u)
-        rep = liemod.check_dual_norms(bad, 6, 1e-10)
+        rep = suite("norms", bad, 6, 1e-10)
         assert not rep.passed
 
     @pytest.mark.parametrize("k", FAMILIES)
@@ -400,7 +409,7 @@ class TestBilinearForm:
                 for m in points:
                     g = liemod.monomial(m)
                     assert form(liemod.act(beta, f), g) == form(f, liemod.act(adj, g))
-        assert liemod.check_dual_norms(k, N).passed
+        assert suite("norms", k, N).passed
 
     def test_norms_detect_antiauto_without_transpose(self, monkeypatch):
         # a(b) = Pt b Pt^-1 breaks <b.f, g> = <f, a(b).g>; the records are
@@ -414,7 +423,7 @@ class TestBilinearForm:
             )
 
         monkeypatch.setattr(liemod, "antiauto", no_transpose)
-        rep = liemod.check_dual_norms(kappa.family_hoare_rahman(1, 2, 3, 4), 2)
+        rep = suite("norms", kappa.family_hoare_rahman(1, 2, 3, 4), 2)
         assert not rep.passed
         assert rep.details == {"pairs": 36}
         with open(ADJOINT_FIXTURE) as fh:
@@ -432,7 +441,7 @@ class TestPairingRoute:
         ids=["classical-d1", "milch-d2", "ds-d2"],
     )
     def test_matches_kernel_sum(self, k, N):
-        conj = liemod.conjugator(k)
+        conj = liemod.conjugator(k, 0)
         for n in enumerate_lattice(k.d, N):
             for nt in enumerate_lattice(k.d, N):
                 via_pairing = liemod.pairing_eval(k, N, n, nt, conj)
@@ -444,28 +453,29 @@ class TestPairingRoute:
         # on n only; the same value as the one-expression form
         k = kappa.family_hoare_rahman(1, 2, 3, 4)
         N = 3
-        conj = liemod.conjugator(k)
+        conj = liemod.conjugator(k, 0)
         for n in enumerate_lattice(k.d, N):
             w = liemod.pairing_weight(k, N, n)
             assert w == F(multi_factorial(n)) / (power_product(k.pt, n) * 6)
             for nt in enumerate_lattice(k.d, N):
-                c = conj.expand(nt).get(n, 0)
+                c = liemod.xtilde_monomial(conj, nt).coeffs.get(n, 0)
                 assert liemod.pairing_eval(k, N, n, nt, conj) == c * w
 
     def test_degree_guard(self):
+        k = classical()
         with pytest.raises(DegreeMismatchError):
-            liemod.pairing_eval(classical(), 3, (1, 1), (2, 1))
+            liemod.pairing_eval(k, 3, (1, 1), (2, 1), liemod.conjugator(k, 0))
 
 
 class TestLatticeChecks:
     @pytest.mark.parametrize("k", FAMILIES)
     def test_adjacency(self, k):
-        rep = liemod.check_adjacency(k, 2)
+        rep = suite("adjacency", k, 2)
         assert rep.passed and rep.failures == []
 
     @pytest.mark.parametrize("k", FAMILIES)
     def test_transition(self, k):
-        rep = liemod.check_transition(k, 2)
+        rep = suite("transition", k, 2)
         assert rep.passed and rep.failures == []
 
     @pytest.mark.parametrize("k", FAMILIES)
@@ -473,13 +483,13 @@ class TestLatticeChecks:
         # the independent reference for the plain half: phi_i.xt^lam read
         # in the substituted basis through the inverse expansion is the
         # mirror's action on x^lam, coefficient by coefficient
-        conj = liemod.conjugator(k)
+        conj = liemod.conjugator(k, 0)
         for N in range(1, 4):
             for lam in enumerate_lattice(k.d, N):
-                xt = liemod.xtilde_monomial(k, N, lam, conj)
+                xt = liemod.xtilde_monomial(conj, lam)
                 for i in range(1, k.d + 1):
                     moved = liemod.act(liemod.basis_phi(k.d, i), xt)
-                    got = liemod.to_dual_coords(k, moved, conj)
+                    got = liemod.to_dual_coords(conj, moved)
                     mirror = liemod.mirror_closed_form(k, i)
                     want = liemod.act(mirror, liemod.monomial(lam))
                     assert got.coeffs == want.coeffs
@@ -494,7 +504,7 @@ class TestLatticeChecks:
         p = list(k.p)
         p[1] /= 4
         bad = kappa.ParameterSet(k.d, k.nu, tuple(p), k.pt, linalg.freeze(u))
-        rep = liemod.check_adjacency(bad, 2)
+        rep = suite("adjacency", bad, 2)
         assert not rep.passed
         points = [list(lam) for lam in enumerate_lattice(k.d, 2)]
         assert rep.failures == [
@@ -512,7 +522,7 @@ class TestLatticeChecks:
             tuple(x / 4 for x in k.pt),
             tuple(tuple(2 * x for x in row) for row in k.u),
         )
-        rep = liemod.check_adjacency(bad, 2)
+        rep = suite("adjacency", bad, 2)
         assert not rep.passed
         assert rep.failures == [
             {"side": "plain-on-substituted", "i": 1, "at": [2, 0]},
