@@ -15,10 +15,12 @@ and only the kernel sum is independent of it.  All routes take the
 reduced degree vectors m, mt (length d, with the 0-th coordinates
 N - |m|, N - |mt| implied) and agree exactly.
 
-The kernel sum runs on integers: omega is scaled to W/D once per
-(parameter set, N, mode), in a small cache keyed by the mode too, since
-an approx set compares equal to its exact twin.  Each value is then one
-division, one Fraction, at the end; floats take the same loop.
+The kernel sum runs on integers: omega is scaled to W/D once per set
+instance, and the view of each N, with the factorials and powers that
+depend on nothing else, is kept on the instance
+(`ParameterSet.kernel_form`), so an entry never hashes or compares the
+set.  Each value is then one division, one Fraction, at the end;
+floats take the same loop.
 
 Tables hold P over the full degree-N lattice in graded-lex order, rows
 indexed by the first argument, built by kernel sums.  On top of tables
@@ -31,7 +33,6 @@ the involuted parameter set, so duality crosses the two routes.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +43,6 @@ from .kappa import ParameterSet
 from .numeric import (
     EXACT,
     Scalar,
-    clear_denominators,
     enumerate_degree_points,
     enumerate_kernels,
     enumerate_lattice,
@@ -50,7 +50,6 @@ from .numeric import (
     expand_forms,
     format_scalar,
     gram,
-    is_exact,
     multi_factorial,
     multinomial,
     parse_scalar,
@@ -72,32 +71,49 @@ def check_degree_vector(d: int, N: int, v: Sequence[int], name: str) -> tuple:
     return v
 
 
-@functools.lru_cache(maxsize=16)
-def _integer_view(kappa: ParameterSet, N: int, exact: bool) -> tuple:
-    """omega = W/D with integer W and D for exact sets (W = omega and
-    D = 1 for floats), as the term factors that depend only on
-    (kappa, N): the factorials up to N, (-1)^t D^(N-t) (N-t)! per kernel
-    total t, {row: (W_i^row, row!)} per row i, and the scale N!^2 D^N.
+class _Falling(dict):
+    """n -> [n!/(n-c)! for c = 0..n], each list made on first use: a
+    single evaluation at a large N makes two lists, not N + 1."""
 
-    `exact` is part of the key: an approx set compares and hashes equal
-    to its exact twin (Fraction(1, 2) == 0.5), so without it one mode
-    would be served the other's view.
+    def __init__(self, fact: tuple):
+        super().__init__()
+        self.fact = fact
+
+    def __missing__(self, n: int) -> list:
+        fact = self.fact
+        falls = self[n] = [fact[n] // fact[n - c] for c in range(n + 1)]
+        return falls
+
+
+def _integer_view(kappa: ParameterSet, N: int) -> tuple:
+    """The term factors of the kernel sums that depend only on (kappa, N):
+    whether the set is exact, the factorials up to N, the falling
+    factorials n!/(n-c)! by n (each list made on first use),
+    (-1)^t D^(N-t) (N-t)! per kernel total t, {row: (W_i^row, row!)} per
+    row i, and the scale N!^2 D^N, with omega = W/D taken from
+    `ParameterSet.kernel_form`.  Built once per set instance and N and
+    kept in that form's views, so finding it hashes nothing.  Where a
+    float power leaves the float range, the OverflowError names omega
+    and N.
     """
-    om = kappa_mod.omega(kappa)
-    flat, D = clear_denominators([w for row in om for w in row])
-    W = [flat[i : i + kappa.d] for i in range(0, len(flat), kappa.d)]
+    exact, W, D, views = kappa.kernel_form
+    if N in views:
+        return views[N]
     fact = tuple(math.factorial(k) for k in range(N + 1))
     by_total = tuple((-1) ** t * D ** (N - t) * fact[N - t] for t in range(N + 1))
     vectors = list(enumerate_degree_points(kappa.d, N))
-    rows = tuple(
-        {v: (power_product(Wi, v), multi_factorial(v)) for v in vectors} for Wi in W
-    )
-    return fact, by_total, rows, fact[N] ** 2 * D**N
-
-
-def _falling(fact: tuple, n: int) -> list:
-    """n!/(n-c)! for c = 0..n."""
-    return [fact[n] // fact[n - c] for c in range(n + 1)]
+    try:  # only float powers overflow
+        rows = tuple(
+            {v: (power_product(Wi, v), multi_factorial(v)) for v in vectors}
+            for Wi in W
+        )
+    except OverflowError:
+        raise OverflowError(
+            f"the approx powers of omega = {W} in the kernel sums at N = {N} "
+            "leave the float range"
+        ) from None
+    view = views[N] = (exact, fact, _Falling(fact), by_total, rows, fact[N] ** 2 * D**N)
+    return view
 
 
 def eval_hypergeometric(
@@ -126,10 +142,9 @@ def eval_hypergeometric(
     d = kappa.d
     m = check_degree_vector(d, N, m, "m")
     mt = check_degree_vector(d, N, mt, "mt")
-    exact = all(is_exact(x) for row in kappa.u for x in row)
-    fact, by_total, rows, scale = _integer_view(kappa, N, exact)
-    col_falls = [_falling(fact, x) for x in m]
-    row_falls = [_falling(fact, x) for x in mt]
+    exact, fact, falling, by_total, rows, scale = _integer_view(kappa, N)
+    col_falls = [falling[x] for x in m]
+    row_falls = [falling[x] for x in mt]
 
     acc = 0
     try:  # only floats overflow; ints and Fractions have no range

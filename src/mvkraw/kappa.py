@@ -17,6 +17,7 @@ matrix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +26,7 @@ from .numeric import (
     DEFAULT_EPS,
     EXACT,
     Scalar,
+    clear_denominators,
     exactify,
     format_scalar,
     is_exact,
@@ -43,6 +45,20 @@ class ParameterSet:
     p: tuple
     pt: tuple
     u: tuple  # (d+1) x (d+1), tuple of row-tuples
+
+    @functools.cached_property
+    def kernel_form(self) -> tuple:
+        """(exact, W, D, views) for the kernel sums: whether the set is
+        exact, omega = W/D with integer rows W and D the lcm of omega's
+        denominators (W = omega and D = 1 when an entry is a float), and
+        {N: view} of `hyperg._integer_view`.  Made on first use and kept
+        on the instance, not as a field, so ==, hash and the wire form
+        never see it, and an approx set and its equal exact twin never
+        share it."""
+        exact = all(is_exact(x) for row in self.u for x in row)
+        flat, D = clear_denominators([w for row in omega(self) for w in row])
+        W = [flat[i : i + self.d] for i in range(0, len(flat), self.d)]
+        return exact, W, D, {}
 
 
 @dataclass(frozen=True)

@@ -221,14 +221,18 @@ class KernelMatrix(NamedTuple):
     total: int
 
 
-def _row_vectors(caps: tuple, limit: int) -> Iterator[tuple]:
-    """Every (v, |v|) with v[j] <= caps[j] and |v| <= limit, in lex order."""
-    if not caps:
-        yield (), 0
-        return
-    for a in range(min(caps[0], limit) + 1):
-        for rest, s in _row_vectors(caps[1:], limit - a):
-            yield (a,) + rest, a + s
+def _row_vectors(caps: tuple, limit: int) -> list:
+    """Every (v, |v|) with v[j] <= caps[j] and |v| <= limit, in lex order,
+    built from the last coordinate forward as one list."""
+    out = [((), 0)]
+    for cap in reversed(caps):
+        out = [
+            ((a,) + rest, a + s)
+            for a in range(min(cap, limit) + 1)
+            for rest, s in out
+            if a + s <= limit
+        ]
+    return out
 
 
 def enumerate_kernels(
@@ -254,16 +258,15 @@ def enumerate_kernels(
 
     def rec(i: int, col_rem: tuple, total: int, rows: tuple, rsums: tuple):
         limit = min(row_caps[i], degree - total)
+        if i == d - 1:  # the last row fixes the column sums
+            used = tuple(map(sub, col_caps, col_rem))
+            for row, s in _row_vectors(col_rem, limit):
+                yield KernelMatrix(
+                    rows + (row,), rsums + (s,), tuple(map(add, used, row)), total + s
+                )
+            return
         for row, s in _row_vectors(col_rem, limit):
             rest = tuple(map(sub, col_rem, row))
-            if i == d - 1:
-                yield KernelMatrix(
-                    rows + (row,),
-                    rsums + (s,),
-                    tuple(map(sub, col_caps, rest)),
-                    total + s,
-                )
-            else:
-                yield from rec(i + 1, rest, total + s, rows + (row,), rsums + (s,))
+            yield from rec(i + 1, rest, total + s, rows + (row,), rsums + (s,))
 
     yield from rec(0, col_caps, 0, (), ())

@@ -683,6 +683,21 @@ class TestInternalErrors:
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out.strip() == "197/200"
 
+    def test_approx_overflow_of_the_powers_exit_5(self, capsys, tmp_path):
+        # omega = 3/2, and its powers up to N = 2000 leave the float range
+        # before any kernel is summed
+        ds = write_kappa(tmp_path, kappa.family_ds(F(3), 1))
+        code, out, err = run(
+            capsys, "--mode", "approx", "eval", "--kappa", ds,
+            "--N", "2000", "--m", "1000", "--mt", "999",
+        )
+        assert code == 5
+        assert out == ""
+        assert err.startswith(
+            "error: the approx powers of omega = [[1.5]] in the kernel sums "
+            "at N = 2000 leave the float range"
+        )
+
 
 class TestParser:
     def test_no_verb_exit_2(self, capsys):

@@ -139,12 +139,11 @@ class TestTable:
     @pytest.mark.parametrize("exact_first", [True, False], ids=["exact-first", "approx-first"])
     def test_exact_and_approx_twins_keep_their_types(self, exact_first):
         # the two sets compare and hash equal (their entries are dyadic),
-        # so a view cached without the mode would serve one of them the
-        # other's arithmetic
+        # so a view found by equality would serve one of them the other's
+        # arithmetic
         exact = kappa.family_ds(F(2), 2)
         approx = kappa.from_json_dict(kappa.to_json_dict(exact), "approx", 1e-10)
         assert approx == exact and hash(approx) == hash(exact)
-        hyperg._integer_view.cache_clear()
         order = [exact, approx] if exact_first else [approx, exact]
         tables = [hyperg.table(k, 3) for k in order]
         exact_tab, approx_tab = tables if exact_first else tables[::-1]
@@ -153,6 +152,33 @@ class TestTable:
                 assert isinstance(e, (F, int)) and not isinstance(e, bool)
                 assert isinstance(a, float)
                 assert abs(a - e) <= 1e-12 * max(1, abs(e))
+
+    def test_one_set_at_two_N_in_turn(self):
+        # one instance keeps a view per N: tables at two N built in turn
+        # equal the tables of a fresh, equal set that has no views yet
+        k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        for N in (2, 4, 2, 4, 0):
+            fresh = kappa.from_json_dict(kappa.to_json_dict(k))
+            assert fresh == k and fresh is not k
+            assert hyperg.table(k, N).values == hyperg.table(fresh, N).values
+
+    def test_entries_never_hash_or_compare_the_set(self, monkeypatch):
+        # the view is found on the instance: two tables of 441 entries
+        # from two equal but distinct sets hash and compare no set at all
+        first, second = kappa.family_ds(F(3), 1), kappa.family_ds(F(3), 1)
+        assert first == second and first is not second
+        calls = []
+        for name in ("__hash__", "__eq__"):
+            original = getattr(kappa.ParameterSet, name)
+
+            def counted(self, *args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(kappa.ParameterSet, name, counted)
+        tables = [hyperg.table(k, 20) for k in (first, second)]
+        assert len(tables[0].values) == 21 and tables[0].values == tables[1].values
+        assert len(calls) <= 2, calls[:4]
 
     def test_exact_table_where_omega_is_integral(self):
         # omega has denominator 1 here (D = 1), which must not be taken

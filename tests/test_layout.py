@@ -42,10 +42,7 @@ def test_every_top_level_definition_is_used_in_the_package():
 
 # (module, function, parameter) read by no statement of its function,
 # each with the reason it stays
-UNREAD_PARAMETERS = {
-    # a memoization key only: approx and exact sets compare equal
-    ("hyperg.py", "_integer_view", "exact"),
-}
+UNREAD_PARAMETERS: set = set()
 
 
 def test_every_parameter_is_read():
@@ -73,6 +70,40 @@ def test_every_parameter_is_read():
                 if a.arg not in read and (name, label, a.arg) not in UNREAD_PARAMETERS
             ]
     assert unread == []
+
+
+def _tail(node):
+    # the last name of `f`, `mod.f` or a call of either
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_no_memo_is_keyed_by_a_parameter_set():
+    # a memo keyed by a set hashes its scalars at every call, and serves
+    # an approx set its equal exact twin's entry; what depends on a set
+    # is kept on the instance (`ParameterSet.kernel_form`)
+    keyed = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not any(_tail(dec) in ("lru_cache", "cache") for dec in node.decorator_list):
+                continue
+            args = node.args
+            annotations = [
+                a.annotation
+                for a in args.posonlyargs + args.args + args.kwonlyargs
+                if a.annotation is not None
+            ]
+            if any(
+                _tail(n) == "ParameterSet"
+                or (isinstance(n, ast.Constant) and "ParameterSet" in str(n.value))
+                for ann in annotations
+                for n in ast.walk(ann)
+            ):
+                keyed.append(f"{name}:{node.name}")
+    assert keyed == []
 
 
 def _function(tree, name):
