@@ -91,9 +91,7 @@ class DifferenceOperator:
 
     @functools.cached_property
     def _lattice_form(self) -> tuple:
-        ints, D = clear_denominators([x for row in self.matrix for x in row])
-        it = iter(ints)
-        scaled = tuple(tuple(next(it) for _ in row) for row in self.matrix)
+        scaled, D = linalg.integer_rows(self.matrix)
         rows = []
         for lam in enumerate_lattice(self.d, self.N):
             image = liemod.act(scaled, liemod.monomial(lam)).coeffs

@@ -26,7 +26,6 @@ from .numeric import (
     DEFAULT_EPS,
     EXACT,
     Scalar,
-    clear_denominators,
     exactify,
     format_scalar,
     is_exact,
@@ -56,9 +55,15 @@ class ParameterSet:
         never see it, and an approx set and its equal exact twin never
         share it."""
         exact = all(is_exact(x) for row in self.u for x in row)
-        flat, D = clear_denominators([w for row in omega(self) for w in row])
-        W = [flat[i : i + self.d] for i in range(0, len(flat), self.d)]
+        W, D = linalg.integer_rows(omega(self))
         return exact, W, D, {}
+
+    @functools.cached_property
+    def pt_ratios(self) -> tuple:
+        """pt_r / pt_c at [r][c], the weights by which the
+        antiautomorphism (`liemod.antiauto`) scales a transpose.  Made on
+        first use and kept on the instance, like `kernel_form`."""
+        return tuple(tuple(exactify(a) / b for b in self.pt) for a in self.pt)
 
 
 @dataclass(frozen=True)

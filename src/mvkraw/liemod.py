@@ -34,6 +34,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import hyperg, linalg
 from .kappa import ParameterSet, tol_for
@@ -144,13 +145,11 @@ def mirror_closed_form(kappa: ParameterSet, i: int) -> Matrix:
 
 
 def antiauto(kappa: ParameterSet, beta: Matrix) -> Matrix:
-    """a(b) = Pt b^t Pt^{-1}; with Pt diagonal this is an entrywise
-    weight-ratio transpose."""
-    pt = kappa.pt
-    n = kappa.d + 1
+    """a(b) = Pt b^t Pt^{-1}; with Pt diagonal this is the transpose of b
+    scaled entrywise by the weight ratios pt_r/pt_c, which the set keeps
+    (`ParameterSet.pt_ratios`)."""
     return tuple(
-        tuple(exactify(pt[r]) * beta[c][r] / pt[c] for c in range(n))
-        for r in range(n)
+        tuple(map(mul, ratios, col)) for ratios, col in zip(kappa.pt_ratios, zip(*beta))
     )
 
 
@@ -237,7 +236,8 @@ def check_generation(
     tol = tol_for(kappa, tol)
     failures = []
 
-    dphis = [_conjugate(conj, basis_phi(d, i)) for i in range(d + 1)]
+    phis = [basis_phi(d, i) for i in range(d + 1)]
+    dphis = [_conjugate(conj, phi) for phi in phis]
     minus_sum = dphis[1]
     for t in dphis[2:]:
         minus_sum = linalg.mat_add(minus_sum, t)
@@ -262,16 +262,17 @@ def check_generation(
             tol,
             f"phi_{i} mirror closed form",
             _conjugate(conj, mirror_closed_form(kappa, i)),
-            basis_phi(d, i),
+            phis[i],
         )
 
+    # [phi_j, dual_phi_0] does not depend on i: one per j
+    inners = [linalg.commutator(phi, dphis[0]) for phi in phis]
     for i in range(d + 1):
         for j in range(d + 1):
             if i == j:
                 continue
-            inner = linalg.commutator(basis_phi(d, j), dphis[0])
-            middle = linalg.commutator(basis_phi(d, i), inner)
-            outer = linalg.commutator(basis_phi(d, j), middle)
+            middle = linalg.commutator(phis[i], inners[j])
+            outer = linalg.commutator(phis[j], middle)
             _expect(
                 failures,
                 tol,

@@ -2,14 +2,18 @@
 
 Matrices are immutable ((d+1) x (d+1) at most 4x4 here), entries are
 scalars in either mode; nothing in the package needs a general inverse,
-so none is provided.
+so none is provided.  A product of exact matrices runs on integers: each
+factor is scaled to integer rows once (`numeric.clear_denominators`) and
+each entry is one Fraction of an integer row-column sum.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .numeric import Scalar
+from .numeric import Scalar, clear_denominators
 
 Matrix = tuple  # tuple of row-tuples
 
@@ -33,10 +37,35 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
+def integer_rows(a: Matrix) -> tuple:
+    """(rows, D) with a = rows / D, rows lists of ints and D the lcm of
+    a's denominators; a float entry leaves a's values with D = 1
+    (`numeric.clear_denominators`)."""
+    flat, D = clear_denominators([x for row in a for x in row])
+    width = len(a[0])
+    return [flat[k : k + width] for k in range(0, len(flat), width)], D
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
+    """The product ab.  When the entries are ints and at least one
+    Fraction, a = A/Da and b = B/Db with A and B on ints, every
+    row-column sum runs on ints and each entry is one Fraction(sum,
+    Da Db).  Int products stay int, and a float or complex entry keeps
+    D = 1 with the same left-to-right sums, so approx values are those
+    of the plain product."""
+    kinds = set(map(type, (x for m in (a, b) for row in m for x in row)))
+    rational = Fraction in kinds and kinds <= {int, Fraction}
+    den = 1
+    if rational:
+        (a, da), (b, db) = integer_rows(a), integer_rows(b)
+        den = da * db
+    cols = tuple(zip(*b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(
+            Fraction(total, den) if rational else total
+            for total in (sum(map(mul, row, col)) for col in cols)
+        )
+        for row in a
     )
 
 

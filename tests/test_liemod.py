@@ -39,6 +39,15 @@ def suite(name, k, N=None, tol=0):
     return verify.run_suites([name], k, N, tol)[0]
 
 
+def antiauto_without_transpose(k, beta):
+    """Pt b Pt^-1: the antiautomorphism with its transpose dropped."""
+    n = k.d + 1
+    return tuple(
+        tuple(exactify(k.pt[r]) * beta[r][c] / k.pt[c] for c in range(n))
+        for r in range(n)
+    )
+
+
 def conjugated(k, beta):
     """R beta R^-1, the element of the conjugated basis that beta names."""
     conj = liemod.conjugator(k, 0)
@@ -139,6 +148,26 @@ class TestConjugator:
         assert all(r.passed for r in reports)
         assert len(calls) == len(set(calls)) == 20
         assert conjugators == [0]
+
+    def test_lemma_suites_matrix_products(self, monkeypatch):
+        # the run's conjugator makes 3 products, lemma21 58 (two per
+        # conjugation of the 3 Cartan elements and 6 matrix units, two per
+        # each of its 20 samples) and lemma22 40: two per conjugation of
+        # the 3 Cartan elements and 2 mirrors, and two per commutator, of
+        # which the d + 1 = 3 inner [phi_j, dual_phi_0] are made once
+        # each and the middle and outer ones once per each of 6 pairs
+        k = milch2()
+        calls = []
+        mat_mul = linalg.mat_mul
+
+        def counting(a, b):
+            calls.append(1)
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(linalg, "mat_mul", counting)
+        reports = verify.run_suites(["lemma21", "lemma22"], k, None)
+        assert all(r.passed for r in reports)
+        assert len(calls) == 3 + 58 + 40
 
     def test_seal_rejects_corrupt_set(self):
         # bypass validation on purpose: this u breaks the defining identity
@@ -252,6 +281,59 @@ class TestStructureChecks:
             {"identity": "bracket recovery of e_01", "defect": "3"},
             {"identity": "bracket recovery of e_10", "defect": "3"},
         ]
+
+    def test_lemma21_detects_antiauto_with_p_weights(self, monkeypatch):
+        # a(b) = P b^t P^-1 fixes the plain Cartan elements and is an
+        # involutive antiautomorphism, but it transports every matrix unit
+        # with the ratios of p where pt's are due, and moves the dual
+        # Cartan elements
+        def p_weights(k, beta):
+            n = k.d + 1
+            return tuple(
+                tuple(exactify(k.p[r]) * beta[c][r] / k.p[c] for c in range(n))
+                for r in range(n)
+            )
+
+        monkeypatch.setattr(liemod, "antiauto", p_weights)
+        rep = suite("lemma21", kappa.family_hoare_rahman(1, 2, 3, 4))
+        assert not rep.passed
+        units = [(i, j) for i in range(3) for j in range(3) if i != j]
+        assert [f["identity"] for f in rep.failures] == [
+            f"a(dual_phi_{i}) = dual_phi_{i}" for i in range(3)
+        ] + [
+            tag
+            for i, j in units
+            for tag in (
+                f"a(e_{i}{j}) = (pt_{j}/pt_{i}) e_{j}{i}",
+                f"a(dual_e_{i}{j}) = (p_{j}/p_{i}) dual_e_{j}{i}",
+            )
+        ]
+        assert rep.failures[3] == {"identity": "a(e_01) = (pt_1/pt_0) e_10", "defect": "10"}
+
+    def test_lemma21_detects_antiauto_without_transpose(self, monkeypatch):
+        # a(b) = Pt b Pt^-1 is an automorphism, not an antiautomorphism:
+        # it fixes the plain Cartan elements only, and fails every
+        # transport, involution and product reversal
+        monkeypatch.setattr(liemod, "antiauto", antiauto_without_transpose)
+        rep = suite("lemma21", kappa.family_hoare_rahman(1, 2, 3, 4))
+        assert not rep.passed
+        units = [(i, j) for i in range(3) for j in range(3) if i != j]
+        assert [f["identity"] for f in rep.failures] == [
+            f"a(dual_phi_{i}) = dual_phi_{i}" for i in range(3)
+        ] + [
+            tag
+            for i, j in units
+            for tag in (
+                f"a(e_{i}{j}) = (pt_{j}/pt_{i}) e_{j}{i}",
+                f"a(dual_e_{i}{j}) = (p_{j}/p_{i}) dual_e_{j}{i}",
+                f"a(a(e_{i}{j})) = e_{i}{j}",
+            )
+        ] + [
+            tag
+            for t in range(20)
+            for tag in (f"a(AB) = a(B)a(A) [sample {t}]", f"a(a(A)) = A [sample {t}]")
+        ]
+        assert rep.failures[3] == {"identity": "a(e_01) = (pt_1/pt_0) e_10", "defect": "45"}
 
     def test_generation_suite_checks_every_closed_form(self):
         # scaling row 1 of u by 2 and p_1 by 1/4 keeps nu P u Pt u^t = I
@@ -415,14 +497,7 @@ class TestBilinearForm:
         # a(b) = Pt b Pt^-1 breaks <b.f, g> = <f, a(b).g>; the records are
         # pinned from the dense check over all L^2 pairs, which the sparse
         # comparison must reproduce in (element, n, m) order
-        def no_transpose(k, beta):
-            n = k.d + 1
-            return tuple(
-                tuple(exactify(k.pt[r]) * beta[r][c] / k.pt[c] for c in range(n))
-                for r in range(n)
-            )
-
-        monkeypatch.setattr(liemod, "antiauto", no_transpose)
+        monkeypatch.setattr(liemod, "antiauto", antiauto_without_transpose)
         rep = suite("norms", kappa.family_hoare_rahman(1, 2, 3, 4), 2)
         assert not rep.passed
         assert rep.details == {"pairs": 36}
