@@ -13,9 +13,9 @@ closed form of the conjugated phi_i itself (`liemod.closed_form`).
 Multiplying a table row or column by a generator reproduces the row or
 column scaled by an eigenvalue that depends only on the opposite index.
 The universal operator, the action of p 1^t - I, has eigenvalue minus
-the reduced degree; as the action is linear in its matrix, its identity
-with minus the sum of one family less a multiple of the identity is
-checked once, as a matrix identity.
+the reduced degree, checked by `check_universal` alone; as the action
+is linear in its matrix, its identity with minus the sum of one family
+less a multiple of the identity is checked once, as a matrix identity.
 
 An operator is built from its matrix alone.  On first use M is scaled
 to integers once by D, the lcm of its denominators, and the lattice
@@ -237,8 +237,8 @@ def check_eigen(
     tab: hyperg.PolynomialTable,
 ) -> CheckReport:
     """Both generator families against a full table: rows are
-    eigenfunctions of the tilde-shifting family, columns of the mirror
-    family, and everything of the universal operator."""
+    eigenfunctions of the tilde-shifting family and columns of the
+    mirror family (the universal operator is `check_universal`'s)."""
     d = kappa.d
     reduced = {pt[1:]: idx for idx, pt in enumerate(tab.points)}
     failures = []
@@ -246,12 +246,11 @@ def check_eigen(
 
     ops_second = [operator_mtilde(kappa, N, i) for i in range(1, d + 1)]
     ops_first = [operator_m(kappa, N, i) for i in range(1, d + 1)]
-    universal = operator_universal(kappa, N)
 
     # columns are the rows of the transposed table, as the mirror family
     # is the tilde family of the involuted set
     columns = tuple(zip(*tab.values))
-    for lines, ops in ((tab.values, ops_second + [universal]), (columns, ops_first)):
+    for lines, ops in ((tab.values, ops_second), (columns, ops_first)):
         for fixed, line in zip(tab.points, lines):
             for op in ops:
                 ev = op.eigenvalue(fixed[1:])
@@ -272,7 +271,7 @@ def check_eigen(
         "term_counts": {
             "second_index_family": [op.term_count() for op in ops_second],
             "first_index_family": [op.term_count() for op in ops_first],
-            "universal": universal.term_count(),
+            "universal": operator_universal(kappa, N).term_count(),
         },
         "term_bound": d * d + d + 1,
         "max_residual": format_scalar(max_resid),

@@ -171,6 +171,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     tol = 0
     if mode == APPROX:
         tol = args.eps if args.eps is not None else DEFAULT_EPS
+        if not 0 < tol < float("inf"):
+            raise UsageError(f"--eps must be a positive finite number, got {tol}")
     elif args.eps is not None:
         raise UsageError("--eps only applies to --mode approx")
     if getattr(args, "N", None) is not None and args.N < 0:

@@ -249,9 +249,10 @@ def table_from_json_dict(obj: dict, mode: str = EXACT, tol: Scalar = 0) -> Polyn
     points = tuple(enumerate_lattice(kap.d, N))
     if len(raw) != len(points) or any(len(r) != len(points) for r in raw):
         raise ValueError("table dimensions do not match the lattice")
-    values = tuple(
-        tuple(parse_scalar(str(x), mode) for x in row) for row in raw
-    )
+    try:
+        values = tuple(tuple(parse_scalar(str(x), mode) for x in row) for row in raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed table value: {exc}") from exc
     return PolynomialTable(kap, N, points, values)
 
 

@@ -303,6 +303,22 @@ class TestEigenChecks:
             assert f["fixed_index"] == pinned[0]
             assert max(abs(a - b) for a, b in zip(f["at"], pinned[1][1:])) <= 1
 
+    def test_universal_operator_is_applied_by_one_suite(self):
+        # the corrupted table of the report fixture: recurrence names its
+        # two families only, and the universal records stay in universal
+        k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        tab = hyperg.table(k, 2)
+        vals = [list(r) for r in tab.values]
+        vals[1][2] = F(9)
+        broken = hyperg.PolynomialTable(k, 2, tab.points, tuple(map(tuple, vals)))
+        rep = bispec.check_eigen(k, 2, tab=broken)
+        names = {f["operator"] for f in rep.failures}
+        assert len(rep.failures) == 20
+        assert names <= {"m_1", "m_2", "mtilde_1", "mtilde_2"}
+        assert rep.details["term_counts"]["universal"] == 7
+        rep = bispec.check_universal(k, 2, tab=broken)
+        assert [f["operator"] for f in rep.failures] == ["universal"] * 5
+
     def test_universal_identity_detects_perturbed_u(self):
         # u[1][2] moved by 1/7 past validation breaks the defining
         # identity; on the valid set's table the eigen part still holds
@@ -341,7 +357,7 @@ class TestEigenChecks:
         universal = bispec.operator_universal(k, N)
 
         want, resid = plain_eigen(
-            tab, rows + [universal], cols,
+            tab, rows, cols,
             lambda op, fixed, y, got, want: {
                 "operator": op.name,
                 "fixed_index": list(fixed),

@@ -390,6 +390,24 @@ class TestTableFlow:
             assert out == ""
             assert err == f"error: table N must be a non-negative integer, got {N!r}\n"
 
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_table_zero_denominator_exit_2(self, capsys, milch2_file, tmp_path, mode):
+        # an entry such as "1/0" is refused as a parse error, as it is in
+        # a parameter-set file, not left to escape as a traceback
+        tab_path = tmp_path / "table.json"
+        run(capsys, "table", "--kappa", milch2_file, "--N", "2",
+            "--output", str(tab_path))
+        obj = json.loads(tab_path.read_text())
+        obj["values"][1][2] = "1/0"
+        tab_path.write_text(json.dumps(obj))
+        code, out, err = run(
+            capsys, "--mode", mode, "check", "--table", str(tab_path),
+            "--suite", "orthogonality",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed table value")
+
     def test_table_kappa_mismatch_exit_2(self, capsys, milch2_file, classical_file, tmp_path):
         tab_path = tmp_path / "table.json"
         run(capsys, "table", "--kappa", milch2_file, "--N", "2",
@@ -493,6 +511,20 @@ class TestModes:
         )
         assert code == 2
         assert "approx" in err
+
+    @pytest.mark.parametrize("eps", ["inf", "nan", "-1", "0"])
+    def test_eps_must_be_positive_and_finite_exit_2(self, capsys, milch2_file, eps):
+        # inf reads every defining condition as met and nan or a negative
+        # eps every one as violated; 0 is the exact comparison, which
+        # approx arithmetic cannot meet
+        for argv in (
+            ("params-validate", "--input", milch2_file),
+            ("check", "--kappa", milch2_file, "--N", "2", "--suite", "orthogonality"),
+        ):
+            code, out, err = run(capsys, "--mode", "approx", f"--eps={eps}", *argv)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: --eps must be a positive finite number, got {float(eps)}\n"
 
     def test_threads_is_usage_error(self, capsys, milch2_file):
         code, out, _ = run(

@@ -162,3 +162,19 @@ def test_checks_have_no_none_defaults():
         ]
     assert len(checks.values) == 12
     assert fallbacks == []
+
+
+def test_no_module_imports_random():
+    # a seeded random sample is a witness, not a proof: every identity
+    # the checks make holds on a basis or on every point, not on draws
+    importers = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "random" for a in node.names)
+        )
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "random")
+    ]
+    assert importers == []

@@ -150,9 +150,10 @@ class TestConjugator:
         assert conjugators == [0]
 
     def test_lemma_suites_matrix_products(self, monkeypatch):
-        # the run's conjugator makes 3 products, lemma21 58 (two per
-        # conjugation of the 3 Cartan elements and 6 matrix units, two per
-        # each of its 20 samples) and lemma22 40: two per conjugation of
+        # the run's conjugator makes 3 products, lemma21 18 (two per
+        # conjugation of the 3 Cartan elements and 6 off-diagonal units;
+        # its unit pairs are multiplied over nonzero entries, with no
+        # matrix product) and lemma22 40: two per conjugation of
         # the 3 Cartan elements and 2 mirrors, and two per commutator, of
         # which the d + 1 = 3 inner [phi_j, dual_phi_0] are made once
         # each and the middle and outer ones once per each of 6 pairs
@@ -167,7 +168,7 @@ class TestConjugator:
         monkeypatch.setattr(linalg, "mat_mul", counting)
         reports = verify.run_suites(["lemma21", "lemma22"], k, None)
         assert all(r.passed for r in reports)
-        assert len(calls) == 3 + 58 + 40
+        assert len(calls) == 3 + 18 + 40
 
     def test_seal_rejects_corrupt_set(self):
         # bypass validation on purpose: this u breaks the defining identity
@@ -249,11 +250,24 @@ class TestStructureChecks:
             if i:
                 assert conjugated(k, liemod.mirror_closed_form(k, i)) == phi
 
-    @pytest.mark.parametrize("k", FAMILIES)
+    @pytest.mark.parametrize(
+        "k",
+        FAMILIES
+        + [
+            pytest.param(
+                kappa.family_milch([F(1, 2), F(1, 4), F(1, 8), F(1, 8)]), id="milch-d3"
+            ),
+            pytest.param(
+                kappa.griffiths_from_p([F(1, 3), F(1, 5), F(1, 7), F(1, 11), F(269, 1155)]),
+                id="griffiths-d4",
+            ),
+        ],
+    )
     def test_antiauto_suite_passes(self, k):
         rep = suite("lemma21", k)
         assert rep.passed and rep.failures == []
         assert rep.check == "lemma21"
+        assert rep.details == {"unit_pairs": (k.d + 1) ** 4}
 
     @pytest.mark.parametrize("k", FAMILIES)
     def test_generation_suite_passes(self, k):
@@ -312,12 +326,23 @@ class TestStructureChecks:
 
     def test_lemma21_detects_antiauto_without_transpose(self, monkeypatch):
         # a(b) = Pt b Pt^-1 is an automorphism, not an antiautomorphism:
-        # it fixes the plain Cartan elements only, and fails every
-        # transport, involution and product reversal
+        # it fixes the plain Cartan elements and the diagonal units only,
+        # and fails every transport and off-diagonal involution, and the
+        # product reversal of every unit pair (e_ij, e_kl) with j = k or
+        # l = i, save e_ii e_ii: 27 + 27 - 9 - 3 = 42 pairs
         monkeypatch.setattr(liemod, "antiauto", antiauto_without_transpose)
         rep = suite("lemma21", kappa.family_hoare_rahman(1, 2, 3, 4))
         assert not rep.passed
         units = [(i, j) for i in range(3) for j in range(3) if i != j]
+        pairs = [
+            f"a(e_{i}{j} e_{k}{l}) = a(e_{k}{l}) a(e_{i}{j})"
+            for i in range(3)
+            for j in range(3)
+            for k in range(3)
+            for l in range(3)
+            if (j == k or l == i) and not i == j == k == l
+        ]
+        assert len(pairs) == 42
         assert [f["identity"] for f in rep.failures] == [
             f"a(dual_phi_{i}) = dual_phi_{i}" for i in range(3)
         ] + [
@@ -328,12 +353,36 @@ class TestStructureChecks:
                 f"a(dual_e_{i}{j}) = (p_{j}/p_{i}) dual_e_{j}{i}",
                 f"a(a(e_{i}{j})) = e_{i}{j}",
             )
-        ] + [
-            tag
-            for t in range(20)
-            for tag in (f"a(AB) = a(B)a(A) [sample {t}]", f"a(a(A)) = A [sample {t}]")
-        ]
+        ] + pairs
         assert rep.failures[3] == {"identity": "a(e_01) = (pt_1/pt_0) e_10", "defect": "45"}
+        assert rep.details == {"unit_pairs": 81}
+
+    def test_lemma21_detects_perturbed_weight_ratio(self, monkeypatch):
+        # pt_0/pt_1 moved by 1/7 in the image of e_10 alone: the transport
+        # of e_10 fails by 1/7, the involution fails on e_01 and e_10, and
+        # product reversal on exactly the five unit pairs that use the
+        # ratio on one side only
+        def perturbed(k, beta):
+            ratios = [list(row) for row in k.pt_ratios]
+            ratios[0][1] += F(1, 7)
+            return tuple(
+                tuple(r * x for r, x in zip(row, col)) for row, col in zip(ratios, zip(*beta))
+            )
+
+        monkeypatch.setattr(liemod, "antiauto", perturbed)
+        rep = suite("lemma21", kappa.family_hoare_rahman(1, 2, 3, 4))
+        assert not rep.passed
+        pairs = [
+            f["identity"] for f in rep.failures if f["identity"].count("e_") == 4
+        ]
+        assert pairs == [
+            f"a(e_{i}{j} e_{k}{l}) = a(e_{k}{l}) a(e_{i}{j})"
+            for i, j, k, l in [(0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 0, 2), (1, 2, 2, 0), (2, 1, 1, 0)]
+        ]
+        assert {"identity": "a(e_10) = (pt_0/pt_1) e_01", "defect": "1/7"} in rep.failures
+        involutions = [f["identity"] for f in rep.failures if f["identity"].startswith("a(a(")]
+        assert involutions == ["a(a(e_01)) = e_01", "a(a(e_10)) = e_10"]
+        assert rep.details == {"unit_pairs": 81}
 
     def test_generation_suite_checks_every_closed_form(self):
         # scaling row 1 of u by 2 and p_1 by 1/4 keeps nu P u Pt u^t = I
