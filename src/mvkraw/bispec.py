@@ -19,18 +19,20 @@ less a multiple of the identity is checked once, as a matrix identity.
 
 An operator is built from its matrix alone.  On first use M is scaled
 to integers once by D, the lcm of its denominators, and the lattice
-form `rows` is `liemod.act` of D M on every monomial, read at reduced
-points: for every point the (target, c D) pairs, on Python ints.  A
-float matrix keeps its floats, with D = 1, so approximate mode runs the
-same code.  The action stays on the lattice: an outward term carries
-the integer lam_l, which is 0 exactly where the shift would leave the
-simplex.  `apply` sums each point's terms and divides by D once; the
-eigen checks feed it table lines scaled to integers, and
+form `rows` is `liemod.act` of D M on every monomial: for every point,
+in layout order, the (target, c D) pairs on Python ints, each target
+given by its layout index.  A float matrix keeps its floats, with
+D = 1, so approximate mode runs the same code.  The action stays on the
+lattice: an outward term carries the integer lam_l, which is 0 exactly
+where the shift would leave the simplex.  `apply` sums each point's
+terms over a line read by index and leaves the sums scaled by D.  The
+eigen checks feed it the lines of the table's integer view
+(`hyperg.PolynomialTable.integer_view`, each line scaled once per run)
+and compare each sum with the eigenvalue times the line on ints, and
 `check_commute` composes two integer forms directly, so a Fraction is
-built once per lattice point, or only for a failure.  The affine form
-of the action, one coefficient per shift that is affine in the point
-(`_stencil`), is kept for output and counting: the `stencil` dump and
-`term_count`.
+built only where a check fails.  The affine form of the action, one
+coefficient per shift that is affine in the point (`_stencil`), is kept
+for output and counting: the `stencil` dump and `term_count`.
 """
 
 from __future__ import annotations
@@ -38,19 +40,17 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import hyperg, liemod, linalg
 from .kappa import ParameterSet
 from .linalg import Matrix
 from .numeric import (
     Scalar,
-    clear_denominators,
     enumerate_degree_points,
     enumerate_lattice,
     exactify,
     format_scalar,
-    is_exact,
     scalars_equal,
 )
 from .report import CheckReport
@@ -79,10 +79,10 @@ class DifferenceOperator:
     functions, plus the eigenvalue law it satisfies on tables (the law
     takes the reduced opposite-side index).  `scale` is D, the lcm of
     the matrix's denominators (1 when an entry is a float), and `rows`
-    the lattice form: one (y, ((target, c D), ...)) record per reduced
-    point y in layout order, the terms of D M acting on x^lam.  Both are
-    built on first use, so the `stencil` dump, which reads neither,
-    never acts on the lattice."""
+    the lattice form: rows[k] = ((target, c D), ...) for the k-th point
+    of the layout order, the terms of D M acting on x^lam, each target
+    given by its layout index.  Both are built on first use, so the
+    `stencil` dump, which reads neither, never acts on the lattice."""
 
     matrix: Matrix
     N: int
@@ -92,10 +92,11 @@ class DifferenceOperator:
     @functools.cached_property
     def _lattice_form(self) -> tuple:
         scaled, D = linalg.integer_rows(self.matrix)
+        index = {lam: k for k, lam in enumerate(enumerate_lattice(self.d, self.N))}
         rows = []
-        for lam in enumerate_lattice(self.d, self.N):
+        for lam in index:
             image = liemod.act(scaled, liemod.monomial(lam)).coeffs
-            rows.append((lam[1:], tuple((mu[1:], c) for mu, c in image.items())))
+            rows.append(tuple((index[mu], c) for mu, c in image.items()))
         return D, tuple(rows)
 
     scale = property(lambda self: self._lattice_form[0])
@@ -186,47 +187,47 @@ def operator_universal(kappa: ParameterSet, N: int) -> DifferenceOperator:
     return DifferenceOperator(_universal_matrix(kappa), N, lambda m: -sum(m), "universal")
 
 
-def apply(op: DifferenceOperator, F: Callable) -> dict:
-    """(op F)(y) = sum c F(target) over the terms of row y of the
-    operator's lattice form, so F is only called on lattice points.
-    Each point sums c D F(target), on ints when F gives ints, and is
-    divided by D once."""
-    D = op.scale
-    out = {}
-    for y, terms in op.rows:
+def apply(op: DifferenceOperator, line: Sequence[Scalar]) -> list:
+    """D (op F) at every lattice point, in layout order, for the lattice
+    function F given as its line of values in layout order: each point
+    sums c D line[target] over its row of the lattice form, on ints when
+    the line holds ints.  The caller divides by D = op.scale, or
+    compares on ints and divides only for a miss."""
+    out = []
+    for terms in op.rows:
         acc = 0
         for target, c in terms:
-            acc += c * F(target)
-        out[y] = Fraction(acc, D) if isinstance(acc, (int, Fraction)) else acc / D
+            acc += c * line[target]
+        out.append(acc)
     return out
 
 
-def _bounds(op: DifferenceOperator, F: Callable, tol: Scalar) -> dict:
+def _bounds(op: DifferenceOperator, line: Sequence[Scalar], tol: Scalar) -> list:
     """The tolerance of (op F)(y) at each lattice point y: tol times the
     larger of 1 and the summed magnitudes |c F(target)| of its terms."""
-    return {
-        y: tol * max(1, sum(abs(c * F(t)) for t, c in terms) / op.scale)
-        for y, terms in op.rows
-    }
+    return [
+        tol * max(1, sum(abs(c * line[t]) for t, c in terms) / op.scale)
+        for terms in op.rows
+    ]
 
 
-def _misses(
-    op: DifferenceOperator, ev: Scalar, line: tuple, reduced: dict, tol: Scalar
-):
+def _misses(op: DifferenceOperator, ev: Scalar, line: Sequence, scaled: tuple, tol: Scalar):
     """Where op applied to a table line is not literally ev times the
-    line: (y, got, want, bound) per such point y, with the tolerance of
-    `_bounds` (0 in exact mode).  The line goes to `apply` scaled to
-    integers, and each point is compared on ints; a Fraction is built
-    only for a miss."""
-    ints, S = clear_denominators(line)
-    got = apply(op, lambda y: ints[reduced[y]])
-    bounds = _bounds(op, lambda y: line[reduced[y]], tol) if tol else {}
+    line: (k, got, want, bound) per such layout index k, with the
+    tolerance of `_bounds` (0 in exact mode).  `scaled` is the line's
+    (ints, S) from the table's integer view; each point is compared on
+    ints, acc den == num ints[k] D for ev = num/den, and a Fraction is
+    built only for a miss."""
+    ints, S = scaled
+    D = op.scale
+    bounds = _bounds(op, line, tol) if tol else None
     num, den = ev.numerator, ev.denominator
-    for y, g in got.items():
-        k = reduced[y]
-        if is_exact(g) and g.numerator * den == num * ints[k] * g.denominator:
+    for k, acc in enumerate(apply(op, ints)):
+        on_ints = type(acc) is int
+        if on_ints and acc * den == num * ints[k] * D:
             continue
-        yield y, g / S, ev * line[k], bounds.get(y, 0)
+        got = Fraction(acc, D * S) if on_ints else acc / D / S
+        yield k, got, ev * line[k], bounds[k] if tol else 0
 
 
 def check_eigen(
@@ -240,7 +241,7 @@ def check_eigen(
     eigenfunctions of the tilde-shifting family and columns of the
     mirror family (the universal operator is `check_universal`'s)."""
     d = kappa.d
-    reduced = {pt[1:]: idx for idx, pt in enumerate(tab.points)}
+    points = tab.points
     failures = []
     max_resid = 0
 
@@ -249,19 +250,20 @@ def check_eigen(
 
     # columns are the rows of the transposed table, as the mirror family
     # is the tilde family of the involuted set
-    columns = tuple(zip(*tab.values))
-    for lines, ops in ((tab.values, ops_second), (columns, ops_first)):
-        for fixed, line in zip(tab.points, lines):
+    rows, columns = tab.integer_view
+    sides = ((tab.values, rows, ops_second), (tuple(zip(*tab.values)), columns, ops_first))
+    for lines, scaled_lines, ops in sides:
+        for fixed, line, scaled in zip(points, lines, scaled_lines):
             for op in ops:
                 ev = op.eigenvalue(fixed[1:])
-                for y, got, want, bound in _misses(op, ev, line, reduced, tol):
+                for k, got, want, bound in _misses(op, ev, line, scaled, tol):
                     max_resid = max(max_resid, abs(got - want))
                     if not scalars_equal(got, want, bound):
                         failures.append(
                             {
                                 "operator": op.name,
                                 "fixed_index": list(fixed),
-                                "at": list(y),
+                                "at": list(points[k][1:]),
                                 "got": format_scalar(got),
                                 "want": format_scalar(want),
                             }
@@ -293,14 +295,14 @@ def check_universal(
     The action is linear in its matrix, so this gives the operator
     identity at every N; it collapses the u-dependence via the defining matrix
     equation, and its trace reads sum p = 1."""
-    reduced = {pt[1:]: idx for idx, pt in enumerate(tab.points)}
+    points = tab.points
     universal = operator_universal(kappa, N)
     failures = []
     max_resid = 0
 
-    for n, row in zip(tab.points, tab.values):
+    for n, row, scaled in zip(points, tab.values, tab.integer_view[0]):
         ev = universal.eigenvalue(n[1:])
-        for y, got, want, bound in _misses(universal, ev, row, reduced, tol):
+        for k, got, want, bound in _misses(universal, ev, row, scaled, tol):
             resid = abs(got - want)
             max_resid = max(max_resid, resid)
             if not scalars_equal(got, want, bound):
@@ -308,7 +310,7 @@ def check_universal(
                     {
                         "operator": "universal",
                         "fixed_index": list(n),
-                        "at": list(y),
+                        "at": list(points[k][1:]),
                         "residual": format_scalar(resid),
                     }
                 )
@@ -331,17 +333,18 @@ def check_universal(
     )
 
 
-def _compose(a: DifferenceOperator, b: DifferenceOperator) -> dict:
-    """The product ab as a matrix scaled by D_a D_b: {y: {z: entry}},
-    row y of a's lattice form times the rows of b's, on ints."""
-    rows_b = dict(b.rows)
-    out = {}
-    for y, terms in a.rows:
+def _compose(a: DifferenceOperator, b: DifferenceOperator) -> list:
+    """The product ab as a matrix scaled by D_a D_b, one {z: entry} row
+    per layout index: row k of a's lattice form times the rows of b's,
+    on ints."""
+    rows_b = b.rows
+    out = []
+    for terms in a.rows:
         row: dict = {}
         for x, c in terms:
             for z, e in rows_b[x]:
                 row[z] = row.get(z, 0) + c * e
-        out[y] = row
+        out.append(row)
     return out
 
 
@@ -353,7 +356,6 @@ def check_commute(kappa: ParameterSet, N: int, tol: Scalar = 0) -> CheckReport:
     every entry of both is compared, scaled by D_a D_b."""
     d = kappa.d
     points = list(enumerate_degree_points(d, N))
-    index = {y: k for k, y in enumerate(points)}
     failures = []
     pair_count = 0
     families = {
@@ -368,10 +370,10 @@ def check_commute(kappa: ParameterSet, N: int, tol: Scalar = 0) -> CheckReport:
                 ba = _compose(ops[b], ops[a])
                 bound = tol * ops[a].scale * ops[b].scale
                 misses = sorted(
-                    (index[y0], index[y])
-                    for y in points
-                    for y0 in ab[y].keys() | ba[y].keys()
-                    if not scalars_equal(ab[y].get(y0, 0), ba[y].get(y0, 0), bound)
+                    (k0, k)
+                    for k, (row_ab, row_ba) in enumerate(zip(ab, ba))
+                    for k0 in row_ab.keys() | row_ba.keys()
+                    if not scalars_equal(row_ab.get(k0, 0), row_ba.get(k0, 0), bound)
                 )
                 for k0, k in misses:
                     failures.append(

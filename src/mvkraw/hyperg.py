@@ -23,9 +23,12 @@ set.  Each value is then one division, one Fraction, at the end;
 floats take the same loop.
 
 Tables hold P over the full degree-N lattice in graded-lex order, rows
-indexed by the first argument, built by kernel sums.  On top of tables
-sit the two-sided orthogonality check (weighted columns and weighted
-rows both come out diagonal with explicit normalizations) and the
+indexed by the first argument, built by kernel sums.  A table keeps one
+integer view of itself, every row and column scaled to integers on
+first use (`PolynomialTable.integer_view`), which the table checks of a
+run share.  On top of tables sit the two-sided orthogonality check
+(weighted columns and weighted rows both come out diagonal with
+explicit normalizations; its Gram sums are compared on ints) and the
 duality check: row n of the table is the generating column of n for
 the involuted parameter set, so duality crosses the two routes.
 """
@@ -33,6 +36,7 @@ the involuted parameter set, so duality crosses the two routes.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +47,7 @@ from .kappa import ParameterSet
 from .numeric import (
     EXACT,
     Scalar,
+    clear_denominators,
     enumerate_degree_points,
     enumerate_kernels,
     enumerate_lattice,
@@ -50,6 +55,7 @@ from .numeric import (
     expand_forms,
     format_scalar,
     gram,
+    is_exact,
     multi_factorial,
     multinomial,
     parse_scalar,
@@ -214,6 +220,18 @@ class PolynomialTable:
     points: tuple
     values: tuple
 
+    @functools.cached_property
+    def integer_view(self) -> tuple:
+        """(rows, columns): every row and every column of the table as
+        (ints, S) with line = ints / S (`numeric.clear_denominators`; a
+        float line is kept as it is, with S = 1).  Made on first use and
+        kept on the instance, like `ParameterSet.kernel_form`, so the
+        checks of a run share one scaling of each line."""
+        return (
+            tuple(clear_denominators(row) for row in self.values),
+            tuple(clear_denominators(col) for col in zip(*self.values)),
+        )
+
 
 def table(kappa: ParameterSet, N: int) -> PolynomialTable:
     """Evaluate the full lattice-by-lattice grid of P by kernel sums."""
@@ -246,6 +264,8 @@ def table_from_json_dict(obj: dict, mode: str = EXACT, tol: Scalar = 0) -> Polyn
         raise ValueError(f"table N must be a non-negative integer, got {N!r}")
     if order != "grlex":
         raise ValueError(f"unknown table order {order!r}")
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise ValueError("malformed table values: not a list of rows, each a list")
     points = tuple(enumerate_lattice(kap.d, N))
     if len(raw) != len(points) or any(len(r) != len(points) for r in raw):
         raise ValueError("table dimensions do not match the lattice")
@@ -254,6 +274,17 @@ def table_from_json_dict(obj: dict, mode: str = EXACT, tol: Scalar = 0) -> Polyn
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed table value: {exc}") from exc
     return PolynomialTable(kap, N, points, values)
+
+
+def _weights(w: Sequence[Scalar], N: int, points: tuple, exact: bool) -> tuple:
+    """(ints, S) with N! w^n / n! = ints[k] / S at the k-th lattice
+    point n: for w = W/D on ints, multinomial(N, n) W^n over S = D^N,
+    as |n| = N.  Float weights are N! (w^n / n!), with S = 1."""
+    if not exact:
+        nfact = math.factorial(N)
+        return [nfact * weight_over_factorial(w, n) for n in points], 1
+    W, D = clear_denominators(w)
+    return [multinomial(N, n) * power_product(W, n) for n in points], D**N
 
 
 def check_orthogonality(
@@ -266,34 +297,48 @@ def check_orthogonality(
     """Both diagonalization identities over the table.
 
     Columns: N! sum_n P(n,nt) P(n,kt) pt^n / n!  =  delta
-    with diagonal value nt! / (N! nu^N p^nt); rows are the same identity
-    on the transposed table with the two weight vectors exchanged.  In
-    exact mode the Gram sums run on integers (`numeric.gram`).  In approx
-    mode a pair passes within tol times the larger of 1 and the two
-    diagonal values of its side.  Failures carry the residual, the
-    columns and rows side of each pair in turn.
+    with diagonal value nt! / (N! nu^N p^nt), which is 1 / nu^N over the
+    rows' weight; rows are the same identity on the transposed table
+    with the two weight vectors exchanged.  In exact mode the Gram sums
+    (`numeric.gram`) run on the table's integer view and integer
+    weights, and each is compared with its diagonal value on ints; a
+    Fraction is built only for a miss.  In approx mode a pair passes
+    within tol times the larger of 1 and the two diagonal values of its
+    side.  Failures carry the residual, the columns and rows side of
+    each pair in turn.
     """
     points = tab.points
     nu_pow = exactify(kappa.nu) ** N
     nfact = math.factorial(N)
+    exact = all(map(is_exact, (kappa.nu, *kappa.p, *kappa.pt)))
     failures = []
     max_resid = 0
 
-    col_weights = [nfact * weight_over_factorial(kappa.pt, n) for n in points]
-    row_weights = [nfact * weight_over_factorial(kappa.p, nt) for nt in points]
-    diagonal = lambda w: [
-        1 / (nfact * nu_pow * weight_over_factorial(w, x)) for x in points
-    ]
-    sides = (
-        ("columns", gram(list(zip(*tab.values)), col_weights), diagonal(kappa.p)),
-        ("rows", gram(tab.values, row_weights), diagonal(kappa.pt)),
-    )
+    rows, columns = tab.integer_view
+    wt, wp = (_weights(w, N, points, exact) for w in (kappa.pt, kappa.p))
+    sides = []
+    for side, lines, (weights, wscale), (other, oscale), other_w in (
+        ("columns", columns, wt, wp, kappa.p),
+        ("rows", rows, wp, wt, kappa.pt),
+    ):
+        if exact:
+            diag = [Fraction(oscale, x) / nu_pow for x in other]
+        else:
+            diag = [1 / (nfact * nu_pow * weight_over_factorial(other_w, x)) for x in points]
+        grams = gram([ints for ints, _ in lines], weights)
+        sides.append((side, grams, [S for _, S in lines], wscale, diag))
 
     for a in range(len(points)):
         for b in range(len(points)):
-            for side, grams, diag in sides:
-                lhs = grams[a][b]
+            for side, grams, scales, wscale, diag in sides:
+                # the Gram sum of lines a and b is g / den
+                g = grams[a][b]
                 rhs = diag[a] if a == b else 0
+                den = scales[a] * scales[b] * wscale
+                on_ints = type(g) is int
+                if on_ints and g * rhs.denominator == rhs.numerator * den:
+                    continue
+                lhs = Fraction(g, den) if on_ints else g / den
                 bound = tol * max(1, abs(diag[a]), abs(diag[b])) if tol else 0
                 resid = lhs - rhs
                 max_resid = max(max_resid, abs(resid))

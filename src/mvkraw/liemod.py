@@ -50,6 +50,7 @@ from .numeric import (
     expand_forms,
     format_scalar,
     gram,
+    is_exact,
     multi_factorial,
     power_product,
     scalars_equal,
@@ -411,20 +412,23 @@ def check_dual_norms(
 ) -> CheckReport:
     """Two facts about the form.  The substituted monomials are
     orthogonal for it, with norms n!/p^n (no nu power): the Gram of the
-    rows of X[lam][n] = coeff_n(xt^lam) under the form's weights, summed
-    on integers (`numeric.gram`).  The norms grow like N!/min|p|^N, so
-    the tolerance of a pair is tol times the larger of its two norms.
-    And the form is contravariant for the antiautomorphism
-    (`_adjoint_failures`)."""
+    rows of X[lam][n] = coeff_n(xt^lam) under the form's weights, each
+    row and the weights scaled to integers once and summed on ints
+    (`numeric.gram`), one Fraction per pair.  The norms grow like
+    N!/min|p|^N, so the tolerance of a pair is tol times the larger of
+    its two norms.  And the form is contravariant for the
+    antiautomorphism (`_adjoint_failures`)."""
     points = tuple(enumerate_lattice(kappa.d, N))
     weights = _form_weights(kappa, N)
-    rows = [[X[lam].get(n, 0) for n in points] for lam in points]
-    grams = gram(rows, list(weights.values()))
+    rows = [clear_denominators([X[lam].get(n, 0) for n in points]) for lam in points]
+    ints, wscale = clear_denominators(list(weights.values()))
+    grams = gram([row for row, _ in rows], ints)
     norms = [1 / weight_over_factorial(kappa.p, lam) for lam in points]
     failures = []
     for a, n in enumerate(points):
         for b, m in enumerate(points):
-            got = grams[a][b]
+            g, den = grams[a][b], rows[a][1] * rows[b][1] * wscale
+            got = Fraction(g, den) if is_exact(g) else g / den
             want = norms[a] if a == b else 0
             scale = max(abs(norms[a]), abs(norms[b]))
             if not scalars_equal(got, want, tol * scale):

@@ -87,26 +87,20 @@ def clear_denominators(values: Sequence[Scalar]) -> tuple:
     return [x.numerator * (D // x.denominator) for x in values], D
 
 
-def gram(columns: Sequence[Sequence[Scalar]], weights: Sequence[Scalar]) -> list:
-    """G[a][b] = sum_r columns[a][r] columns[b][r] weights[r] for every pair.
+def gram(lines: Sequence[Sequence[Scalar]], weights: Sequence[Scalar]) -> list:
+    """G[a][b] = sum_r lines[a][r] lines[b][r] weights[r] for every pair.
 
-    Each exact column and the weights are scaled to integers once, by
-    the lcm of their own denominators (`clear_denominators`), so every
-    sum runs on ints and only its quotient becomes a Fraction.  Floats
-    sum as they are.  G is symmetric, so each sum is taken once.
+    The lines and weights come already scaled to integers
+    (`clear_denominators`, once per line by its owner), so every sum
+    runs on ints and the caller divides by the scales, or compares on
+    ints and divides only for a miss.  Floats sum as they are.  G is
+    symmetric, so each sum is taken once.
     """
-    weights, wscale = clear_denominators(weights)
-    columns = [clear_denominators(col) for col in columns]
-    size = len(columns)
+    size = len(lines)
     out = [[None] * size for _ in range(size)]
-    for a, (col_a, scale_a) in enumerate(columns):
+    for a, line_a in enumerate(lines):
         for b in range(a, size):
-            col_b, scale_b = columns[b]
-            total = sum(map(mul, map(mul, col_a, col_b), weights))
-            den = scale_a * scale_b * wscale
-            out[a][b] = out[b][a] = (
-                Fraction(total, den) if is_exact(total) else total / den
-            )
+            out[a][b] = out[b][a] = sum(map(mul, map(mul, line_a, lines[b]), weights))
     return out
 
 

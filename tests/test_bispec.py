@@ -42,9 +42,39 @@ def plain_apply(op, func):
     return out
 
 
+def plain_eigen_records(tab):
+    """((records, max residual) of check_eigen, the same of
+    check_universal) over a table, recomputed with `plain_eigen` on the
+    operators of the table's own set."""
+    k, N, d = tab.kappa, tab.N, tab.kappa.d
+    rows = [bispec.operator_mtilde(k, N, i) for i in range(1, d + 1)]
+    cols = [bispec.operator_m(k, N, i) for i in range(1, d + 1)]
+    eigen = plain_eigen(
+        tab, rows, cols,
+        lambda op, fixed, y, got, want: {
+            "operator": op.name,
+            "fixed_index": list(fixed),
+            "at": list(y),
+            "got": format_scalar(got),
+            "want": format_scalar(want),
+        },
+    )
+    universal = plain_eigen(
+        tab, [bispec.operator_universal(k, N)], [],
+        lambda op, fixed, y, got, want: {
+            "operator": "universal",
+            "fixed_index": list(fixed),
+            "at": list(y),
+            "residual": format_scalar(abs(got - want)),
+        },
+    )
+    return eigen, universal
+
+
 def plain_eigen(tab, ops_rows, ops_columns, record):
     """(failure records, max residual) of the eigen identities over a
-    table, recomputed with `plain_apply`, in check_eigen's order."""
+    table, recomputed with `plain_apply` in Fractions, in check_eigen's
+    order."""
     reduced = {pt[1:]: idx for idx, pt in enumerate(tab.points)}
     columns = tuple(zip(*tab.values))
     failures, max_resid = [], 0
@@ -58,7 +88,39 @@ def plain_eigen(tab, ops_rows, ops_columns, record):
                     max_resid = max(max_resid, abs(got - want))
                     if got != want:
                         failures.append(record(op, fixed, y, got, want))
-    return failures, format_scalar(max_resid)
+    return failures, max_resid
+
+
+def corrupted(k, N, entry, delta=F(1, 7)):
+    """The table of k at N with the entry at (row, column) moved by delta."""
+    tab = hyperg.table(k, N)
+    vals = [list(r) for r in tab.values]
+    vals[entry[0]][entry[1]] += delta
+    return hyperg.PolynomialTable(k, N, tab.points, tuple(tuple(r) for r in vals))
+
+
+def approx_twin(tab):
+    """The same table and set in approx mode, at the default eps."""
+    k = kappa.from_json_dict(kappa.to_json_dict(tab.kappa), "approx", 1e-10)
+    values = tuple(tuple(float(x) for x in row) for row in tab.values)
+    return hyperg.PolynomialTable(k, tab.N, tab.points, values)
+
+
+HR = kappa.family_hoare_rahman(1, 2, 3, 4)
+MILCH_D3 = kappa.family_milch([F(1, 2), F(1, 4), F(1, 8), F(1, 8)])
+DS_Q3 = kappa.family_ds(F(3), 1)
+
+# one entry moved by 1/7 at three positions of each table, one of them in
+# row 0 or column 0 (where P = 1)
+CORRUPTIONS = [
+    pytest.param(k, N, entry, id=f"{name}-{entry[0]}-{entry[1]}")
+    for name, k, N, entries in (
+        ("hr1234", HR, 2, [(0, 3), (2, 4), (5, 0)]),
+        ("milch-d3", MILCH_D3, 2, [(0, 7), (4, 6), (9, 2)]),
+        ("ds-q3-d1", DS_Q3, 4, [(3, 0), (1, 2), (4, 4)]),
+    )
+    for entry in entries
+]
 
 
 class TestAffineCoeff:
@@ -136,7 +198,8 @@ class TestStencils:
     def test_stencils_are_the_lie_action(self, k, N):
         # each operator is built from the matrix it is said to act by, and
         # its dumped stencil, evaluated at every point y, is row y of its
-        # integer lattice form divided by D
+        # integer lattice form divided by D, its targets read back from
+        # their layout indices
         p_ones = tuple(tuple(x - (r == c) for c in range(k.d + 1)) for r, x in enumerate(k.p))
         ops = [(bispec.operator_universal(k, N), p_ones)]
         for i in range(1, k.d + 1):
@@ -144,18 +207,20 @@ class TestStencils:
             ops.append(
                 (bispec.operator_m(k, N, i), liemod.mirror_closed_form(kappa.involute(k, 0), i))
             )
+        points = list(enumerate_degree_points(k.d, N))
         for op, M in ops:
             assert op.matrix == M, op.name
             D = op.scale
             assert D == math.lcm(*(F(x).denominator for row in M for x in row))
-            for y, terms in op.rows:
+            assert len(op.rows) == len(points)
+            for y, terms in zip(points, op.rows):
                 assert all(type(c) is int for _, c in terms)
                 want = {
                     tuple(a + b for a, b in zip(y, s)): affine_at(c, y)
                     for s, c in op.stencil.items()
                 }
                 want = {t: c for t, c in want.items() if c != 0}
-                assert {t: F(c, D) for t, c in terms} == want, op.name
+                assert {points[t]: F(c, D) for t, c in terms} == want, op.name
 
     def test_stencil_json(self):
         op = bispec.operator_mtilde(milch1(), 2, 1)
@@ -168,32 +233,41 @@ class TestStencils:
             assert len(r["coeff"]["linear"]) == 1
 
 
+class Guarded:
+    """A line of ones over the L lattice points that fails on any index
+    outside 0..L-1 (a negative index would wrap round a plain list)."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def __getitem__(self, k):
+        assert 0 <= k < self.size
+        return 1
+
+
 class TestApply:
     def test_identity(self):
         # the identity matrix acts on degree-N monomials as N, so I/N
-        # gives the identity operator
+        # gives the identity operator; apply returns the sums times D
         op = bispec.DifferenceOperator(
             linalg.mat_scale(F(1, 3), linalg.identity(3)), 3, None, "identity"
         )
-        out = bispec.apply(op, lambda y: sum(y) + 1)
-        assert all(out[y] == sum(y) + 1 for y in out)
+        pts = list(enumerate_degree_points(2, 3))
+        out = bispec.apply(op, [sum(y) + 1 for y in pts])
+        assert len(out) == len(pts)
+        assert all(acc == op.scale * (sum(y) + 1) for y, acc in zip(pts, out))
 
     def test_boundary_never_read(self):
-        # every operator on the whole lattice with an F that would blow
+        # every operator on the whole lattice with a line that would blow
         # up outside it
         k = milch2()
-        pts = set(enumerate_degree_points(2, 2))
-
-        def guarded(y):
-            assert y in pts
-            return 1
-
+        size = len(list(enumerate_degree_points(2, 2)))
         for op in (
             bispec.operator_mtilde(k, 2, 1),
             bispec.operator_m(k, 2, 2),
             bispec.operator_universal(k, 2),
         ):
-            bispec.apply(op, guarded)
+            assert len(bispec.apply(op, Guarded(size))) == size
 
     @pytest.mark.parametrize("scalar", [F, float], ids=["exact", "approx"])
     def test_any_matrix_stays_on_the_lattice(self, scalar):
@@ -207,11 +281,11 @@ class TestApply:
         )
         op = bispec.DifferenceOperator(M, N, None, "dense")
         pts = list(enumerate_degree_points(d, N))
-        assert [y for y, _ in op.rows] == pts
-        for y, terms in op.rows:
-            assert {t for t, _ in terms} <= set(pts)
+        assert len(op.rows) == len(pts)
+        for terms in op.rows:
+            assert {t for t, _ in terms} <= set(range(len(pts)))
             assert len(terms) <= d * d + d + 1
-        assert sum(len(terms) for _, terms in op.rows) < len(pts) * (d * d + d + 1)
+        assert sum(len(terms) for terms in op.rows) < len(pts) * (d * d + d + 1)
         if scalar is F:
             assert op.scale == math.lcm(*(x.denominator for row in M for x in row))
         else:
@@ -229,10 +303,10 @@ class TestApply:
         ):
             op, ref = build(k, *args), build(exact, *args)
             assert op.scale == 1
-            coeffs = [c for _, terms in op.rows for _, c in terms]
+            coeffs = [c for terms in op.rows for _, c in terms]
             assert coeffs and all(type(c) is float for c in coeffs)
-            for (y, terms), (z, want) in zip(op.rows, ref.rows):
-                assert y == z
+            assert len(op.rows) == len(ref.rows)
+            for terms, want in zip(op.rows, ref.rows):
                 got, want = dict(terms), {t: F(c, ref.scale) for t, c in want}
                 for t in got.keys() | want.keys():
                     w = want.get(t, 0)
@@ -241,12 +315,15 @@ class TestApply:
     def test_apply_equals_plain_fractions(self):
         k = kappa.family_hoare_rahman(F(17, 101), F(-3, 7), F(29, 113), F(5, 211))
         func = lambda y: F(3 * y[0] - y[1] + 1, 7 + y[1])
+        pts = list(enumerate_degree_points(k.d, 3))
         for op in (
             bispec.operator_mtilde(k, 3, 1),
             bispec.operator_m(k, 3, 2),
             bispec.operator_universal(k, 3),
         ):
-            assert bispec.apply(op, func) == plain_apply(op, func)
+            out = bispec.apply(op, [func(y) for y in pts])
+            got = {y: acc / op.scale for y, acc in zip(pts, out)}
+            assert got == plain_apply(op, func)
 
 
 class TestEigenChecks:
@@ -338,50 +415,46 @@ class TestEigenChecks:
     @pytest.mark.parametrize(
         "k,N,entry",
         [
-            (milch2(), 2, (2, 3)),
-            (kappa.family_hoare_rahman(F(17, 101), F(-3, 7), F(29, 113), F(5, 211)), 3, (4, 7)),
-            (kappa.family_milch([F(1, 2), F(1, 4), F(1, 8), F(1, 8)]), 2, (5, 1)),
-        ],
-        ids=["milch-d2", "hr-small", "milch-d3"],
+            pytest.param(milch2(), 2, (2, 3), id="milch-d2"),
+            pytest.param(
+                kappa.family_hoare_rahman(F(17, 101), F(-3, 7), F(29, 113), F(5, 211)),
+                3, (4, 7), id="hr-small",
+            ),
+            pytest.param(MILCH_D3, 2, (5, 1), id="milch-d3"),
+        ]
+        + CORRUPTIONS,
     )
     def test_failures_equal_plain_fraction_recomputation(self, k, N, entry):
         # the integer path reports the same records, in the same order,
         # and the same max_residual as Fraction arithmetic on the stencil
-        tab = hyperg.table(k, N)
-        vals = [list(r) for r in tab.values]
-        vals[entry[0]][entry[1]] += F(1, 7)
-        tab = hyperg.PolynomialTable(k, N, tab.points, tuple(tuple(r) for r in vals))
-        d = k.d
-        rows = [bispec.operator_mtilde(k, N, i) for i in range(1, d + 1)]
-        cols = [bispec.operator_m(k, N, i) for i in range(1, d + 1)]
-        universal = bispec.operator_universal(k, N)
+        tab = corrupted(k, N, entry)
+        for check, want in zip(
+            (bispec.check_eigen, bispec.check_universal), plain_eigen_records(tab)
+        ):
+            rep = check(k, N, tab=tab)
+            assert want[0] and rep.failures == want[0]
+            assert rep.details["max_residual"] == format_scalar(want[1])
 
-        want, resid = plain_eigen(
-            tab, rows, cols,
-            lambda op, fixed, y, got, want: {
-                "operator": op.name,
-                "fixed_index": list(fixed),
-                "at": list(y),
-                "got": format_scalar(got),
-                "want": format_scalar(want),
-            },
-        )
-        rep = bispec.check_eigen(k, N, tab=tab)
-        assert want and rep.failures == want
-        assert rep.details["max_residual"] == resid
-
-        want, resid = plain_eigen(
-            tab, [universal], [],
-            lambda op, fixed, y, got, want: {
-                "operator": "universal",
-                "fixed_index": list(fixed),
-                "at": list(y),
-                "residual": format_scalar(abs(got - want)),
-            },
-        )
-        rep = bispec.check_universal(k, N, tab=tab)
-        assert want and rep.failures == want
-        assert rep.details["max_residual"] == resid
+    @pytest.mark.parametrize("k,N,entry", CORRUPTIONS[::3])
+    def test_approx_twin_fails_at_the_same_points(self, k, N, entry):
+        # the float path names the same points, in the same order, with
+        # values and max_residual within round-off of the Fraction ones
+        tab = corrupted(k, N, entry)
+        twin = approx_twin(tab)
+        for check, (want, resid) in zip(
+            (bispec.check_eigen, bispec.check_universal), plain_eigen_records(tab)
+        ):
+            rep = check(twin.kappa, N, 1e-10, tab=twin)
+            assert len(rep.failures) == len(want) > 0
+            for got, ref in zip(rep.failures, want):
+                assert got.keys() == ref.keys()
+                for key, value in ref.items():
+                    if key in ("got", "want", "residual"):
+                        assert abs(float(got[key]) - F(value)) <= 1e-9 * max(1, abs(F(value)))
+                    else:
+                        assert got[key] == value
+            got_resid = float(rep.details["max_residual"])
+            assert abs(got_resid - resid) <= 1e-9 * max(1, resid)
 
 
 class TestCommute:

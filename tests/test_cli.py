@@ -408,6 +408,23 @@ class TestTableFlow:
         assert out == ""
         assert err.startswith("error: malformed table value")
 
+    def test_table_values_not_rows_exit_2(self, capsys, milch2_file, tmp_path):
+        # values must be a list of rows, each a list: a number or null in
+        # either place is a parse error, not a TypeError traceback
+        tab_path = tmp_path / "table.json"
+        run(capsys, "table", "--kappa", milch2_file, "--N", "2",
+            "--output", str(tab_path))
+        obj = json.loads(tab_path.read_text())
+        bad_rows = [obj["values"][:1] + [x] + obj["values"][2:] for x in (5, None)]
+        for values in [5, None] + bad_rows:
+            bad_path = tmp_path / "bad.json"
+            bad_path.write_text(json.dumps(dict(obj, values=values)))
+            code, out, err = run(
+                capsys, "check", "--table", str(bad_path), "--suite", "orthogonality"
+            )
+            assert (code, out) == (2, ""), values
+            assert err.startswith("error: malformed table "), err
+
     def test_table_kappa_mismatch_exit_2(self, capsys, milch2_file, classical_file, tmp_path):
         tab_path = tmp_path / "table.json"
         run(capsys, "table", "--kappa", milch2_file, "--N", "2",

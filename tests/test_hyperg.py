@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvkraw import hyperg, kappa, verify
+from mvkraw import bispec, hyperg, kappa, liemod, linalg, numeric, verify
 from mvkraw.numeric import enumerate_degree_points, enumerate_lattice
-from test_bispec import FAMILIES
+from test_bispec import CORRUPTIONS, FAMILIES, approx_twin, corrupted
 
 
 def milch1():
@@ -239,25 +239,40 @@ class TestOrthogonality:
         assert rep.failures == []
         assert rep.details["pairs"] == 2 * len(list(enumerate_lattice(k.d, N))) ** 2
 
-    def test_detects_corruption(self):
-        k = milch2()
-        tab = hyperg.table(k, 2)
-        values = [list(row) for row in tab.values]
-        values[1][2] += 1
-        broken = hyperg.PolynomialTable(
-            k, 2, tab.points, tuple(tuple(r) for r in values)
-        )
-        rep = hyperg.check_orthogonality(k, 2, tab=broken)
+    @pytest.mark.parametrize(
+        "k,N,entry,delta",
+        [pytest.param(milch2(), 2, (1, 2), 1, id="milch-d2")]
+        + [pytest.param(*p.values, F(1, 7), id=p.id) for p in CORRUPTIONS],
+    )
+    def test_detects_corruption(self, k, N, entry, delta):
+        broken = corrupted(k, N, entry, delta)
+        rep = hyperg.check_orthogonality(k, N, tab=broken)
         assert not rep.passed
         # every reported pair involves the corrupted row or column point
-        touched = {tuple(tab.points[1]), tuple(tab.points[2])}
+        touched = {tuple(broken.points[entry[0]]), tuple(broken.points[entry[1]])}
         for f in rep.failures:
             assert touched & {tuple(f["pair"][0]), tuple(f["pair"][1])}
         # the integer Gram sums agree with plain Fraction sums, record
         # for record and in the same order
-        failures, max_resid = fraction_orthogonality(k, 2, broken)
+        failures, max_resid = fraction_orthogonality(k, N, broken)
         assert rep.failures == failures
         assert rep.details["max_residual"] == str(max_resid)
+
+    @pytest.mark.parametrize("k,N,entry", CORRUPTIONS[::3])
+    def test_approx_twin_fails_at_the_same_pairs(self, k, N, entry):
+        # the float Gram sums name the same pairs, in the same order, with
+        # residuals within round-off of the Fraction ones
+        broken = corrupted(k, N, entry)
+        failures, max_resid = fraction_orthogonality(k, N, broken)
+        twin = approx_twin(broken)
+        rep = hyperg.check_orthogonality(twin.kappa, N, 1e-10, tab=twin)
+        assert len(rep.failures) == len(failures) > 0
+        for got, want in zip(rep.failures, failures):
+            assert (got["side"], got["pair"]) == (want["side"], want["pair"])
+            resid = F(want["residual"])
+            assert abs(float(got["residual"]) - resid) <= 1e-9 * max(1, abs(resid))
+        got = float(rep.details["max_residual"])
+        assert abs(got - max_resid) <= 1e-9 * max(1, max_resid)
 
     def test_approx_table_takes_float_path(self):
         k = kappa.from_json_dict(kappa.to_json_dict(milch2()), "approx", 1e-10)
@@ -293,6 +308,28 @@ class TestOrthogonality:
         reports = {r.check: r for r in verify.run_suites(suites, bad, 6, 1e-10)}
         assert not reports["orthogonality"].passed
         assert not reports["universal"].passed
+
+
+def test_table_checks_scale_each_line_once(monkeypatch):
+    # orthogonality, recurrence and universal read one integer view of
+    # the table, so each of its L rows and L columns is scaled once a run
+    k = kappa.family_hoare_rahman(1, 2, 3, 4)
+    tab = hyperg.table(k, 4)
+    lines = [tuple(row) for row in tab.values] + [tuple(c) for c in zip(*tab.values)]
+    scaled = []
+    original = numeric.clear_denominators
+
+    def counting(values):
+        if tuple(values) in lines:
+            scaled.append(tuple(values))
+        return original(values)
+
+    for module in (numeric, hyperg, bispec, liemod, linalg):
+        if hasattr(module, "clear_denominators"):
+            monkeypatch.setattr(module, "clear_denominators", counting)
+    reports = verify.run_suites(["orthogonality", "recurrence", "universal"], k, 4, table=tab)
+    assert all(r.passed for r in reports)
+    assert sorted(scaled) == sorted(lines)  # the 2L lines, once each
 
 
 def fraction_orthogonality(k, N, tab):

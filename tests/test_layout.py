@@ -134,6 +134,24 @@ def test_run_inputs_are_built_in_one_place():
     assert calls == []
 
 
+def test_table_lines_are_scaled_in_one_place():
+    # a table check that scales its own lines scales each again per check
+    # and per operator; the checks read `PolynomialTable.integer_view`
+    modules = _modules()
+    places = {
+        "bispec.py": modules["bispec.py"],
+        "hyperg.py:check_orthogonality": _function(modules["hyperg.py"], "check_orthogonality"),
+        "numeric.py:gram": _function(modules["numeric.py"], "gram"),
+    }
+    calls = [
+        f"{place}:{node.lineno}"
+        for place, tree in places.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _tail(node) == "clear_denominators"
+    ]
+    assert calls == []
+
+
 def test_checks_have_no_none_defaults():
     # a None default on a check is a build-it-yourself fallback
     modules = _modules()

@@ -11,6 +11,7 @@ from mvkraw.numeric import (
     APPROX,
     DegreeMismatchError,
     KernelMatrix,
+    clear_denominators,
     enumerate_degree_points,
     enumerate_kernels,
     enumerate_lattice,
@@ -65,8 +66,9 @@ class TestScalars:
         assert not scalars_equal(1.0, 1.0 + 1e-12, 0)
 
     def test_gram(self):
-        # G[a][b] = sum_r col_a[r] col_b[r] w[r], exact on Fractions (the
-        # ints it sums on are an implementation detail) and on floats
+        # G[a][b] = sum_r col_a[r] col_b[r] w[r], summed as given: on the
+        # ints of lines scaled by their owner, which the caller divides by
+        # the scales, and on floats
         cols = [[Fraction(1, 2), 0, 3], [Fraction(1, 3), 2, -1]]
         w = [Fraction(2), Fraction(1, 5), 1]
         want = [[sum(x * y * v for x, y, v in zip(a, b, w)) for b in cols] for a in cols]
@@ -74,7 +76,14 @@ class TestScalars:
             [Fraction(19, 2), Fraction(-8, 3)],
             [Fraction(-8, 3), Fraction(91, 45)],
         ]
-        assert gram(cols, w) == want
+        scaled = [clear_denominators(c) for c in cols]
+        ints, S = clear_denominators(w)
+        got = gram([line for line, _ in scaled], ints)
+        assert all(type(g) is int for row in got for g in row)
+        assert [
+            [Fraction(g, Sa * Sb * S) for g, (_, Sb) in zip(row, scaled)]
+            for row, (_, Sa) in zip(got, scaled)
+        ] == want
         floats = gram([[float(x) for x in c] for c in cols], [float(x) for x in w])
         for got_row, want_row in zip(floats, want):
             assert all(abs(g - h) < 1e-12 for g, h in zip(got_row, want_row))
