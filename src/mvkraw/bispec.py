@@ -174,6 +174,23 @@ def operator_m(kappa: ParameterSet, N: int, i: int) -> DifferenceOperator:
     return DifferenceOperator(closed, N, law, f"m_{i}")
 
 
+def generators(kappa: ParameterSet, N: int, forms: liemod.ClosedForms) -> dict:
+    """Both generator families at N, each operator as `operator_mtilde`
+    and `operator_m` build it but from the run's closed forms, so a run
+    builds each lattice form once: {family name: [generator 1..d]}."""
+    d = kappa.d
+    laws = [(i, _tilde_law(d, N, i)) for i in range(1, d + 1)]
+    return {
+        "second_index_family": [
+            DifferenceOperator(forms.mirror[i], N, law, f"mtilde_{i}")
+            for i, law in laws
+        ],
+        "first_index_family": [
+            DifferenceOperator(forms.closed[i], N, law, f"m_{i}") for i, law in laws
+        ],
+    }
+
+
 def _universal_matrix(kappa: ParameterSet) -> Matrix:
     """p 1^t - I: only the weights enter, never u."""
     p = [exactify(x) for x in kappa.p]
@@ -236,17 +253,18 @@ def check_eigen(
     tol: Scalar = 0,
     *,
     tab: hyperg.PolynomialTable,
+    gens: dict,
 ) -> CheckReport:
-    """Both generator families against a full table: rows are
-    eigenfunctions of the tilde-shifting family and columns of the
+    """Both generator families (`generators`) against a full table: rows
+    are eigenfunctions of the tilde-shifting family and columns of the
     mirror family (the universal operator is `check_universal`'s)."""
     d = kappa.d
     points = tab.points
     failures = []
     max_resid = 0
 
-    ops_second = [operator_mtilde(kappa, N, i) for i in range(1, d + 1)]
-    ops_first = [operator_m(kappa, N, i) for i in range(1, d + 1)]
+    ops_second = gens["second_index_family"]
+    ops_first = gens["first_index_family"]
 
     # columns are the rows of the transposed table, as the mirror family
     # is the tilde family of the involuted set
@@ -287,11 +305,12 @@ def check_universal(
     tol: Scalar = 0,
     *,
     tab: hyperg.PolynomialTable,
+    forms: liemod.ClosedForms,
 ) -> CheckReport:
     """Eigenvalue -|m| on every table row, plus the identity
     universal = -(sum of the tilde-shifting generators) - dN/(d+1) as the
     matrix identity p 1^t - I = -sum_i M_i - d/(d+1) I of the matrices
-    the operators are built from (M_i = `liemod.mirror_closed_form`).
+    the operators are built from (M_i, the run's mirror closed forms).
     The action is linear in its matrix, so this gives the operator
     identity at every N; it collapses the u-dependence via the defining matrix
     equation, and its trace reads sum p = 1."""
@@ -318,7 +337,7 @@ def check_universal(
     d = kappa.d
     rhs = linalg.mat_scale(Fraction(d, d + 1), linalg.identity(d + 1))
     for i in range(1, d + 1):
-        rhs = linalg.mat_add(rhs, liemod.mirror_closed_form(kappa, i))
+        rhs = linalg.mat_add(rhs, forms.mirror[i])
     symbolic = linalg.mats_equal(
         _universal_matrix(kappa), linalg.mat_scale(-1, rhs), tol
     )
@@ -348,21 +367,19 @@ def _compose(a: DifferenceOperator, b: DifferenceOperator) -> list:
     return out
 
 
-def check_commute(kappa: ParameterSet, N: int, tol: Scalar = 0) -> CheckReport:
-    """Pairwise commutation of each generator family as operators on the
-    full function space, tested on every delta basis function (not on
-    table eigenfunctions, which would be circular): column y0 of the
-    composed matrices ab and ba is the image of the delta at y0, and
-    every entry of both is compared, scaled by D_a D_b."""
+def check_commute(
+    kappa: ParameterSet, N: int, tol: Scalar = 0, *, gens: dict
+) -> CheckReport:
+    """Pairwise commutation of each generator family (`generators`) as
+    operators on the full function space, tested on every delta basis
+    function (not on table eigenfunctions, which would be circular):
+    column y0 of the composed matrices ab and ba is the image of the
+    delta at y0, and every entry of both is compared, scaled by D_a D_b."""
     d = kappa.d
     points = list(enumerate_degree_points(d, N))
     failures = []
     pair_count = 0
-    families = {
-        "second_index_family": [operator_mtilde(kappa, N, i) for i in range(1, d + 1)],
-        "first_index_family": [operator_m(kappa, N, i) for i in range(1, d + 1)],
-    }
-    for family_name, ops in families.items():
+    for family_name, ops in gens.items():
         for a in range(len(ops)):
             for b in range(a + 1, len(ops)):
                 pair_count += 1

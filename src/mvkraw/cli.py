@@ -14,6 +14,7 @@ set or forbidden family parameters, 4 an internal invariant failed
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -90,7 +91,10 @@ def _emit(obj, output: str | None) -> None:
         print(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built once per process, on first use:
+    parsing leaves it as it was, so each `main` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="mvkraw",
         description="Construct, evaluate and verify multivariate "

@@ -183,18 +183,18 @@ def generating_column(
     """Generating-function evaluation of the column {n: P(n', mt)} over
     full lattice points n: one expansion of the product of the d+1 row
     factors (1 + sum_j u[i][j] z_j)^mt_i (mt_0 = N - |mt|), homogenised
-    by z_0, each coefficient divided by the multinomial of n.  No point
+    by z_0, each coefficient divided by the multinomial of n.  The
+    expansion runs on ints for an exact set (`numeric.expand_forms`), so
+    each value is one Fraction, c / (D multinomial(N, n)).  No point
     above ``caps`` is formed; a point missing from the result has P = 0.
     Independent of the kernel sum; used as its oracle.
     """
     d = kappa.d
     mt = check_degree_vector(d, N, mt, "mt")
-    forms = [
-        (1,) + tuple(exactify(kappa.u[i][j]) for j in range(1, d + 1))
-        for i in range(d + 1)
-    ]
-    coeffs = expand_forms(forms, (N - sum(mt),) + mt, caps)
-    return {n: exactify(c) / multinomial(N, n) for n, c in coeffs.items()}
+    forms = [(1,) + kappa.u[i][1:] for i in range(d + 1)]
+    coeffs, D = expand_forms(forms, (N - sum(mt),) + mt, caps)
+    scaled = ((n, c, D * multinomial(N, n)) for n, c in coeffs.items())
+    return {n: Fraction(c, den) if type(c) is int else c / den for n, c, den in scaled}
 
 
 def eval_generating(

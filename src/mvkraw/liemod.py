@@ -26,9 +26,10 @@ pairing <x^n, xt^nt> recovers P(n', nt') up to an explicit constant and
 serves as the third evaluation route.  Substituting y_j = pt_j x_j
 turns xt^nt into the generating function of `hyperg.generating_column`,
 so both routes expand through the one core `numeric.expand_forms`, as
-does the inverse substitution of `to_dual_coords`.  The module suites
-read X as one `expansion_matrix`, made once per run from the run's one
-conjugator.
+does the inverse substitution of `to_dual_coords`; for exact data the
+core runs on ints.  The module suites read X as one `expansion_matrix`,
+made once per run from the run's one conjugator, on ints over one
+scale, and both closed forms as `closed_forms`, made once per run.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
+from typing import NamedTuple, Sequence
 
 from . import hyperg, linalg
 from .kappa import ParameterSet, tol_for
@@ -147,6 +150,25 @@ def mirror_closed_form(kappa: ParameterSet, i: int) -> Matrix:
     return closed_form(kappa.nu, kappa.pt, kappa.p, linalg.transpose(kappa.u), i)
 
 
+class ClosedForms(NamedTuple):
+    """Both closed forms of a set for i = 0..d, built once per run:
+    closed[i] the conjugated phi_i over the plain basis (`closed_form`),
+    mirror[i] plain phi_i over the conjugated basis
+    (`mirror_closed_form`)."""
+
+    closed: tuple
+    mirror: tuple
+
+
+def closed_forms(kappa: ParameterSet) -> ClosedForms:
+    """The closed forms of kappa, each of its d+1 Cartan indices."""
+    indices = range(kappa.d + 1)
+    return ClosedForms(
+        tuple(closed_form(kappa.nu, kappa.p, kappa.pt, kappa.u, i) for i in indices),
+        tuple(mirror_closed_form(kappa, i) for i in indices),
+    )
+
+
 def antiauto(kappa: ParameterSet, beta: Matrix) -> Matrix:
     """a(b) = Pt b^t Pt^{-1}; with Pt diagonal this is the transpose of b
     scaled entrywise by the weight ratios pt_r/pt_c, which the set keeps
@@ -230,7 +252,7 @@ def check_lemma21(
 
 
 def check_generation(
-    kappa: ParameterSet, tol: Scalar = 0, *, conj: Conjugator
+    kappa: ParameterSet, tol: Scalar = 0, *, conj: Conjugator, forms: ClosedForms
 ) -> CheckReport:
     """Bracket-generation suite: both closed forms (every conjugated
     phi_i over the plain basis, and every plain phi_i, i >= 1, as the
@@ -250,14 +272,14 @@ def check_generation(
             tol,
             f"dual_phi_{i} closed form",
             dphi,
-            closed_form(kappa.nu, kappa.p, kappa.pt, kappa.u, i),
+            forms.closed[i],
         )
     for i in range(1, d + 1):
         _expect(
             failures,
             tol,
             f"phi_{i} mirror closed form",
-            _conjugate(conj, mirror_closed_form(kappa, i)),
+            _conjugate(conj, forms.mirror[i]),
             phis[i],
         )
 
@@ -344,25 +366,48 @@ def _add_scaled(acc: dict, coeffs: dict, c: Scalar) -> None:
 
 def xtilde_monomial(conj: Conjugator, lam: MultiIndex) -> HomogPoly:
     """The substituted monomial xt^lam = prod_k (sum_j x_j rhat[j][k])^lam_k
-    expanded over plain monomials."""
+    expanded over plain monomials, one Fraction per coefficient."""
     lam = tuple(lam)
-    return HomogPoly(sum(lam), expand_forms(tuple(zip(*conj.rhat)), lam))
+    coeffs, D = expand_forms(tuple(zip(*conj.rhat)), lam)
+    if D != 1:
+        coeffs = {n: Fraction(c, D) for n, c in coeffs.items()}
+    return HomogPoly(sum(lam), coeffs)
 
 
-def expansion_matrix(conj: Conjugator, points) -> dict:
-    """X[lam][n] = coeff_n(xt^lam) for every lam of `points`, in their
-    order, as {lam: {n: coefficient}} with zeros left out: one
-    expansion per point."""
-    return {lam: xtilde_monomial(conj, lam).coeffs for lam in points}
+def expansion_matrix(conj: Conjugator, points) -> tuple:
+    """(rows, D) with X[lam][n] = coeff_n(xt^lam) = rows[lam][n] / D for
+    every lam of `points`, in their order, zeros left out: one expansion
+    per point on ints (`numeric.expand_forms`), every row brought to the
+    one scale D, the lcm of the rows' scales.  The module suites read X
+    on ints through this one scaling; floats keep D = 1."""
+    forms = tuple(zip(*conj.rhat))
+    expanded = [(lam, *expand_forms(forms, lam)) for lam in points]
+    D = math.lcm(*(s for _, _, s in expanded))
+    rows = {
+        lam: coeffs if s == D else {n: c * (D // s) for n, c in coeffs.items()}
+        for lam, coeffs, s in expanded
+    }
+    return rows, D
 
 
 def to_dual_coords(conj: Conjugator, f: HomogPoly) -> HomogPoly:
     """Coefficients of f over the substituted basis: apply the inverse
-    substitution x = xt rhat_inv and collect."""
+    substitution x = xt rhat_inv and collect.  For exact f and rhat_inv
+    the terms add up on ints, over the lcm of the expansions' scales
+    times that of f's coefficients, with one Fraction per coefficient."""
     forms = tuple(zip(*conj.rhat_inv))
+    cs, Df = clear_denominators(list(f.coeffs.values()))
+    terms = [(c, *expand_forms(forms, lam)) for c, lam in zip(cs, f.coeffs)]
+    D = math.lcm(*(s for _, _, s in terms))
     out: dict = {}
-    for lam, c in f.coeffs.items():
-        _add_scaled(out, expand_forms(forms, lam), c)
+    for c, coeffs, s in terms:
+        _add_scaled(out, coeffs, c if s == D else c * (D // s))
+    scale = Df * D
+    if scale != 1:
+        out = {
+            mu: Fraction(v, scale) if type(v) is int else v / scale
+            for mu, v in out.items()
+        }
     return _poly(f.degree, out)
 
 
@@ -375,15 +420,17 @@ def pairing_weight(kappa: ParameterSet, N: int, n: MultiIndex) -> Scalar:
     )
 
 
-def _form_weights(kappa: ParameterSet, N: int) -> dict:
+def _form_weights(kappa: ParameterSet, N: int) -> tuple:
     """The form's diagonal {n: <x^n, x^n> = n! nu^N / pt^n} over the
-    degree-N lattice; the form is diagonal on monomials, so this is all
-    of it."""
+    degree-N lattice, and the same weights in layout order as (ints, S)
+    on integers (`numeric.clear_denominators`) for the Gram sums; the
+    form is diagonal on monomials, so this is all of it."""
     scale = exactify(kappa.nu) ** N * math.factorial(N)
-    return {
+    weights = {
         lam: scale * pairing_weight(kappa, N, lam)
         for lam in enumerate_lattice(kappa.d, N)
     }
+    return weights, clear_denominators(list(weights.values()))
 
 
 def pairing_eval(
@@ -408,28 +455,31 @@ def pairing_eval(
 
 
 def check_dual_norms(
-    kappa: ParameterSet, N: int, tol: Scalar = 0, *, X: dict
+    kappa: ParameterSet, N: int, tol: Scalar = 0, *, X: tuple
 ) -> CheckReport:
     """Two facts about the form.  The substituted monomials are
     orthogonal for it, with norms n!/p^n (no nu power): the Gram of the
-    rows of X[lam][n] = coeff_n(xt^lam) under the form's weights, each
-    row and the weights scaled to integers once and summed on ints
-    (`numeric.gram`), one Fraction per pair.  The norms grow like
-    N!/min|p|^N, so the tolerance of a pair is tol times the larger of
-    its two norms.  And the form is contravariant for the
-    antiautomorphism (`_adjoint_failures`)."""
+    rows of X[lam][n] = coeff_n(xt^lam) under the form's weights, summed
+    on ints (`numeric.gram`) over X's one scale and the weights' own, and
+    compared with each norm on ints; a Fraction is built only for a
+    miss.  The norms grow like N!/min|p|^N, so the tolerance of a pair
+    is tol times the larger of its two norms.  And the form is
+    contravariant for the antiautomorphism (`_adjoint_failures`)."""
     points = tuple(enumerate_lattice(kappa.d, N))
-    weights = _form_weights(kappa, N)
-    rows = [clear_denominators([X[lam].get(n, 0) for n in points]) for lam in points]
-    ints, wscale = clear_denominators(list(weights.values()))
-    grams = gram([row for row, _ in rows], ints)
+    weights, (ints, wscale) = _form_weights(kappa, N)
+    rows, D = X
+    grams = gram([[rows[lam].get(n, 0) for n in points] for lam in points], ints)
+    den = D * D * wscale
     norms = [1 / weight_over_factorial(kappa.p, lam) for lam in points]
     failures = []
     for a, n in enumerate(points):
         for b, m in enumerate(points):
-            g, den = grams[a][b], rows[a][1] * rows[b][1] * wscale
-            got = Fraction(g, den) if is_exact(g) else g / den
+            g = grams[a][b]
             want = norms[a] if a == b else 0
+            on_ints = type(g) is int
+            if on_ints and g * want.denominator == want.numerator * den:
+                continue
+            got = Fraction(g, den) if on_ints else g / den
             scale = max(abs(norms[a]), abs(norms[b]))
             if not scalars_equal(got, want, tol * scale):
                 failures.append(
@@ -489,7 +539,7 @@ def _adjoint_failures(
 
 
 def check_adjacency(
-    kappa: ParameterSet, N: int, tol: Scalar = 0, *, X: dict
+    kappa: ParameterSet, N: int, tol: Scalar = 0, *, X: tuple, forms: ClosedForms
 ) -> CheckReport:
     """The d recurrences as two intertwinings of the expansion matrix
     X[lam][n] = coeff_n(xt^lam), for i = 1..d and every lam:
@@ -506,32 +556,25 @@ def check_adjacency(
     tol times the larger of 1 and a bound of the terms of either side:
     the largest |X[mu][n]| of each row mu involved times its factor."""
     d = kappa.d
+    width = d + 1
     points = tuple(enumerate_lattice(d, N))
-    # both sides are linear in X and in the matrices, so X and the three
-    # matrices of each i are scaled to integers once, by D and K
-    ints, D = clear_denominators([c for lam in points for c in X[lam].values()])
-    it = iter(ints)
-    X = {lam: {n: next(it) for n in X[lam]} for lam in points}
-    size = {lam: max(map(abs, f.values()), default=0) for lam, f in X.items()}
+    # both sides are linear in X and in the matrices: X comes on ints
+    # over its one scale D, and the three matrices of each i are scaled
+    # to integers once, by K
+    rows, D = X
+    size = {lam: max(map(abs, f.values()), default=0) for lam, f in rows.items()}
     failures = []
     for i in range(1, d + 1):
-        mats = (
-            basis_phi(d, i),
-            mirror_closed_form(kappa, i),
-            closed_form(kappa.nu, kappa.p, kappa.pt, kappa.u, i),
-        )
-        ints, K = clear_denominators([x for m in mats for row in m for x in row])
-        it = iter(ints)
-        phi, mirror, dual = (
-            tuple(tuple(next(it) for _ in row) for row in m) for m in mats
-        )
+        stacked = basis_phi(d, i) + forms.mirror[i] + forms.closed[i]
+        ints, K = linalg.integer_rows(stacked)
+        phi, mirror, dual = ints[:width], ints[width : 2 * width], ints[2 * width :]
         dual_mass = N * sum(abs(x) for row in dual for x in row)
         for lam in points:
-            f = HomogPoly(N, X[lam])
+            f = HomogPoly(N, rows[lam])
             recurrence = act(mirror, monomial(lam)).coeffs
             rhs: dict = {}
             for mu, c in recurrence.items():
-                _add_scaled(rhs, X[mu], c)
+                _add_scaled(rhs, rows[mu], c)
             ev = K * (lam[i] - Fraction(N, d + 1))
             eigen = {n: ev * c for n, c in f.coeffs.items()}
             terms = sum(abs(c) * size[mu] for mu, c in recurrence.items())
@@ -547,6 +590,26 @@ def check_adjacency(
     )
 
 
+def _expands_to(
+    got: dict, D: int, line: Sequence, weights: Sequence, points: tuple, tol: Scalar
+) -> bool:
+    """Whether got[n] / D = line[k] weights[k] within tol at the k-th
+    point n, for every point (a missing n reads 0).  Exact entries are
+    compared cross-multiplied on ints, and a Fraction is built only for
+    a miss; floats are compared as they are, with D = 1."""
+    exact = all(map(is_exact, chain(got.values(), line, weights)))
+    for n, v, w in zip(points, line, weights):
+        c = got.get(n, 0)
+        if exact:
+            lhs = c.numerator * v.denominator * w.denominator
+            if lhs == v.numerator * w.numerator * c.denominator * D:
+                continue
+            c = Fraction(c, D)
+        if not scalars_equal(c, v * w, tol):
+            return False
+    return True
+
+
 def check_transition(
     kappa: ParameterSet,
     N: int,
@@ -554,7 +617,7 @@ def check_transition(
     *,
     tab: hyperg.PolynomialTable,
     conj: Conjugator,
-    X: dict,
+    X: tuple,
 ) -> CheckReport:
     """Both basis-transition expansions as exact polynomial identities:
 
@@ -565,24 +628,26 @@ def check_transition(
     the series definition.  The first compares each row X[nt] of the
     expansion matrix with a column of the table; the second reads
     x^n / nu^N in the substituted basis (`to_dual_coords`, the inverse
-    expansion) and compares it with a row.
+    expansion) and compares it with a row.  Each coefficient is compared
+    with its table entry times its weight cross-multiplied on ints
+    (`_expands_to`); a Fraction is built only for a miss.
     """
     points = tab.points
     pt_w = [1 / pairing_weight(kappa, N, n) for n in points]
     nfact = math.factorial(N)
     p_w = [nfact * weight_over_factorial(kappa.p, nt) for nt in points]
+    rows, D = X
     failures = []
 
     for c, nt in enumerate(points):
-        want = {n: tab.values[r][c] * pt_w[r] for r, n in enumerate(points)}
-        if not polys_equal(HomogPoly(N, X[nt]), _poly(N, want), tol):
+        column = [row[c] for row in tab.values]
+        if not _expands_to(rows[nt], D, column, pt_w, points, tol):
             failures.append({"expansion": "substituted-over-plain", "at": list(nt)})
 
     inv_nu_pow = 1 / exactify(kappa.nu) ** N
     for r, n in enumerate(points):
-        want = {nt: tab.values[r][c] * p_w[c] for c, nt in enumerate(points)}
         got = to_dual_coords(conj, monomial(n, inv_nu_pow))
-        if not polys_equal(got, _poly(N, want), tol):
+        if not _expands_to(got.coeffs, 1, tab.values[r], p_w, points, tol):
             failures.append({"expansion": "plain-over-substituted", "at": list(n)})
 
     return CheckReport(

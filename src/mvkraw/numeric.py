@@ -142,19 +142,33 @@ def expand_forms(
     forms: Sequence[Sequence[Scalar]],
     exponents: Sequence[int],
     caps: Sequence[int] | None = None,
-) -> dict:
-    """prod_k (sum_j forms[k][j] y_j)^exponents[k] as {exponent tuple:
-    coefficient}, the single sparse-polynomial expansion of the library.
+) -> tuple:
+    """prod_k (sum_j forms[k][j] y_j)^exponents[k] as (coeffs, D), the
+    coefficient of y^key being coeffs[key] / D: the single
+    sparse-polynomial expansion of the library.
 
-    Each factor is expanded by the multinomial theorem and merged into
-    one dict.  A monomial whose exponent of some y_j exceeds caps[j] is
-    never formed, and zero coefficients are dropped.
+    When every entry of the forms in use is exact, each form is scaled
+    to integers once, form k = F_k / D_k (`clear_denominators`), so the
+    recursion and the merge run on ints and D = prod_k D_k^exponents[k].
+    Otherwise the forms are used as they are, with D = 1, through the
+    same left-to-right operations, so float and complex values are those
+    of the plain expansion, bit for bit.  Each factor is expanded by the
+    multinomial theorem and merged into one dict.  A monomial whose
+    exponent of some y_j exceeds caps[j] is never formed, and zero
+    coefficients are dropped.
     """
     n = len(forms[0])
+    used = [(form, e) for form, e in zip(forms, exponents) if e]
+    D = 1
+    if all(is_exact(x) for form, _ in used for x in form):
+        scaled = []
+        for form, e in used:
+            ints, Dk = clear_denominators(form)
+            scaled.append((ints, e))
+            D *= Dk**e
+        used = scaled
     acc = {(0,) * n: 1}
-    for form, e in zip(forms, exponents):
-        if e == 0:
-            continue
+    for form, e in used:
         power: dict = {}
 
         def rec(j: int, left: int, expo: tuple, c: Scalar) -> None:
@@ -177,7 +191,7 @@ def expand_forms(
                 if caps is None or all(map(le, key, caps)):
                     merged[key] = merged.get(key, 0) + c1 * c2
         acc = merged
-    return {key: c for key, c in acc.items() if c != 0}
+    return {key: c for key, c in acc.items() if c != 0}, D
 
 
 def enumerate_lattice(d: int, degree: int) -> Iterator[MultiIndex]:

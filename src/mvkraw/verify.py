@@ -3,22 +3,24 @@
 Each suite name maps to one check; `run_suites` executes a list of them
 against a parameter set at the run's tolerance, and is the one place
 their inputs are built: the polynomial table, the conjugator (its
-inverse checked at that tolerance) and the expansion matrix X of
-`liemod.expansion_matrix`, each lazily and once per run, handed to
-each check that reads it.  The three-way check reads the kernel sums
-from the table, the generating route one column expansion at a time,
-and the pairing route from X.
+inverse checked at that tolerance), the expansion matrix X of
+`liemod.expansion_matrix` on ints, both closed forms
+(`liemod.closed_forms`) and the 2d generators of `bispec.generators`,
+each lazily and once per run, handed to each check that reads it.  The
+three-way check reads the kernel sums from the table, the generating
+route one column expansion at a time, and the pairing route from X.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from . import bispec, hyperg, liemod
 from . import kappa as kappa_mod
 from .kappa import ParameterSet
-from .numeric import Scalar, enumerate_lattice, format_scalar, scalars_equal
+from .numeric import Scalar, enumerate_lattice, format_scalar, is_exact, scalars_equal
 from .report import CheckReport
 
 SUITES = (
@@ -56,24 +58,39 @@ def check_threeway(
     tol: Scalar = 0,
     *,
     tab: hyperg.PolynomialTable,
-    X: dict,
+    X: tuple,
 ) -> CheckReport:
     """All three evaluation routes on every index pair of the lattice;
     the kernel-sum route is read from the table, the generating route
     one column at a time, and the pairing route from each row X[nt] of
-    the expansion matrix and the weight of each n.  In approx mode the
-    routes agree within tol times the larger of 1 and their largest
-    magnitude."""
+    the expansion matrix and the weight w = num/den of each n.  In exact
+    mode a pair is first tested for a == b == p, with p = X[nt][n] w
+    cross-multiplied on ints, and residuals are computed only for a
+    miss.  In approx mode the routes agree within tol times the larger
+    of 1 and their largest magnitude."""
     points = tab.points
     columns = [hyperg.generating_column(kappa, N, nt[1:]) for nt in points]
     weights = [liemod.pairing_weight(kappa, N, n) for n in points]
+    rows, D = X
+    exact = all(
+        map(is_exact, chain(weights, *tab.values, *map(dict.values, rows.values())))
+    )
+    zero = Fraction(0)
     failures = []
     max_resid = 0
     for r, n in enumerate(points):
+        w = weights[r]
         for c, nt in enumerate(points):
             a = tab.values[r][c]
-            b = columns[c].get(n, Fraction(0))
-            p = X[nt].get(n, 0) * weights[r]
+            b = columns[c].get(n, zero)
+            x = rows[nt].get(n, 0)
+            if exact:
+                num, den = x * w.numerator, w.denominator * D
+                if a == b and num * a.denominator == a.numerator * den:
+                    continue
+                p = Fraction(num, den)
+            else:
+                p = x * w
             resid = max(abs(a - b), abs(a - p))
             max_resid = max(max_resid, resid)
             bound = tol * max(1, abs(a), abs(b), abs(p)) if tol else 0
@@ -102,8 +119,9 @@ def run_suites(
     table: hyperg.PolynomialTable | None = None,
 ) -> list[CheckReport]:
     """Run the named suites in order.  The table (`table` when one is
-    given), the conjugator at `tol` and the expansion matrix are each
-    built on first need and handed to every suite that reads them."""
+    given), the conjugator at `tol`, the expansion matrix, the closed
+    forms and the generators with their lattice forms are each built on
+    first need and handed to every suite that reads them."""
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown check suite {name!r}")
@@ -117,13 +135,13 @@ def run_suites(
         "def11": (check_def11,),
         "orthogonality": (hyperg.check_orthogonality, "tab"),
         "duality": (hyperg.check_duality, "tab"),
-        "recurrence": (bispec.check_eigen, "tab"),
-        "universal": (bispec.check_universal, "tab"),
-        "commute": (bispec.check_commute,),
+        "recurrence": (bispec.check_eigen, "tab", "gens"),
+        "universal": (bispec.check_universal, "tab", "forms"),
+        "commute": (bispec.check_commute, "gens"),
         "lemma21": (liemod.check_lemma21, "conj"),
-        "lemma22": (liemod.check_generation, "conj"),
+        "lemma22": (liemod.check_generation, "conj", "forms"),
         "norms": (liemod.check_dual_norms, "X"),
-        "adjacency": (liemod.check_adjacency, "X"),
+        "adjacency": (liemod.check_adjacency, "X", "forms"),
         "transition": (liemod.check_transition, "tab", "conj", "X"),
         "threeway": (check_threeway, "tab", "X"),
     }
@@ -131,6 +149,8 @@ def run_suites(
         "tab": lambda: hyperg.table(kappa, N),
         "conj": lambda: liemod.conjugator(kappa, tol),
         "X": lambda: liemod.expansion_matrix(need("conj"), enumerate_lattice(kappa.d, N)),
+        "forms": lambda: liemod.closed_forms(kappa),
+        "gens": lambda: bispec.generators(kappa, N, need("forms")),
     }
     inputs = {} if table is None else {"tab": table}
 

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction as F
 from math import comb
 
-from mvkraw import bispec, hyperg, kappa, verify
+from mvkraw import bispec, hyperg, kappa, liemod, verify
 from mvkraw.numeric import APPROX
 
 
@@ -188,7 +188,8 @@ def test_criterion_04_bispectral_recurrences(capsys):
     ok = True
     attained = {}
     for name, k, N in eval_grid(max_n_low_d=4, max_n_d3=4):
-        rep = bispec.check_eigen(k, N, tab=table_for(k, N))
+        gens = bispec.generators(k, N, liemod.closed_forms(k))
+        rep = bispec.check_eigen(k, N, tab=table_for(k, N), gens=gens)
         ok = ok and rep.passed
         counts = rep.details["term_counts"]
         attained[(name, k.d)] = (
@@ -213,7 +214,8 @@ def test_criterion_05_universal_equation(capsys):
     ok = True
     symbolic_d2 = False
     for name, k, N in eval_grid(max_n_low_d=4, max_n_d3=4):
-        rep = bispec.check_universal(k, N, tab=table_for(k, N))
+        forms = liemod.closed_forms(k)
+        rep = bispec.check_universal(k, N, tab=table_for(k, N), forms=forms)
         ok = ok and rep.passed
         if k.d == 2:
             symbolic_d2 = symbolic_d2 or rep.details["symbolic_identity"]
@@ -231,7 +233,8 @@ def test_criterion_06_commutativity(capsys):
     for d in (2, 3):
         for name, k in reps_by_d()[d].items():
             for N in range(1, 5):
-                rep = bispec.check_commute(k, N)
+                gens = bispec.generators(k, N, liemod.closed_forms(k))
+                rep = bispec.check_commute(k, N, gens=gens)
                 ok = ok and rep.passed
                 runs += 1
     announce(

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mvkraw import bispec, hyperg, kappa, liemod, linalg
+from mvkraw import bispec, hyperg, kappa, liemod, linalg, verify
 from mvkraw.bispec import AffineCoeff
 from mvkraw.numeric import enumerate_degree_points, format_scalar
 
@@ -20,6 +20,23 @@ def milch1():
 
 def milch2():
     return kappa.family_milch([F(1, 2), F(1, 4), F(1, 4)])
+
+
+def generators(k, N):
+    """Both generator families of k at N, built as a check run builds them."""
+    return bispec.generators(k, N, liemod.closed_forms(k))
+
+
+def eigen(k, N, tol=0, *, tab):
+    return bispec.check_eigen(k, N, tol, tab=tab, gens=generators(k, N))
+
+
+def universal(k, N, tol=0, *, tab):
+    return bispec.check_universal(k, N, tol, tab=tab, forms=liemod.closed_forms(k))
+
+
+def commute(k, N):
+    return bispec.check_commute(k, N, gens=generators(k, N))
 
 
 def affine_at(coeff, y):
@@ -329,7 +346,7 @@ class TestApply:
 class TestEigenChecks:
     @pytest.mark.parametrize("k,N", FAMILIES)
     def test_recurrence_passes(self, k, N):
-        rep = bispec.check_eigen(k, N, tab=hyperg.table(k, N))
+        rep = eigen(k, N, tab=hyperg.table(k, N))
         assert rep.passed and rep.failures == []
         assert rep.check == "recurrence"
         assert rep.details["term_bound"] == k.d * k.d + k.d + 1
@@ -343,7 +360,7 @@ class TestEigenChecks:
 
     @pytest.mark.parametrize("k,N", FAMILIES)
     def test_universal_passes(self, k, N):
-        rep = bispec.check_universal(k, N, tab=hyperg.table(k, N))
+        rep = universal(k, N, tab=hyperg.table(k, N))
         assert rep.passed and rep.failures == []
         assert rep.details["symbolic_identity"] is True
 
@@ -356,7 +373,7 @@ class TestEigenChecks:
         broken = hyperg.PolynomialTable(
             k, 2, tab.points, tuple(tuple(r) for r in vals)
         )
-        rep = bispec.check_eigen(k, 2, tab=broken)
+        rep = eigen(k, 2, tab=broken)
         assert not rep.passed
         # every failure names the corrupted row or column index
         pinned = (list(tab.points[r0]), list(tab.points[c0]))
@@ -372,7 +389,7 @@ class TestEigenChecks:
             near = pinned[1] if f["fixed_index"] == pinned[0] else pinned[0]
             assert max(abs(a - b) for a, b in zip(f["at"], near[1:])) <= 1
 
-        rep = bispec.check_universal(k, 2, tab=broken)
+        rep = universal(k, 2, tab=broken)
         assert not rep.passed
         assert rep.details["symbolic_identity"] is True
         for f in rep.failures:
@@ -388,12 +405,12 @@ class TestEigenChecks:
         vals = [list(r) for r in tab.values]
         vals[1][2] = F(9)
         broken = hyperg.PolynomialTable(k, 2, tab.points, tuple(map(tuple, vals)))
-        rep = bispec.check_eigen(k, 2, tab=broken)
+        rep = eigen(k, 2, tab=broken)
         names = {f["operator"] for f in rep.failures}
         assert len(rep.failures) == 20
         assert names <= {"m_1", "m_2", "mtilde_1", "mtilde_2"}
         assert rep.details["term_counts"]["universal"] == 7
-        rep = bispec.check_universal(k, 2, tab=broken)
+        rep = universal(k, 2, tab=broken)
         assert [f["operator"] for f in rep.failures] == ["universal"] * 5
 
     def test_universal_identity_detects_perturbed_u(self):
@@ -405,10 +422,10 @@ class TestEigenChecks:
         u = [list(row) for row in k.u]
         u[1][2] += F(1, 7)
         bad = kappa.ParameterSet(k.d, k.nu, k.p, k.pt, tuple(map(tuple, u)))
-        rep = bispec.check_universal(bad, 2, tab=hyperg.table(k, 2))
+        rep = universal(bad, 2, tab=hyperg.table(k, 2))
         assert rep.details["symbolic_identity"] is False
         assert rep.failures == [{"identity": "universal as signed generator sum"}]
-        rep = bispec.check_universal(bad, 2, tab=hyperg.table(bad, 2))
+        rep = universal(bad, 2, tab=hyperg.table(bad, 2))
         assert rep.details["symbolic_identity"] is False
         assert rep.failures[-1] == {"identity": "universal as signed generator sum"}
 
@@ -429,7 +446,7 @@ class TestEigenChecks:
         # and the same max_residual as Fraction arithmetic on the stencil
         tab = corrupted(k, N, entry)
         for check, want in zip(
-            (bispec.check_eigen, bispec.check_universal), plain_eigen_records(tab)
+            (eigen, universal), plain_eigen_records(tab)
         ):
             rep = check(k, N, tab=tab)
             assert want[0] and rep.failures == want[0]
@@ -442,7 +459,7 @@ class TestEigenChecks:
         tab = corrupted(k, N, entry)
         twin = approx_twin(tab)
         for check, (want, resid) in zip(
-            (bispec.check_eigen, bispec.check_universal), plain_eigen_records(tab)
+            (eigen, universal), plain_eigen_records(tab)
         ):
             rep = check(twin.kappa, N, 1e-10, tab=twin)
             assert len(rep.failures) == len(want) > 0
@@ -468,7 +485,7 @@ class TestCommute:
         ids=["milch-d2", "ds-d2", "ds-d3"],
     )
     def test_families_commute(self, k, N):
-        rep = bispec.check_commute(k, N)
+        rep = commute(k, N)
         assert rep.passed and rep.failures == []
         assert rep.details["pairs"] == k.d * (k.d - 1) // 2 * 2
 
@@ -484,22 +501,20 @@ class TestCommute:
         ],
         ids=["mtilde", "m"],
     )
-    def test_foreign_generator_fails_located(self, monkeypatch, family, k, other):
+    def test_foreign_generator_fails_located(self, family, k, other):
         # generator 2 of one family taken from another parameter set: the
         # pair no longer commutes, and the records are the delta-basis
         # entries where ab and ba differ, as Fraction arithmetic finds them
         # (the mtilde misses are not symmetric in y0 and y, so the order
         # of the records is tested too)
         N = 2
-        name = f"operator_{family}"
-        original = getattr(bispec, name)
-        monkeypatch.setattr(
-            bispec, name, lambda kap, N, i: original(other if i == 2 else kap, N, i)
-        )
-        rep = bispec.check_commute(k, N)
+        family_name = {"mtilde": "second", "m": "first"}[family] + "_index_family"
+        gens = generators(k, N)
+        gens[family_name][1] = generators(other, N)[family_name][1]
+        rep = bispec.check_commute(k, N, gens=gens)
         assert not rep.passed
 
-        a, b = (getattr(bispec, name)(k, N, i) for i in (1, 2))
+        a, b = gens[family_name]
         points = list(enumerate_degree_points(k.d, N))
         want = []
         for y0 in points:
@@ -508,7 +523,7 @@ class TestCommute:
             ba = plain_apply(b, lambda y: plain_apply(a, delta)[y])
             want += [
                 {
-                    "family": {"mtilde": "second", "m": "first"}[family] + "_index_family",
+                    "family": family_name,
                     "pair": [a.name, b.name],
                     "basis_point": list(y0),
                     "at": list(y),
@@ -528,11 +543,27 @@ class TestCommute:
             raise AssertionError("kappa.involute called")
 
         monkeypatch.setattr(kappa, "involute", refuse)
-        assert bispec.check_eigen(k, 2, tab=tab).passed
-        assert bispec.check_commute(k, 2).passed
+        assert eigen(k, 2, tab=tab).passed
+        assert commute(k, 2).passed
+
+    def test_a_run_builds_each_generator_once(self, monkeypatch):
+        # recurrence and commute share the run's 2d generators and their
+        # lattice forms, one act per lattice point each, and universal
+        # builds its own operator: 6 x 20 + 20 acts at Milch d=3 N=3
+        acts, closed = [], []
+        act, closed_form = liemod.act, liemod.closed_form
+        monkeypatch.setattr(liemod, "act", lambda *a: acts.append(1) or act(*a))
+        monkeypatch.setattr(
+            liemod, "closed_form", lambda *a: closed.append(a[-1]) or closed_form(*a)
+        )
+        reports = verify.run_suites(["recurrence", "universal", "commute"], MILCH_D3, 3)
+        assert all(r.passed for r in reports)
+        assert len(acts) == 140
+        # both closed forms of each of the d+1 indices, once per run
+        assert sorted(closed) == [0, 0, 1, 1, 2, 2, 3, 3]
 
     def test_d1_is_vacuous(self):
-        rep = bispec.check_commute(milch1(), 3)
+        rep = commute(milch1(), 3)
         assert rep.passed
         assert rep.details["pairs"] == 0
         assert "vacuous" in rep.details["note"]

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import argparse
 import inspect
 import io
 import json
@@ -754,3 +755,48 @@ class TestParser:
 
     def test_help_exit_0(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        # the parser, every sub-command's included, is built on the first
+        # call only: it adds its sub-parsers once, one per verb
+        verbs = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counting(parser, **kwargs):
+            action = add_subparsers(parser, **kwargs)
+            add_parser = action.add_parser
+
+            def counted(name, **kw):
+                verbs.append(name)
+                return add_parser(name, **kw)
+
+            action.add_parser = counted
+            return action
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+        cli._build_parser.cache_clear()
+        try:
+            argv = ("params-family", "--family", "ds", "--q", "2", "--d", "1")
+            assert run(capsys, *argv)[0] == run(capsys, *argv)[0] == 0
+        finally:
+            cli._build_parser.cache_clear()
+        assert verbs == [
+            "params-validate", "params-griffiths", "params-family",
+            "params-involute", "eval", "table", "check", "stencil",
+        ]
+
+    def test_reused_parser_keeps_help_and_usage_exits(self, capsys):
+        # README: --help exits 0, a usage error exits 2 with the usage on
+        # stderr; the same after earlier calls, and the same output each time
+        outputs = []
+        for _ in range(2):
+            code, out, err = run(capsys, "--help")
+            assert code == 0 and out.startswith("usage: mvkraw") and err == ""
+            code, out, err = run(capsys, "check", "--threads", "2")
+            assert code == 2 and out == "" and "unrecognized arguments: --threads" in err
+            code, out, err = run(capsys, "eval", "--help")
+            assert code == 0 and out.startswith("usage: mvkraw eval")
+            code, out, err = run(capsys, "--mode", "fuzzy", "table")
+            assert code == 2 and "invalid choice: 'fuzzy'" in err
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]

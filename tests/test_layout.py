@@ -196,3 +196,17 @@ def test_no_module_imports_random():
         or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "random")
     ]
     assert importers == []
+
+
+def test_expansion_matrix_is_scaled_in_one_place():
+    # X comes on ints over one scale from `liemod.expansion_matrix`, made
+    # once per run; a module check that scales X itself scales all of it
+    # again on every run
+    tree = _modules()["liemod.py"]
+    calls = [
+        f"{fn}:{node.lineno}"
+        for fn in ("check_dual_norms", "check_adjacency")
+        for node in ast.walk(_function(tree, fn))
+        if isinstance(node, ast.Call) and _tail(node) == "clear_denominators"
+    ]
+    assert calls == []

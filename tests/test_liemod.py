@@ -100,10 +100,13 @@ class TestConjugator:
         k = milch2()
         points = list(enumerate_lattice(k.d, 2))
         conj = liemod.conjugator(k, 0)
-        X = liemod.expansion_matrix(conj, points)
-        assert list(X) == points
+        rows, D = liemod.expansion_matrix(conj, points)
+        assert list(rows) == points
         for lam in points:
-            assert X[lam] == expand_forms(tuple(zip(*conj.rhat)), lam)
+            coeffs, scale = expand_forms(tuple(zip(*conj.rhat)), lam)
+            assert {n: F(c, D) for n, c in rows[lam].items()} == {
+                n: F(c, scale) for n, c in coeffs.items()
+            }
             liemod.to_dual_coords(conj, liemod.monomial(lam))
         assert len(calls) == 2 * len(points)
         assert len(set(calls)) == len(calls)
@@ -409,15 +412,18 @@ class TestPolynomials:
     def test_expand_forms(self):
         # (y0 + y1)(y0 + y1)
         sq = expand_forms([(1, 1), (1, 1)], (1, 1))
-        assert sq == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+        assert sq == ({(2, 0): 1, (1, 1): 2, (0, 2): 1}, 1)
         # (y0 - y1)(y0 + y1): the cancelled y0 y1 term is dropped
-        assert expand_forms([(1, -1), (1, 1)], (1, 1)) == {(2, 0): 1, (0, 2): -1}
-        # (y0 + 2 y1)^2 (y0/2 + 3 y2)^2: caps prune monomials, never
-        # the coefficients of those kept
+        assert expand_forms([(1, -1), (1, 1)], (1, 1)) == ({(2, 0): 1, (0, 2): -1}, 1)
+        # (y0 + 2 y1)^2 (y0/2 + 3 y2)^2: the second form is scaled to
+        # (y0 + 6 y2)/2, so the coefficients are ints over D = 2^2; caps
+        # prune monomials, never the coefficients of those kept
         forms, exponents = [(1, 2, 0), (F(1, 2), 0, 3)], (2, 2)
-        full = expand_forms(forms, exponents)
-        assert full[(4, 0, 0)] == F(1, 4) and full[(0, 2, 2)] == 36
-        capped = expand_forms(forms, exponents, caps=(3, 1, 4))
+        full, D = expand_forms(forms, exponents)
+        assert D == 4 and all(type(c) is int for c in full.values())
+        assert full[(4, 0, 0)] == 1 and full[(0, 2, 2)] == 36 * D
+        capped, D_capped = expand_forms(forms, exponents, caps=(3, 1, 4))
+        assert D_capped == D
         assert capped == {
             key: c for key, c in full.items() if key[0] <= 3 and key[1] <= 1
         }
@@ -486,7 +492,7 @@ class TestBilinearForm:
         # the form is diagonal on monomials: <x^11, x^11> is a weight, and
         # <xt^20, xt^20> the Gram of xt^20's coefficients under them
         k = classical()
-        weights = liemod._form_weights(k, 2)
+        weights, _ = liemod._form_weights(k, 2)
         assert weights[(1, 1)] == 16
         xt20 = liemod.xtilde_monomial(liemod.conjugator(k, 0), (2, 0)).coeffs
         assert gram([[xt20.get(n, 0) for n in weights]], list(weights.values())) == [[8]]
@@ -520,7 +526,7 @@ class TestBilinearForm:
         N = 2
         d = k.d
         points = list(enumerate_lattice(d, N))
-        weights = liemod._form_weights(k, N)
+        weights, _ = liemod._form_weights(k, N)
 
         def form(f, g):
             shared = f.coeffs.keys() & g.coeffs.keys()
