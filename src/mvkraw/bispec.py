@@ -51,6 +51,7 @@ from .numeric import (
     enumerate_lattice,
     exactify,
     format_scalar,
+    ratio,
     scalars_equal,
 )
 from .report import CheckReport
@@ -95,7 +96,7 @@ class DifferenceOperator:
         index = {lam: k for k, lam in enumerate(enumerate_lattice(self.d, self.N))}
         rows = []
         for lam in index:
-            image = liemod.act(scaled, liemod.monomial(lam)).coeffs
+            image = liemod.act(scaled, liemod.monomial(lam))
             rows.append(tuple((index[mu], c) for mu, c in image.items()))
         return D, tuple(rows)
 
@@ -240,11 +241,9 @@ def _misses(op: DifferenceOperator, ev: Scalar, line: Sequence, scaled: tuple, t
     bounds = _bounds(op, line, tol) if tol else None
     num, den = ev.numerator, ev.denominator
     for k, acc in enumerate(apply(op, ints)):
-        on_ints = type(acc) is int
-        if on_ints and acc * den == num * ints[k] * D:
+        if type(acc) is int and acc * den == num * ints[k] * D:
             continue
-        got = Fraction(acc, D * S) if on_ints else acc / D / S
-        yield k, got, ev * line[k], bounds[k] if tol else 0
+        yield k, ratio(acc, D * S), ev * line[k], bounds[k] if tol else 0
 
 
 def check_eigen(

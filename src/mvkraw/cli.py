@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import bispec, hyperg, liemod, verify
@@ -29,6 +30,11 @@ EXIT_USAGE = 2
 EXIT_INVALID_PARAMS = 3
 EXIT_INTERNAL = 4
 EXIT_FLOAT_RANGE = 5
+
+# The most lattice points, comb(N + d, d), that `table` or a lattice suite
+# of `check` takes on: a table holds L^2 values, 10^8 at this budget, so a
+# larger run is refused (exit 2) before anything is enumerated.
+MAX_LATTICE = 10**4
 
 
 class UsageError(ValueError):
@@ -80,6 +86,11 @@ def _build_family(builder, *params) -> ParameterSet:
         return builder(*params)
     except ValueError as exc:
         raise ForbiddenFamilyError(str(exc)) from exc
+
+
+def _lattice_budget(d: int, N: int) -> None:
+    if math.comb(N + d, d) > MAX_LATTICE:
+        raise UsageError(f"--N {N} at d = {d} has more than {MAX_LATTICE} lattice points")
 
 
 def _emit(obj, output: str | None) -> None:
@@ -244,6 +255,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.verb == "table":
         kap = _load_kappa(args.kappa, mode, tol)
+        _lattice_budget(kap.d, args.N)
         tab = hyperg.table(kap, args.N)
         _emit(hyperg.table_to_json_dict(tab), args.output)
         return EXIT_OK
@@ -275,6 +287,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         names = [s.strip() for s in args.suite.split(",") if s.strip()]
         if not names:
             raise UsageError(f"--suite {args.suite!r} names no suite")
+        if N is not None and not verify.KAPPA_ONLY_SUITES.issuperset(names):
+            _lattice_budget(kap.d, N)
         try:
             reports = verify.run_suites(names, kap, N, tol, tab)
         except ValueError as exc:

@@ -28,7 +28,9 @@ integer view of itself, every row and column scaled to integers on
 first use (`PolynomialTable.integer_view`), which the table checks of a
 run share.  On top of tables sit the two-sided orthogonality check
 (weighted columns and weighted rows both come out diagonal with
-explicit normalizations; its Gram sums are compared on ints) and the
+explicit normalizations, under the multinomial weights N! w^n/n! of
+`numeric.multinomial_weights`; its Gram sums are compared on ints by
+`numeric.gram_misses`, which `liemod`'s norms check shares) and the
 duality check: row n of the table is the generating column of n for
 the involuted parameter set, so duality crosses the two routes.
 """
@@ -37,9 +39,11 @@ from __future__ import annotations
 
 import cmath
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
 from . import kappa as kappa_mod
@@ -54,12 +58,14 @@ from .numeric import (
     exactify,
     expand_forms,
     format_scalar,
-    gram,
+    gram_misses,
     is_exact,
     multi_factorial,
     multinomial,
+    multinomial_weights,
     parse_scalar,
     power_product,
+    ratio,
     scalars_equal,
     weight_over_factorial,
 )
@@ -194,7 +200,7 @@ def generating_column(
     forms = [(1,) + kappa.u[i][1:] for i in range(d + 1)]
     coeffs, D = expand_forms(forms, (N - sum(mt),) + mt, caps)
     scaled = ((n, c, D * multinomial(N, n)) for n, c in coeffs.items())
-    return {n: Fraction(c, den) if type(c) is int else c / den for n, c, den in scaled}
+    return {n: ratio(c, den) for n, c, den in scaled}
 
 
 def eval_generating(
@@ -266,25 +272,15 @@ def table_from_json_dict(obj: dict, mode: str = EXACT, tol: Scalar = 0) -> Polyn
         raise ValueError(f"unknown table order {order!r}")
     if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
         raise ValueError("malformed table values: not a list of rows, each a list")
-    points = tuple(enumerate_lattice(kap.d, N))
-    if len(raw) != len(points) or any(len(r) != len(points) for r in raw):
+    size = math.comb(N + kap.d, kap.d)  # the lattice is made only at its size
+    if len(raw) != size or any(len(r) != size for r in raw):
         raise ValueError("table dimensions do not match the lattice")
+    points = tuple(enumerate_lattice(kap.d, N))
     try:
         values = tuple(tuple(parse_scalar(str(x), mode) for x in row) for row in raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed table value: {exc}") from exc
     return PolynomialTable(kap, N, points, values)
-
-
-def _weights(w: Sequence[Scalar], N: int, points: tuple, exact: bool) -> tuple:
-    """(ints, S) with N! w^n / n! = ints[k] / S at the k-th lattice
-    point n: for w = W/D on ints, multinomial(N, n) W^n over S = D^N,
-    as |n| = N.  Float weights are N! (w^n / n!), with S = 1."""
-    if not exact:
-        nfact = math.factorial(N)
-        return [nfact * weight_over_factorial(w, n) for n in points], 1
-    W, D = clear_denominators(w)
-    return [multinomial(N, n) * power_product(W, n) for n in points], D**N
 
 
 def check_orthogonality(
@@ -299,10 +295,10 @@ def check_orthogonality(
     Columns: N! sum_n P(n,nt) P(n,kt) pt^n / n!  =  delta
     with diagonal value nt! / (N! nu^N p^nt), which is 1 / nu^N over the
     rows' weight; rows are the same identity on the transposed table
-    with the two weight vectors exchanged.  In exact mode the Gram sums
-    (`numeric.gram`) run on the table's integer view and integer
-    weights, and each is compared with its diagonal value on ints; a
-    Fraction is built only for a miss.  In approx mode a pair passes
+    with the two weight vectors exchanged (`numeric.multinomial_weights`).
+    Both sides are one `numeric.gram_misses` each, on the table's integer
+    view and integer weights, so an exact pair is compared on ints and
+    a Fraction is built only for a miss.  In approx mode a pair passes
     within tol times the larger of 1 and the two diagonal values of its
     side.  Failures carry the residual, the columns and rows side of
     each pair in turn.
@@ -315,9 +311,9 @@ def check_orthogonality(
     max_resid = 0
 
     rows, columns = tab.integer_view
-    wt, wp = (_weights(w, N, points, exact) for w in (kappa.pt, kappa.p))
+    wt, wp = (multinomial_weights(w, N, points) for w in (kappa.pt, kappa.p))
     sides = []
-    for side, lines, (weights, wscale), (other, oscale), other_w in (
+    for side, lines, weights, (other, oscale), other_w in (
         ("columns", columns, wt, wp, kappa.p),
         ("rows", rows, wp, wt, kappa.pt),
     ):
@@ -325,31 +321,17 @@ def check_orthogonality(
             diag = [Fraction(oscale, x) / nu_pow for x in other]
         else:
             diag = [1 / (nfact * nu_pow * weight_over_factorial(other_w, x)) for x in points]
-        grams = gram([ints for ints, _ in lines], weights)
-        sides.append((side, grams, [S for _, S in lines], wscale, diag))
+        sizes = [max(1, abs(x)) for x in diag]
+        ints, scales = zip(*lines)
+        misses = gram_misses(ints, scales, weights, diag, sizes, tol)
+        sides.append(zip(repeat(side), misses))
 
-    for a in range(len(points)):
-        for b in range(len(points)):
-            for side, grams, scales, wscale, diag in sides:
-                # the Gram sum of lines a and b is g / den
-                g = grams[a][b]
-                rhs = diag[a] if a == b else 0
-                den = scales[a] * scales[b] * wscale
-                on_ints = type(g) is int
-                if on_ints and g * rhs.denominator == rhs.numerator * den:
-                    continue
-                lhs = Fraction(g, den) if on_ints else g / den
-                bound = tol * max(1, abs(diag[a]), abs(diag[b])) if tol else 0
-                resid = lhs - rhs
-                max_resid = max(max_resid, abs(resid))
-                if not scalars_equal(lhs, rhs, bound):
-                    failures.append(
-                        {
-                            "side": side,
-                            "pair": [list(points[a]), list(points[b])],
-                            "residual": format_scalar(resid),
-                        }
-                    )
+    for side, (a, b, lhs, rhs, bound) in heapq.merge(*sides, key=lambda m: m[1][:2]):
+        resid = lhs - rhs
+        max_resid = max(max_resid, abs(resid))
+        if not scalars_equal(lhs, rhs, bound):
+            pair = [list(points[a]), list(points[b])]
+            failures.append({"side": side, "pair": pair, "residual": format_scalar(resid)})
 
     details = {"pairs": 2 * len(points) ** 2, "max_residual": format_scalar(max_resid)}
     return CheckReport("orthogonality", not failures, failures, details)

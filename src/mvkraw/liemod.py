@@ -14,8 +14,10 @@ transports matrix units with explicit weight ratios; a is linear, so the
 lemma21 suite proves it involutive and product-reversing on the matrix
 units and their (d+1)^4 pairs, with no sampled matrices.
 
-Matrices act on homogeneous polynomials in x_0..x_d as derivations:
-e_ij sends x^lam to lam_j x^(lam+v_i-v_j).  The substituted variables
+Matrices act on homogeneous polynomials in x_0..x_d, each a plain dict
+{exponent: coefficient} with zeros left out (as `numeric.expand_forms`
+returns them), as derivations: e_ij sends x^lam to lam_j
+x^(lam+v_i-v_j).  The substituted variables
 xt = x R carry the dual weight basis, and the module suites are
 identities of the expansion matrix X[lam][n] = coeff_n(xt^lam): the d
 recurrences as intertwinings (adjacency); orthogonality of the xt^lam
@@ -37,9 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import hyperg, linalg
 from .kappa import ParameterSet, tol_for
@@ -52,10 +53,11 @@ from .numeric import (
     exactify,
     expand_forms,
     format_scalar,
-    gram,
-    is_exact,
+    gram_misses,
     multi_factorial,
+    multinomial_weights,
     power_product,
+    ratio,
     scalars_equal,
     weight_over_factorial,
 )
@@ -308,39 +310,22 @@ def check_generation(
 # the polynomial module
 
 
-@dataclass(frozen=True)
-class HomogPoly:
-    """Homogeneous polynomial of fixed total degree, sparse over the
-    monomial basis; zero coefficients are never stored."""
-
-    degree: int
-    coeffs: dict
+def monomial(lam: MultiIndex, coeff: Scalar = 1) -> dict:
+    return {tuple(lam): coeff} if coeff != 0 else {}
 
 
-def _poly(degree: int, coeffs: dict) -> HomogPoly:
-    return HomogPoly(degree, {lam: c for lam, c in coeffs.items() if c != 0})
-
-
-def monomial(lam: MultiIndex, coeff: Scalar = 1) -> HomogPoly:
-    lam = tuple(lam)
-    return _poly(sum(lam), {lam: coeff})
-
-
-def polys_equal(f: HomogPoly, g: HomogPoly, tol: Scalar = 0) -> bool:
+def polys_equal(f: dict, g: dict, tol: Scalar = 0) -> bool:
     if tol == 0:
-        return f.degree == g.degree and f.coeffs == g.coeffs
-    keys = set(f.coeffs) | set(g.coeffs)
-    return f.degree == g.degree and all(
-        scalars_equal(f.coeffs.get(k, 0), g.coeffs.get(k, 0), tol) for k in keys
-    )
+        return f == g
+    return all(scalars_equal(f.get(k, 0), g.get(k, 0), tol) for k in f.keys() | g.keys())
 
 
-def act(beta: Matrix, f: HomogPoly) -> HomogPoly:
+def act(beta: Matrix, f: dict) -> dict:
     """Derivation action: e_ij contributes lam_j x^(lam+v_i-v_j), the
     diagonal contributes sum_k beta_kk lam_k on the spot."""
     out: dict = {}
     n = len(beta)
-    for lam, c in f.coeffs.items():
+    for lam, c in f.items():
         diag = sum(beta[k][k] * lam[k] for k in range(n) if lam[k])
         if diag != 0:
             out[lam] = out.get(lam, 0) + c * diag
@@ -355,32 +340,30 @@ def act(beta: Matrix, f: HomogPoly) -> HomogPoly:
                 mu[k] += 1
                 mu = tuple(mu)
                 out[mu] = out.get(mu, 0) + c * beta[k][l] * lam[l]
-    return _poly(f.degree, out)
+    return {mu: c for mu, c in out.items() if c != 0}
 
 
 def _add_scaled(acc: dict, coeffs: dict, c: Scalar) -> None:
-    """acc += c * coeffs, in place; zeros are left for `_poly` to drop."""
+    """acc += c * coeffs, in place; zeros are left for the caller to drop."""
     for lam, v in coeffs.items():
         acc[lam] = acc.get(lam, 0) + c * v
 
 
-def xtilde_monomial(conj: Conjugator, lam: MultiIndex) -> HomogPoly:
+def xtilde_monomial(conj: Conjugator, lam: MultiIndex) -> dict:
     """The substituted monomial xt^lam = prod_k (sum_j x_j rhat[j][k])^lam_k
     expanded over plain monomials, one Fraction per coefficient."""
-    lam = tuple(lam)
-    coeffs, D = expand_forms(tuple(zip(*conj.rhat)), lam)
-    if D != 1:
-        coeffs = {n: Fraction(c, D) for n, c in coeffs.items()}
-    return HomogPoly(sum(lam), coeffs)
+    coeffs, D = expand_forms(tuple(zip(*conj.rhat)), tuple(lam))
+    return coeffs if D == 1 else {n: Fraction(c, D) for n, c in coeffs.items()}
 
 
-def expansion_matrix(conj: Conjugator, points) -> tuple:
-    """(rows, D) with X[lam][n] = coeff_n(xt^lam) = rows[lam][n] / D for
-    every lam of `points`, in their order, zeros left out: one expansion
-    per point on ints (`numeric.expand_forms`), every row brought to the
-    one scale D, the lcm of the rows' scales.  The module suites read X
-    on ints through this one scaling; floats keep D = 1."""
-    forms = tuple(zip(*conj.rhat))
+def expansion_matrix(R: Matrix, points) -> tuple:
+    """(rows, D) with rows[lam][n] / D the coefficient of x^n in
+    prod_k (sum_j x_j R[j][k])^lam_k for every lam of `points`, in their
+    order, zeros left out: one expansion per point on ints
+    (`numeric.expand_forms`), every row brought to the one scale D, the
+    lcm of the rows' scales; floats keep D = 1.  With R = rhat it is X,
+    which the module suites read on ints through this one scaling."""
+    forms = tuple(zip(*R))
     expanded = [(lam, *expand_forms(forms, lam)) for lam in points]
     D = math.lcm(*(s for _, _, s in expanded))
     rows = {
@@ -390,31 +373,25 @@ def expansion_matrix(conj: Conjugator, points) -> tuple:
     return rows, D
 
 
-def to_dual_coords(conj: Conjugator, f: HomogPoly) -> HomogPoly:
+def to_dual_coords(conj: Conjugator, f: dict) -> dict:
     """Coefficients of f over the substituted basis: apply the inverse
-    substitution x = xt rhat_inv and collect.  For exact f and rhat_inv
-    the terms add up on ints, over the lcm of the expansions' scales
-    times that of f's coefficients, with one Fraction per coefficient."""
-    forms = tuple(zip(*conj.rhat_inv))
-    cs, Df = clear_denominators(list(f.coeffs.values()))
-    terms = [(c, *expand_forms(forms, lam)) for c, lam in zip(cs, f.coeffs)]
-    D = math.lcm(*(s for _, _, s in terms))
+    substitution x = xt rhat_inv (`expansion_matrix` of rhat_inv) and
+    collect.  For exact f and rhat_inv the terms add up on ints, over
+    the expansions' one scale times that of f's coefficients, with one
+    Fraction per coefficient."""
+    cs, Df = clear_denominators(list(f.values()))
+    rows, D = expansion_matrix(conj.rhat_inv, f)
     out: dict = {}
-    for c, coeffs, s in terms:
-        _add_scaled(out, coeffs, c if s == D else c * (D // s))
-    scale = Df * D
-    if scale != 1:
-        out = {
-            mu: Fraction(v, scale) if type(v) is int else v / scale
-            for mu, v in out.items()
-        }
-    return _poly(f.degree, out)
+    for c, lam in zip(cs, f):
+        _add_scaled(out, rows[lam], c)
+    return {mu: ratio(v, Df * D) for mu, v in out.items() if v != 0}
 
 
 def pairing_weight(kappa: ParameterSet, N: int, n: MultiIndex) -> Scalar:
     """n!/(pt^n N!), which turns coeff_n(xt^nt) into P(n', nt') for
-    every nt: a full-grid sweep computes it once per n.  The one place
-    the form's weight n!/pt^n is written."""
+    every nt: a full-grid sweep computes it once per n.  It is the
+    reciprocal of the multinomial weight N! pt^n/n! that `transition`
+    and `orthogonality` read on ints (`numeric.multinomial_weights`)."""
     return exactify(multi_factorial(n)) / (
         exactify(power_product(kappa.pt, n)) * math.factorial(N)
     )
@@ -450,7 +427,7 @@ def pairing_eval(
     hyperg.check_degree_vector(kappa.d, N, nt[1:], "mt")
     if sum(n) != N or sum(nt) != N:
         raise DegreeMismatchError(f"|{n}| or |{nt}| differs from N = {N}")
-    c = xtilde_monomial(conj, nt).coeffs.get(n, 0)
+    c = xtilde_monomial(conj, nt).get(n, 0)
     return c * pairing_weight(kappa, N, n)
 
 
@@ -460,35 +437,25 @@ def check_dual_norms(
     """Two facts about the form.  The substituted monomials are
     orthogonal for it, with norms n!/p^n (no nu power): the Gram of the
     rows of X[lam][n] = coeff_n(xt^lam) under the form's weights, summed
-    on ints (`numeric.gram`) over X's one scale and the weights' own, and
-    compared with each norm on ints; a Fraction is built only for a
-    miss.  The norms grow like N!/min|p|^N, so the tolerance of a pair
-    is tol times the larger of its two norms.  And the form is
-    contravariant for the antiautomorphism (`_adjoint_failures`)."""
+    on ints over X's one scale and the weights' own and compared with
+    each norm on ints (`numeric.gram_misses`, as for the table's
+    orthogonality); a Fraction is built only for a miss.  The norms grow
+    like N!/min|p|^N, so the tolerance of a pair is tol times the larger
+    of its two norms.  And the form is contravariant for the
+    antiautomorphism (`_adjoint_failures`)."""
     points = tuple(enumerate_lattice(kappa.d, N))
-    weights, (ints, wscale) = _form_weights(kappa, N)
+    weights, scaled = _form_weights(kappa, N)
     rows, D = X
-    grams = gram([[rows[lam].get(n, 0) for n in points] for lam in points], ints)
-    den = D * D * wscale
+    lines = [[rows[lam].get(n, 0) for n in points] for lam in points]
     norms = [1 / weight_over_factorial(kappa.p, lam) for lam in points]
+    sizes = [abs(x) for x in norms]
     failures = []
-    for a, n in enumerate(points):
-        for b, m in enumerate(points):
-            g = grams[a][b]
-            want = norms[a] if a == b else 0
-            on_ints = type(g) is int
-            if on_ints and g * want.denominator == want.numerator * den:
-                continue
-            got = Fraction(g, den) if on_ints else g / den
-            scale = max(abs(norms[a]), abs(norms[b]))
-            if not scalars_equal(got, want, tol * scale):
-                failures.append(
-                    {
-                        "pair": [list(n), list(m)],
-                        "got": format_scalar(got),
-                        "want": format_scalar(want),
-                    }
-                )
+    misses = gram_misses(lines, [D] * len(lines), scaled, norms, sizes, tol)
+    for a, b, got, want, bound in misses:
+        if not scalars_equal(got, want, bound):
+            got, want = format_scalar(got), format_scalar(want)
+            pair = [list(points[a]), list(points[b])]
+            failures.append({"pair": pair, "got": got, "want": want})
     failures += _adjoint_failures(kappa, N, tol, points, weights)
     return CheckReport(
         "norms", not failures, failures, {"pairs": len(points) ** 2}
@@ -518,10 +485,10 @@ def _adjoint_failures(
         adj = antiauto(kappa, beta)
         into = {n: {} for n in points}  # into[n][m]: coefficient of x^n in a(b).x^m
         for m in points:
-            for n, c in act(adj, monomial(m)).coeffs.items():
+            for n, c in act(adj, monomial(m)).items():
                 into[n][m] = c
         for n in points:
-            out = act(beta, monomial(n)).coeffs
+            out = act(beta, monomial(n))
             for m in sorted(out.keys() | into[n].keys(), key=order.__getitem__):
                 lhs = out.get(m, 0) * weights[m]
                 rhs = into[n].get(m, 0) * weights[n]
@@ -570,20 +537,21 @@ def check_adjacency(
         phi, mirror, dual = ints[:width], ints[width : 2 * width], ints[2 * width :]
         dual_mass = N * sum(abs(x) for row in dual for x in row)
         for lam in points:
-            f = HomogPoly(N, rows[lam])
-            recurrence = act(mirror, monomial(lam)).coeffs
+            f = rows[lam]
+            recurrence = act(mirror, monomial(lam))
             rhs: dict = {}
             for mu, c in recurrence.items():
                 _add_scaled(rhs, rows[mu], c)
             ev = K * (lam[i] - Fraction(N, d + 1))
-            eigen = {n: ev * c for n, c in f.coeffs.items()}
+            eigen = {n: ev * c for n, c in f.items()}
             terms = sum(abs(c) * size[mu] for mu, c in recurrence.items())
             plain_mass = max(N * K * size[lam], terms)
             for side, got, want, mass in (
                 ("plain-on-substituted", act(phi, f), rhs, plain_mass),
                 ("dual-on-plain", act(dual, f), eigen, dual_mass * size[lam]),
             ):
-                if not polys_equal(got, _poly(N, want), tol * max(K * D, mass)):
+                want = {n: c for n, c in want.items() if c != 0}
+                if not polys_equal(got, want, tol * max(K * D, mass)):
                     failures.append({"side": side, "i": i, "at": list(lam)})
     return CheckReport(
         "adjacency", not failures, failures, {"points": len(points)}
@@ -591,21 +559,20 @@ def check_adjacency(
 
 
 def _expands_to(
-    got: dict, D: int, line: Sequence, weights: Sequence, points: tuple, tol: Scalar
+    got: dict, D: int, line: tuple, weights: tuple, points: tuple, tol: Scalar
 ) -> bool:
     """Whether got[n] / D = line[k] weights[k] within tol at the k-th
-    point n, for every point (a missing n reads 0).  Exact entries are
+    point n, for every point (a missing n reads 0), with the line a
+    table line of the integer view and the weights from
+    `numeric.multinomial_weights`, each as (ints, S).  An exact point is
     compared cross-multiplied on ints, and a Fraction is built only for
-    a miss; floats are compared as they are, with D = 1."""
-    exact = all(map(is_exact, chain(got.values(), line, weights)))
-    for n, v, w in zip(points, line, weights):
+    a miss; floats are compared as they are, with every scale 1."""
+    (values, S), (ints, Sw) = line, weights
+    for n, v, w in zip(points, values, ints):
         c = got.get(n, 0)
-        if exact:
-            lhs = c.numerator * v.denominator * w.denominator
-            if lhs == v.numerator * w.numerator * c.denominator * D:
-                continue
-            c = Fraction(c, D)
-        if not scalars_equal(c, v * w, tol):
+        if type(v) is int and c.numerator * S * Sw == v * w * c.denominator * D:
+            continue
+        if not scalars_equal(ratio(c, D), ratio(v * w, S * Sw), tol):
             return False
     return True
 
@@ -633,21 +600,19 @@ def check_transition(
     (`_expands_to`); a Fraction is built only for a miss.
     """
     points = tab.points
-    pt_w = [1 / pairing_weight(kappa, N, n) for n in points]
-    nfact = math.factorial(N)
-    p_w = [nfact * weight_over_factorial(kappa.p, nt) for nt in points]
+    pt_w, p_w = (multinomial_weights(w, N, points) for w in (kappa.pt, kappa.p))
+    table_rows, table_columns = tab.integer_view
     rows, D = X
     failures = []
 
-    for c, nt in enumerate(points):
-        column = [row[c] for row in tab.values]
+    for column, nt in zip(table_columns, points):
         if not _expands_to(rows[nt], D, column, pt_w, points, tol):
             failures.append({"expansion": "substituted-over-plain", "at": list(nt)})
 
     inv_nu_pow = 1 / exactify(kappa.nu) ** N
-    for r, n in enumerate(points):
+    for row, n in zip(table_rows, points):
         got = to_dual_coords(conj, monomial(n, inv_nu_pow))
-        if not _expands_to(got.coeffs, 1, tab.values[r], p_w, points, tol):
+        if not _expands_to(got, 1, row, p_w, points, tol):
             failures.append({"expansion": "plain-over-substituted", "at": list(n)})
 
     return CheckReport(

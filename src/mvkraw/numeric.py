@@ -87,21 +87,35 @@ def clear_denominators(values: Sequence[Scalar]) -> tuple:
     return [x.numerator * (D // x.denominator) for x in values], D
 
 
-def gram(lines: Sequence[Sequence[Scalar]], weights: Sequence[Scalar]) -> list:
-    """G[a][b] = sum_r lines[a][r] lines[b][r] weights[r] for every pair.
+def ratio(num: Scalar, den: int) -> Scalar:
+    """num / den: a Fraction for an int num, the plain division else."""
+    return Fraction(num, den) if type(num) is int else num / den
 
-    The lines and weights come already scaled to integers
-    (`clear_denominators`, once per line by its owner), so every sum
-    runs on ints and the caller divides by the scales, or compares on
-    ints and divides only for a miss.  Floats sum as they are.  G is
-    symmetric, so each sum is taken once.
-    """
+
+def gram_misses(
+    lines: Sequence, scales: Sequence, weights: tuple, diag: Sequence, sizes: Sequence, tol: Scalar
+) -> Iterator[tuple]:
+    """(a, b, got, want, bound) for each pair of lines whose weighted Gram
+    sum got = sum_r lines[a][r] lines[b][r] ints[r] / (scales[a] scales[b] S),
+    weights = (ints, S), may not be want = diag[a] if a == b else 0, in
+    (a, b) order, with bound = tol max(sizes[a], sizes[b]).  The lines
+    and weights come scaled to integers by their owners, so each sum,
+    taken once for both orders, runs on ints and is compared with want
+    cross-multiplied: an int sum comes out only for a miss, its Fraction
+    made then, and a float sum always, for the caller to compare."""
+    ints, S = weights
     size = len(lines)
-    out = [[None] * size for _ in range(size)]
+    grams = [[None] * size for _ in range(size)]
     for a, line_a in enumerate(lines):
         for b in range(a, size):
-            out[a][b] = out[b][a] = sum(map(mul, map(mul, line_a, lines[b]), weights))
-    return out
+            grams[a][b] = grams[b][a] = sum(map(mul, map(mul, line_a, lines[b]), ints))
+    for a, row in enumerate(grams):
+        for b, g in enumerate(row):
+            want = diag[a] if a == b else 0
+            den = scales[a] * scales[b] * S
+            if type(g) is int and g * want.denominator == want.numerator * den:
+                continue
+            yield a, b, ratio(g, den), want, tol * max(sizes[a], sizes[b]) if tol else 0
 
 
 def multinomial(n: int, lam: Sequence[int]) -> int:
@@ -136,6 +150,16 @@ def power_product(base: Sequence[Scalar], lam: Sequence[int]) -> Scalar:
 def weight_over_factorial(weights: Sequence[Scalar], lam: Sequence[int]) -> Scalar:
     """weights^lam / lam!, kept exact for exact weights."""
     return exactify(power_product(weights, lam)) / multi_factorial(lam)
+
+
+def multinomial_weights(w: Sequence[Scalar], N: int, points: Sequence) -> tuple:
+    """(ints, S) with N! w^n / n! = ints[k] / S at the k-th point n of
+    `points`, each of degree N: for w = W/D on ints, multinomial(N, n)
+    W^n over S = D^N.  Float weights are N! (w^n / n!), with S = 1."""
+    if not all(map(is_exact, w)):
+        return [math.factorial(N) * weight_over_factorial(w, n) for n in points], 1
+    W, D = clear_denominators(w)
+    return [multinomial(N, n) * power_product(W, n) for n in points], D**N
 
 
 def expand_forms(

@@ -14,13 +14,12 @@ route one column expansion at a time, and the pairing route from X.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from typing import Sequence
 
 from . import bispec, hyperg, liemod
 from . import kappa as kappa_mod
 from .kappa import ParameterSet
-from .numeric import Scalar, enumerate_lattice, format_scalar, is_exact, scalars_equal
+from .numeric import Scalar, enumerate_lattice, format_scalar, scalars_equal
 from .report import CheckReport
 
 SUITES = (
@@ -64,17 +63,14 @@ def check_threeway(
     the kernel-sum route is read from the table, the generating route
     one column at a time, and the pairing route from each row X[nt] of
     the expansion matrix and the weight w = num/den of each n.  In exact
-    mode a pair is first tested for a == b == p, with p = X[nt][n] w
-    cross-multiplied on ints, and residuals are computed only for a
-    miss.  In approx mode the routes agree within tol times the larger
-    of 1 and their largest magnitude."""
+    mode, where the table holds Fractions, a pair is first tested for
+    a == b == p, with p = X[nt][n] w cross-multiplied on ints, and
+    residuals are computed only for a miss.  In approx mode the routes
+    agree within tol times the larger of 1 and their largest magnitude."""
     points = tab.points
     columns = [hyperg.generating_column(kappa, N, nt[1:]) for nt in points]
     weights = [liemod.pairing_weight(kappa, N, n) for n in points]
     rows, D = X
-    exact = all(
-        map(is_exact, chain(weights, *tab.values, *map(dict.values, rows.values())))
-    )
     zero = Fraction(0)
     failures = []
     max_resid = 0
@@ -84,7 +80,7 @@ def check_threeway(
             a = tab.values[r][c]
             b = columns[c].get(n, zero)
             x = rows[nt].get(n, 0)
-            if exact:
+            if type(a) is Fraction:
                 num, den = x * w.numerator, w.denominator * D
                 if a == b and num * a.denominator == a.numerator * den:
                     continue
@@ -148,7 +144,7 @@ def run_suites(
     build = {
         "tab": lambda: hyperg.table(kappa, N),
         "conj": lambda: liemod.conjugator(kappa, tol),
-        "X": lambda: liemod.expansion_matrix(need("conj"), enumerate_lattice(kappa.d, N)),
+        "X": lambda: liemod.expansion_matrix(need("conj").rhat, enumerate_lattice(kappa.d, N)),
         "forms": lambda: liemod.closed_forms(kappa),
         "gens": lambda: bispec.generators(kappa, N, need("forms")),
     }

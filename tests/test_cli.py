@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mvkraw import bispec, cli, kappa, liemod
+from mvkraw import bispec, cli, hyperg, kappa, liemod, numeric, verify
 from mvkraw.numeric import enumerate_lattice
 
 
@@ -747,6 +747,45 @@ class TestInternalErrors:
             "error: the approx powers of omega = [[1.5]] in the kernel sums "
             "at N = 2000 leave the float range"
         )
+
+
+class TestLatticeBudget:
+    def test_huge_N_is_refused_before_the_lattice_is_made(
+        self, capsys, tmp_path, milch2_file, monkeypatch
+    ):
+        # comb(10^9 + 2, 2) lattice points: `table` and a lattice suite of
+        # `check` exit 2 at once, and nothing is enumerated
+        def refuse(d, degree):
+            raise AssertionError("the lattice was enumerated")
+
+        for module in (numeric, hyperg, liemod, verify, bispec):
+            monkeypatch.setattr(module, "enumerate_lattice", refuse)
+        N = str(10**9)
+        message = f"error: --N {N} at d = 2 has more than {cli.MAX_LATTICE} lattice points\n"
+        for argv in (
+            ("table", "--kappa", milch2_file, "--N", N),
+            ("--mode", "approx", "table", "--kappa", milch2_file, "--N", N),
+            ("check", "--kappa", milch2_file, "--N", N),
+            ("check", "--kappa", milch2_file, "--N", N, "--suite", "def11,norms"),
+        ):
+            assert run(capsys, *argv) == (2, "", message)
+        # a table file that claims that N is refused by its size alone
+        obj = {
+            "kappa": json.loads(open(milch2_file).read()),
+            "N": 10**9,
+            "order": "grlex",
+            "values": [["1"]],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "check", "--table", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: table dimensions do not match the lattice\n"
+        # the kappa-only suites and the stencil take no lattice
+        argv = ("check", "--kappa", milch2_file, "--N", N, "--suite", "def11,lemma21,lemma22")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["pass"]
+        assert run(capsys, "stencil", "--kappa", milch2_file, "--N", N)[0] == 0
 
 
 class TestParser:

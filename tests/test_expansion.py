@@ -268,7 +268,7 @@ def test_perturbed_u_fails_threeway_at_a_pair():
     u[1][2] += F(1, 7)
     bad = kappa.ParameterSet(HR.d, HR.nu, HR.p, HR.pt, tuple(map(tuple, u)))
     tab = hyperg.table(HR, N)
-    X = liemod.expansion_matrix(liemod.conjugator(HR, 0), tab.points)
+    X = liemod.expansion_matrix(liemod.conjugator(HR, 0).rhat, tab.points)
     rep = verify.check_threeway(bad, N, tab=tab, X=X)
     assert not rep.passed
     assert all(f["pair"][0] in map(list, tab.points) for f in rep.failures)

@@ -141,7 +141,7 @@ def test_table_lines_are_scaled_in_one_place():
     places = {
         "bispec.py": modules["bispec.py"],
         "hyperg.py:check_orthogonality": _function(modules["hyperg.py"], "check_orthogonality"),
-        "numeric.py:gram": _function(modules["numeric.py"], "gram"),
+        "numeric.py:gram_misses": _function(modules["numeric.py"], "gram_misses"),
     }
     calls = [
         f"{place}:{node.lineno}"
@@ -210,3 +210,30 @@ def test_expansion_matrix_is_scaled_in_one_place():
         if isinstance(node, ast.Call) and _tail(node) == "clear_denominators"
     ]
     assert calls == []
+
+
+def test_one_ratio_and_one_gram_comparison():
+    # an int-or-float division spelled out again, or a Gram sum compared
+    # by a loop of its own, is a second copy of `numeric.ratio` or of
+    # `numeric.gram_misses`
+    spelled, gram_callers = [], []
+    for name, tree in _modules().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.IfExp)
+                    and isinstance(node.body, ast.Call)
+                    and _tail(node.body) == "Fraction"
+                    and isinstance(node.orelse, ast.BinOp)
+                    and isinstance(node.orelse.op, ast.Div)
+                ):
+                    spelled.append(f"{name}:{fn.name}")
+                if isinstance(node, ast.Call) and _tail(node) == "gram_misses":
+                    gram_callers.append(f"{name}:{fn.name}")
+    assert spelled == ["numeric.py:ratio"]
+    assert sorted(gram_callers) == [
+        "hyperg.py:check_orthogonality",
+        "liemod.py:check_dual_norms",
+    ]

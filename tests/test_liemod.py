@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from mvkraw import hyperg, kappa, liemod, linalg, verify
 from mvkraw.numeric import (
     DegreeMismatchError,
+    clear_denominators,
     enumerate_lattice,
     exactify,
     expand_forms,
-    gram,
+    gram_misses,
     multi_factorial,
     power_product,
 )
@@ -100,7 +101,7 @@ class TestConjugator:
         k = milch2()
         points = list(enumerate_lattice(k.d, 2))
         conj = liemod.conjugator(k, 0)
-        rows, D = liemod.expansion_matrix(conj, points)
+        rows, D = liemod.expansion_matrix(conj.rhat, points)
         assert list(rows) == points
         for lam in points:
             coeffs, scale = expand_forms(tuple(zip(*conj.rhat)), lam)
@@ -404,10 +405,9 @@ class TestStructureChecks:
 
 class TestPolynomials:
     def test_monomial(self):
-        f = liemod.monomial((2, 0, 1))
-        assert f.degree == 3 and f.coeffs == {(2, 0, 1): 1}
-        assert liemod.monomial((1, 1, 1), 3).coeffs == {(1, 1, 1): 3}
-        assert liemod.monomial((1, 1, 1), 0).coeffs == {}
+        assert liemod.monomial([2, 0, 1]) == {(2, 0, 1): 1}
+        assert liemod.monomial((1, 1, 1), 3) == {(1, 1, 1): 3}
+        assert liemod.monomial((1, 1, 1), 0) == {}
 
     def test_expand_forms(self):
         # (y0 + y1)(y0 + y1)
@@ -431,14 +431,14 @@ class TestPolynomials:
 
     def test_act_moves_one_unit(self):
         out = liemod.act(liemod.basis_e(2, 1, 0), liemod.monomial((2, 0, 0)))
-        assert out.coeffs == {(1, 1, 0): 2}
+        assert out == {(1, 1, 0): 2}
         # annihilates when the source exponent is zero
         out = liemod.act(liemod.basis_e(2, 0, 2), liemod.monomial((2, 0, 0)))
-        assert out.coeffs == {}
+        assert out == {}
 
     def test_act_diagonal(self):
         out = liemod.act(liemod.basis_phi(1, 1), liemod.monomial((1, 2)))
-        assert out.coeffs == {(1, 2): 2 - F(3, 2)}
+        assert out == {(1, 2): 2 - F(3, 2)}
 
     def test_act_is_representation(self):
         # acting by a commutator equals the commutator of the actions
@@ -452,9 +452,9 @@ class TestPolynomials:
                 tuple(F(rng.randint(-3, 3)) for _ in range(3)) for _ in range(3)
             )
             f = liemod.monomial(rng.choice(pts))
-            lhs = liemod.act(linalg.commutator(a, b), f).coeffs
-            ab = liemod.act(a, liemod.act(b, f)).coeffs
-            ba = liemod.act(b, liemod.act(a, f)).coeffs
+            lhs = liemod.act(linalg.commutator(a, b), f)
+            ab = liemod.act(a, liemod.act(b, f))
+            ba = liemod.act(b, liemod.act(a, f))
             rhs = {lam: ab.get(lam, 0) - ba.get(lam, 0) for lam in ab | ba.keys()}
             assert lhs == {lam: c for lam, c in rhs.items() if c != 0}
 
@@ -463,7 +463,7 @@ class TestSubstitutedBasis:
     def test_hand_expansion(self):
         k = classical()
         xt = liemod.xtilde_monomial(liemod.conjugator(k, 0), (1, 1))
-        assert xt.coeffs == {(2, 0): F(1, 4), (0, 2): F(-1, 4)}
+        assert xt == {(2, 0): F(1, 4), (0, 2): F(-1, 4)}
 
     def test_round_trip_through_dual_coords(self):
         conj = liemod.conjugator(milch2(), 0)
@@ -483,8 +483,8 @@ class TestSubstitutedBasis:
             for i in range(3):
                 moved = liemod.act(conjugated(k, liemod.basis_phi(2, i)), xt)
                 ev = lam[i] - F(N, 3)
-                want = {mu: ev * c for mu, c in xt.coeffs.items() if ev != 0}
-                assert moved.coeffs == want
+                want = {mu: ev * c for mu, c in xt.items() if ev != 0}
+                assert moved == want
 
 
 class TestBilinearForm:
@@ -492,15 +492,40 @@ class TestBilinearForm:
         # the form is diagonal on monomials: <x^11, x^11> is a weight, and
         # <xt^20, xt^20> the Gram of xt^20's coefficients under them
         k = classical()
-        weights, _ = liemod._form_weights(k, 2)
+        weights, scaled = liemod._form_weights(k, 2)
         assert weights[(1, 1)] == 16
-        xt20 = liemod.xtilde_monomial(liemod.conjugator(k, 0), (2, 0)).coeffs
-        assert gram([[xt20.get(n, 0) for n in weights]], list(weights.values())) == [[8]]
+        xt20 = liemod.xtilde_monomial(liemod.conjugator(k, 0), (2, 0))
+        line, D = clear_denominators([xt20.get(n, 0) for n in weights])
+        assert list(gram_misses([line], [D], scaled, [8], [8], 0)) == []
+        assert list(gram_misses([line], [D], scaled, [7], [7], 0)) == [(0, 0, 8, 7, 0)]
 
     @pytest.mark.parametrize("k", FAMILIES)
     def test_dual_norms_check(self, k):
         rep = suite("norms", k, 2)
         assert rep.passed and rep.failures == []
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            kappa.family_hoare_rahman(1, 2, 3, 4),
+            kappa.family_milch([F(1, 2), F(1, 4), F(1, 8), F(1, 8)]),
+        ],
+        ids=["hr1234", "milch"],
+    )
+    def test_norms_detect_a_moved_entry_of_x(self, k):
+        # one entry of one row of X moved by 1: the Gram half fails at that
+        # row's diagonal pair and at no pair that avoids the row
+        N = 2
+        points = list(enumerate_lattice(k.d, N))
+        rows, D = liemod.expansion_matrix(liemod.conjugator(k, 0).rhat, points)
+        for lam in (points[0], points[len(points) // 2], points[-1]):
+            n = next(iter(rows[lam]))
+            bad = {**rows, lam: {**rows[lam], n: rows[lam][n] + D}}
+            rep = liemod.check_dual_norms(k, N, X=(bad, D))
+            assert not rep.passed
+            pairs = [f["pair"] for f in rep.failures]
+            assert [list(lam), list(lam)] in pairs
+            assert all(list(lam) in pair for pair in pairs)
 
     def test_approx_dual_norms_detect_perturbed_pt(self):
         # one pt entry off by 8e-11 of itself, built past validation; the
@@ -529,8 +554,8 @@ class TestBilinearForm:
         weights, _ = liemod._form_weights(k, N)
 
         def form(f, g):
-            shared = f.coeffs.keys() & g.coeffs.keys()
-            return sum(f.coeffs[lam] * g.coeffs[lam] * weights[lam] for lam in shared)
+            shared = f.keys() & g.keys()
+            return sum(f[lam] * g[lam] * weights[lam] for lam in shared)
 
         elements = [liemod.basis_phi(d, i) for i in range(d + 1)]
         elements += [
@@ -588,7 +613,7 @@ class TestPairingRoute:
             w = liemod.pairing_weight(k, N, n)
             assert w == F(multi_factorial(n)) / (power_product(k.pt, n) * 6)
             for nt in enumerate_lattice(k.d, N):
-                c = liemod.xtilde_monomial(conj, nt).coeffs.get(n, 0)
+                c = liemod.xtilde_monomial(conj, nt).get(n, 0)
                 assert liemod.pairing_eval(k, N, n, nt, conj) == c * w
 
     def test_degree_guard(self):
@@ -622,7 +647,7 @@ class TestLatticeChecks:
                     got = liemod.to_dual_coords(conj, moved)
                     mirror = liemod.mirror_closed_form(k, i)
                     want = liemod.act(mirror, liemod.monomial(lam))
-                    assert got.coeffs == want.coeffs
+                    assert got == want
 
     def test_adjacency_detects_row_scaled_set(self):
         # u row 1 times 2 and p_1 / 4 keeps nu P U Pt U^t = I, so the

@@ -17,7 +17,7 @@ from mvkraw.numeric import (
     enumerate_lattice,
     exactify,
     format_scalar,
-    gram,
+    gram_misses,
     is_exact,
     multi_factorial,
     multinomial,
@@ -66,9 +66,9 @@ class TestScalars:
         assert not scalars_equal(1.0, 1.0 + 1e-12, 0)
 
     def test_gram(self):
-        # G[a][b] = sum_r col_a[r] col_b[r] w[r], summed as given: on the
-        # ints of lines scaled by their owner, which the caller divides by
-        # the scales, and on floats
+        # G[a][b] = sum_r col_a[r] col_b[r] w[r] / (S_a S_b S), summed on
+        # the ints of lines scaled by their owner, each symmetric sum once;
+        # only the pairs that are not literally the diagonal come out
         cols = [[Fraction(1, 2), 0, 3], [Fraction(1, 3), 2, -1]]
         w = [Fraction(2), Fraction(1, 5), 1]
         want = [[sum(x * y * v for x, y, v in zip(a, b, w)) for b in cols] for a in cols]
@@ -76,17 +76,35 @@ class TestScalars:
             [Fraction(19, 2), Fraction(-8, 3)],
             [Fraction(-8, 3), Fraction(91, 45)],
         ]
-        scaled = [clear_denominators(c) for c in cols]
+        lines, scales = zip(*(clear_denominators(c) for c in cols))
         ints, S = clear_denominators(w)
-        got = gram([line for line, _ in scaled], ints)
-        assert all(type(g) is int for row in got for g in row)
-        assert [
-            [Fraction(g, Sa * Sb * S) for g, (_, Sb) in zip(row, scaled)]
-            for row, (_, Sa) in zip(got, scaled)
-        ] == want
-        floats = gram([[float(x) for x in c] for c in cols], [float(x) for x in w])
-        for got_row, want_row in zip(floats, want):
-            assert all(abs(g - h) < 1e-12 for g, h in zip(got_row, want_row))
+
+        class Counted(list):
+            sums = 0
+
+            def __iter__(self):
+                Counted.sums += 1
+                return super().__iter__()
+
+        diag = [Fraction(19, 2), Fraction(91, 45)]
+        got = list(gram_misses(lines, scales, (Counted(ints), S), diag, [1, 1], 0))
+        assert Counted.sums == 3
+        assert got == [(0, 1, Fraction(-8, 3), 0, 0), (1, 0, Fraction(-8, 3), 0, 0)]
+        assert all(type(g) is Fraction for _, _, g, _, _ in got)
+        got = list(gram_misses(lines, scales, (ints, S), [diag[0], 1], [1, 1], 0))
+        assert got[-1] == (1, 1, Fraction(91, 45), 1, 0)
+        assert list(gram_misses(lines, scales, (ints, S), [9, 2], [1, 1], 0))[0][:2] == (0, 0)
+        # a float sum always comes out, bounded by tol max(sizes[a], sizes[b])
+        floats = [[float(x) for x in c] for c in cols]
+        sizes = [2, 5]
+        got = list(
+            gram_misses(floats, [1, 1], ([float(x) for x in w], 1), diag, sizes, 1e-10)
+        )
+        assert [(a, b) for a, b, *_ in got] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for a, b, g, h, bound in got:
+            assert type(g) is float and abs(g - want[a][b]) < 1e-12
+            assert h == (diag[a] if a == b else 0)
+            assert bound == 1e-10 * max(sizes[a], sizes[b])
 
 
 class TestCombinatorics:
