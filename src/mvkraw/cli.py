@@ -31,9 +31,11 @@ EXIT_INVALID_PARAMS = 3
 EXIT_INTERNAL = 4
 EXIT_FLOAT_RANGE = 5
 
-# The most lattice points, comb(N + d, d), that `table` or a lattice suite
-# of `check` takes on: a table holds L^2 values, 10^8 at this budget, so a
-# larger run is refused (exit 2) before anything is enumerated.
+# The most lattice points, comb(N + d, d), that `table`, `eval` or a
+# lattice suite of `check` takes on: a table holds L^2 values, 10^8 at
+# this budget, and one `eval` builds per-N factors for every lattice
+# point, so a larger run is refused (exit 2) before anything is
+# enumerated.
 MAX_LATTICE = 10**4
 
 
@@ -236,6 +238,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.verb == "eval":
         kap = _load_kappa(args.kappa, mode, tol)
+        _lattice_budget(kap.d, args.N)
         m = _parse_int_list(args.m)
         mt = _parse_int_list(args.mt)
         try:

@@ -60,10 +60,12 @@ class ParameterSet:
 
     @functools.cached_property
     def pt_ratios(self) -> tuple:
-        """pt_r / pt_c at [r][c], the weights by which the
-        antiautomorphism (`liemod.antiauto`) scales a transpose.  Made on
-        first use and kept on the instance, like `kernel_form`."""
-        return tuple(tuple(exactify(a) / b for b in self.pt) for a in self.pt)
+        """(Q, S) with pt_r / pt_c = Q[r][c] / S, Q on integer rows over
+        one scale (`linalg.integer_rows`; floats keep pt_r / pt_c with
+        S = 1): the weights by which the antiautomorphism
+        (`liemod.antiauto`) scales a transpose.  Made on first use and
+        kept on the instance, like `kernel_form`."""
+        return linalg.integer_rows([[exactify(a) / b for b in self.pt] for a in self.pt])
 
 
 @dataclass(frozen=True)

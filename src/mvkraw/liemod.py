@@ -12,7 +12,12 @@ lemma22 suite checks both closed forms against honest conjugation.  The
 antiautomorphism a(b) = Pt b^t Pt^{-1} fixes both Cartan bases and
 transports matrix units with explicit weight ratios; a is linear, so the
 lemma21 suite proves it involutive and product-reversing on the matrix
-units and their (d+1)^4 pairs, with no sampled matrices.
+units and their (d+1)^4 pairs, with no sampled matrices.  Both suites
+run on integers: the run's one conjugator keeps R and R^-1 on integer
+rows (`Conjugator.scaled`), the Cartan elements are (d+1) phi_i, each
+matrix is carried with its scale, and each identity is compared
+cross-multiplied, a Fraction made only for a miss; floats keep scale 1
+and the plain products.
 
 Matrices act on homogeneous polynomials in x_0..x_d, each a plain dict
 {exponent: coefficient} with zeros left out (as `numeric.expand_forms`
@@ -36,10 +41,10 @@ scale, and both closed forms as `closed_forms`, made once per run.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import NamedTuple
 
 from . import hyperg, linalg
@@ -54,6 +59,7 @@ from .numeric import (
     expand_forms,
     format_scalar,
     gram_misses,
+    is_exact,
     multi_factorial,
     multinomial_weights,
     power_product,
@@ -98,6 +104,23 @@ class Conjugator:
     rhat: Matrix
     rhat_inv: Matrix
 
+    @functools.cached_property
+    def scaled(self) -> tuple:
+        """((A, Da), (B, Db)) with rhat = A/Da and rhat_inv = B/Db on
+        integer rows (`linalg.integer_rows`; floats keep their values
+        with D = 1).  Made on first use and kept on the instance, so a
+        run scales its one conjugator once."""
+        return linalg.integer_rows(self.rhat), linalg.integer_rows(self.rhat_inv)
+
+    def conjugate(self, beta: tuple) -> tuple:
+        """R beta R^-1 for beta = (entries, scale), as (entries, scale):
+        two plain products (`linalg.product`), on ints over the product
+        of the three scales when beta is on ints; floats keep scale 1
+        and the sums of the plain product."""
+        (A, Da), (B, Db) = self.scaled
+        entries, scale = beta
+        return linalg.product(linalg.product(A, entries), B), Da * scale * Db
+
 
 def conjugator(kappa: ParameterSet, tol: Scalar) -> Conjugator:
     """The conjugator of kappa, its inverse checked at `tol_for(kappa, tol)`."""
@@ -111,10 +134,6 @@ def conjugator(kappa: ParameterSet, tol: Scalar) -> Conjugator:
     ):
         raise AssertionError("conjugator inverse failed; parameter set corrupt")
     return Conjugator(rhat, rhat_inv)
-
-
-def _conjugate(conj: Conjugator, beta: Matrix) -> Matrix:
-    return linalg.mat_mul(linalg.mat_mul(conj.rhat, beta), conj.rhat_inv)
 
 
 def closed_form(nu: Scalar, p: tuple, pt: tuple, u: Matrix, i: int) -> Matrix:
@@ -173,16 +192,62 @@ def closed_forms(kappa: ParameterSet) -> ClosedForms:
 
 def antiauto(kappa: ParameterSet, beta: Matrix) -> Matrix:
     """a(b) = Pt b^t Pt^{-1}; with Pt diagonal this is the transpose of b
-    scaled entrywise by the weight ratios pt_r/pt_c, which the set keeps
-    (`ParameterSet.pt_ratios`)."""
+    scaled entrywise by the weight ratios pt_r/pt_c = Q[r][c]/S, which
+    the set keeps on ints (`ParameterSet.pt_ratios`): one Fraction per
+    nonzero entry of an integer b, and a zero entry stays the int 0."""
+    Q, S = kappa.pt_ratios
     return tuple(
-        tuple(map(mul, ratios, col)) for ratios, col in zip(kappa.pt_ratios, zip(*beta))
+        tuple(ratio(q * x, S) if x else 0 for q, x in zip(ratios, col))
+        for ratios, col in zip(Q, zip(*beta))
     )
 
 
-def _expect(failures: list, tol: Scalar, tag: str, got: Matrix, want: Matrix) -> None:
-    """Record the matrix identity got = want under `tag` when it fails
-    beyond tol, with its largest entrywise defect."""
+# The Lie-lemma suites carry each matrix as (entries, scale), its value
+# entries / scale: on ints in an exact run, and the plain values over 1
+# beside floats, so that approx runs make the plain products.
+
+
+def _cartan(d: int, exact: bool) -> list:
+    """phi_0..phi_d: (d+1) phi_i on ints over d+1 in an exact run, the
+    Fraction matrices over 1 beside floats."""
+    phis = (basis_phi(d, i) for i in range(d + 1))
+    return [linalg.integer_rows(phi) if exact else (phi, 1) for phi in phis]
+
+
+def _image(kappa: ParameterSet, m: tuple) -> tuple:
+    """a(m) over m's scale: `antiauto` is linear."""
+    entries, scale = m
+    return antiauto(kappa, entries), scale
+
+
+def _times(c: Scalar, m: tuple) -> tuple:
+    """c m: the entries times c's numerator over c's denominator times
+    m's scale; a float c multiplies the entries, as a plain scaling."""
+    num, den = (c.numerator, c.denominator) if is_exact(c) else (c, 1)
+    entries, scale = m
+    return linalg.mat_scale(num, entries), den * scale
+
+
+def _values(m: tuple) -> Matrix:
+    entries, scale = m
+    if scale == 1:
+        return entries
+    return tuple(tuple(ratio(x, scale) for x in row) for row in entries)
+
+
+def _expect(failures: list, tol: Scalar, tag: str, got: tuple, want: tuple) -> None:
+    """Record the matrix identity got = want, each side (entries, scale),
+    under `tag` when it fails beyond tol, with its largest entrywise
+    defect.  At tol 0 the entries are exact and compared
+    cross-multiplied on ints; the values are made only for a miss."""
+    (G, Sg), (W, Sw) = got, want
+    if tol == 0 and all(
+        g.numerator * w.denominator * Sw == w.numerator * g.denominator * Sg
+        for rg, rw in zip(G, W)
+        for g, w in zip(rg, rw)
+    ):
+        return
+    got, want = _values(got), _values(want)
     if not linalg.mats_equal(got, want, tol):
         failures.append(
             {"identity": tag, "defect": format_scalar(linalg.max_defect(got, want))}
@@ -196,25 +261,27 @@ def check_lemma21(
     units with weight ratios, and involutivity and product reversal on
     the matrix units, a proof for all matrices as a is linear.  Since
     e_ij e_kl = delta_jk e_il, a pair needs no product on the left, and
-    a(e_kl) a(e_ij) is summed over the nonzero entries of the images."""
+    a(e_kl) a(e_ij) is summed over the nonzero entries of the images,
+    brought to one integer scale.  The Cartan elements, the units and
+    their conjugates by the run's integer conjugator are on ints in an
+    exact run, and `antiauto` is applied to each as it is."""
     d = kappa.d
     tol = tol_for(kappa, tol)
     failures = []
 
-    for i in range(d + 1):
-        phi = basis_phi(d, i)
-        _expect(failures, tol, f"a(phi_{i}) = phi_{i}", antiauto(kappa, phi), phi)
-        dphi = _conjugate(conj, phi)
+    for i, phi in enumerate(_cartan(d, tol == 0)):
+        _expect(failures, tol, f"a(phi_{i}) = phi_{i}", _image(kappa, phi), phi)
+        dphi = conj.conjugate(phi)
         tag = f"a(dual_phi_{i}) = dual_phi_{i}"
-        _expect(failures, tol, tag, antiauto(kappa, dphi), dphi)
+        _expect(failures, tol, tag, _image(kappa, dphi), dphi)
     n = d + 1
     units = {
-        (i, j): tuple(tuple(int((r, c) == (i, j)) for c in range(n)) for r in range(n))
+        (i, j): (tuple(tuple(int((r, c) == (i, j)) for c in range(n)) for r in range(n)), 1)
         for i in range(n)
         for j in range(n)
     }
-    images = {ij: antiauto(kappa, e) for ij, e in units.items()}
-    duals = {(i, j): _conjugate(conj, e) for (i, j), e in units.items() if i != j}
+    images = {ij: _image(kappa, e) for ij, e in units.items()}
+    duals = {(i, j): conj.conjugate(e) for (i, j), e in units.items() if i != j}
     for (i, j), e in units.items():
         if i != j:
             _expect(
@@ -222,31 +289,34 @@ def check_lemma21(
                 tol,
                 f"a(e_{i}{j}) = (pt_{j}/pt_{i}) e_{j}{i}",
                 images[i, j],
-                linalg.mat_scale(exactify(kappa.pt[j]) / kappa.pt[i], units[j, i]),
+                _times(exactify(kappa.pt[j]) / kappa.pt[i], units[j, i]),
             )
             _expect(
                 failures,
                 tol,
                 f"a(dual_e_{i}{j}) = (p_{j}/p_{i}) dual_e_{j}{i}",
-                antiauto(kappa, duals[i, j]),
-                linalg.mat_scale(exactify(kappa.p[j]) / kappa.p[i], duals[j, i]),
+                _image(kappa, duals[i, j]),
+                _times(exactify(kappa.p[j]) / kappa.p[i], duals[j, i]),
             )
         tag = f"a(a(e_{i}{j})) = e_{i}{j}"
-        _expect(failures, tol, tag, antiauto(kappa, images[i, j]), e)
+        _expect(failures, tol, tag, _image(kappa, images[i, j]), e)
 
     sparse = {
         ij: {(r, c): x for r, row in enumerate(m) for c, x in enumerate(row) if x != 0}
-        for ij, m in images.items()
+        for ij, (m, _) in images.items()
     }
+    ints, S = clear_denominators([x for f in sparse.values() for x in f.values()])
+    ints = iter(ints)
+    sparse = {ij: {rc: next(ints) for rc in f} for ij, f in sparse.items()}
     for i, j in units:
         for k, l in units:
-            diff = dict(sparse[i, l]) if j == k else {}
+            diff = {rs: S * x for rs, x in sparse[i, l].items()} if j == k else {}
             for (r, c), x in sparse[k, l].items():
                 for (c2, s), y in sparse[i, j].items():
                     if c == c2:
                         diff[r, s] = diff.get((r, s), 0) - x * y
             defect = max(map(abs, diff.values()), default=0)
-            if defect > tol:
+            if defect and (defect := ratio(defect, S * S)) > tol:
                 tag = f"a(e_{i}{j} e_{k}{l}) = a(e_{k}{l}) a(e_{i}{j})"
                 failures.append({"identity": tag, "defect": format_scalar(defect)})
 
@@ -261,46 +331,39 @@ def check_generation(
     conjugation of its mirror), and the triple-commutator identity
     producing every matrix unit from the plain Cartan elements and the
     single dual phi_0, which is minus the sum of the others by
-    construction."""
+    construction.  In an exact run the Cartan elements are (d+1) phi_i
+    on ints, the conjugations and brackets run on ints, and each
+    identity is compared cross-multiplied (`_expect`)."""
     d = kappa.d
     tol = tol_for(kappa, tol)
     failures = []
 
-    phis = [basis_phi(d, i) for i in range(d + 1)]
-    dphis = [_conjugate(conj, phi) for phi in phis]
+    phis = _cartan(d, tol == 0)
+    dphis = [conj.conjugate(phi) for phi in phis]
     for i, dphi in enumerate(dphis):
-        _expect(
-            failures,
-            tol,
-            f"dual_phi_{i} closed form",
-            dphi,
-            forms.closed[i],
-        )
+        _expect(failures, tol, f"dual_phi_{i} closed form", dphi, (forms.closed[i], 1))
     for i in range(1, d + 1):
-        _expect(
-            failures,
-            tol,
-            f"phi_{i} mirror closed form",
-            _conjugate(conj, forms.mirror[i]),
-            phis[i],
-        )
+        mirror = conj.conjugate(linalg.integer_rows(forms.mirror[i]))
+        _expect(failures, tol, f"phi_{i} mirror closed form", mirror, phis[i])
 
-    # [phi_j, dual_phi_0] does not depend on i: one per j
-    inners = [linalg.commutator(phi, dphis[0]) for phi in phis]
-    for i in range(d + 1):
-        for j in range(d + 1):
+    # phi_j = C_j / K and dual_phi_0 = dC / S: [C_j, dC] = K S [phi_j,
+    # dual_phi_0], made once per j, and the middle and outer brackets
+    # gain one K each, so outer - middle = (outer' - K middle') / (K^3 S)
+    dC, S = dphis[0]
+    inners = [linalg.commutator(C, dC) for C, _ in phis]
+    for i, (Ci, K) in enumerate(phis):
+        for j, (Cj, _) in enumerate(phis):
             if i == j:
                 continue
-            middle = linalg.commutator(phis[i], inners[j])
-            outer = linalg.commutator(phis[j], middle)
+            middle = linalg.commutator(Ci, inners[j])
+            outer = linalg.commutator(Cj, middle)
+            delta = linalg.mat_sub(outer, linalg.mat_scale(K, middle))
             _expect(
                 failures,
                 tol,
                 f"bracket recovery of e_{i}{j}",
-                linalg.mat_scale(
-                    1 / (2 * exactify(kappa.pt[i])), linalg.mat_sub(outer, middle)
-                ),
-                basis_e(d, i, j),
+                _times(1 / (2 * exactify(kappa.pt[i])), (delta, K**3 * S)),
+                (basis_e(d, i, j), 1),
             )
 
     return CheckReport("lemma22", not failures, failures, {})
@@ -392,9 +455,10 @@ def pairing_weight(kappa: ParameterSet, N: int, n: MultiIndex) -> Scalar:
     every nt: a full-grid sweep computes it once per n.  It is the
     reciprocal of the multinomial weight N! pt^n/n! that `transition`
     and `orthogonality` read on ints (`numeric.multinomial_weights`)."""
-    return exactify(multi_factorial(n)) / (
-        exactify(power_product(kappa.pt, n)) * math.factorial(N)
-    )
+    den = power_product(kappa.pt, n) * math.factorial(N)
+    if all(map(is_exact, kappa.pt)):
+        return Fraction(multi_factorial(n), den)
+    return multi_factorial(n) / den
 
 
 def _form_weights(kappa: ParameterSet, N: int) -> tuple:
@@ -456,23 +520,27 @@ def check_dual_norms(
             got, want = format_scalar(got), format_scalar(want)
             pair = [list(points[a]), list(points[b])]
             failures.append({"pair": pair, "got": got, "want": want})
-    failures += _adjoint_failures(kappa, N, tol, points, weights)
+    failures += _adjoint_failures(kappa, N, tol, points, weights, scaled)
     return CheckReport(
         "norms", not failures, failures, {"pairs": len(points) ** 2}
     )
 
 
 def _adjoint_failures(
-    kappa: ParameterSet, N: int, tol: Scalar, points: tuple, weights: dict
+    kappa: ParameterSet, N: int, tol: Scalar, points: tuple, weights: dict, scaled: tuple
 ) -> list:
     """<b.x^n, x^m> = <x^n, a(b).x^m> for b over the units e_ij, i != j,
     in (b, n, m) order; for the phi_i, which act diagonally, it is
     lemma21's a(phi_i) = phi_i.  The form is diagonal on monomials, so a
     pair where neither side has x^m in b.x^n nor x^n in a(b).x^m reads
-    0 = 0 and is skipped.  Approx mode compares within tol N max(1,
-    w(n), w(m)), w the form's weights, which bounds every term of either
-    side."""
+    0 = 0 and is skipped.  Both sides run on ints: the weights as
+    scaled = (W, S) in layout order (`_form_weights`) and a(b) = A/Sa on
+    integer rows, so lhs = out[m] W[m] / S and rhs = into[n][m] W[n] /
+    (S Sa) are compared cross-multiplied, and the values are made only
+    for a miss.  Approx mode compares within tol N max(1, w(n), w(m)),
+    w the form's weights, which bounds every term of either side."""
     d = kappa.d
+    W, S = scaled
     elements = [
         (f"e_{i}{j}", basis_e(d, i, j))
         for i in range(d + 1)
@@ -482,16 +550,19 @@ def _adjoint_failures(
     order = {lam: k for k, lam in enumerate(points)}
     failures = []
     for tag, beta in elements:
-        adj = antiauto(kappa, beta)
-        into = {n: {} for n in points}  # into[n][m]: coefficient of x^n in a(b).x^m
+        adj, Sa = linalg.integer_rows(antiauto(kappa, beta))
+        into = {n: {} for n in points}  # into[n][m]: coefficient of x^n in adj.x^m
         for m in points:
             for n, c in act(adj, monomial(m)).items():
                 into[n][m] = c
         for n in points:
             out = act(beta, monomial(n))
             for m in sorted(out.keys() | into[n].keys(), key=order.__getitem__):
-                lhs = out.get(m, 0) * weights[m]
-                rhs = into[n].get(m, 0) * weights[n]
+                lhs = out.get(m, 0) * W[order[m]]
+                rhs = into[n].get(m, 0) * W[order[n]]
+                if tol == 0 and lhs * Sa == rhs:
+                    continue
+                lhs, rhs = ratio(lhs, S), ratio(rhs, S * Sa)
                 bound = tol * N * max(1, abs(weights[n]), abs(weights[m])) if tol else 0
                 if not scalars_equal(lhs, rhs, bound):
                     failures.append(

@@ -2,9 +2,12 @@
 
 Matrices are immutable ((d+1) x (d+1) at most 4x4 here), entries are
 scalars in either mode; nothing in the package needs a general inverse,
-so none is provided.  A product of exact matrices runs on integers: each
-factor is scaled to integer rows once (`numeric.clear_denominators`) and
-each entry is one Fraction of an integer row-column sum.
+so none is provided.  `product` is the plain product, left-to-right
+row-column sums in the entries' own arithmetic.  `mat_mul` runs a
+product of exact matrices on integers: each factor is scaled to integer
+rows (`integer_rows`) and each entry is one Fraction of an integer
+row-column sum.  A caller that multiplies the same matrices many times
+scales them once itself and calls `product` on the integers.
 """
 
 from __future__ import annotations
@@ -46,27 +49,25 @@ def integer_rows(a: Matrix) -> tuple:
     return [flat[k : k + width] for k in range(0, len(flat), width)], D
 
 
+def product(a: Matrix, b: Matrix) -> Matrix:
+    """The plain product ab: each entry is the left-to-right sum of its
+    row-column products, in the entries' own arithmetic."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """The product ab.  When the entries are ints and at least one
     Fraction, a = A/Da and b = B/Db with A and B on ints, every
     row-column sum runs on ints and each entry is one Fraction(sum,
     Da Db).  Int products stay int, and a float or complex entry keeps
-    D = 1 with the same left-to-right sums, so approx values are those
-    of the plain product."""
+    D = 1, so approx values are those of the plain `product`."""
     kinds = set(map(type, (x for m in (a, b) for row in m for x in row)))
-    rational = Fraction in kinds and kinds <= {int, Fraction}
-    den = 1
-    if rational:
-        (a, da), (b, db) = integer_rows(a), integer_rows(b)
-        den = da * db
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(
-            Fraction(total, den) if rational else total
-            for total in (sum(map(mul, row, col)) for col in cols)
-        )
-        for row in a
-    )
+    if not (Fraction in kinds and kinds <= {int, Fraction}):
+        return product(a, b)
+    (a, da), (b, db) = integer_rows(a), integer_rows(b)
+    den = da * db
+    return tuple(tuple(Fraction(x, den) for x in row) for row in product(a, b))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -82,7 +83,9 @@ def mat_scale(c: Scalar, a: Matrix) -> Matrix:
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    """[a, b] = ab - ba by the plain `product`: on integer matrices it
+    stays on ints."""
+    return mat_sub(product(a, b), product(b, a))
 
 
 def mats_equal(a: Matrix, b: Matrix, tol: Scalar = 0) -> bool:

@@ -148,8 +148,12 @@ def power_product(base: Sequence[Scalar], lam: Sequence[int]) -> Scalar:
 
 
 def weight_over_factorial(weights: Sequence[Scalar], lam: Sequence[int]) -> Scalar:
-    """weights^lam / lam!, kept exact for exact weights."""
-    return exactify(power_product(weights, lam)) / multi_factorial(lam)
+    """weights^lam / lam!, a Fraction for exact weights and a float for
+    float weights, at lam = 0 too, where `power_product` is the int 1."""
+    power = power_product(weights, lam)
+    if all(map(is_exact, weights)):
+        return Fraction(power, multi_factorial(lam))
+    return power / multi_factorial(lam)
 
 
 def multinomial_weights(w: Sequence[Scalar], N: int, points: Sequence) -> tuple:

@@ -787,6 +787,20 @@ class TestLatticeBudget:
         assert code == 0 and json.loads(out)["pass"]
         assert run(capsys, "stencil", "--kappa", milch2_file, "--N", N)[0] == 0
 
+    def test_eval_is_refused_above_the_budget(self, capsys, tmp_path, monkeypatch):
+        # comb(202, 2) = 20301 lattice points at N = 200: every route
+        # exits 2 before the per-N factors of the kernel sums are made
+        def refuse(kappa, N):
+            raise AssertionError("the per-N view was built")
+
+        monkeypatch.setattr(hyperg, "_integer_view", refuse)
+        hr = write_kappa(tmp_path, kappa.family_hoare_rahman(1, 2, 3, 4))
+        message = f"error: --N 200 at d = 2 has more than {cli.MAX_LATTICE} lattice points\n"
+        for method in ("hyper", "gen", "pairing"):
+            argv = ("eval", "--kappa", hr, "--N", "200", "--m", "1,0", "--mt", "0,1")
+            assert run(capsys, *argv, "--method", method) == (2, "", message)
+            assert run(capsys, "--mode", "approx", *argv, "--method", method) == (2, "", message)
+
 
 class TestParser:
     def test_no_verb_exit_2(self, capsys):

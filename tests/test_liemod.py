@@ -18,7 +18,10 @@ from mvkraw.numeric import (
     expand_forms,
     gram_misses,
     multi_factorial,
+    multinomial_weights,
     power_product,
+    ratio,
+    weight_over_factorial,
 )
 
 ADJOINT_FIXTURE = os.path.join(
@@ -47,6 +50,29 @@ def antiauto_without_transpose(k, beta):
         tuple(exactify(k.pt[r]) * beta[r][c] / k.pt[c] for c in range(n))
         for r in range(n)
     )
+
+
+def antiauto_with_p_weights(k, beta):
+    """P b^t P^-1: the antiautomorphism with p's ratios where pt's are due."""
+    n = k.d + 1
+    return tuple(
+        tuple(exactify(k.p[r]) * beta[c][r] / k.p[c] for c in range(n))
+        for r in range(n)
+    )
+
+
+def antiauto_with_perturbed_ratio(k, beta):
+    """The antiautomorphism with pt_0/pt_1 moved by 1/7."""
+    Q, S = k.pt_ratios
+    ratios = [[ratio(q, S) for q in row] for row in Q]
+    ratios[0][1] += F(1, 7)
+    return tuple(
+        tuple(r * x for r, x in zip(row, col)) for row, col in zip(ratios, zip(*beta))
+    )
+
+
+def approx_twin(k):
+    return kappa.from_json_dict(kappa.to_json_dict(k), "approx", 1e-10)
 
 
 def conjugated(k, beta):
@@ -154,13 +180,10 @@ class TestConjugator:
         assert conjugators == [0]
 
     def test_lemma_suites_matrix_products(self, monkeypatch):
-        # the run's conjugator makes 3 products, lemma21 18 (two per
-        # conjugation of the 3 Cartan elements and 6 off-diagonal units;
-        # its unit pairs are multiplied over nonzero entries, with no
-        # matrix product) and lemma22 40: two per conjugation of
-        # the 3 Cartan elements and 2 mirrors, and two per commutator, of
-        # which the d + 1 = 3 inner [phi_j, dual_phi_0] are made once
-        # each and the middle and outer ones once per each of 6 pairs
+        # the run's conjugator makes 3 products; lemma21 and lemma22
+        # conjugate and bracket on the conjugator's integer rows with the
+        # plain product, so they make no `mat_mul`, which would scale its
+        # factors to integers again on every call
         k = milch2()
         calls = []
         mat_mul = linalg.mat_mul
@@ -172,7 +195,7 @@ class TestConjugator:
         monkeypatch.setattr(linalg, "mat_mul", counting)
         reports = verify.run_suites(["lemma21", "lemma22"], k, None)
         assert all(r.passed for r in reports)
-        assert len(calls) == 3 + 18 + 40
+        assert len(calls) == 3
 
     def test_seal_rejects_corrupt_set(self):
         # bypass validation on purpose: this u breaks the defining identity
@@ -305,14 +328,7 @@ class TestStructureChecks:
         # involutive antiautomorphism, but it transports every matrix unit
         # with the ratios of p where pt's are due, and moves the dual
         # Cartan elements
-        def p_weights(k, beta):
-            n = k.d + 1
-            return tuple(
-                tuple(exactify(k.p[r]) * beta[c][r] / k.p[c] for c in range(n))
-                for r in range(n)
-            )
-
-        monkeypatch.setattr(liemod, "antiauto", p_weights)
+        monkeypatch.setattr(liemod, "antiauto", antiauto_with_p_weights)
         rep = suite("lemma21", kappa.family_hoare_rahman(1, 2, 3, 4))
         assert not rep.passed
         units = [(i, j) for i in range(3) for j in range(3) if i != j]
@@ -366,14 +382,7 @@ class TestStructureChecks:
         # of e_10 fails by 1/7, the involution fails on e_01 and e_10, and
         # product reversal on exactly the five unit pairs that use the
         # ratio on one side only
-        def perturbed(k, beta):
-            ratios = [list(row) for row in k.pt_ratios]
-            ratios[0][1] += F(1, 7)
-            return tuple(
-                tuple(r * x for r, x in zip(row, col)) for row, col in zip(ratios, zip(*beta))
-            )
-
-        monkeypatch.setattr(liemod, "antiauto", perturbed)
+        monkeypatch.setattr(liemod, "antiauto", antiauto_with_perturbed_ratio)
         rep = suite("lemma21", kappa.family_hoare_rahman(1, 2, 3, 4))
         assert not rep.passed
         pairs = [
@@ -387,6 +396,72 @@ class TestStructureChecks:
         involutions = [f["identity"] for f in rep.failures if f["identity"].startswith("a(a(")]
         assert involutions == ["a(a(e_01)) = e_01", "a(a(e_10)) = e_10"]
         assert rep.details == {"unit_pairs": 81}
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [antiauto_with_p_weights, antiauto_without_transpose, antiauto_with_perturbed_ratio],
+        ids=["p-weights", "no-transpose", "perturbed-ratio"],
+    )
+    def test_approx_antiauto_controls_fail_at_the_same_identities(self, monkeypatch, wrong):
+        # the three wrong antiautomorphisms above fail lemma21 in approx
+        # mode at the identities they fail in exact mode, in the same
+        # order, each with the exact defect up to round-off
+        monkeypatch.setattr(liemod, "antiauto", wrong)
+        k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        exact, approx = suite("lemma21", k), suite("lemma21", approx_twin(k))
+        assert not approx.passed
+        assert [f["identity"] for f in approx.failures] == [
+            f["identity"] for f in exact.failures
+        ]
+        for a, e in zip(approx.failures, exact.failures):
+            assert float(a["defect"]) == pytest.approx(float(F(e["defect"])), rel=1e-9)
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_corrupted_conjugator_fails_located(self, monkeypatch, mode):
+        # a run handed a conjugator whose inverse has entry (0, 1) moved
+        # by 1/7, past the inverse check: every conjugated Cartan element
+        # misses its closed form and is moved by a, two mirrors and two
+        # bracket recoveries fail, and so do the transports of the four
+        # dual units that the moved entry reaches
+        real = liemod.conjugator
+
+        def corrupted(k, tol):
+            conj = real(k, tol)
+            inv = [list(row) for row in conj.rhat_inv]
+            inv[0][1] += F(1, 7)
+            return liemod.Conjugator(conj.rhat, linalg.freeze(inv))
+
+        monkeypatch.setattr(liemod, "conjugator", corrupted)
+        k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        lemma21, lemma22 = verify.run_suites(
+            ["lemma21", "lemma22"], k if mode == "exact" else approx_twin(k), None
+        )
+        want21 = [
+            ("a(dual_phi_0) = dual_phi_0", "80/1323"),
+            ("a(dual_phi_1) = dual_phi_1", "40/1323"),
+            ("a(dual_phi_2) = dual_phi_2", "40/1323"),
+            ("a(dual_e_01) = (p_1/p_0) dual_e_10", "5/14"),
+            ("a(dual_e_02) = (p_2/p_0) dual_e_20", "20/49"),
+            ("a(dual_e_10) = (p_0/p_1) dual_e_01", "5/98"),
+            ("a(dual_e_20) = (p_0/p_2) dual_e_02", "5/98"),
+        ]
+        want22 = [
+            ("dual_phi_0 closed form", "80/1323"),
+            ("dual_phi_1 closed form", "40/1323"),
+            ("dual_phi_2 closed form", "40/1323"),
+            ("phi_1 mirror closed form", "5/147"),
+            ("phi_2 mirror closed form", "80/1323"),
+            ("bracket recovery of e_01", "2/21"),
+            ("bracket recovery of e_21", "2/21"),
+        ]
+        for rep, want in ((lemma21, want21), (lemma22, want22)):
+            assert not rep.passed
+            assert [f["identity"] for f in rep.failures] == [tag for tag, _ in want]
+            for f, (_, defect) in zip(rep.failures, want):
+                if mode == "exact":
+                    assert f["defect"] == defect
+                else:
+                    assert float(f["defect"]) == pytest.approx(float(F(defect)), rel=1e-9)
 
     def test_generation_suite_checks_every_closed_form(self):
         # scaling row 1 of u by 2 and p_1 by 1/4 keeps nu P u Pt u^t = I
@@ -615,6 +690,29 @@ class TestPairingRoute:
             for nt in enumerate_lattice(k.d, N):
                 c = liemod.xtilde_monomial(conj, nt).get(n, 0)
                 assert liemod.pairing_eval(k, N, n, nt, conj) == c * w
+
+    def test_weights_keep_the_data_type_at_N_0(self):
+        # at N = 0 the power product is the empty product, the int 1: the
+        # weights of an approx set are still floats, not Fraction(1), which
+        # a test on types would take for exact data, and an exact set's
+        # are Fractions
+        k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        a = approx_twin(k)
+        zero = (0, 0, 0)
+        weights = [
+            liemod.pairing_weight(a, 0, zero),
+            weight_over_factorial(a.p, zero),
+            multinomial_weights(a.pt, 0, [zero])[0][0],
+        ]
+        assert weights == [1, 1, 1]
+        assert [type(w) for w in weights] == [float] * 3
+        weights = [liemod.pairing_weight(k, 0, zero), weight_over_factorial(k.p, zero)]
+        assert weights == [1, 1]
+        assert [type(w) for w in weights] == [F] * 2
+        # the float branch at N >= 1 is the plain float arithmetic
+        n = (1, 2, 0)
+        assert liemod.pairing_weight(a, 3, n) == 2 / (a.pt[0] * a.pt[1] ** 2 * 6)
+        assert weight_over_factorial(a.p, n) == a.p[0] * a.p[1] ** 2 / 2
 
     def test_degree_guard(self):
         k = classical()
