@@ -19,8 +19,10 @@ The kernel sum runs on integers: omega is scaled to W/D once per set
 instance, and the view of each N, with the factorials and powers that
 depend on nothing else, is kept on the instance
 (`ParameterSet.kernel_form`), so an entry never hashes or compares the
-set.  Each value is then one division, one Fraction, at the end;
-floats take the same loop.
+set.  The view also holds the memo of kernel row-vector lists
+(`numeric.enumerate_kernels`): the entries of a table share the lists,
+which go with the set instance, not with a module.  Each value is then
+one division, one Fraction, at the end; floats take the same loop.
 
 Tables hold P over the full degree-N lattice in graded-lex order, rows
 indexed by the first argument, built by kernel sums.  A table keeps one
@@ -102,11 +104,13 @@ def _integer_view(kappa: ParameterSet, N: int) -> tuple:
     whether the set is exact, the factorials up to N, the falling
     factorials n!/(n-c)! by n (each list made on first use),
     (-1)^t D^(N-t) (N-t)! per kernel total t, {row: (W_i^row, row!)} per
-    row i, and the scale N!^2 D^N, with omega = W/D taken from
-    `ParameterSet.kernel_form`.  Built once per set instance and N and
-    kept in that form's views, so finding it hashes nothing.  Where a
-    float power leaves the float range, the OverflowError names omega
-    and N.
+    row i, the scale N!^2 D^N, with omega = W/D taken from
+    `ParameterSet.kernel_form`, and the memo of kernel row-vector lists
+    (`numeric.enumerate_kernels`), filled as the sums run, so the
+    entries of a table share them and none outlives the set instance.
+    Built once per set instance and N and kept in that form's views, so
+    finding it hashes nothing.  Where a float power leaves the float
+    range, the OverflowError names omega and N.
     """
     exact, W, D, views = kappa.kernel_form
     if N in views:
@@ -124,7 +128,7 @@ def _integer_view(kappa: ParameterSet, N: int) -> tuple:
             f"the approx powers of omega = {W} in the kernel sums at N = {N} "
             "leave the float range"
         ) from None
-    view = views[N] = (exact, fact, _Falling(fact), by_total, rows, fact[N] ** 2 * D**N)
+    view = views[N] = (exact, fact, _Falling(fact), by_total, rows, fact[N] ** 2 * D**N, {})
     return view
 
 
@@ -154,13 +158,13 @@ def eval_hypergeometric(
     d = kappa.d
     m = check_degree_vector(d, N, m, "m")
     mt = check_degree_vector(d, N, mt, "mt")
-    exact, fact, falling, by_total, rows, scale = _integer_view(kappa, N)
+    exact, fact, falling, by_total, rows, scale, memo = _integer_view(kappa, N)
     col_falls = [falling[x] for x in m]
     row_falls = [falling[x] for x in mt]
 
     acc = 0
     try:  # only floats overflow; ints and Fractions have no range
-        for ker in enumerate_kernels(d, N, row_caps=mt, col_caps=m):
+        for ker in enumerate_kernels(d, N, mt, m, memo):
             term = by_total[ker.total]
             cells = 1
             for row, r, powers, falls in zip(ker.entries, ker.row_sums, rows, row_falls):

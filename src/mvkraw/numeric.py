@@ -257,17 +257,21 @@ class KernelMatrix(NamedTuple):
     total: int
 
 
-def _row_vectors(caps: tuple, limit: int) -> list:
+def _row_vectors(caps: tuple, limit: int, memo: dict) -> list:
     """Every (v, |v|) with v[j] <= caps[j] and |v| <= limit, in lex order,
-    built from the last coordinate forward as one list."""
-    out = [((), 0)]
-    for cap in reversed(caps):
-        out = [
-            ((a,) + rest, a + s)
-            for a in range(min(cap, limit) + 1)
-            for rest, s in out
-            if a + s <= limit
-        ]
+    built from the last coordinate forward as one list, once per
+    (caps, limit) of ``memo``."""
+    out = memo.get((caps, limit))
+    if out is None:
+        out = [((), 0)]
+        for cap in reversed(caps):
+            out = [
+                ((a,) + rest, a + s)
+                for a in range(min(cap, limit) + 1)
+                for rest, s in out
+                if a + s <= limit
+            ]
+        memo[caps, limit] = out
     return out
 
 
@@ -276,6 +280,7 @@ def enumerate_kernels(
     degree: int,
     row_caps: Sequence[int],
     col_caps: Sequence[int],
+    memo: dict | None = None,
 ) -> Iterator[KernelMatrix]:
     """All d x d matrices with row i sum <= row_caps[i], column j sum
     <= col_caps[j] and total sum <= degree, in lex order of the
@@ -284,25 +289,30 @@ def enumerate_kernels(
     The matrix is built a row at a time: each row runs over the vectors
     that fit under the column caps still left, so caps are enforced
     during generation, not by post-filtering, and the work is
-    proportional to the matrices actually yielded.
+    proportional to the matrices actually yielded.  Rows 0..d-2 are
+    expanded a level at a time into one lex-ordered list of prefixes,
+    and the last row is yielded from it.  The row-vector list of each
+    (caps, limit) is made once per ``memo``: the kernel sums pass the
+    one that `hyperg._integer_view` keeps per set instance and N, so
+    the entries of a table share their lists and no list outlives its
+    set.  None means a fresh dict for this call.
     """
     if len(row_caps) != d or len(col_caps) != d:
         raise ValueError("need one cap per row and per column")
-    if any(c < 0 for c in row_caps) or any(c < 0 for c in col_caps):
+    if min(row_caps) < 0 or min(col_caps) < 0:
         raise ValueError("caps must be nonnegative")
     col_caps = tuple(min(c, degree) for c in col_caps)
-
-    def rec(i: int, col_rem: tuple, total: int, rows: tuple, rsums: tuple):
-        limit = min(row_caps[i], degree - total)
-        if i == d - 1:  # the last row fixes the column sums
-            used = tuple(map(sub, col_caps, col_rem))
-            for row, s in _row_vectors(col_rem, limit):
-                yield KernelMatrix(
-                    rows + (row,), rsums + (s,), tuple(map(add, used, row)), total + s
-                )
-            return
-        for row, s in _row_vectors(col_rem, limit):
-            rest = tuple(map(sub, col_rem, row))
-            yield from rec(i + 1, rest, total + s, rows + (row,), rsums + (s,))
-
-    yield from rec(0, col_caps, 0, (), ())
+    memo = {} if memo is None else memo
+    # (rows, row sums, column caps left, total) of every prefix, in lex order
+    prefixes = [((), (), col_caps, 0)]
+    for cap in row_caps[:-1]:
+        prefixes = [
+            (rows + (row,), rsums + (s,), tuple(map(sub, col_rem, row)), total + s)
+            for rows, rsums, col_rem, total in prefixes
+            for row, s in _row_vectors(col_rem, min(cap, degree - total), memo)
+        ]
+    cap = row_caps[-1]
+    for rows, rsums, col_rem, total in prefixes:  # the last row fixes the column sums
+        used = tuple(map(sub, col_caps, col_rem))
+        for row, s in _row_vectors(col_rem, min(cap, degree - total), memo):
+            yield KernelMatrix(rows + (row,), rsums + (s,), tuple(map(add, used, row)), total + s)

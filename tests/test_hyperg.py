@@ -180,6 +180,24 @@ class TestTable:
         assert len(tables[0].values) == 21 and tables[0].values == tables[1].values
         assert len(calls) <= 2, calls[:4]
 
+    def test_kernel_row_memo_belongs_to_the_set_view(self):
+        # the row-vector lists of the kernel sums are kept in the view of
+        # one set instance and N, not in a module: a second table of the
+        # same instance makes no new list, and a new instance of the same
+        # set starts with none
+        k = kappa.family_milch([F(1, 2), F(1, 4), F(1, 8), F(1, 8)])
+        N = 3
+        memo = hyperg._integer_view(k, N)[-1]
+        assert memo == {}
+        first = hyperg.table(k, N)
+        keys = set(memo)
+        assert keys
+        assert hyperg.table(k, N).values == first.values
+        assert set(memo) == keys
+        fresh = kappa.family_milch([F(1, 2), F(1, 4), F(1, 8), F(1, 8)])
+        assert fresh == k and fresh is not k
+        assert hyperg._integer_view(fresh, N)[-1] == {}
+
     def test_exact_table_where_omega_is_integral(self):
         # omega has denominator 1 here (D = 1), which must not be taken
         # for the float path: exactness comes from the parameters

@@ -221,6 +221,28 @@ class TestKernels:
         ]
         assert all(a < b for a, b in zip(flat, flat[1:]))
 
+    @given(
+        st.lists(
+            st.integers(1, 3).flatmap(
+                lambda d: st.tuples(
+                    st.just(d),
+                    st.integers(0, 4),
+                    st.lists(st.integers(0, 4), min_size=d, max_size=d),
+                    st.lists(st.integers(0, 4), min_size=d, max_size=d),
+                )
+            ),
+            max_size=8,
+        )
+    )
+    def test_shared_memo_yields_what_a_fresh_call_yields(self, calls):
+        # the kernel sums of a table share one row-vector memo; a list
+        # made for one call must serve every later call as it is
+        memo = {}
+        for d, degree, row_caps, col_caps in calls:
+            shared = list(enumerate_kernels(d, degree, row_caps, col_caps, memo))
+            fresh = list(enumerate_kernels(d, degree, row_caps, col_caps))
+            assert shared == fresh  # all four fields, in the same order
+
     def test_zero_matrix_always_first_present(self):
         kernels = list(enumerate_kernels(2, 0, (5, 5), (5, 5)))
         assert len(kernels) == 1
