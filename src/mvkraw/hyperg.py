@@ -75,6 +75,16 @@ from .report import CheckReport
 
 
 def check_degree_vector(d: int, N: int, v: Sequence[int], name: str) -> tuple:
+    """v as a tuple of d nonnegative integer parts with sum at most N,
+    else a ValueError naming `name`.  A tuple of ints (bools included)
+    is accepted on its length, sum and least part alone; anything else
+    takes the part-by-part checks and their messages."""
+    if type(v) is tuple and len(v) == d:
+        try:
+            if type(s := sum(v)) is int and s <= N and min(v) >= 0:
+                return v
+        except (TypeError, ValueError):
+            pass
     v = tuple(v)
     if len(v) != d:
         raise ValueError(f"{name} must have {d} parts, got {len(v)}")

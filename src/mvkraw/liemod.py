@@ -36,7 +36,9 @@ so both routes expand through the one core `numeric.expand_forms`, as
 does the inverse substitution of `to_dual_coords`; for exact data the
 core runs on ints.  The module suites read X as one `expansion_matrix`,
 made once per run from the run's one conjugator, on ints over one
-scale, and both closed forms as `closed_forms`, made once per run.
+scale, and both closed forms as `closed_forms`, made once per run;
+adjacency reads the two actions it needs from the lattice forms of the
+run's generators (`bispec.generators`).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from . import hyperg, linalg
@@ -377,12 +380,6 @@ def monomial(lam: MultiIndex, coeff: Scalar = 1) -> dict:
     return {tuple(lam): coeff} if coeff != 0 else {}
 
 
-def polys_equal(f: dict, g: dict, tol: Scalar = 0) -> bool:
-    if tol == 0:
-        return f == g
-    return all(scalars_equal(f.get(k, 0), g.get(k, 0), tol) for k in f.keys() | g.keys())
-
-
 def act(beta: Matrix, f: dict) -> dict:
     """Derivation action: e_ij contributes lam_j x^(lam+v_i-v_j), the
     diagonal contributes sum_k beta_kk lam_k on the spot."""
@@ -526,6 +523,44 @@ def check_dual_norms(
     )
 
 
+def _moves(points: tuple) -> list:
+    """moves[a][b][k]: the layout index of n + e_a - e_b for the k-th
+    point n of `points`, None where n_b = 0 (the derivation action
+    sends x^n nowhere along that unit)."""
+    index = {lam: k for k, lam in enumerate(points)}
+    width = len(points[0])
+
+    def target(lam: tuple, a: int, b: int):
+        if not lam[b]:
+            return None
+        mu = list(lam)
+        mu[a] += 1
+        mu[b] -= 1
+        return index[tuple(mu)]
+
+    return [
+        [[target(lam, a, b) for lam in points] for b in range(width)]
+        for a in range(width)
+    ]
+
+
+def _lattice_action(M: Matrix, points: tuple, moves: list) -> list:
+    """The derivation action of M on every monomial of `points`, one
+    {target: coefficient} per point with each target by its layout
+    index, read through M's nonzero entries alone: M[a][b] sends x^n to
+    M[a][b] n_b x^(n + e_a - e_b) (`act` on a monomial, zeros kept)."""
+    entries = [(a, b, c) for a, row in enumerate(M) for b, c in enumerate(row) if c]
+    images = []
+    for k, lam in enumerate(points):
+        image: dict = {}
+        for a, b, c in entries:
+            if lam[b]:
+                t = moves[a][b][k]
+                image[t] = image.get(t, 0) + c * lam[b]
+        images.append(image)
+    return images
+
+
 def _adjoint_failures(
     kappa: ParameterSet, N: int, tol: Scalar, points: tuple, weights: dict, scaled: tuple
 ) -> list:
@@ -533,51 +568,53 @@ def _adjoint_failures(
     in (b, n, m) order; for the phi_i, which act diagonally, it is
     lemma21's a(phi_i) = phi_i.  The form is diagonal on monomials, so a
     pair where neither side has x^m in b.x^n nor x^n in a(b).x^m reads
-    0 = 0 and is skipped.  Both sides run on ints: the weights as
-    scaled = (W, S) in layout order (`_form_weights`) and a(b) = A/Sa on
-    integer rows, so lhs = out[m] W[m] / S and rhs = into[n][m] W[n] /
-    (S Sa) are compared cross-multiplied, and the values are made only
-    for a miss.  Approx mode compares within tol N max(1, w(n), w(m)),
-    w the form's weights, which bounds every term of either side."""
+    0 = 0 and is skipped.  b and a(b) act on the lattice through their
+    nonzero entries alone (`_lattice_action`, one move index per run),
+    one entry each for a correct a(b).  Both sides run on ints: the
+    weights as scaled = (W, S) in layout order (`_form_weights`) and
+    a(b) = A/Sa on integer rows, so lhs = out[m] W[m] / S and rhs =
+    into[n][m] W[n] / (S Sa) are compared cross-multiplied, and the
+    values are made only for a miss.  Approx mode compares within
+    tol N max(1, w(n), w(m)), w the form's weights, which bounds every
+    term of either side."""
     d = kappa.d
     W, S = scaled
-    elements = [
-        (f"e_{i}{j}", basis_e(d, i, j))
-        for i in range(d + 1)
-        for j in range(d + 1)
-        if i != j
-    ]
-    order = {lam: k for k, lam in enumerate(points)}
+    sizes = [abs(w) for w in weights.values()]
+    moves = _moves(points)
     failures = []
-    for tag, beta in elements:
-        adj, Sa = linalg.integer_rows(antiauto(kappa, beta))
-        into = {n: {} for n in points}  # into[n][m]: coefficient of x^n in adj.x^m
-        for m in points:
-            for n, c in act(adj, monomial(m)).items():
-                into[n][m] = c
-        for n in points:
-            out = act(beta, monomial(n))
-            for m in sorted(out.keys() | into[n].keys(), key=order.__getitem__):
-                lhs = out.get(m, 0) * W[order[m]]
-                rhs = into[n].get(m, 0) * W[order[n]]
-                if tol == 0 and lhs * Sa == rhs:
-                    continue
-                lhs, rhs = ratio(lhs, S), ratio(rhs, S * Sa)
-                bound = tol * N * max(1, abs(weights[n]), abs(weights[m])) if tol else 0
-                if not scalars_equal(lhs, rhs, bound):
-                    failures.append(
-                        {
-                            "element": tag,
-                            "pair": [list(n), list(m)],
-                            "lhs": format_scalar(lhs),
-                            "rhs": format_scalar(rhs),
-                        }
-                    )
+    for i in range(d + 1):
+        for j in range(d + 1):
+            if i == j:
+                continue
+            beta = basis_e(d, i, j)
+            adj, Sa = linalg.integer_rows(antiauto(kappa, beta))
+            into = [{} for _ in points]  # into[n][m]: coefficient of x^n in adj.x^m
+            for m, image in enumerate(_lattice_action(adj, points, moves)):
+                for n, c in image.items():
+                    into[n][m] = c
+            outs = _lattice_action(beta, points, moves)
+            for n, (out, back) in enumerate(zip(outs, into)):
+                for m in sorted(out.keys() | back.keys()):
+                    lhs = out.get(m, 0) * W[m]
+                    rhs = back.get(m, 0) * W[n]
+                    if tol == 0 and lhs * Sa == rhs:
+                        continue
+                    lhs, rhs = ratio(lhs, S), ratio(rhs, S * Sa)
+                    bound = tol * N * max(1, sizes[n], sizes[m]) if tol else 0
+                    if not scalars_equal(lhs, rhs, bound):
+                        failures.append(
+                            {
+                                "element": f"e_{i}{j}",
+                                "pair": [list(points[n]), list(points[m])],
+                                "lhs": format_scalar(lhs),
+                                "rhs": format_scalar(rhs),
+                            }
+                        )
     return failures
 
 
 def check_adjacency(
-    kappa: ParameterSet, N: int, tol: Scalar = 0, *, X: tuple, forms: ClosedForms
+    kappa: ParameterSet, N: int, tol: Scalar = 0, *, X: tuple, gens: dict
 ) -> CheckReport:
     """The d recurrences as two intertwinings of the expansion matrix
     X[lam][n] = coeff_n(xt^lam), for i = 1..d and every lam:
@@ -589,40 +626,56 @@ def check_adjacency(
     on x^lam (d^2+d+1 terms), so the first is X C_i = S_i X with C_i the
     diagonal of phi_i, and dual_phi_i is `closed_form`.  Any derivation
     action moves one unit, so the first implies that phi_i moves xt^lam
-    only to itself and its adjacent lattice points.  Every coefficient
-    is compared, on integers in exact mode.  Approx mode compares within
-    tol times the larger of 1 and a bound of the terms of either side:
-    the largest |X[mu][n]| of each row mu involved times its factor."""
+    only to itself and its adjacent lattice points.  Both actions are
+    the lattice forms of the run's generators (`bispec.generators`), on
+    ints over their scales: S_i is tilde generator i, and dual_phi_i
+    acts by mirror generator i.  Every coefficient is compared, on ints
+    in exact mode.  Approx mode compares within tol times the larger of
+    1 and a bound of the terms of either side: the largest |X[mu][n]|
+    of each row mu involved times its factor."""
     d = kappa.d
     width = d + 1
     points = tuple(enumerate_lattice(d, N))
-    # both sides are linear in X and in the matrices: X comes on ints
-    # over its one scale D, and the three matrices of each i are scaled
-    # to integers once, by K
     rows, D = X
-    size = {lam: max(map(abs, f.values()), default=0) for lam, f in rows.items()}
+    lines = [[rows[lam].get(n, 0) for n in points] for lam in points]
+    zeros = [0] * len(points)
+    size = [max(map(abs, line)) for line in lines] if tol else None
     failures = []
-    for i in range(1, d + 1):
-        stacked = basis_phi(d, i) + forms.mirror[i] + forms.closed[i]
-        ints, K = linalg.integer_rows(stacked)
-        phi, mirror, dual = ints[:width], ints[width : 2 * width], ints[2 * width :]
-        dual_mass = N * sum(abs(x) for row in dual for x in row)
-        for lam in points:
-            f = rows[lam]
-            recurrence = act(mirror, monomial(lam))
-            rhs: dict = {}
-            for mu, c in recurrence.items():
-                _add_scaled(rhs, rows[mu], c)
-            ev = K * (lam[i] - Fraction(N, d + 1))
-            eigen = {n: ev * c for n, c in f.items()}
-            terms = sum(abs(c) * size[mu] for mu, c in recurrence.items())
-            plain_mass = max(N * K * size[lam], terms)
-            for side, got, want, mass in (
-                ("plain-on-substituted", act(phi, f), rhs, plain_mass),
-                ("dual-on-plain", act(dual, f), eigen, dual_mass * size[lam]),
-            ):
-                want = {n: c for n, c in want.items() if c != 0}
-                if not polys_equal(got, want, tol * max(K * D, mass)):
+    generators = zip(gens["second_index_family"], gens["first_index_family"])
+    for i, (mirror, dual) in enumerate(generators, 1):
+        Dm, Dc = mirror.scale, dual.scale
+        factors = [(width * n[i] - N) * Dm for n in points]
+        dual_mass = N * Dc * sum(abs(x) for row in dual.matrix for x in row)
+        for k, (lam, line, terms) in enumerate(zip(points, lines, mirror.rows)):
+            # phi_i is diagonal: X[lam][n] ((d+1) n_i - N) Dm against
+            # (d+1) sum_t c X[t][n] over the terms (t, c) of row lam
+            weights = [width * c for _, c in terms]
+            columns = zip(*(lines[t] for t, _ in terms))
+            recurrence = [sum(map(mul, weights, col)) for col in columns] or zeros
+            # row lam of X pushed through the mirror generator, against
+            # ((d+1) lam_i - N) Dc X[lam]
+            pushed = zeros.copy()
+            for x, row in zip(line, dual.rows):
+                for t, c in row if x else ():
+                    pushed[t] += x * c
+            ev = (width * lam[i] - N) * Dc
+            sides = (
+                ("plain-on-substituted", [x * f for x, f in zip(line, factors)], recurrence),
+                ("dual-on-plain", [width * y for y in pushed], [ev * x for x in line]),
+            )
+            bounds = (0, 0)
+            if tol:
+                terms_mass = sum(abs(c) * size[t] for t, c in terms)
+                bounds = (
+                    tol * width * max(Dm * D, N * Dm * size[k], terms_mass),
+                    tol * width * max(Dc * D, dual_mass * size[k]),
+                )
+            for (side, got, want), bound in zip(sides, bounds):
+                if bound:
+                    missed = any(abs(g - w) > bound for g, w in zip(got, want))
+                else:
+                    missed = got != want
+                if missed:
                     failures.append({"side": side, "i": i, "at": list(lam)})
     return CheckReport(
         "adjacency", not failures, failures, {"points": len(points)}

@@ -137,7 +137,7 @@ def run_suites(
         "lemma21": (liemod.check_lemma21, "conj"),
         "lemma22": (liemod.check_generation, "conj", "forms"),
         "norms": (liemod.check_dual_norms, "X"),
-        "adjacency": (liemod.check_adjacency, "X", "forms"),
+        "adjacency": (liemod.check_adjacency, "X", "gens"),
         "transition": (liemod.check_transition, "tab", "conj", "X"),
         "threeway": (check_threeway, "tab", "X"),
     }

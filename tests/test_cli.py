@@ -249,6 +249,39 @@ class TestCheck:
             "transition", "threeway",
         ]
 
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupted-X"])
+    def test_adjacency_alone_reports_as_in_a_full_run(
+        self, capsys, monkeypatch, milch2_file, corrupt
+    ):
+        # adjacency reads the run's expansion matrix and generators; run
+        # alone it builds them itself and must report exactly as it does
+        # beside the other eleven suites, also when X is wrong at one entry
+        if corrupt:
+            expansion_matrix = liemod.expansion_matrix
+
+            def corrupted(R, points):
+                # X and, in transition, the inverse expansions of monomials
+                rows, D = expansion_matrix(R, points)
+                if (1, 1, 1) in rows:
+                    rows[(1, 1, 1)][(3, 0, 0)] = rows[(1, 1, 1)].get((3, 0, 0), 0) + 1
+                return rows, D
+
+            monkeypatch.setattr(liemod, "expansion_matrix", corrupted)
+        reports = {}
+        for suites in ("adjacency", ",".join(verify.SUITES)):
+            code, out, _ = run(
+                capsys, "check", "--kappa", milch2_file, "--N", "3", "--suite", suites
+            )
+            assert code == (1 if corrupt else 0)
+            (reports[suites],) = [
+                r for r in json.loads(out)["reports"] if r["check"] == "adjacency"
+            ]
+        alone, full = reports.values()
+        assert alone == full
+        assert alone["pass"] is not corrupt
+        located = {"side": "dual-on-plain", "i": 1, "at": [1, 1, 1]}
+        assert (located in alone["failures"]) is corrupt
+
     def test_kappa_only_suite_reports_null_N(self, capsys, milch2_file):
         code, out, _ = run(
             capsys, "check", "--kappa", milch2_file, "--suite", "def11,lemma21"

@@ -81,6 +81,34 @@ class TestHandValues:
             hyperg.eval_hypergeometric(k, 2, (2, 1), (0, 0))
 
 
+    @pytest.mark.parametrize(
+        "v,want",
+        [
+            ((1, 2), (1, 2)),
+            ([1, 1], (1, 1)),
+            ((True, 0), (True, 0)),
+            ((1.0, 1), (1.0, 1)),
+            ((1.5, 0), "m parts must be nonnegative integers: (1.5, 0)"),
+            ((-1, 2), "m parts must be nonnegative integers: (-1, 2)"),
+            ((2, -1), "m parts must be nonnegative integers: (2, -1)"),
+            ((2, 2), "|m| = 4 exceeds N = 3"),
+            ((3,), "m must have 2 parts, got 1"),
+        ],
+    )
+    def test_degree_vector_results(self, v, want):
+        # the int-tuple fast path and the part-by-part checks give the
+        # same results: accepted vectors come back as they are, a bool or
+        # an integral float included, and refusals keep their messages
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as err:
+                hyperg.check_degree_vector(2, 3, v, "m")
+            assert str(err.value) == want
+        else:
+            got = hyperg.check_degree_vector(2, 3, v, "m")
+            assert got == want
+            assert list(map(type, got)) == list(map(type, want))
+
+
 class TestGeneratingAgreement:
     @pytest.mark.parametrize(
         "k,N",

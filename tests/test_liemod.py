@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvkraw import hyperg, kappa, liemod, linalg, verify
+from mvkraw import bispec, hyperg, kappa, liemod, linalg, verify
 from mvkraw.numeric import (
     DegreeMismatchError,
     clear_denominators,
@@ -152,6 +152,27 @@ class TestConjugator:
         # the intertwinings need only the forward expansions, one per point
         assert len(set(calls)) == len(calls) == len(list(enumerate_lattice(k.d, 3)))
         assert all(forms == forward for forms, _ in calls)
+
+    def test_full_check_acts_on_monomials_only(self, monkeypatch):
+        # `act` runs only where a lattice form is built: L monomials for
+        # each of the 2d generators, which recurrence, commute and
+        # adjacency share, and L for the universal operator; no suite
+        # acts on a whole polynomial, and the contravariance half of norms
+        # moves monomials by their layout index without `act`
+        calls = []
+        act = liemod.act
+
+        def counting(beta, f):
+            calls.append(len(f))
+            return act(beta, f)
+
+        monkeypatch.setattr(liemod, "act", counting)
+        k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        reports = verify.run_suites(verify.SUITES, k, 3)
+        assert all(r.passed for r in reports)
+        L = len(list(enumerate_lattice(k.d, 3)))
+        assert len(calls) == (2 * k.d + 1) * L == 50
+        assert set(calls) == {1}
 
     def test_one_conjugator_per_check_run(self, monkeypatch):
         # lemma21, lemma22 and transition share the run's conjugator, and
@@ -545,7 +566,7 @@ class TestSubstitutedBasis:
         for lam in enumerate_lattice(2, 2):
             xt = liemod.xtilde_monomial(conj, lam)
             back = liemod.to_dual_coords(conj, xt)
-            assert liemod.polys_equal(back, liemod.monomial(lam))
+            assert back == liemod.monomial(lam)
 
     def test_weight_property(self):
         # substituted monomials are joint eigenvectors of the conjugated
@@ -763,6 +784,27 @@ class TestLatticeChecks:
         assert rep.failures == [
             {"side": "dual-on-plain", "i": 1, "at": lam} for lam in points
         ]
+
+    def test_adjacency_locates_one_corrupted_entry(self):
+        # X[lam][n] one off at lam = (1,1,0): the eigen side fails at lam
+        # alone, for each i, and the recurrence side at lam and at every
+        # point whose d^2+d+1 recurrence terms read row lam, its neighbours
+        k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        N = 2
+        points = list(enumerate_lattice(k.d, N))
+        rows, D = liemod.expansion_matrix(liemod.conjugator(k, 0).rhat, points)
+        rows[(1, 1, 0)][(2, 0, 0)] = rows[(1, 1, 0)].get((2, 0, 0), 0) + 1
+        gens = bispec.generators(k, N, liemod.closed_forms(k))
+        rep = liemod.check_adjacency(k, N, X=(rows, D), gens=gens)
+        assert not rep.passed
+        plain = [[2, 0, 0], [1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1]]
+        want = []
+        for i in (1, 2):
+            for lam in plain:
+                want.append({"side": "plain-on-substituted", "i": i, "at": lam})
+                if lam == [1, 1, 0]:
+                    want.append({"side": "dual-on-plain", "i": i, "at": lam})
+        assert rep.failures == want
 
     def test_adjacency_detects_denormalized_set(self):
         # the set of test_conjugation_check_detects_denormalized_set: plain
