@@ -20,15 +20,19 @@ instance, and the view of each N, with the factorials and powers that
 depend on nothing else, is kept on the instance
 (`ParameterSet.kernel_form`), so an entry never hashes or compares the
 set.  The view also holds the memo of kernel row-vector lists
-(`numeric.enumerate_kernels`): the entries of a table share the lists,
-which go with the set instance, not with a module.  Each value is then
-one division, one Fraction, at the end; floats take the same loop.
+(`numeric.enumerate_kernels`), which goes with the set instance, not
+with a module.  Each value is then one division, one Fraction, at the
+end; floats take the same loop.
 
 Tables hold P over the full degree-N lattice in graded-lex order, rows
-indexed by the first argument, built by kernel sums.  A table keeps one
-integer view of itself, every row and column scaled to integers on
-first use (`PolynomialTable.integer_view`), which the table checks of a
-run share.  On top of tables sit the two-sided orthogonality check
+indexed by the first argument.  Their form is chosen by (exact, d): an
+exact set with d >= 2 sums every kernel once into an integer matrix S
+over the kernel margins and contracts it with the falling factorials,
+F S^T F^T; approx sets and d = 1 take one `eval_hypergeometric` per
+entry (see `table`).  A table keeps one integer view of itself, every
+row and column scaled to integers on first use
+(`PolynomialTable.integer_view`), which the table checks of a run
+share.  On top of tables sit the two-sided orthogonality check
 (weighted columns and weighted rows both come out diagonal with
 explicit normalizations, under the multinomial weights N! w^n/n! of
 `numeric.multinomial_weights`; its Gram sums are compared on ints by
@@ -45,7 +49,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import product, repeat
+from operator import mul
 from typing import Sequence
 
 from . import kappa as kappa_mod
@@ -253,13 +258,93 @@ class PolynomialTable:
         )
 
 
+def _margin_sums(kappa: ParameterSet, N: int, index: dict) -> list:
+    """S[r][c] = sum of (-1)^t D^(N-t) (N-t)! N!/A! W^A over the kernels A
+    with row sums r and column sums c (see `table`), on ints, as
+    by_col[c] = [(r, S[r][c]), ...] over layout indices."""
+    d = kappa.d
+    _, fact, _, by_total, rows, _, memo = _integer_view(kappa, N)
+    top = fact[N]
+    sums: dict = {}
+    for ker in enumerate_kernels(d, N, (N,) * d, (N,) * d, memo):
+        term = by_total[ker.total]
+        cells = 1
+        for row, powers in zip(ker.entries, rows):
+            w, f = powers[row]
+            term *= w
+            cells *= f
+        key = ker.row_sums, ker.col_sums
+        sums[key] = sums.get(key, 0) + term * (top // cells)
+    by_col = [[] for _ in index]
+    for (r, c), s in sums.items():
+        by_col[index[c]].append((index[r], s))
+    return by_col
+
+
+def _margin_table(kappa: ParameterSet, N: int, points: tuple) -> tuple:
+    """The exact values T / (N!^2 D^N), T = F S^T F^T (see `table`)."""
+    _, _, falling, _, _, scale, _ = _integer_view(kappa, N)
+    vectors = [n[1:] for n in points]
+    index = {v: k for k, v in enumerate(vectors)}
+    by_col = _margin_sums(kappa, N, index)
+    below = []  # per point v: (layout indices of c <= v, F[v][c])
+    for v in vectors:
+        cs = list(product(*(range(x + 1) for x in v)))
+        rows = [falling[x] for x in v]
+        falls = [math.prod(map(list.__getitem__, rows, c)) for c in cs]
+        below.append((list(map(index.__getitem__, cs)), falls))
+    values = []
+    for cols, falls in below:
+        g = [0] * len(points)  # row m of F S^T
+        for c, f in zip(cols, falls):
+            for r, s in by_col[c]:
+                g[r] += f * s
+        values.append(
+            tuple(
+                Fraction(sum(map(mul, map(g.__getitem__, rs), fr)), scale)
+                for rs, fr in below
+            )
+        )
+    return tuple(values)
+
+
 def table(kappa: ParameterSet, N: int) -> PolynomialTable:
-    """Evaluate the full lattice-by-lattice grid of P by kernel sums."""
+    """The full lattice-by-lattice grid of P, by kernel sums, in one of
+    two forms chosen by (exact, d).
+
+    An exact set with d >= 2 takes the margin form.  A kernel A enters
+    P(m, mt) through its row sums r and column sums c only by the
+    falling factorials fall(mt, r) fall(m, c), so
+
+        P(m, mt) = sum_{r <= mt, c <= m} fall(mt, r) K'[r][c] fall(m, c)
+
+    with K' depending on (kappa, N) alone and block-diagonal in
+    t = |r| = |c|: the multivariable form of the Mizukawa-Tanaka sum,
+    whose d = 1 case is Griffiths' Krawtchouk 2F1.  The table then
+    (1) enumerates every kernel of total <= N once, in one
+    `enumerate_kernels` call; (2) sums the integers
+    S[r][c] = N!^2 D^N K'[r][c] on the integer view of `_integer_view`
+    (`_margin_sums`); and (3) contracts T = F S^T F^T on ints, with
+    F[v][c] = fall(v, c) for each c <= v generated under v, not
+    filtered from the lattice, and makes one Fraction(T, N!^2 D^N) per
+    entry (`_margin_table`).  Nothing of it is kept after the call.
+    The values are those of `eval_hypergeometric`, which stays the
+    route of `eval` and the reference this form is tested against.
+
+    Two cases keep one `eval_hypergeometric` per entry.  Approx sets,
+    because another float summation order would change the bytes of
+    their tables and reports.  And d = 1, where each margin class is a
+    single kernel, so the per-entry sum already is the contraction (the
+    benchmark's traced counts pin its per-entry sums).
+    """
     points = tuple(enumerate_lattice(kappa.d, N))
-    values = tuple(
-        tuple(eval_hypergeometric(kappa, N, n[1:], nt[1:]) for nt in points)
-        for n in points
-    )
+    if kappa.d > 1 and kappa.kernel_form[0]:
+        values = _margin_table(kappa, N, points)
+    else:
+        values = tuple(
+            tuple(eval_hypergeometric(kappa, N, n[1:], nt[1:]) for nt in points)
+            for n in points
+        )
     return PolynomialTable(kappa, N, points, values)
 
 

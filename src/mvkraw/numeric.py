@@ -289,13 +289,14 @@ def enumerate_kernels(
     The matrix is built a row at a time: each row runs over the vectors
     that fit under the column caps still left, so caps are enforced
     during generation, not by post-filtering, and the work is
-    proportional to the matrices actually yielded.  Rows 0..d-2 are
-    expanded a level at a time into one lex-ordered list of prefixes,
-    and the last row is yielded from it.  The row-vector list of each
-    (caps, limit) is made once per ``memo``: the kernel sums pass the
-    one that `hyperg._integer_view` keeps per set instance and N, so
-    the entries of a table share their lists and no list outlives its
-    set.  None means a fresh dict for this call.
+    proportional to the matrices actually yielded.  Rows 0..d-3 are
+    expanded a level at a time into one lex-ordered list of prefixes;
+    the last two rows are generated per prefix, so the list holds
+    (d-2)-row prefixes only.  The row-vector list of each (caps, limit)
+    is made once per ``memo``: the kernel sums pass the one that
+    `hyperg._integer_view` keeps per set instance and N, so the entries
+    of a table share their lists and no list outlives its set.  None
+    means a fresh dict for this call.
     """
     if len(row_caps) != d or len(col_caps) != d:
         raise ValueError("need one cap per row and per column")
@@ -303,14 +304,18 @@ def enumerate_kernels(
         raise ValueError("caps must be nonnegative")
     col_caps = tuple(min(c, degree) for c in col_caps)
     memo = {} if memo is None else memo
-    # (rows, row sums, column caps left, total) of every prefix, in lex order
+
+    def grow(prefixes, cap: int) -> Iterator[tuple]:
+        # each prefix (rows, row sums, column caps left, total) with one more row
+        for rows, rsums, col_rem, total in prefixes:
+            for row, s in _row_vectors(col_rem, min(cap, degree - total), memo):
+                yield rows + (row,), rsums + (s,), tuple(map(sub, col_rem, row)), total + s
+
     prefixes = [((), (), col_caps, 0)]
-    for cap in row_caps[:-1]:
-        prefixes = [
-            (rows + (row,), rsums + (s,), tuple(map(sub, col_rem, row)), total + s)
-            for rows, rsums, col_rem, total in prefixes
-            for row, s in _row_vectors(col_rem, min(cap, degree - total), memo)
-        ]
+    for cap in row_caps[:-2]:
+        prefixes = list(grow(prefixes, cap))
+    if d > 1:  # the second-to-last row, one prefix at a time
+        prefixes = grow(prefixes, row_caps[-2])
     cap = row_caps[-1]
     for rows, rsums, col_rem, total in prefixes:  # the last row fixes the column sums
         used = tuple(map(sub, col_caps, col_rem))

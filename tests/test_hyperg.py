@@ -5,7 +5,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from mvkraw import bispec, hyperg, kappa, liemod, linalg, numeric, verify
@@ -19,6 +19,10 @@ def milch1():
 
 def milch2():
     return kappa.family_milch([F(1, 2), F(1, 4), F(1, 4)])
+
+
+def milch3():
+    return kappa.family_milch([F(1, 2), F(1, 4), F(1, 8), F(1, 8)])
 
 
 def gauss_sum(om, N, m, mt):
@@ -268,6 +272,96 @@ class TestTable:
                 hyperg.table_from_json_dict(bad)
 
 
+def per_entry_values(tab):
+    """The table's grid again, one `eval_hypergeometric` per entry."""
+    k, N = tab.kappa, tab.N
+    return tuple(
+        tuple(hyperg.eval_hypergeometric(k, N, n[1:], nt[1:]) for nt in tab.points)
+        for n in tab.points
+    )
+
+
+weight = st.fractions(min_value=F(1, 30), max_value=1, max_denominator=30)
+
+
+@st.composite
+def exact_sets(draw):
+    """(set, N): Griffiths on random weights (d <= 4), Hoare-Rahman on a
+    random quadruple, Milch on random weights, or DS at q = 2 with
+    d = 2, 3; N <= 4, and N <= 3 at d = 4 to keep the reference sums
+    cheap."""
+    family = draw(st.sampled_from(["griffiths", "hoare-rahman", "milch", "ds"]))
+    if family == "hoare-rahman":
+        try:
+            k = kappa.family_hoare_rahman(*(draw(weight) for _ in range(4)))
+        except kappa.FamilyParameterError:
+            reject()
+    elif family == "ds":
+        k = kappa.family_ds(F(2), draw(st.integers(2, 3)))
+    else:
+        parts = [draw(weight) for _ in range(draw(st.integers(2, 4)) + 1)]
+        p = [x / sum(parts) for x in parts]
+        k = kappa.griffiths_from_p(p) if family == "griffiths" else kappa.family_milch(p)
+    return k, draw(st.integers(0, 3 if k.d == 4 else 4))
+
+
+class TestMarginTable:
+    """The exact d >= 2 table as one contraction over kernel margins,
+    against the per-entry kernel sums."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(exact_sets())
+    def test_equals_per_entry_sums(self, case):
+        k, N = case
+        tab = hyperg.table(k, N)
+        assert tab.values == per_entry_values(tab)
+        assert all(type(x) is F for row in tab.values for x in row)
+
+    @pytest.mark.parametrize(
+        "k,N",
+        [(kappa.family_hoare_rahman(1, 2, 3, 4), 8), (milch3(), 6)],
+        ids=["hr-N8", "milch-N6"],
+    )
+    def test_equals_per_entry_sums_at_larger_N(self, k, N):
+        tab = hyperg.table(k, N)
+        assert tab.values == per_entry_values(tab)
+
+    def test_one_wrong_margin_sum_fails_the_cross_route_checks(self, monkeypatch):
+        # S[r][c] one too large moves exactly the entries (m, mt) with
+        # c <= m and r <= mt: threeway and duality must name each of
+        # them, and orthogonality must fail at pairs of moved lines
+        k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        N = 3
+        points = list(enumerate_lattice(k.d, N))
+        original = hyperg._margin_sums
+        moved = []
+
+        def off_by_one(*args):
+            by_col = original(*args)
+            (r, s), *rest = by_col[1]
+            by_col[1] = [(r, s + 1), *rest]
+            moved.append(points[r][1:])
+            return by_col
+
+        monkeypatch.setattr(hyperg, "_margin_sums", off_by_one)
+        threeway, orthogonality, duality = verify.run_suites(
+            ["threeway", "orthogonality", "duality"], k, N
+        )
+        r, c = moved[0], points[1][1:]
+        below = lambda a, b: all(x <= y for x, y in zip(a, b))
+        lines = {
+            "rows": [list(n) for n in points if below(c, n[1:])],
+            "columns": [list(nt) for nt in points if below(r, nt[1:])],
+        }
+        want = [[n, nt] for n in lines["rows"] for nt in lines["columns"]]
+        assert want and len(want) < len(points) ** 2
+        assert [f["pair"] for f in threeway.failures] == want
+        assert [f["pair"] for f in duality.failures] == want
+        assert not orthogonality.passed
+        for f in orthogonality.failures:
+            assert any(x in lines[f["side"]] for x in f["pair"]), f
+
+
 class TestOrthogonality:
     @pytest.mark.parametrize(
         "k,N",
@@ -415,6 +509,33 @@ def fraction_orthogonality(k, N, tab):
     return failures, max_resid
 
 
+def count_work(monkeypatch) -> dict:
+    """Count, from here on, the per-entry kernel sums, the kernel
+    enumerations with the kernels they yield, and the expansions that
+    `hyperg` makes."""
+    calls = {"sums": 0, "enumerations": 0, "kernels": 0, "expansions": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    def enumerations(*args, **kwargs):
+        calls["enumerations"] += 1
+        for ker in numeric.enumerate_kernels(*args, **kwargs):
+            calls["kernels"] += 1
+            yield ker
+
+    monkeypatch.setattr(
+        hyperg, "eval_hypergeometric", counting("sums", hyperg.eval_hypergeometric)
+    )
+    monkeypatch.setattr(hyperg, "expand_forms", counting("expansions", hyperg.expand_forms))
+    monkeypatch.setattr(hyperg, "enumerate_kernels", enumerations)
+    return calls
+
+
 class TestDuality:
     @pytest.mark.parametrize(
         "k,N",
@@ -433,29 +554,35 @@ class TestDuality:
     def test_full_check_sums_each_kernel_once_and_expands_per_column(
         self, monkeypatch
     ):
-        # one table of kernel sums for the whole run; duality and
+        # the exact d = 2 table of the run is one enumeration of every
+        # kernel of total <= N, with no per-entry sum; duality and
         # threeway each expand the generating function once per column
         k = kappa.family_hoare_rahman(1, 2, 3, 4)
         N = 2
         L = len(list(enumerate_lattice(k.d, N)))
-        calls = {"sums": 0, "expansions": 0}
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapped
-
-        monkeypatch.setattr(
-            hyperg, "eval_hypergeometric", counting("sums", hyperg.eval_hypergeometric)
-        )
-        monkeypatch.setattr(
-            hyperg, "expand_forms", counting("expansions", hyperg.expand_forms)
-        )
+        calls = count_work(monkeypatch)
         reports = verify.run_suites(verify.SUITES, k, N)
         assert all(r.passed for r in reports)
-        assert calls == {"sums": L**2, "expansions": 2 * L}
+        kernels = math.comb(N + k.d**2, k.d**2)
+        assert kernels == 15
+        assert calls == {"sums": 0, "enumerations": 1, "kernels": kernels, "expansions": 2 * L}
+
+    @pytest.mark.parametrize(
+        "k,N,tol",
+        [
+            (kappa.from_json_dict(kappa.to_json_dict(kappa.family_hoare_rahman(1, 2, 3, 4)),
+                                  "approx", 1e-10), 2, 1e-10),
+            (kappa.family_ds(F(3), 1), 4, 0),
+        ],
+        ids=["approx-d2", "exact-d1"],
+    )
+    def test_approx_and_d1_tables_sum_per_entry(self, monkeypatch, k, N, tol):
+        L = len(list(enumerate_lattice(k.d, N)))
+        calls = count_work(monkeypatch)
+        reports = verify.run_suites(verify.SUITES, k, N, tol)
+        assert all(r.passed for r in reports)
+        assert calls["sums"] == calls["enumerations"] == L**2
+        assert calls["expansions"] == 2 * L
 
     @pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])
     def test_detects_corruption_at_the_pair(self, approx):
