@@ -49,9 +49,9 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import accumulate, product, repeat
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import kappa as kappa_mod
 from .kappa import ParameterSet
@@ -114,36 +114,60 @@ class _Falling(dict):
         return falls
 
 
-def _integer_view(kappa: ParameterSet, N: int) -> tuple:
-    """The term factors of the kernel sums that depend only on (kappa, N):
-    whether the set is exact, the factorials up to N, the falling
-    factorials n!/(n-c)! by n (each list made on first use),
-    (-1)^t D^(N-t) (N-t)! per kernel total t, {row: (W_i^row, row!)} per
-    row i, the scale N!^2 D^N, with omega = W/D taken from
-    `ParameterSet.kernel_form`, and the memo of kernel row-vector lists
-    (`numeric.enumerate_kernels`), filled as the sums run, so the
-    entries of a table share them and none outlives the set instance.
-    Built once per set instance and N and kept in that form's views, so
-    finding it hashes nothing.  Where a float power leaves the float
-    range, the OverflowError names omega and N.
+class _View(NamedTuple):
+    """The term factors of the kernel sums that depend only on (kappa, N),
+    with omega = W/D taken from `ParameterSet.kernel_form`."""
+
+    exact: bool  # whether the set is exact
+    fact: tuple  # k! for k = 0..N
+    falling: _Falling  # n!/(n-c)! by n, each list made on first use
+    by_total: tuple  # per kernel total t: (-1)^t D^(N-t) (N-t)!, at exact d = 1 the whole term
+    rows: tuple | None  # {row: (W_i^row, row!)} per row i; None at exact d = 1
+    scale: int  # N!^2 D^N
+    memo: dict  # the kernel row-vector lists (`numeric.enumerate_kernels`)
+
+
+def _integer_view(kappa: ParameterSet, N: int) -> _View:
+    """The `_View` of (kappa, N), built once per set instance and N and
+    kept in the views of `ParameterSet.kernel_form`, so finding it
+    hashes nothing.  Its memo is filled as the sums run, so the entries
+    of a table share the row-vector lists and none outlives the set
+    instance.
+
+    An exact set with d = 1 has one kernel per total t, so by_total
+    holds its whole term c[t] = (-1)^t D^(N-t) (N-t)! N!/t! W^t and rows
+    is None: c[0] is the scale, and c[t+1] = -c[t] W / (D (N-t) (t+1))
+    is an exact division by a small int.  Approx sets keep the row
+    factors at every d, so their float terms are formed in one order
+    whatever d is.  Where a float power leaves the float range, the
+    OverflowError names omega and N.
     """
     exact, W, D, views = kappa.kernel_form
     if N in views:
         return views[N]
-    fact = tuple(math.factorial(k) for k in range(N + 1))
-    by_total = tuple((-1) ** t * D ** (N - t) * fact[N - t] for t in range(N + 1))
-    vectors = list(enumerate_degree_points(kappa.d, N))
-    try:  # only float powers overflow
-        rows = tuple(
-            {v: (power_product(Wi, v), multi_factorial(v)) for v in vectors}
-            for Wi in W
-        )
-    except OverflowError:
-        raise OverflowError(
-            f"the approx powers of omega = {W} in the kernel sums at N = {N} "
-            "leave the float range"
-        ) from None
-    view = views[N] = (exact, fact, _Falling(fact), by_total, rows, fact[N] ** 2 * D**N, {})
+    fact = tuple(accumulate(range(1, N + 1), mul, initial=1))
+    scale = fact[N] ** 2 * D**N
+    rows = None
+    if exact and kappa.d == 1:
+        (w,), term = W[0], scale
+        by_total = [term]
+        for t in range(N):
+            term = -term * w // (D * (N - t) * (t + 1))
+            by_total.append(term)
+    else:
+        by_total = [(-1) ** t * D ** (N - t) * fact[N - t] for t in range(N + 1)]
+        vectors = list(enumerate_degree_points(kappa.d, N))
+        try:  # only float powers overflow
+            rows = tuple(
+                {v: (power_product(Wi, v), multi_factorial(v)) for v in vectors}
+                for Wi in W
+            )
+        except OverflowError:
+            raise OverflowError(
+                f"the approx powers of omega = {W} in the kernel sums at N = {N} "
+                "leave the float range"
+            ) from None
+    view = views[N] = _View(exact, fact, _Falling(fact), tuple(by_total), rows, scale, {})
     return view
 
 
@@ -166,32 +190,43 @@ def eval_hypergeometric(
 
     is an integer (the signs of the two rising factorials cancel, as
     sum c = sum r = t), so the terms add up on ints and the sum is
-    divided by N!^2 D^N once.  Floats take the same loop with D = 1 and
-    a true division; where a term or the quotient leaves the float
+    divided by N!^2 D^N once.  At exact d = 1 the kernel is its total
+    t = r = c, and the term is the view's one integer for t times the
+    two falling factorials.  Floats take the row-factor loop with D = 1
+    and a true division; where a term or the quotient leaves the float
     range, the OverflowError names the value.
     """
     d = kappa.d
     m = check_degree_vector(d, N, m, "m")
     mt = check_degree_vector(d, N, mt, "mt")
-    exact, fact, falling, by_total, rows, scale, memo = _integer_view(kappa, N)
-    col_falls = [falling[x] for x in m]
-    row_falls = [falling[x] for x in mt]
+    view = _integer_view(kappa, N)
+    col_falls = [view.falling[x] for x in m]
+    row_falls = [view.falling[x] for x in mt]
+    kernels = enumerate_kernels(d, N, mt, m, view.memo)
+    by_total = view.by_total
 
     acc = 0
+    if view.rows is None:  # exact d = 1: one integer term per total
+        (col,), (row,) = col_falls, row_falls
+        for ker in kernels:
+            t = ker.total
+            acc += col[t] * row[t] * by_total[t]
+        return Fraction(acc, view.scale)
+    top = view.fact[N]
     try:  # only floats overflow; ints and Fractions have no range
-        for ker in enumerate_kernels(d, N, mt, m, memo):
+        for ker in kernels:
             term = by_total[ker.total]
             cells = 1
-            for row, r, powers, falls in zip(ker.entries, ker.row_sums, rows, row_falls):
+            for row, r, powers, falls in zip(ker.entries, ker.row_sums, view.rows, row_falls):
                 w, f = powers[row]
                 term *= w * falls[r]
                 cells *= f
             for c, falls in zip(ker.col_sums, col_falls):
                 term *= falls[c]
-            acc += term * (fact[N] // cells)
-        if exact:
-            return Fraction(acc, scale)
-        value = acc / scale
+            acc += term * (top // cells)
+        if view.exact:
+            return Fraction(acc, view.scale)
+        value = acc / view.scale
     except OverflowError:
         value = math.inf
     if cmath.isfinite(value):
@@ -263,13 +298,13 @@ def _margin_sums(kappa: ParameterSet, N: int, index: dict) -> list:
     with row sums r and column sums c (see `table`), on ints, as
     by_col[c] = [(r, S[r][c]), ...] over layout indices."""
     d = kappa.d
-    _, fact, _, by_total, rows, _, memo = _integer_view(kappa, N)
-    top = fact[N]
+    view = _integer_view(kappa, N)
+    by_total, top = view.by_total, view.fact[N]
     sums: dict = {}
-    for ker in enumerate_kernels(d, N, (N,) * d, (N,) * d, memo):
+    for ker in enumerate_kernels(d, N, (N,) * d, (N,) * d, view.memo):
         term = by_total[ker.total]
         cells = 1
-        for row, powers in zip(ker.entries, rows):
+        for row, powers in zip(ker.entries, view.rows):
             w, f = powers[row]
             term *= w
             cells *= f
@@ -283,7 +318,8 @@ def _margin_sums(kappa: ParameterSet, N: int, index: dict) -> list:
 
 def _margin_table(kappa: ParameterSet, N: int, points: tuple) -> tuple:
     """The exact values T / (N!^2 D^N), T = F S^T F^T (see `table`)."""
-    _, _, falling, _, _, scale, _ = _integer_view(kappa, N)
+    view = _integer_view(kappa, N)
+    falling, scale = view.falling, view.scale
     vectors = [n[1:] for n in points]
     index = {v: k for k, v in enumerate(vectors)}
     by_col = _margin_sums(kappa, N, index)
@@ -334,8 +370,11 @@ def table(kappa: ParameterSet, N: int) -> PolynomialTable:
     Two cases keep one `eval_hypergeometric` per entry.  Approx sets,
     because another float summation order would change the bytes of
     their tables and reports.  And d = 1, where each margin class is a
-    single kernel, so the per-entry sum already is the contraction (the
-    benchmark's traced counts pin its per-entry sums).
+    single kernel, its total t, so the per-entry sum already is the
+    contraction: an exact entry adds one integer of the view per t times
+    two falling factorials, over the row-vector list of its kernels
+    0..min(m, mt), one list per value of min(m, mt) (the benchmark's
+    traced counts pin its per-entry sums).
     """
     points = tuple(enumerate_lattice(kappa.d, N))
     if kappa.d > 1 and kappa.kernel_form[0]:

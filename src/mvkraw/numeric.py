@@ -259,15 +259,19 @@ class KernelMatrix(NamedTuple):
 
 def _row_vectors(caps: tuple, limit: int, memo: dict) -> list:
     """Every (v, |v|) with v[j] <= caps[j] and |v| <= limit, in lex order,
-    built from the last coordinate forward as one list, once per
-    (caps, limit) of ``memo``."""
+    built from the last coordinate forward as one list, once per key of
+    ``memo``.  The key is (caps, limit) with each cap clamped to the
+    limit and the limit to the caps' sum, neither of which changes the
+    list, so calls that ask for the same list share it."""
+    limit = min(limit, sum(caps))
+    caps = tuple(c if c < limit else limit for c in caps)
     out = memo.get((caps, limit))
     if out is None:
         out = [((), 0)]
         for cap in reversed(caps):
             out = [
                 ((a,) + rest, a + s)
-                for a in range(min(cap, limit) + 1)
+                for a in range(cap + 1)
                 for rest, s in out
                 if a + s <= limit
             ]
@@ -292,11 +296,12 @@ def enumerate_kernels(
     proportional to the matrices actually yielded.  Rows 0..d-3 are
     expanded a level at a time into one lex-ordered list of prefixes;
     the last two rows are generated per prefix, so the list holds
-    (d-2)-row prefixes only.  The row-vector list of each (caps, limit)
-    is made once per ``memo``: the kernel sums pass the one that
-    `hyperg._integer_view` keeps per set instance and N, so the entries
-    of a table share their lists and no list outlives its set.  None
-    means a fresh dict for this call.
+    (d-2)-row prefixes only.  At d = 1 a kernel is one row, and each
+    comes straight from the row-vector list with no prefix.  Each
+    row-vector list is made once per ``memo`` (`_row_vectors`): the
+    kernel sums pass the one that `hyperg._integer_view` keeps per set
+    instance and N, so the entries of a table share their lists and no
+    list outlives its set.  None means a fresh dict for this call.
     """
     if len(row_caps) != d or len(col_caps) != d:
         raise ValueError("need one cap per row and per column")
@@ -304,6 +309,10 @@ def enumerate_kernels(
         raise ValueError("caps must be nonnegative")
     col_caps = tuple(min(c, degree) for c in col_caps)
     memo = {} if memo is None else memo
+    if d == 1:
+        for row, s in _row_vectors(col_caps, min(row_caps[0], degree), memo):
+            yield KernelMatrix((row,), (s,), row, s)
+        return
 
     def grow(prefixes, cap: int) -> Iterator[tuple]:
         # each prefix (rows, row sums, column caps left, total) with one more row
@@ -314,8 +323,7 @@ def enumerate_kernels(
     prefixes = [((), (), col_caps, 0)]
     for cap in row_caps[:-2]:
         prefixes = list(grow(prefixes, cap))
-    if d > 1:  # the second-to-last row, one prefix at a time
-        prefixes = grow(prefixes, row_caps[-2])
+    prefixes = grow(prefixes, row_caps[-2])  # the second-to-last row, one prefix at a time
     cap = row_caps[-1]
     for rows, rsums, col_rem, total in prefixes:  # the last row fixes the column sums
         used = tuple(map(sub, col_caps, col_rem))

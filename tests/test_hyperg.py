@@ -219,7 +219,7 @@ class TestTable:
         # set starts with none
         k = kappa.family_milch([F(1, 2), F(1, 4), F(1, 8), F(1, 8)])
         N = 3
-        memo = hyperg._integer_view(k, N)[-1]
+        memo = hyperg._integer_view(k, N).memo
         assert memo == {}
         first = hyperg.table(k, N)
         keys = set(memo)
@@ -228,7 +228,13 @@ class TestTable:
         assert set(memo) == keys
         fresh = kappa.family_milch([F(1, 2), F(1, 4), F(1, 8), F(1, 8)])
         assert fresh == k and fresh is not k
-        assert hyperg._integer_view(fresh, N)[-1] == {}
+        assert hyperg._integer_view(fresh, N).memo == {}
+        # a list is kept once per key, whatever caps asked for it: the
+        # 441 entries of a d = 1 table at N = 20 ask for the kernels
+        # 0..min(m, mt), 21 lists in all
+        k1 = kappa.family_ds(F(3), 1)
+        hyperg.table(k1, 20)
+        assert len(hyperg._integer_view(k1, 20).memo) == 21
 
     def test_exact_table_where_omega_is_integral(self):
         # omega has denominator 1 here (D = 1), which must not be taken
@@ -303,6 +309,35 @@ def exact_sets(draw):
         p = [x / sum(parts) for x in parts]
         k = kappa.griffiths_from_p(p) if family == "griffiths" else kappa.family_milch(p)
     return k, draw(st.integers(0, 3 if k.d == 4 else 4))
+
+
+@st.composite
+def d1_sets(draw):
+    """(set, N): Griffiths on two random weights, or DS with q = 2, 3, 5
+    at d = 1; N <= 25."""
+    if draw(st.booleans()):
+        a, b = draw(weight), draw(weight)
+        k = kappa.griffiths_from_p([a / (a + b), b / (a + b)])
+    else:
+        k = kappa.family_ds(F(draw(st.sampled_from([2, 3, 5]))), 1)
+    return k, draw(st.integers(0, 25))
+
+
+class TestKrawtchoukSums:
+    """The exact d = 1 kernel sums, one integer term per total, against
+    the generating function."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(d1_sets())
+    def test_equals_generating_columns(self, case):
+        k, N = case
+        assert k.d == 1
+        for mt in range(N + 1):
+            column = hyperg.generating_column(k, N, (mt,))
+            for m in range(N + 1):
+                value = hyperg.eval_hypergeometric(k, N, (m,), (mt,))
+                assert type(value) is F
+                assert value == column.get((N - m, m), 0), (m, mt)
 
 
 class TestMarginTable:

@@ -1,12 +1,14 @@
 """`table` output pinned against a fixture, byte for byte.
 
 The fixture holds the `mvkraw table` JSON, in exact and in approx mode,
-of four sets: Hoare-Rahman (1,2,3,4) at N = 3, Milch (1/2,1/4,1/8,1/8)
-at N = 2, ds q = 3, d = 1 at N = 8 and Griffiths (101/400,99/400,1/2)
-at N = 3.  Approx kernel sums add their terms in the order in which
-the kernels are enumerated, so the approx tables pin that order too: a
-change to kernel enumeration or to the term arithmetic must leave
-every value string as it is.
+of five tables: Hoare-Rahman (1,2,3,4) at N = 3, Milch (1/2,1/4,1/8,1/8)
+at N = 2, ds q = 3, d = 1 at N = 8 and at N = 20, and Griffiths
+(101/400,99/400,1/2) at N = 3.  Approx kernel sums add their terms in
+the order in which the kernels are enumerated, so the approx tables pin
+that order too: a change to kernel enumeration or to the term
+arithmetic must leave every value string as it is.  At N = 20 the
+approx d = 1 sums cancel to about 1e-9 of their values, so that table
+pins the float order where it matters most.
 
 Regenerate the fixture only when a table changes on purpose:
 
@@ -29,6 +31,7 @@ SETS = {
     "hoare_rahman_1234_N3": (lambda: kappa.family_hoare_rahman(1, 2, 3, 4), 3),
     "milch_N2": (lambda: kappa.family_milch([F(1, 2), F(1, 4), F(1, 8), F(1, 8)]), 2),
     "ds_q3_d1_N8": (lambda: kappa.family_ds(3, 1), 8),
+    "ds_q3_d1_N20": (lambda: kappa.family_ds(3, 1), 20),
     "griffiths_N3": (lambda: kappa.griffiths_from_p([F(101, 400), F(99, 400), F(1, 2)]), 3),
 }
 MODES = ("exact", "approx")
