@@ -3,7 +3,8 @@
 The first fixture holds, for every suite, the pass flag, the failure
 records and the details of two exact reports on the Hoare-Rahman set
 (1,2,3,4) at N = 2: `check` with all 12 suites, and `check --table` on
-that set's table with one corrupted entry.  The second holds the
+that set's table with one corrupted entry, in exact and in approx mode
+(the approx one pins the failure records of the float comparisons).  The second holds the
 12-suite `check` of the Milch set (1/2,1/4,1/8,1/8) at N = 2 in exact
 and in approx mode, which pins d = 3, with its 256 unit pairs, in both
 modes.  A refactor must leave every report as it is; a details dict may
@@ -55,6 +56,7 @@ def reports(tmp_dir: str) -> dict:
     return {
         "check": _check(["--kappa", kappa_path, "--N", str(N)]),
         "corrupted_table": _check(["--table", table_path]),
+        "approx_corrupted_table": _check(["--table", table_path], "approx"),
     }
 
 
