@@ -17,12 +17,13 @@ the reduced degree, checked by `check_universal` alone; as the action
 is linear in its matrix, its identity with minus the sum of one family
 less a multiple of the identity is checked once, as a matrix identity.
 
-An operator is built from its matrix alone.  On first use M is scaled
-to integers once by D, the lcm of its denominators, and the lattice
-form `rows` is `liemod.act` of D M on every monomial: for every point,
-in layout order, the (target, c D) pairs on Python ints, each target
-given by its layout index.  A float matrix keeps its floats, with
-D = 1, so approximate mode runs the same code.  The action stays on the
+An operator is built from its matrix alone.  On first use
+`liemod.lattice_form` scales M to integers once by D, the lcm of its
+denominators, and its lattice form `rows` is the action of D M on
+every monomial: for every point, in layout order, the (target, c D)
+pairs on Python ints, each target given by its layout index.  A float
+matrix keeps its floats, with D = 1, so approximate mode runs the same
+code.  The action stays on the
 lattice: an outward term carries the integer lam_l, which is 0 exactly
 where the shift would leave the simplex.  `apply` sums each point's
 terms over a line read by index and leaves the sums scaled by D.  The
@@ -92,16 +93,10 @@ class DifferenceOperator:
 
     @functools.cached_property
     def _lattice_form(self) -> tuple:
-        scaled, D = linalg.integer_rows(self.matrix)
-        index = {lam: k for k, lam in enumerate(enumerate_lattice(self.d, self.N))}
-        rows = []
-        for lam in index:
-            image = liemod.act(scaled, liemod.monomial(lam))
-            rows.append(tuple((index[mu], c) for mu, c in image.items()))
-        return D, tuple(rows)
+        return liemod.lattice_form(self.matrix, enumerate_lattice(self.d, self.N))
 
-    scale = property(lambda self: self._lattice_form[0])
-    rows = property(lambda self: self._lattice_form[1])
+    rows = property(lambda self: self._lattice_form[0])
+    scale = property(lambda self: self._lattice_form[1])
 
     @property
     def d(self) -> int:

@@ -15,14 +15,16 @@ lemma21 suite proves it involutive and product-reversing on the matrix
 units and their (d+1)^4 pairs, with no sampled matrices.  Both suites
 run on integers: the run's one conjugator keeps R and R^-1 on integer
 rows (`Conjugator.scaled`), the Cartan elements are (d+1) phi_i, each
-matrix is carried with its scale, and each identity is compared
-cross-multiplied, a Fraction made only for a miss; floats keep scale 1
-and the plain products.
+matrix is carried with its scale, and each identity is compared by
+`numeric.misses`, cross-multiplied, a Fraction made only for a miss;
+floats keep scale 1 and the plain products.
 
 Matrices act on homogeneous polynomials in x_0..x_d, each a plain dict
 {exponent: coefficient} with zeros left out (as `numeric.expand_forms`
 returns them), as derivations: e_ij sends x^lam to lam_j
-x^(lam+v_i-v_j).  The substituted variables
+x^(lam+v_i-v_j).  On the degree-N lattice that action is one
+`lattice_form`, which the difference operators of `bispec` and the
+contravariance check of norms both read.  The substituted variables
 xt = x R carry the dual weight basis, and the module suites are
 identities of the expansion matrix X[lam][n] = coeff_n(xt^lam): the d
 recurrences as intertwinings (adjacency); orthogonality of the xt^lam
@@ -63,6 +65,7 @@ from .numeric import (
     format_scalar,
     gram_misses,
     is_exact,
+    misses,
     multi_factorial,
     multinomial_weights,
     power_product,
@@ -231,30 +234,16 @@ def _times(c: Scalar, m: tuple) -> tuple:
     return linalg.mat_scale(num, entries), den * scale
 
 
-def _values(m: tuple) -> Matrix:
-    entries, scale = m
-    if scale == 1:
-        return entries
-    return tuple(tuple(ratio(x, scale) for x in row) for row in entries)
-
-
 def _expect(failures: list, tol: Scalar, tag: str, got: tuple, want: tuple) -> None:
     """Record the matrix identity got = want, each side (entries, scale),
     under `tag` when it fails beyond tol, with its largest entrywise
-    defect.  At tol 0 the entries are exact and compared
-    cross-multiplied on ints; the values are made only for a miss."""
+    defect.  The entries are compared by `numeric.misses`: exact ones
+    cross-multiplied on ints, the values made only for a miss."""
     (G, Sg), (W, Sw) = got, want
-    if tol == 0 and all(
-        g.numerator * w.denominator * Sw == w.numerator * g.denominator * Sg
-        for rg, rw in zip(G, W)
-        for g, w in zip(rg, rw)
-    ):
-        return
-    got, want = _values(got), _values(want)
-    if not linalg.mats_equal(got, want, tol):
-        failures.append(
-            {"identity": tag, "defect": format_scalar(linalg.max_defect(got, want))}
-        )
+    got, want = [x for row in G for x in row], [x for row in W for x in row]
+    defects = [abs(g - w) for _, g, w in misses(got, Sg, want, Sw)]
+    if defects and (defect := max(defects)) > tol:
+        failures.append({"identity": tag, "defect": format_scalar(defect)})
 
 
 def check_lemma21(
@@ -403,6 +392,18 @@ def act(beta: Matrix, f: dict) -> dict:
     return {mu: c for mu, c in out.items() if c != 0}
 
 
+def lattice_form(M: Matrix, points) -> tuple:
+    """(rows, D) with M = A / D on integer rows (`linalg.integer_rows`; a
+    float M keeps its values, with D = 1) and rows[k] the (target, c)
+    terms of `act` of A on the k-th monomial of `points`, each target by
+    its layout index: the one lattice form of a derivation action, which
+    the difference operators of `bispec` and `norms` read."""
+    A, D = linalg.integer_rows(M)
+    index = {lam: k for k, lam in enumerate(points)}
+    images = [act(A, {lam: 1}) for lam in index]
+    return tuple([(index[mu], c) for mu, c in image.items()] for image in images), D
+
+
 def _add_scaled(acc: dict, coeffs: dict, c: Scalar) -> None:
     """acc += c * coeffs, in place; zeros are left for the caller to drop."""
     for lam, v in coeffs.items():
@@ -511,8 +512,7 @@ def check_dual_norms(
     norms = [1 / weight_over_factorial(kappa.p, lam) for lam in points]
     sizes = [abs(x) for x in norms]
     failures = []
-    misses = gram_misses(lines, [D] * len(lines), scaled, norms, sizes, tol)
-    for a, b, got, want, bound in misses:
+    for a, b, got, want, bound in gram_misses(lines, [D] * len(lines), scaled, norms, sizes, tol):
         if not scalars_equal(got, want, bound):
             got, want = format_scalar(got), format_scalar(want)
             pair = [list(points[a]), list(points[b])]
@@ -523,44 +523,6 @@ def check_dual_norms(
     )
 
 
-def _moves(points: tuple) -> list:
-    """moves[a][b][k]: the layout index of n + e_a - e_b for the k-th
-    point n of `points`, None where n_b = 0 (the derivation action
-    sends x^n nowhere along that unit)."""
-    index = {lam: k for k, lam in enumerate(points)}
-    width = len(points[0])
-
-    def target(lam: tuple, a: int, b: int):
-        if not lam[b]:
-            return None
-        mu = list(lam)
-        mu[a] += 1
-        mu[b] -= 1
-        return index[tuple(mu)]
-
-    return [
-        [[target(lam, a, b) for lam in points] for b in range(width)]
-        for a in range(width)
-    ]
-
-
-def _lattice_action(M: Matrix, points: tuple, moves: list) -> list:
-    """The derivation action of M on every monomial of `points`, one
-    {target: coefficient} per point with each target by its layout
-    index, read through M's nonzero entries alone: M[a][b] sends x^n to
-    M[a][b] n_b x^(n + e_a - e_b) (`act` on a monomial, zeros kept)."""
-    entries = [(a, b, c) for a, row in enumerate(M) for b, c in enumerate(row) if c]
-    images = []
-    for k, lam in enumerate(points):
-        image: dict = {}
-        for a, b, c in entries:
-            if lam[b]:
-                t = moves[a][b][k]
-                image[t] = image.get(t, 0) + c * lam[b]
-        images.append(image)
-    return images
-
-
 def _adjoint_failures(
     kappa: ParameterSet, N: int, tol: Scalar, points: tuple, weights: dict, scaled: tuple
 ) -> list:
@@ -568,48 +530,42 @@ def _adjoint_failures(
     in (b, n, m) order; for the phi_i, which act diagonally, it is
     lemma21's a(phi_i) = phi_i.  The form is diagonal on monomials, so a
     pair where neither side has x^m in b.x^n nor x^n in a(b).x^m reads
-    0 = 0 and is skipped.  b and a(b) act on the lattice through their
-    nonzero entries alone (`_lattice_action`, one move index per run),
-    one entry each for a correct a(b).  Both sides run on ints: the
-    weights as scaled = (W, S) in layout order (`_form_weights`) and
-    a(b) = A/Sa on integer rows, so lhs = out[m] W[m] / S and rhs =
-    into[n][m] W[n] / (S Sa) are compared cross-multiplied, and the
-    values are made only for a miss.  Approx mode compares within
-    tol N max(1, w(n), w(m)), w the form's weights, which bounds every
-    term of either side."""
+    0 = 0 and is skipped.  b and a(b) = A/Sa act through their lattice
+    forms (`lattice_form`), and the weights are scaled = (W, S) in layout
+    order (`_form_weights`), so the sides out[m] W[m] / S and
+    into[n][m] W[n] / (S Sa) are compared on ints (`numeric.misses`).
+    Approx mode compares within tol N max(1, w(n), w(m)), w the form's
+    weights, which bounds every term of either side."""
     d = kappa.d
     W, S = scaled
     sizes = [abs(w) for w in weights.values()]
-    moves = _moves(points)
     failures = []
     for i in range(d + 1):
         for j in range(d + 1):
             if i == j:
                 continue
             beta = basis_e(d, i, j)
-            adj, Sa = linalg.integer_rows(antiauto(kappa, beta))
-            into = [{} for _ in points]  # into[n][m]: coefficient of x^n in adj.x^m
-            for m, image in enumerate(_lattice_action(adj, points, moves)):
-                for n, c in image.items():
+            adj, Sa = lattice_form(antiauto(kappa, beta), points)
+            into = [{} for _ in points]  # into[n][m]: coefficient of x^n in a(b).x^m
+            for m, image in enumerate(adj):
+                for n, c in image:
                     into[n][m] = c
-            outs = _lattice_action(beta, points, moves)
-            for n, (out, back) in enumerate(zip(outs, into)):
-                for m in sorted(out.keys() | back.keys()):
-                    lhs = out.get(m, 0) * W[m]
-                    rhs = back.get(m, 0) * W[n]
-                    if tol == 0 and lhs * Sa == rhs:
-                        continue
-                    lhs, rhs = ratio(lhs, S), ratio(rhs, S * Sa)
-                    bound = tol * N * max(1, sizes[n], sizes[m]) if tol else 0
-                    if not scalars_equal(lhs, rhs, bound):
-                        failures.append(
-                            {
-                                "element": f"e_{i}{j}",
-                                "pair": [list(points[n]), list(points[m])],
-                                "lhs": format_scalar(lhs),
-                                "rhs": format_scalar(rhs),
-                            }
-                        )
+            outs = [dict(row) for row in lattice_form(beta, points)[0]]
+            pairs = [(n, m) for n, out in enumerate(outs) for m in sorted({**out, **into[n]})]
+            lhs = [outs[n].get(m, 0) * W[m] for n, m in pairs]
+            rhs = [into[n].get(m, 0) * W[n] for n, m in pairs]
+            for k, got, want in misses(lhs, S, rhs, S * Sa):
+                n, m = pairs[k]
+                bound = tol * N * max(1, sizes[n], sizes[m]) if tol else 0
+                if not scalars_equal(got, want, bound):
+                    failures.append(
+                        {
+                            "element": f"e_{i}{j}",
+                            "pair": [list(points[n]), list(points[m])],
+                            "lhs": format_scalar(got),
+                            "rhs": format_scalar(want),
+                        }
+                    )
     return failures
 
 
@@ -688,17 +644,12 @@ def _expands_to(
     """Whether got[n] / D = line[k] weights[k] within tol at the k-th
     point n, for every point (a missing n reads 0), with the line a
     table line of the integer view and the weights from
-    `numeric.multinomial_weights`, each as (ints, S).  An exact point is
-    compared cross-multiplied on ints, and a Fraction is built only for
-    a miss; floats are compared as they are, with every scale 1."""
+    `numeric.multinomial_weights`, each as (ints, S), compared by
+    `numeric.misses`."""
     (values, S), (ints, Sw) = line, weights
-    for n, v, w in zip(points, values, ints):
-        c = got.get(n, 0)
-        if type(v) is int and c.numerator * S * Sw == v * w * c.denominator * D:
-            continue
-        if not scalars_equal(ratio(c, D), ratio(v * w, S * Sw), tol):
-            return False
-    return True
+    coeffs = [got.get(n, 0) for n in points]
+    want = list(map(mul, values, ints))
+    return all(scalars_equal(g, w, tol) for _, g, w in misses(coeffs, D, want, S * Sw))
 
 
 def check_transition(

@@ -102,7 +102,3 @@ def mats_equal(a: Matrix, b: Matrix, tol: Scalar = 0) -> bool:
                 return False
     return True
 
-
-def max_defect(a: Matrix, b: Matrix) -> Scalar:
-    """Largest absolute entrywise difference."""
-    return max(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))

@@ -81,15 +81,29 @@ def clear_denominators(values: Sequence[Scalar]) -> tuple:
     denominators of exact values; values with a float among them are
     returned as they are, with D = 1.  Sums over the ints stay on ints,
     with one division by D at the end."""
-    if not all(is_exact(x) for x in values):
+    kinds = set(map(type, values))
+    if kinds <= {int} or not kinds <= {int, Fraction}:
         return list(values), 1
-    D = math.lcm(*(x.denominator for x in values))
+    D = math.lcm(*[x.denominator for x in values])
     return [x.numerator * (D // x.denominator) for x in values], D
 
 
 def ratio(num: Scalar, den: int) -> Scalar:
     """num / den: a Fraction for an int num, the plain division else."""
     return Fraction(num, den) if type(num) is int else num / den
+
+
+def misses(a: Sequence, A: int, b: Sequence, B: int) -> Iterator[tuple]:
+    """(k, a[k] / A, b[k] / B) for each k where the two lines may differ.
+    Exact lines are compared cross-multiplied on ints, and a pair that
+    differs is the only one whose values are made; a line with a float
+    gives every pair, the values for the caller to compare within its
+    bound."""
+    exact = set(map(type, a)) | set(map(type, b)) <= {int, Fraction}
+    for k, (x, y) in enumerate(zip(a, b)):
+        if exact and x.numerator * y.denominator * B == y.numerator * x.denominator * A:
+            continue
+        yield k, ratio(x, A), ratio(y, B)
 
 
 def gram_misses(

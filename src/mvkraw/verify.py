@@ -13,13 +13,12 @@ route one column expansion at a time, and the pairing route from X.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from . import bispec, hyperg, liemod
 from . import kappa as kappa_mod
 from .kappa import ParameterSet
-from .numeric import Scalar, enumerate_lattice, format_scalar, scalars_equal
+from .numeric import Scalar, enumerate_lattice, format_scalar, is_exact, misses, ratio, scalars_equal
 from .report import CheckReport
 
 SUITES = (
@@ -62,38 +61,32 @@ def check_threeway(
     """All three evaluation routes on every index pair of the lattice;
     the kernel-sum route is read from the table, the generating route
     one column at a time, and the pairing route from each row X[nt] of
-    the expansion matrix and the weight w = num/den of each n.  In exact
-    mode, where the table holds Fractions, a pair is first tested for
-    a == b == p, with p = X[nt][n] w cross-multiplied on ints, and
-    residuals are computed only for a miss.  In approx mode the routes
-    agree within tol times the larger of 1 and their largest magnitude."""
+    the expansion matrix and the weight w = num/den of each n.  Each row
+    of the table is compared with both other routes by
+    `numeric.misses`, on ints in exact mode, and residuals are computed
+    only for a miss.  In approx mode the routes agree within tol times
+    the larger of 1 and their largest magnitude."""
     points = tab.points
     columns = [hyperg.generating_column(kappa, N, nt[1:]) for nt in points]
     weights = [liemod.pairing_weight(kappa, N, n) for n in points]
     rows, D = X
-    zero = Fraction(0)
     failures = []
     max_resid = 0
-    for r, n in enumerate(points):
-        w = weights[r]
-        for c, nt in enumerate(points):
-            a = tab.values[r][c]
-            b = columns[c].get(n, zero)
-            x = rows[nt].get(n, 0)
-            if type(a) is Fraction:
-                num, den = x * w.numerator, w.denominator * D
-                if a == b and num * a.denominator == a.numerator * den:
-                    continue
-                p = Fraction(num, den)
-            else:
-                p = x * w
+    for n, line, w in zip(points, tab.values, weights):
+        num, den = (w.numerator, w.denominator * D) if is_exact(w) else (w, D)
+        generating = [column.get(n, 0) for column in columns]
+        pairing = [rows[nt].get(n, 0) * num for nt in points]
+        missed = {k for k, _, _ in misses(line, 1, generating, 1)}
+        missed.update(k for k, _, _ in misses(line, 1, pairing, den))
+        for c in sorted(missed):
+            a, b, p = line[c], generating[c], ratio(pairing[c], den)
             resid = max(abs(a - b), abs(a - p))
             max_resid = max(max_resid, resid)
             bound = tol * max(1, abs(a), abs(b), abs(p)) if tol else 0
             if not (scalars_equal(a, b, bound) and scalars_equal(a, p, bound)):
                 failures.append(
                     {
-                        "pair": [list(n), list(nt)],
+                        "pair": [list(n), list(points[c])],
                         "kernel_sum": format_scalar(a),
                         "generating": format_scalar(b),
                         "pairing": format_scalar(p),

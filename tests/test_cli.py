@@ -141,6 +141,22 @@ class TestParamsVerbs:
         )
         assert code == 2 and "bad scalar list" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--family", "hoare-rahman", "--params", "1,2,3"],
+             "hoare-rahman takes exactly four parameters"),
+            (["--family", "milch"], "milch needs --p weight list"),
+            (["--family", "ds", "--q", "2,3", "--d", "1"], "ds takes exactly one --q"),
+        ],
+        ids=["hoare-rahman-three", "milch-no-p", "ds-two-q"],
+    )
+    def test_family_usage_errors_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "params-family", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_invalid_set_exit_3(self, capsys, tmp_path):
         k = kappa.family_ds(F(2), 1)
         obj = kappa.to_json_dict(k)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvkraw import kappa
-from mvkraw import linalg
+from mvkraw import linalg, verify
 
 
 def matrix_identity_holds(k):
@@ -85,6 +85,50 @@ class TestValidate:
     def test_nu_zero(self):
         bad = kappa.diagnose(0, (F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)), ((1, 1), (1, -1)))
         assert any(v.condition == "nu_nonzero" for v in bad)
+
+    def test_diagnose_dimension_branches(self):
+        # one weight is d = 0, refused before anything else is read
+        assert kappa.diagnose(1, (1,), (1,), ((1,),)) == [
+            kappa.Violation("dimensions", (), "need d >= 1, got 0")
+        ]
+        good = kappa.family_ds(2, 2)
+        ragged = ((1, 1, 1), (1, 1), (1, -1, 0))
+        assert kappa.diagnose(good.nu, good.p, good.pt, ragged) == [
+            kappa.Violation("dimensions", (), "u is not 3 x 3")
+        ]
+
+    def test_diagnose_first_column_and_weight_branches(self):
+        good = kappa.family_ds(2, 2)
+        u = [list(r) for r in good.u]
+        u[2][0] = 3
+        bad = kappa.diagnose(good.nu, good.p, good.pt, u)
+        assert kappa.Violation("ii", (2, 0), "u[2][0] != 1") in bad
+        # p and pt each off their sum by moving one entry
+        p = (good.p[0], good.p[1], F(1, 4))
+        bad = kappa.diagnose(good.nu, p, good.pt, good.u)
+        assert kappa.Violation("weights_sum", (), "sum(p) != 1") in bad
+        pt = (good.pt[0], good.pt[1], 0)
+        bad = kappa.diagnose(good.nu, good.p, pt, good.u)
+        assert kappa.Violation("weights_sum", (), "sum(pt) != 1") in bad
+        assert kappa.Violation("weight_zero", (2,), "pt[2] = 0") in bad
+        assert not any(v.detail.startswith("p[") for v in bad)
+
+    def test_def11_fails_located_on_a_perturbed_u_entry(self):
+        # a sealed set built past validation, with u[1][2] moved by 1/5:
+        # def11 re-runs the diagnosis and reports each entry of
+        # nu P U Pt U^t that the move reaches (u[2][2] = 0 shields (1, 2))
+        good = kappa.family_ds(2, 2)
+        u = [list(r) for r in good.u]
+        u[1][2] += F(1, 5)
+        bad = kappa.ParameterSet(good.d, good.nu, good.p, good.pt, linalg.freeze(u))
+        (rep,) = verify.run_suites(["def11"], bad, None)
+        assert not rep.passed
+        assert rep.failures == [
+            {"condition": "iii", "where": [0, 1], "detail": "(nu P U Pt U^t)[0][1] = 1/10 != 0"},
+            {"condition": "iii", "where": [1, 0], "detail": "(nu P U Pt U^t)[1][0] = 1/10 != 0"},
+            {"condition": "iii", "where": [1, 1], "detail": "(nu P U Pt U^t)[1][1] = 41/50 != 1"},
+        ]
+        assert rep.details == {"d": 2}
 
 
 class TestFamilies:

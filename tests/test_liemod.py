@@ -156,9 +156,10 @@ class TestConjugator:
     def test_full_check_acts_on_monomials_only(self, monkeypatch):
         # `act` runs only where a lattice form is built: L monomials for
         # each of the 2d generators, which recurrence, commute and
-        # adjacency share, and L for the universal operator; no suite
-        # acts on a whole polynomial, and the contravariance half of norms
-        # moves monomials by their layout index without `act`
+        # adjacency share, L for the universal operator, and L for each
+        # unit e_ij, i != j, and for its image a(e_ij) in the
+        # contravariance half of norms; no suite acts on a whole
+        # polynomial
         calls = []
         act = liemod.act
 
@@ -171,7 +172,8 @@ class TestConjugator:
         reports = verify.run_suites(verify.SUITES, k, 3)
         assert all(r.passed for r in reports)
         L = len(list(enumerate_lattice(k.d, 3)))
-        assert len(calls) == (2 * k.d + 1) * L == 50
+        units = k.d * (k.d + 1)
+        assert len(calls) == (2 * k.d + 1 + 2 * units) * L == 170
         assert set(calls) == {1}
 
     def test_one_conjugator_per_check_run(self, monkeypatch):
