@@ -17,13 +17,17 @@ the reduced degree, checked by `check_universal` alone; as the action
 is linear in its matrix, its identity with minus the sum of one family
 less a multiple of the identity is checked once, as a matrix identity.
 
-An operator is built from its matrix alone.  On first use
+An operator is built from its matrix.  On first use
 `liemod.lattice_form` scales M to integers once by D, the lcm of its
 denominators, and its lattice form `rows` is the action of D M on
 every monomial: for every point, in layout order, the (target, c D)
-pairs on Python ints, each target given by its layout index.  A float
-matrix keeps its floats, with D = 1, so approximate mode runs the same
-code.  The action stays on the
+pairs on Python ints, each target given by its layout index.  The
+action is linear in M, so the form is read from the unit moves of
+`liemod.move_table`: a run builds that table once and hands it to
+every operator it builds (`generators`, and the universal operator of
+`check_universal`), and an operator built outside a run builds its
+own.  A float matrix keeps its floats, with D = 1, so approximate mode
+runs the same code.  The action stays on the
 lattice: an outward term carries the integer lam_l, which is 0 exactly
 where the shift would leave the simplex.  `apply` sums each point's
 terms over a line read by index and leaves the sums scaled by D.  The
@@ -49,7 +53,6 @@ from .linalg import Matrix
 from .numeric import (
     Scalar,
     enumerate_degree_points,
-    enumerate_lattice,
     exactify,
     format_scalar,
     ratio,
@@ -83,17 +86,24 @@ class DifferenceOperator:
     the matrix's denominators (1 when an entry is a float), and `rows`
     the lattice form: rows[k] = ((target, c D), ...) for the k-th point
     of the layout order, the terms of D M acting on x^lam, each target
-    given by its layout index.  Both are built on first use, so the
-    `stencil` dump, which reads neither, never acts on the lattice."""
+    given by its layout index, read from `moves`, the run's
+    `liemod.move_table`.  An operator built outside a run has no
+    `moves` and builds its own table.  Both are built on first use, so
+    the `stencil` dump, which reads neither, never acts on the
+    lattice."""
 
     matrix: Matrix
     N: int
     eigenvalue: Callable | None
     name: str
+    moves: tuple | None = None
 
     @functools.cached_property
     def _lattice_form(self) -> tuple:
-        return liemod.lattice_form(self.matrix, enumerate_lattice(self.d, self.N))
+        moves = self.moves
+        if moves is None:
+            moves = liemod.move_table(self.d, self.N)
+        return liemod.lattice_form(self.matrix, moves)
 
     rows = property(lambda self: self._lattice_form[0])
     scale = property(lambda self: self._lattice_form[1])
@@ -170,19 +180,22 @@ def operator_m(kappa: ParameterSet, N: int, i: int) -> DifferenceOperator:
     return DifferenceOperator(closed, N, law, f"m_{i}")
 
 
-def generators(kappa: ParameterSet, N: int, forms: liemod.ClosedForms) -> dict:
+def generators(
+    kappa: ParameterSet, N: int, forms: liemod.ClosedForms, moves: tuple
+) -> dict:
     """Both generator families at N, each operator as `operator_mtilde`
-    and `operator_m` build it but from the run's closed forms, so a run
-    builds each lattice form once: {family name: [generator 1..d]}."""
+    and `operator_m` build it but from the run's closed forms and move
+    table, so a run builds each lattice form once: {family name:
+    [generator 1..d]}."""
     d = kappa.d
     laws = [(i, _tilde_law(d, N, i)) for i in range(1, d + 1)]
     return {
         "second_index_family": [
-            DifferenceOperator(forms.mirror[i], N, law, f"mtilde_{i}")
+            DifferenceOperator(forms.mirror[i], N, law, f"mtilde_{i}", moves)
             for i, law in laws
         ],
         "first_index_family": [
-            DifferenceOperator(forms.closed[i], N, law, f"m_{i}") for i, law in laws
+            DifferenceOperator(forms.closed[i], N, law, f"m_{i}", moves) for i, law in laws
         ],
     }
 
@@ -194,10 +207,13 @@ def _universal_matrix(kappa: ParameterSet) -> Matrix:
     return linalg.mat_sub(columns_p, linalg.identity(len(p)))
 
 
-def operator_universal(kappa: ParameterSet, N: int) -> DifferenceOperator:
+def operator_universal(
+    kappa: ParameterSet, N: int, moves: tuple | None = None
+) -> DifferenceOperator:
     """Parameter-light operator with eigenvalue -|m|: the action of
-    p 1^t - I."""
-    return DifferenceOperator(_universal_matrix(kappa), N, lambda m: -sum(m), "universal")
+    p 1^t - I, its lattice form read from `moves` when given."""
+    matrix = _universal_matrix(kappa)
+    return DifferenceOperator(matrix, N, lambda m: -sum(m), "universal", moves)
 
 
 def apply(op: DifferenceOperator, line: Sequence[Scalar]) -> list:
@@ -300,6 +316,7 @@ def check_universal(
     *,
     tab: hyperg.PolynomialTable,
     forms: liemod.ClosedForms,
+    moves: tuple,
 ) -> CheckReport:
     """Eigenvalue -|m| on every table row, plus the identity
     universal = -(sum of the tilde-shifting generators) - dN/(d+1) as the
@@ -307,9 +324,10 @@ def check_universal(
     the operators are built from (M_i, the run's mirror closed forms).
     The action is linear in its matrix, so this gives the operator
     identity at every N; it collapses the u-dependence via the defining matrix
-    equation, and its trace reads sum p = 1."""
+    equation, and its trace reads sum p = 1.  The operator's lattice form
+    is read from the run's move table."""
     points = tab.points
-    universal = operator_universal(kappa, N)
+    universal = operator_universal(kappa, N, moves)
     failures = []
     max_resid = 0
 

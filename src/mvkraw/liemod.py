@@ -24,7 +24,9 @@ Matrices act on homogeneous polynomials in x_0..x_d, each a plain dict
 returns them), as derivations: e_ij sends x^lam to lam_j
 x^(lam+v_i-v_j).  On the degree-N lattice that action is one
 `lattice_form`, which the difference operators of `bispec` and the
-contravariance check of norms both read.  The substituted variables
+contravariance check of norms both read; the action is linear in the
+matrix, so each form is read from the unit moves of the run's one
+`move_table`.  The substituted variables
 xt = x R carry the dual weight basis, and the module suites are
 identities of the expansion matrix X[lam][n] = coeff_n(xt^lam): the d
 recurrences as intertwinings (adjacency); orthogonality of the xt^lam
@@ -49,7 +51,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from . import hyperg, linalg
@@ -159,9 +161,10 @@ def closed_form(nu: Scalar, p: tuple, pt: tuple, u: Matrix, i: int) -> Matrix:
         )
     out = [[0] * (d + 1) for _ in range(d + 1)]
     for k in range(d + 1):
+        row = nu * p[i] * pt[k] * u[i][k]  # the product's first four factors, in order
         for l in range(d + 1):
             if k != l:
-                out[k][l] = nu * p[i] * pt[k] * u[i][k] * u[i][l]
+                out[k][l] = row * u[i][l]
     for j in range(1, d + 1):
         c = p[i] * (nu * pt[j] * u[i][j] ** 2 - 1)
         for r in range(d + 1):
@@ -392,16 +395,46 @@ def act(beta: Matrix, f: dict) -> dict:
     return {mu: c for mu, c in out.items() if c != 0}
 
 
-def lattice_form(M: Matrix, points) -> tuple:
+def move_table(d: int, N: int) -> tuple:
+    """How the units move the degree-N monomials: for the k-th point lam
+    of the layout order, (diagonal, moves) with diagonal the (k, lam_k),
+    lam_k > 0, by which e_kk scales x^lam, and moves the (k, l, lam_l,
+    target) of each unit e_kl, k != l, that sends x^lam to lam_l times
+    the monomial at layout index target, in `act`'s order (l-major,
+    k-minor).  Read off one `act` of the all-ones off-diagonal matrix
+    per point; every lattice form of a run is read from its one table
+    (`lattice_form`)."""
+    points = tuple(enumerate_lattice(d, N))
+    index = {lam: k for k, lam in enumerate(points)}
+    ones = tuple(tuple(int(k != l) for l in range(d + 1)) for k in range(d + 1))
+    table = []
+    for lam in points:
+        moves = []
+        for mu, c in act(ones, {lam: 1}).items():
+            steps = list(map(sub, mu, lam))
+            moves.append((steps.index(1), steps.index(-1), c, index[mu]))
+        table.append((tuple((k, e) for k, e in enumerate(lam) if e), tuple(moves)))
+    return tuple(table)
+
+
+def lattice_form(M: Matrix, moves: tuple) -> tuple:
     """(rows, D) with M = A / D on integer rows (`linalg.integer_rows`; a
     float M keeps its values, with D = 1) and rows[k] the (target, c)
-    terms of `act` of A on the k-th monomial of `points`, each target by
-    its layout index: the one lattice form of a derivation action, which
-    the difference operators of `bispec` and `norms` read."""
+    terms of the derivation action of A on the k-th monomial of the
+    layout, each target by its layout index: the one lattice form of a
+    derivation action, which the difference operators of `bispec` and
+    `norms` read.  The action is linear in A, so each row is read from
+    the point's `move_table` entry: the diagonal term first, then one
+    term per nonzero A[k][l], the terms and products of `act` of A, in
+    its order."""
     A, D = linalg.integer_rows(M)
-    index = {lam: k for k, lam in enumerate(points)}
-    images = [act(A, {lam: 1}) for lam in index]
-    return tuple([(index[mu], c) for mu, c in image.items()] for image in images), D
+    rows = []
+    for here, (diagonal, moves_here) in enumerate(moves):
+        c = sum(A[k][k] * e for k, e in diagonal)
+        row = [(here, c)] if c != 0 else []
+        row += [(target, A[k][l] * e) for k, l, e, target in moves_here if A[k][l] != 0]
+        rows.append(row)
+    return tuple(rows), D
 
 
 def _add_scaled(acc: dict, coeffs: dict, c: Scalar) -> None:
@@ -494,7 +527,7 @@ def pairing_eval(
 
 
 def check_dual_norms(
-    kappa: ParameterSet, N: int, tol: Scalar = 0, *, X: tuple
+    kappa: ParameterSet, N: int, tol: Scalar = 0, *, X: tuple, moves: tuple
 ) -> CheckReport:
     """Two facts about the form.  The substituted monomials are
     orthogonal for it, with norms n!/p^n (no nu power): the Gram of the
@@ -504,7 +537,8 @@ def check_dual_norms(
     orthogonality); a Fraction is built only for a miss.  The norms grow
     like N!/min|p|^N, so the tolerance of a pair is tol times the larger
     of its two norms.  And the form is contravariant for the
-    antiautomorphism (`_adjoint_failures`)."""
+    antiautomorphism (`_adjoint_failures`), read from the run's move
+    table."""
     points = tuple(enumerate_lattice(kappa.d, N))
     weights, scaled = _form_weights(kappa, N)
     rows, D = X
@@ -517,22 +551,28 @@ def check_dual_norms(
             got, want = format_scalar(got), format_scalar(want)
             pair = [list(points[a]), list(points[b])]
             failures.append({"pair": pair, "got": got, "want": want})
-    failures += _adjoint_failures(kappa, N, tol, points, weights, scaled)
+    failures += _adjoint_failures(kappa, N, tol, points, moves, weights, scaled)
     return CheckReport(
         "norms", not failures, failures, {"pairs": len(points) ** 2}
     )
 
 
 def _adjoint_failures(
-    kappa: ParameterSet, N: int, tol: Scalar, points: tuple, weights: dict, scaled: tuple
+    kappa: ParameterSet,
+    N: int,
+    tol: Scalar,
+    points: tuple,
+    moves: tuple,
+    weights: dict,
+    scaled: tuple,
 ) -> list:
     """<b.x^n, x^m> = <x^n, a(b).x^m> for b over the units e_ij, i != j,
     in (b, n, m) order; for the phi_i, which act diagonally, it is
     lemma21's a(phi_i) = phi_i.  The form is diagonal on monomials, so a
     pair where neither side has x^m in b.x^n nor x^n in a(b).x^m reads
     0 = 0 and is skipped.  b and a(b) = A/Sa act through their lattice
-    forms (`lattice_form`), and the weights are scaled = (W, S) in layout
-    order (`_form_weights`), so the sides out[m] W[m] / S and
+    forms (`lattice_form` on the run's move table), and the weights are
+    scaled = (W, S) in layout order (`_form_weights`), so the sides out[m] W[m] / S and
     into[n][m] W[n] / (S Sa) are compared on ints (`numeric.misses`).
     Approx mode compares within tol N max(1, w(n), w(m)), w the form's
     weights, which bounds every term of either side."""
@@ -545,12 +585,12 @@ def _adjoint_failures(
             if i == j:
                 continue
             beta = basis_e(d, i, j)
-            adj, Sa = lattice_form(antiauto(kappa, beta), points)
+            adj, Sa = lattice_form(antiauto(kappa, beta), moves)
             into = [{} for _ in points]  # into[n][m]: coefficient of x^n in a(b).x^m
             for m, image in enumerate(adj):
                 for n, c in image:
                     into[n][m] = c
-            outs = [dict(row) for row in lattice_form(beta, points)[0]]
+            outs = [dict(row) for row in lattice_form(beta, moves)[0]]
             pairs = [(n, m) for n, out in enumerate(outs) for m in sorted({**out, **into[n]})]
             lhs = [outs[n].get(m, 0) * W[m] for n, m in pairs]
             rhs = [into[n].get(m, 0) * W[n] for n, m in pairs]

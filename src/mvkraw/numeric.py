@@ -15,7 +15,9 @@ hypergeometric evaluation).
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from fractions import Fraction
 from operator import add, le, mul, sub
 from typing import Iterator, NamedTuple, Sequence, Union
@@ -33,9 +35,23 @@ class DegreeMismatchError(ValueError):
     """A multi-index does not have the required total degree."""
 
 
+# "a" or "a/b" in ASCII digits, a with an optional sign: the form that
+# `format_scalar` writes, which table and parameter-set files hold
+_INTEGER_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
-    """Parse "a/b", "a" or a decimal literal into a scalar of the given mode."""
-    value = Fraction(text.strip())
+    """Parse "a/b", "a" or a decimal literal into a scalar of the given
+    mode.  An ASCII "a" or "a/b" is read by `int`, with one
+    Fraction(a, b); everything else goes to Fraction's own parser, which
+    gives the same value, or the same error, for every string."""
+    text = text.strip()
+    match = _INTEGER_RATIO.fullmatch(text)
+    if match is None:
+        value = Fraction(text)
+    else:
+        num, den = match.groups()
+        value = Fraction(int(num)) if den is None else Fraction(int(num), int(den))
     if mode == APPROX:
         return float(value)
     return value
@@ -114,17 +130,31 @@ def gram_misses(
     weights = (ints, S), may not be want = diag[a] if a == b else 0, in
     (a, b) order, with bound = tol max(sizes[a], sizes[b]).  The lines
     and weights come scaled to integers by their owners, so each sum,
-    taken once for both orders, runs on ints and is compared with want
-    cross-multiplied: an int sum comes out only for a miss, its Fraction
-    made then, and a float sum always, for the caller to compare."""
+    taken once for both orders, runs on ints: line a is weighted once,
+    and each sum is one dot product of it with line b.  An int sum is
+    compared with want cross-multiplied (an off-diagonal 0 at once) and
+    comes out only for a miss, its Fraction made then.  A float sum
+    keeps the product order (lines[a][r] lines[b][r]) ints[r] and adds
+    left to right, not by `sum`, which compensates floats from Python
+    3.12 on, so approx sums are the same on every version; it always
+    comes out, for the caller to compare."""
     ints, S = weights
     size = len(lines)
+    weighted = [list(map(mul, line, ints)) for line in lines]
+    exact = all(type(x) is int for line in weighted for x in line)
     grams = [[None] * size for _ in range(size)]
     for a, line_a in enumerate(lines):
-        for b in range(a, size):
-            grams[a][b] = grams[b][a] = sum(map(mul, map(mul, line_a, lines[b]), ints))
+        if exact:
+            sums = [sum(map(mul, weighted[a], line_b)) for line_b in lines[a:]]
+        else:
+            products = (map(mul, map(mul, line_a, line_b), ints) for line_b in lines[a:])
+            sums = [functools.reduce(add, terms, 0) for terms in products]
+        for b, g in enumerate(sums, a):
+            grams[a][b] = grams[b][a] = g
     for a, row in enumerate(grams):
         for b, g in enumerate(row):
+            if a != b and type(g) is int and not g:
+                continue
             want = diag[a] if a == b else 0
             den = scales[a] * scales[b] * S
             if type(g) is int and g * want.denominator == want.numerator * den:

@@ -5,8 +5,10 @@ against a parameter set at the run's tolerance, and is the one place
 their inputs are built: the polynomial table, the conjugator (its
 inverse checked at that tolerance), the expansion matrix X of
 `liemod.expansion_matrix` on ints, both closed forms
-(`liemod.closed_forms`) and the 2d generators of `bispec.generators`,
-each lazily and once per run, handed to each check that reads it.  The
+(`liemod.closed_forms`), the unit-move table of `liemod.move_table`,
+from which every lattice form of the run is read, and the 2d
+generators of `bispec.generators`, each lazily and once per run,
+handed to each check that reads it.  The
 three-way check reads the kernel sums from the table, the generating
 route one column expansion at a time, and the pairing route from X.
 """
@@ -109,8 +111,9 @@ def run_suites(
 ) -> list[CheckReport]:
     """Run the named suites in order.  The table (`table` when one is
     given), the conjugator at `tol`, the expansion matrix, the closed
-    forms and the generators with their lattice forms are each built on
-    first need and handed to every suite that reads them."""
+    forms, the move table and the generators with their lattice forms
+    are each built on first need and handed to every suite that reads
+    them."""
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown check suite {name!r}")
@@ -125,11 +128,11 @@ def run_suites(
         "orthogonality": (hyperg.check_orthogonality, "tab"),
         "duality": (hyperg.check_duality, "tab"),
         "recurrence": (bispec.check_eigen, "tab", "gens"),
-        "universal": (bispec.check_universal, "tab", "forms"),
+        "universal": (bispec.check_universal, "tab", "forms", "moves"),
         "commute": (bispec.check_commute, "gens"),
         "lemma21": (liemod.check_lemma21, "conj"),
         "lemma22": (liemod.check_generation, "conj", "forms"),
-        "norms": (liemod.check_dual_norms, "X"),
+        "norms": (liemod.check_dual_norms, "X", "moves"),
         "adjacency": (liemod.check_adjacency, "X", "gens"),
         "transition": (liemod.check_transition, "tab", "conj", "X"),
         "threeway": (check_threeway, "tab", "X"),
@@ -139,7 +142,8 @@ def run_suites(
         "conj": lambda: liemod.conjugator(kappa, tol),
         "X": lambda: liemod.expansion_matrix(need("conj").rhat, enumerate_lattice(kappa.d, N)),
         "forms": lambda: liemod.closed_forms(kappa),
-        "gens": lambda: bispec.generators(kappa, N, need("forms")),
+        "moves": lambda: liemod.move_table(kappa.d, N),
+        "gens": lambda: bispec.generators(kappa, N, need("forms"), need("moves")),
     }
     inputs = {} if table is None else {"tab": table}
 

@@ -188,7 +188,7 @@ def test_criterion_04_bispectral_recurrences(capsys):
     ok = True
     attained = {}
     for name, k, N in eval_grid(max_n_low_d=4, max_n_d3=4):
-        gens = bispec.generators(k, N, liemod.closed_forms(k))
+        gens = bispec.generators(k, N, liemod.closed_forms(k), liemod.move_table(k.d, N))
         rep = bispec.check_eigen(k, N, tab=table_for(k, N), gens=gens)
         ok = ok and rep.passed
         counts = rep.details["term_counts"]
@@ -215,7 +215,8 @@ def test_criterion_05_universal_equation(capsys):
     symbolic_d2 = False
     for name, k, N in eval_grid(max_n_low_d=4, max_n_d3=4):
         forms = liemod.closed_forms(k)
-        rep = bispec.check_universal(k, N, tab=table_for(k, N), forms=forms)
+        moves = liemod.move_table(k.d, N)
+        rep = bispec.check_universal(k, N, tab=table_for(k, N), forms=forms, moves=moves)
         ok = ok and rep.passed
         if k.d == 2:
             symbolic_d2 = symbolic_d2 or rep.details["symbolic_identity"]
@@ -233,7 +234,7 @@ def test_criterion_06_commutativity(capsys):
     for d in (2, 3):
         for name, k in reps_by_d()[d].items():
             for N in range(1, 5):
-                gens = bispec.generators(k, N, liemod.closed_forms(k))
+                gens = bispec.generators(k, N, liemod.closed_forms(k), liemod.move_table(k.d, N))
                 rep = bispec.check_commute(k, N, gens=gens)
                 ok = ok and rep.passed
                 runs += 1

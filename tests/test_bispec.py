@@ -24,7 +24,7 @@ def milch2():
 
 def generators(k, N):
     """Both generator families of k at N, built as a check run builds them."""
-    return bispec.generators(k, N, liemod.closed_forms(k))
+    return bispec.generators(k, N, liemod.closed_forms(k), liemod.move_table(k.d, N))
 
 
 def eigen(k, N, tol=0, *, tab):
@@ -32,7 +32,8 @@ def eigen(k, N, tol=0, *, tab):
 
 
 def universal(k, N, tol=0, *, tab):
-    return bispec.check_universal(k, N, tol, tab=tab, forms=liemod.closed_forms(k))
+    forms, moves = liemod.closed_forms(k), liemod.move_table(k.d, N)
+    return bispec.check_universal(k, N, tol, tab=tab, forms=forms, moves=moves)
 
 
 def commute(k, N):
@@ -548,17 +549,22 @@ class TestCommute:
 
     def test_a_run_builds_each_generator_once(self, monkeypatch):
         # recurrence and commute share the run's 2d generators and their
-        # lattice forms, one act per lattice point each, and universal
-        # builds its own operator: 6 x 20 + 20 acts at Milch d=3 N=3
-        acts, closed = [], []
-        act, closed_form = liemod.act, liemod.closed_form
+        # lattice forms, and universal builds its own operator, all read
+        # from the run's one move table, which acts once per lattice
+        # point: 20 acts and 6 + 1 lattice forms at Milch d=3 N=3
+        acts, forms, closed = [], [], []
+        act, lattice_form, closed_form = liemod.act, liemod.lattice_form, liemod.closed_form
         monkeypatch.setattr(liemod, "act", lambda *a: acts.append(1) or act(*a))
+        monkeypatch.setattr(
+            liemod, "lattice_form", lambda *a: forms.append(1) or lattice_form(*a)
+        )
         monkeypatch.setattr(
             liemod, "closed_form", lambda *a: closed.append(a[-1]) or closed_form(*a)
         )
         reports = verify.run_suites(["recurrence", "universal", "commute"], MILCH_D3, 3)
         assert all(r.passed for r in reports)
-        assert len(acts) == 140
+        assert len(acts) == 20
+        assert len(forms) == 7
         # both closed forms of each of the d+1 indices, once per run
         assert sorted(closed) == [0, 0, 1, 1, 2, 2, 3, 3]
 

@@ -444,11 +444,25 @@ class TestTableFlow:
     def test_table_zero_denominator_exit_2(self, capsys, milch2_file, tmp_path, mode):
         # an entry such as "1/0" is refused as a parse error, as it is in
         # a parameter-set file, not left to escape as a traceback
+        err = self._check_with_entry(capsys, milch2_file, tmp_path, mode, "1/0")
+        assert err == "error: malformed table value: Fraction(1, 0)\n"
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_table_signed_denominator_exit_2(self, capsys, milch2_file, tmp_path, mode):
+        # "3/+4" is not the ASCII "a/b" that the fast parse reads, and
+        # Fraction's own parser refuses it with its own message
+        err = self._check_with_entry(capsys, milch2_file, tmp_path, mode, "3/+4")
+        assert err == "error: malformed table value: Invalid literal for Fraction: '3/+4'\n"
+
+    @staticmethod
+    def _check_with_entry(capsys, milch2_file, tmp_path, mode, entry):
+        """stderr of `check --table` on the Milch d=2 N=2 table with entry
+        (1, 2) replaced by the string `entry`, after exit 2 and no stdout."""
         tab_path = tmp_path / "table.json"
         run(capsys, "table", "--kappa", milch2_file, "--N", "2",
             "--output", str(tab_path))
         obj = json.loads(tab_path.read_text())
-        obj["values"][1][2] = "1/0"
+        obj["values"][1][2] = entry
         tab_path.write_text(json.dumps(obj))
         code, out, err = run(
             capsys, "--mode", mode, "check", "--table", str(tab_path),
@@ -456,7 +470,7 @@ class TestTableFlow:
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: malformed table value")
+        return err
 
     def test_table_values_not_rows_exit_2(self, capsys, milch2_file, tmp_path):
         # values must be a list of rows, each a list: a number or null in
@@ -807,7 +821,7 @@ class TestLatticeBudget:
         def refuse(d, degree):
             raise AssertionError("the lattice was enumerated")
 
-        for module in (numeric, hyperg, liemod, verify, bispec):
+        for module in (numeric, hyperg, liemod, verify):
             monkeypatch.setattr(module, "enumerate_lattice", refuse)
         N = str(10**9)
         message = f"error: --N {N} at d = 2 has more than {cli.MAX_LATTICE} lattice points\n"

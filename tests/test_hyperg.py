@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mvkraw import bispec, hyperg, kappa, liemod, linalg, numeric, verify
 from mvkraw.numeric import enumerate_degree_points, enumerate_lattice
-from test_bispec import CORRUPTIONS, FAMILIES, approx_twin, corrupted
+from test_bispec import CORRUPTIONS, FAMILIES, HR, approx_twin, corrupted
 
 
 def milch1():
@@ -432,6 +432,39 @@ class TestOrthogonality:
         failures, max_resid = fraction_orthogonality(k, N, broken)
         assert rep.failures == failures
         assert rep.details["max_residual"] == str(max_resid)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 5),
+        st.integers(0, 5),
+        st.fractions(min_value=-3, max_value=3, max_denominator=40).filter(bool),
+    )
+    def test_gram_misses_equal_a_fraction_gram(self, row, column, delta):
+        # one entry moved: on both sides, the integer Gram sums give the
+        # (a, b, got, want) records of a plain Fraction Gram, for every
+        # pair whose sum is not its want, in the same order
+        k, N = HR, 2
+        tab = corrupted(k, N, (row, column), delta)
+        points = tab.points
+        nfact, nu_pow = math.factorial(N), F(k.nu) ** N
+        rows, columns = tab.integer_view
+        for lines, scaled, w, other in (
+            (list(zip(*tab.values)), columns, k.pt, k.p),
+            (tab.values, rows, k.p, k.pt),
+        ):
+            weights = [nfact * numeric.weight_over_factorial(w, n) for n in points]
+            diag = [1 / (nfact * nu_pow * numeric.weight_over_factorial(other, n)) for n in points]
+            want = []
+            for a, line_a in enumerate(lines):
+                for b, line_b in enumerate(lines):
+                    g = sum(F(x) * y * v for x, y, v in zip(line_a, line_b, weights))
+                    target = diag[a] if a == b else 0
+                    if g != target:
+                        want.append((a, b, g, target))
+            ints, line_scales = zip(*scaled)
+            int_weights = numeric.multinomial_weights(w, N, points)
+            got = numeric.gram_misses(ints, line_scales, int_weights, diag, [1] * len(points), 0)
+            assert want and [m[:4] for m in got] == want
 
     @pytest.mark.parametrize("k,N,entry", CORRUPTIONS[::3])
     def test_approx_twin_fails_at_the_same_pairs(self, k, N, entry):

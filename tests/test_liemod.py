@@ -154,27 +154,35 @@ class TestConjugator:
         assert all(forms == forward for forms, _ in calls)
 
     def test_full_check_acts_on_monomials_only(self, monkeypatch):
-        # `act` runs only where a lattice form is built: L monomials for
-        # each of the 2d generators, which recurrence, commute and
-        # adjacency share, L for the universal operator, and L for each
-        # unit e_ij, i != j, and for its image a(e_ij) in the
-        # contravariance half of norms; no suite acts on a whole
+        # `act` runs only where the run's one move table is built, once
+        # per lattice monomial, and every lattice form is read from that
+        # table: one for each of the 2d generators, which recurrence,
+        # commute and adjacency share, one for the universal operator,
+        # and one for each unit e_ij, i != j, and for its image a(e_ij)
+        # in the contravariance half of norms; no suite acts on a whole
         # polynomial
-        calls = []
-        act = liemod.act
+        calls, forms = [], []
+        act, lattice_form = liemod.act, liemod.lattice_form
 
         def counting(beta, f):
             calls.append(len(f))
             return act(beta, f)
 
+        def counting_forms(M, moves):
+            forms.append(id(moves))
+            return lattice_form(M, moves)
+
         monkeypatch.setattr(liemod, "act", counting)
+        monkeypatch.setattr(liemod, "lattice_form", counting_forms)
         k = kappa.family_hoare_rahman(1, 2, 3, 4)
         reports = verify.run_suites(verify.SUITES, k, 3)
         assert all(r.passed for r in reports)
         L = len(list(enumerate_lattice(k.d, 3)))
         units = k.d * (k.d + 1)
-        assert len(calls) == (2 * k.d + 1 + 2 * units) * L == 170
+        assert len(calls) == L == 10
         assert set(calls) == {1}
+        assert len(forms) == 2 * k.d + 1 + 2 * units == 17
+        assert len(set(forms)) == 1
 
     def test_one_conjugator_per_check_run(self, monkeypatch):
         # lemma21, lemma22 and transition share the run's conjugator, and
@@ -619,11 +627,35 @@ class TestBilinearForm:
         for lam in (points[0], points[len(points) // 2], points[-1]):
             n = next(iter(rows[lam]))
             bad = {**rows, lam: {**rows[lam], n: rows[lam][n] + D}}
-            rep = liemod.check_dual_norms(k, N, X=(bad, D))
+            rep = liemod.check_dual_norms(k, N, X=(bad, D), moves=liemod.move_table(k.d, N))
             assert not rep.passed
             pairs = [f["pair"] for f in rep.failures]
             assert [list(lam), list(lam)] in pairs
             assert all(list(lam) in pair for pair in pairs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 9), st.integers(0, 9), st.integers(-5, 5).filter(bool))
+    def test_norms_gram_equals_a_fraction_gram(self, row, column, offset):
+        # one entry of X moved by offset / D, where it may be 0: the
+        # records of norms are those of a plain Fraction Gram of X's rows
+        # under the form's weights n! nu^N / pt^n, against the norms
+        # n! / p^n, in the same order; the contravariance half adds none
+        k, N = kappa.family_hoare_rahman(1, 2, 3, 4), 3
+        points = list(enumerate_lattice(k.d, N))
+        rows, D = liemod.expansion_matrix(liemod.conjugator(k, 0).rhat, points)
+        lam, n = points[row], points[column]
+        bad = {**rows, lam: {**rows[lam], n: rows[lam].get(n, 0) + offset}}
+        rep = liemod.check_dual_norms(k, N, X=(bad, D), moves=liemod.move_table(k.d, N))
+        weights = [multi_factorial(m) * F(k.nu) ** N / power_product(k.pt, m) for m in points]
+        lines = [[F(bad[a].get(m, 0), D) for m in points] for a in points]
+        want = []
+        for a, line_a in zip(points, lines):
+            for b, line_b in zip(points, lines):
+                g = sum(x * y * w for x, y, w in zip(line_a, line_b, weights))
+                norm = multi_factorial(a) / power_product(k.p, a) if a == b else 0
+                if g != norm:
+                    want.append({"pair": [list(a), list(b)], "got": str(g), "want": str(norm)})
+        assert want and rep.failures == want
 
     def test_approx_dual_norms_detect_perturbed_pt(self):
         # one pt entry off by 8e-11 of itself, built past validation; the
@@ -796,7 +828,7 @@ class TestLatticeChecks:
         points = list(enumerate_lattice(k.d, N))
         rows, D = liemod.expansion_matrix(liemod.conjugator(k, 0).rhat, points)
         rows[(1, 1, 0)][(2, 0, 0)] = rows[(1, 1, 0)].get((2, 0, 0), 0) + 1
-        gens = bispec.generators(k, N, liemod.closed_forms(k))
+        gens = bispec.generators(k, N, liemod.closed_forms(k), liemod.move_table(k.d, N))
         rep = liemod.check_adjacency(k, N, X=(rows, D), gens=gens)
         assert not rep.passed
         plain = [[2, 0, 0], [1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1]]

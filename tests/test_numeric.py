@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from mvkraw.numeric import (
     APPROX,
+    EXACT,
     DegreeMismatchError,
     KernelMatrix,
     clear_denominators,
@@ -36,6 +37,41 @@ class TestScalars:
     def test_parse_approx_gives_float(self):
         x = parse_scalar("1/3", APPROX)
         assert isinstance(x, float)
+
+    @staticmethod
+    def _parsed(parse, text):
+        """What a parse gives: its value with the value's type, or its
+        exception's type and message."""
+        try:
+            value = parse(text)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return type(value), value
+
+    def _assert_parses_as_fraction(self, text):
+        # the int fast path gives what Fraction's own parser gives, value
+        # or error, in both modes
+        for mode, convert in ((EXACT, Fraction), (APPROX, float)):
+            want = self._parsed(lambda t: convert(Fraction(t.strip())), text)
+            assert self._parsed(lambda t: parse_scalar(t, mode), text) == want, (text, mode)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1/-2", "3/+4", "3 /4", "1_000/3", "0.5", "1e3", "\u0663/4", "1/0", "-0/5", "", "/",
+         "-1/0", "+5/0", " -12/18\n", "007/0", "+0", "9e999"],
+    )
+    def test_parse_cases_match_fraction(self, text):
+        self._assert_parses_as_fraction(text)
+
+    @given(
+        st.one_of(
+            st.text(alphabet="0123456789+-/_. e\u0663\t", max_size=12),
+            st.from_regex(r"\s?[+-]?[0-9]{1,40}(/[0-9]{1,40})?\s?", fullmatch=True),
+            st.fractions().map(format_scalar),
+        )
+    )
+    def test_parse_matches_fraction(self, text):
+        self._assert_parses_as_fraction(text)
 
     def test_format_lowest_terms(self):
         assert format_scalar(Fraction(2, 4)) == "1/2"
@@ -67,8 +103,8 @@ class TestScalars:
 
     def test_gram(self):
         # G[a][b] = sum_r col_a[r] col_b[r] w[r] / (S_a S_b S), summed on
-        # the ints of lines scaled by their owner, each symmetric sum once;
-        # only the pairs that are not literally the diagonal come out
+        # the ints of lines scaled by their owner, each line weighted
+        # once; only the pairs that are not literally the diagonal come out
         cols = [[Fraction(1, 2), 0, 3], [Fraction(1, 3), 2, -1]]
         w = [Fraction(2), Fraction(1, 5), 1]
         want = [[sum(x * y * v for x, y, v in zip(a, b, w)) for b in cols] for a in cols]
@@ -88,7 +124,7 @@ class TestScalars:
 
         diag = [Fraction(19, 2), Fraction(91, 45)]
         got = list(gram_misses(lines, scales, (Counted(ints), S), diag, [1, 1], 0))
-        assert Counted.sums == 3
+        assert Counted.sums == len(lines) == 2
         assert got == [(0, 1, Fraction(-8, 3), 0, 0), (1, 0, Fraction(-8, 3), 0, 0)]
         assert all(type(g) is Fraction for _, _, g, _, _ in got)
         got = list(gram_misses(lines, scales, (ints, S), [diag[0], 1], [1, 1], 0))
