@@ -25,11 +25,13 @@ pairs on Python ints, each target given by its layout index.  The
 action is linear in M, so the form is read from the unit moves of
 `liemod.move_table`: a run builds that table once and hands it to
 every operator it builds (`generators`, and the universal operator of
-`check_universal`), and an operator built outside a run builds its
-own.  A float matrix keeps its floats, with D = 1, so approximate mode
-runs the same code.  The action stays on the
-lattice: an outward term carries the integer lam_l, which is 0 exactly
-where the shift would leave the simplex.  `apply` sums each point's
+`check_universal`).  An operator built outside a run, by a library
+caller or a test, builds its own table on first use; no command
+reaches that path, as the `stencil` dump reads no lattice form.  A
+float matrix keeps its floats, with D = 1, so approximate mode runs
+the same code.  The action stays on the lattice: an outward term
+carries the integer lam_l, which is 0 exactly where the shift would
+leave the simplex.  `apply` sums each point's
 terms over a line read by index and leaves the sums scaled by D.  The
 eigen checks feed it the lines of the table's integer view
 (`hyperg.PolynomialTable.integer_view`, each line scaled once per run)
@@ -87,8 +89,9 @@ class DifferenceOperator:
     the lattice form: rows[k] = ((target, c D), ...) for the k-th point
     of the layout order, the terms of D M acting on x^lam, each target
     given by its layout index, read from `moves`, the run's
-    `liemod.move_table`.  An operator built outside a run has no
-    `moves` and builds its own table.  Both are built on first use, so
+    `liemod.move_table`.  `moves` is left out only outside a run, by
+    library callers and tests; such an operator builds its own table.
+    Both are built on first use, so
     the `stencil` dump, which reads neither, never acts on the
     lattice."""
 

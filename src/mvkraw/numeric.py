@@ -16,6 +16,7 @@ hypergeometric evaluation).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -136,16 +137,16 @@ def gram_misses(
     comes out only for a miss, its Fraction made then.  A float sum
     keeps the product order (lines[a][r] lines[b][r]) ints[r] and adds
     left to right, not by `sum`, which compensates floats from Python
-    3.12 on, so approx sums are the same on every version; it always
-    comes out, for the caller to compare."""
+    3.12 on, so a float Gram sum of given lines is the same on every
+    version; it always comes out, for the caller to compare."""
     ints, S = weights
     size = len(lines)
-    weighted = [list(map(mul, line, ints)) for line in lines]
-    exact = all(type(x) is int for line in weighted for x in line)
+    exact = all(type(x) is int for x in itertools.chain(ints, *lines))
     grams = [[None] * size for _ in range(size)]
     for a, line_a in enumerate(lines):
         if exact:
-            sums = [sum(map(mul, weighted[a], line_b)) for line_b in lines[a:]]
+            weighted = list(map(mul, line_a, ints))
+            sums = [sum(map(mul, weighted, line_b)) for line_b in lines[a:]]
         else:
             products = (map(mul, map(mul, line_a, line_b), ints) for line_b in lines[a:])
             sums = [functools.reduce(add, terms, 0) for terms in products]

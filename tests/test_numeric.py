@@ -104,7 +104,8 @@ class TestScalars:
     def test_gram(self):
         # G[a][b] = sum_r col_a[r] col_b[r] w[r] / (S_a S_b S), summed on
         # the ints of lines scaled by their owner, each line weighted
-        # once; only the pairs that are not literally the diagonal come out
+        # once and each symmetric sum taken once; only the pairs that are
+        # not literally the diagonal come out
         cols = [[Fraction(1, 2), 0, 3], [Fraction(1, 3), 2, -1]]
         w = [Fraction(2), Fraction(1, 5), 1]
         want = [[sum(x * y * v for x, y, v in zip(a, b, w)) for b in cols] for a in cols]
@@ -116,15 +117,26 @@ class TestScalars:
         ints, S = clear_denominators(w)
 
         class Counted(list):
-            sums = 0
+            """A list that counts the passes made over it."""
+
+            def __init__(self, items):
+                super().__init__(items)
+                self.passes = 0
 
             def __iter__(self):
-                Counted.sums += 1
+                self.passes += 1
                 return super().__iter__()
 
+        L = len(lines)
+        sums = L * (L + 1) // 2
+        counted, weights = [Counted(line) for line in lines], Counted(ints)
         diag = [Fraction(19, 2), Fraction(91, 45)]
-        got = list(gram_misses(lines, scales, (Counted(ints), S), diag, [1, 1], 0))
-        assert Counted.sums == len(lines) == 2
+        got = list(gram_misses(counted, scales, (weights, S), diag, [1, 1], 0))
+        # the weights are typed once and read once per line weighted; each
+        # line is typed and weighted once, then read once per sum it is
+        # line b of: L(L+1)/2 dot products, not L^2
+        assert weights.passes == 1 + L == 3
+        assert sum(line.passes for line in counted) == 2 * L + sums == 7
         assert got == [(0, 1, Fraction(-8, 3), 0, 0), (1, 0, Fraction(-8, 3), 0, 0)]
         assert all(type(g) is Fraction for _, _, g, _, _ in got)
         got = list(gram_misses(lines, scales, (ints, S), [diag[0], 1], [1, 1], 0))
@@ -133,9 +145,10 @@ class TestScalars:
         # a float sum always comes out, bounded by tol max(sizes[a], sizes[b])
         floats = [[float(x) for x in c] for c in cols]
         sizes = [2, 5]
-        got = list(
-            gram_misses(floats, [1, 1], ([float(x) for x in w], 1), diag, sizes, 1e-10)
-        )
+        weights = Counted(float(x) for x in w)
+        got = list(gram_misses(floats, [1, 1], (weights, 1), diag, sizes, 1e-10))
+        # the typing stops at the first float; then one pass per sum
+        assert weights.passes == 1 + sums == 4
         assert [(a, b) for a, b, *_ in got] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         for a, b, g, h, bound in got:
             assert type(g) is float and abs(g - want[a][b]) < 1e-12
