@@ -39,7 +39,8 @@ and compare each sum with the eigenvalue times the line on ints, and
 `check_commute` composes two integer forms directly, so a Fraction is
 built only where a check fails.  The affine form of the action, one
 coefficient per shift that is affine in the point (`_stencil`), is kept
-for output and counting: the `stencil` dump and `term_count`.
+for the `stencil` dump; `term_count` reads its number of terms off the
+matrix.
 """
 
 from __future__ import annotations
@@ -121,7 +122,14 @@ class DifferenceOperator:
         return _stencil(self.matrix, self.N)
 
     def term_count(self) -> int:
-        return len(self.stencil)
+        """The number of terms of `stencil`, read off the matrix: one
+        per nonzero off-diagonal entry, each with its own shift, and the
+        no-shift term unless M[0][0] N and every M[j][j] - M[0][0]
+        vanish."""
+        M = self.matrix
+        off = sum(1 for k, row in enumerate(M) for l, x in enumerate(row) if k != l and x != 0)
+        uneven = any(M[j][j] != M[0][0] for j in range(1, len(M)))
+        return off + int(M[0][0] * self.N != 0 or uneven)
 
 
 def _stencil(M: Matrix, N: int) -> dict:
@@ -160,8 +168,7 @@ def _tilde_law(d: int, N: int, i: int) -> Callable:
     outside 1..d."""
     if not 1 <= i <= d:
         raise IndexError(f"index {i} out of range for d = {d}")
-    shift = Fraction(N, d + 1)
-    return lambda m: m[i - 1] - shift
+    return lambda m: Fraction((d + 1) * m[i - 1] - N, d + 1)
 
 
 def operator_mtilde(kappa: ParameterSet, N: int, i: int) -> DifferenceOperator:
@@ -179,7 +186,7 @@ def operator_m(kappa: ParameterSet, N: int, i: int) -> DifferenceOperator:
     u transposed, so its matrix is the closed form of the conjugated
     phi_i of kappa itself.  Eigenvalue mt_i - N/(d+1)."""
     law = _tilde_law(kappa.d, N, i)
-    closed = liemod.closed_form(kappa.nu, kappa.p, kappa.pt, kappa.u, i)
+    closed = liemod.closed_form(kappa.integer_view, i)
     return DifferenceOperator(closed, N, law, f"m_{i}")
 
 

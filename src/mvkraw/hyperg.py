@@ -49,7 +49,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product, repeat
+from itertools import accumulate, chain, product, repeat
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -434,12 +434,20 @@ def check_orthogonality(
     with diagonal value nt! / (N! nu^N p^nt), which is 1 / nu^N over the
     rows' weight; rows are the same identity on the transposed table
     with the two weight vectors exchanged (`numeric.multinomial_weights`).
-    Both sides are one `numeric.gram_misses` each, on the table's integer
-    view and integer weights, so an exact pair is compared on ints and
-    a Fraction is built only for a miss.  In approx mode a pair passes
-    within tol times the larger of 1 and the two diagonal values of its
-    side.  Failures carry the residual, the columns and rows side of
-    each pair in turn.
+    Each side is one `numeric.gram_misses`, on the table's integer view
+    and integer weights, so an exact pair is compared on ints and a
+    Fraction is built only for a miss.  The rows side is summed only
+    after the columns side misses, which an exact side does only where
+    a pair fails and a float side does at every pair, so approx mode
+    sums both.  In exact mode a passing columns side implies the rows
+    side: it reads T^t Wt T = Dc for the square table T, the diagonal
+    weights Wt of the columns and Dc of their diagonal values, and Dc is
+    invertible, so T and Wt are too, and T Dc^-1 T^t = Wt^-1, which is
+    the rows identity, as Dc^-1 = nu^N Wp.  A passing table's report is
+    therefore that of both sides, and a failing one gets the records of
+    both.  In approx mode a pair passes within tol times the larger of
+    1 and the two diagonal values of its side.  Failures carry the
+    residual, the columns and rows side of each pair in turn.
     """
     points = tab.points
     nu_pow = exactify(kappa.nu) ** N
@@ -462,7 +470,10 @@ def check_orthogonality(
         sizes = [max(1, abs(x)) for x in diag]
         ints, scales = zip(*lines)
         misses = gram_misses(ints, scales, weights, diag, sizes, tol)
-        sides.append(zip(repeat(side), misses))
+        first = next(misses, None)
+        if first is None:  # a side without a miss; after the columns, the rows hold
+            break
+        sides.append(zip(repeat(side), chain([first], misses)))
 
     for side, (a, b, lhs, rhs, bound) in heapq.merge(*sides, key=lambda m: m[1][:2]):
         resid = lhs - rhs

@@ -26,6 +26,7 @@ from .numeric import (
     DEFAULT_EPS,
     EXACT,
     Scalar,
+    clear_denominators,
     exactify,
     format_scalar,
     is_exact,
@@ -66,6 +67,23 @@ class ParameterSet:
         (`liemod.antiauto`) scales a transpose.  Made on first use and
         kept on the instance, like `kernel_form`."""
         return linalg.integer_rows([[exactify(a) / b for b in self.pt] for a in self.pt])
+
+    @functools.cached_property
+    def integer_view(self) -> tuple:
+        """(exact, nu, p, pt, u), each value as (ints, D) with the value
+        ints / D: nu as a one-entry list, p and pt over the lcm of their
+        denominators (`numeric.clear_denominators`), u on integer rows
+        over one scale (`linalg.integer_rows`).  A set with a float
+        anywhere is not exact and keeps every value as it is, with
+        D = 1, so float arithmetic on the view is the plain arithmetic
+        of the set.  Made on first use and kept on the instance, like
+        `kernel_form`."""
+        values = (self.nu, *self.p, *self.pt, *(x for row in self.u for x in row))
+        if all(map(is_exact, values)):
+            nu, p, pt = (clear_denominators(v) for v in ((self.nu,), self.p, self.pt))
+            return True, nu, p, pt, linalg.integer_rows(self.u)
+        rows = [list(row) for row in self.u]
+        return False, ([self.nu], 1), (list(self.p), 1), (list(self.pt), 1), (rows, 1)
 
 
 @dataclass(frozen=True)

@@ -144,40 +144,58 @@ def conjugator(kappa: ParameterSet, tol: Scalar) -> Conjugator:
     return Conjugator(rhat, rhat_inv)
 
 
-def closed_form(nu: Scalar, p: tuple, pt: tuple, u: Matrix, i: int) -> Matrix:
-    """The conjugated phi_i of the set (nu, p, pt, u), expanded over
-    {e_kl, phi_j}: e_kl (k != l) with nu p_i pt_k u_ik u_il, phi_j
-    (j >= 1) with p_i (nu pt_j u_ij^2 - 1).  With p and pt swapped and u
-    transposed it is the mirror, plain phi_i over the conjugated basis
-    (`mirror_closed_form`).  The data are not re-validated."""
-    d = len(p) - 1
-    nu = exactify(nu)
-    shift = Fraction(1, d + 1)
+def closed_form(view: tuple, i: int) -> Matrix:
+    """The conjugated phi_i of the set whose integer view is `view`
+    (`ParameterSet.integer_view`), expanded over {e_kl, phi_j}: e_kl
+    (k != l) with nu p_i pt_k u_ik u_il, phi_j (j >= 1) with
+    p_i (nu pt_j u_ij^2 - 1).  With p and pt swapped and u transposed
+    (`_mirrored`) it is the mirror, plain phi_i over the conjugated
+    basis (`mirror_closed_form`).  An exact view is summed on ints, each
+    entry times d+1 over the scales of the view, and each entry is one
+    Fraction at the end; a float view makes the plain products in the
+    same order.  The data are not re-validated."""
+    exact, ([nu], Dn), (p, Dp), (pt, Dq), (u, Du) = view
+    width = len(p)
+    cols = range(width)
+    if exact:  # nu pt_j u_ij^2 - 1 = (nu pt_j u_ij^2 - one) / one on the view's ints
+        w, one, shift = width, Dn * Dq * Du * Du, 1
+    else:
+        w, one, shift, nu = 1, 1, Fraction(1, width), exactify(nu)
     if i == 0:
         # every column is the pt vector, then the trace correction
-        return tuple(
-            tuple(pt[r] - (shift if r == c else 0) for c in range(d + 1))
-            for r in range(d + 1)
-        )
-    out = [[0] * (d + 1) for _ in range(d + 1)]
-    for k in range(d + 1):
-        row = nu * p[i] * pt[k] * u[i][k]  # the product's first four factors, in order
-        for l in range(d + 1):
+        out = [[w * pt[r] - (shift * Dq if r == c else 0) for c in cols] for r in cols]
+        return _over(out, width * Dq) if exact else linalg.freeze(out)
+    out = [[0] * width for _ in cols]
+    for k in cols:
+        row = w * nu * p[i] * pt[k] * u[i][k]  # the product's first four factors, in order
+        for l in cols:
             if k != l:
                 out[k][l] = row * u[i][l]
-    for j in range(1, d + 1):
-        c = p[i] * (nu * pt[j] * u[i][j] ** 2 - 1)
-        for r in range(d + 1):
+    for j in cols[1:]:
+        c = p[i] * (nu * pt[j] * u[i][j] ** 2 - one)
+        for r in cols:
             out[r][r] -= c * shift
-        out[j][j] += c
-    return linalg.freeze(out)
+        out[j][j] += w * c
+    return _over(out, width * Dp * one) if exact else linalg.freeze(out)
+
+
+def _over(entries: list, scale: int) -> Matrix:
+    """The integer matrix entries / scale, one Fraction per entry."""
+    return tuple(tuple(Fraction(x, scale) for x in row) for row in entries)
+
+
+def _mirrored(view: tuple) -> tuple:
+    """The integer view of the involuted set: p and pt swapped, u
+    transposed."""
+    exact, nu, p, pt, (u, Du) = view
+    return exact, nu, pt, p, ([list(col) for col in zip(*u)], Du)
 
 
 def mirror_closed_form(kappa: ParameterSet, i: int) -> Matrix:
     """Plain phi_i as the matrix of its coefficients over the conjugated
     basis {R e_kl R^-1, R phi_j R^-1}: the closed form of the involuted
-    set, read off kappa without validating it."""
-    return closed_form(kappa.nu, kappa.pt, kappa.p, linalg.transpose(kappa.u), i)
+    set, read off kappa's integer view without validating it."""
+    return closed_form(_mirrored(kappa.integer_view), i)
 
 
 class ClosedForms(NamedTuple):
@@ -191,11 +209,14 @@ class ClosedForms(NamedTuple):
 
 
 def closed_forms(kappa: ParameterSet) -> ClosedForms:
-    """The closed forms of kappa, each of its d+1 Cartan indices."""
+    """The closed forms of kappa, each of its d+1 Cartan indices, read
+    off its integer view."""
+    view = kappa.integer_view
+    mirror = _mirrored(view)
     indices = range(kappa.d + 1)
     return ClosedForms(
-        tuple(closed_form(kappa.nu, kappa.p, kappa.pt, kappa.u, i) for i in indices),
-        tuple(mirror_closed_form(kappa, i) for i in indices),
+        tuple(closed_form(view, i) for i in indices),
+        tuple(closed_form(mirror, i) for i in indices),
     )
 
 
@@ -223,18 +244,18 @@ def _cartan(d: int, exact: bool) -> list:
     return [linalg.integer_rows(phi) if exact else (phi, 1) for phi in phis]
 
 
-def _image(kappa: ParameterSet, m: tuple) -> tuple:
-    """a(m) over m's scale: `antiauto` is linear."""
+def _image(images: dict, S: int, m: tuple) -> tuple:
+    """a(m) for m = (entries, scale), as (entries, scale S): a is linear,
+    so a(m) is the sum of m[r][c] a(e_rc) over the nonzero entries of m,
+    with images[r, c] the nonzero entries of a(e_rc) on ints over S (the
+    values over 1 beside floats)."""
     entries, scale = m
-    return antiauto(kappa, entries), scale
-
-
-def _times(c: Scalar, m: tuple) -> tuple:
-    """c m: the entries times c's numerator over c's denominator times
-    m's scale; a float c multiplies the entries, as a plain scaling."""
-    num, den = (c.numerator, c.denominator) if is_exact(c) else (c, 1)
-    entries, scale = m
-    return linalg.mat_scale(num, entries), den * scale
+    out = [[0] * len(entries) for _ in entries]
+    for r, row in enumerate(entries):
+        for c, x in enumerate(row):
+            for (s, t), y in images[r, c].items() if x else ():
+                out[s][t] += x * y
+    return out, scale * S
 
 
 def _expect(failures: list, tol: Scalar, tag: str, got: tuple, want: tuple) -> None:
@@ -254,60 +275,68 @@ def check_lemma21(
 ) -> CheckReport:
     """The antiautomorphism suite: fixed points, transport of matrix
     units with weight ratios, and involutivity and product reversal on
-    the matrix units, a proof for all matrices as a is linear.  Since
-    e_ij e_kl = delta_jk e_il, a pair needs no product on the left, and
-    a(e_kl) a(e_ij) is summed over the nonzero entries of the images,
-    brought to one integer scale.  The Cartan elements, the units and
-    their conjugates by the run's integer conjugator are on ints in an
-    exact run, and `antiauto` is applied to each as it is."""
+    the matrix units, a proof for all matrices as a is linear.
+    `antiauto` is applied to the matrix units alone, and their images
+    are brought to one integer scale S; every other image is summed from
+    them (`_image`).  The Cartan elements, the units and their
+    conjugates by the run's integer conjugator are on ints in an exact
+    run, and the weight ratios of the transports are read off the set's
+    integer views (`ParameterSet.pt_ratios`, `ParameterSet.integer_view`),
+    so each identity is compared on ints.  Since e_ij e_kl = delta_jk
+    e_il, a pair needs no product on the left, and a(e_kl) a(e_ij) is
+    summed over the nonzero entries of the images."""
     d = kappa.d
     tol = tol_for(kappa, tol)
     failures = []
-
-    for i, phi in enumerate(_cartan(d, tol == 0)):
-        _expect(failures, tol, f"a(phi_{i}) = phi_{i}", _image(kappa, phi), phi)
-        dphi = conj.conjugate(phi)
-        tag = f"a(dual_phi_{i}) = dual_phi_{i}"
-        _expect(failures, tol, tag, _image(kappa, dphi), dphi)
     n = d + 1
     units = {
         (i, j): (tuple(tuple(int((r, c) == (i, j)) for c in range(n)) for r in range(n)), 1)
         for i in range(n)
         for j in range(n)
     }
-    images = {ij: _image(kappa, e) for ij, e in units.items()}
+    images = {ij: antiauto(kappa, e) for ij, (e, _) in units.items()}
+    images = {
+        ij: {(r, c): x for r, row in enumerate(m) for c, x in enumerate(row) if x != 0}
+        for ij, m in images.items()
+    }
+    ints, S = clear_denominators([x for f in images.values() for x in f.values()])
+    ints = iter(ints)
+    images = {ij: {rc: next(ints) for rc in f} for ij, f in images.items()}
+
+    for i, phi in enumerate(_cartan(d, tol == 0)):
+        _expect(failures, tol, f"a(phi_{i}) = phi_{i}", _image(images, S, phi), phi)
+        dphi = conj.conjugate(phi)
+        tag = f"a(dual_phi_{i}) = dual_phi_{i}"
+        _expect(failures, tol, tag, _image(images, S, dphi), dphi)
+    Q, Sq = kappa.pt_ratios  # pt_j / pt_i = Q[j][i] / Sq
+    P = kappa.integer_view[2][0]  # p_j / p_i = P[j] / P[i]
     duals = {(i, j): conj.conjugate(e) for (i, j), e in units.items() if i != j}
     for (i, j), e in units.items():
+        image = _image(images, S, e)
         if i != j:
             _expect(
                 failures,
                 tol,
                 f"a(e_{i}{j}) = (pt_{j}/pt_{i}) e_{j}{i}",
-                images[i, j],
-                _times(exactify(kappa.pt[j]) / kappa.pt[i], units[j, i]),
+                image,
+                (linalg.mat_scale(Q[j][i], units[j, i][0]), Sq),
             )
+            dual, scale = duals[j, i]
             _expect(
                 failures,
                 tol,
                 f"a(dual_e_{i}{j}) = (p_{j}/p_{i}) dual_e_{j}{i}",
-                _image(kappa, duals[i, j]),
-                _times(exactify(kappa.p[j]) / kappa.p[i], duals[j, i]),
+                _image(images, S, duals[i, j]),
+                (linalg.mat_scale(P[j], dual), P[i] * scale),
             )
         tag = f"a(a(e_{i}{j})) = e_{i}{j}"
-        _expect(failures, tol, tag, _image(kappa, images[i, j]), e)
+        _expect(failures, tol, tag, _image(images, S, image), e)
 
-    sparse = {
-        ij: {(r, c): x for r, row in enumerate(m) for c, x in enumerate(row) if x != 0}
-        for ij, (m, _) in images.items()
-    }
-    ints, S = clear_denominators([x for f in sparse.values() for x in f.values()])
-    ints = iter(ints)
-    sparse = {ij: {rc: next(ints) for rc in f} for ij, f in sparse.items()}
     for i, j in units:
         for k, l in units:
-            diff = {rs: S * x for rs, x in sparse[i, l].items()} if j == k else {}
-            for (r, c), x in sparse[k, l].items():
-                for (c2, s), y in sparse[i, j].items():
+            diff = {rs: S * x for rs, x in images[i, l].items()} if j == k else {}
+            for (r, c), x in images[k, l].items():
+                for (c2, s), y in images[i, j].items():
                     if c == c2:
                         diff[r, s] = diff.get((r, s), 0) - x * y
             defect = max(map(abs, diff.values()), default=0)
@@ -345,6 +374,7 @@ def check_generation(
     # dual_phi_0], made once per j, and the middle and outer brackets
     # gain one K each, so outer - middle = (outer' - K middle') / (K^3 S)
     dC, S = dphis[0]
+    pt, Dq = kappa.integer_view[3]  # 1 / (2 pt_i) = Dq / (2 pt[i])
     inners = [linalg.commutator(C, dC) for C, _ in phis]
     for i, (Ci, K) in enumerate(phis):
         for j, (Cj, _) in enumerate(phis):
@@ -357,7 +387,7 @@ def check_generation(
                 failures,
                 tol,
                 f"bracket recovery of e_{i}{j}",
-                _times(1 / (2 * exactify(kappa.pt[i])), (delta, K**3 * S)),
+                (linalg.mat_scale(Dq, delta), 2 * pt[i] * K**3 * S),
                 (basis_e(d, i, j), 1),
             )
 

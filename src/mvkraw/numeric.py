@@ -19,6 +19,7 @@ import functools
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 from operator import add, le, mul, sub
 from typing import Iterator, NamedTuple, Sequence, Union
@@ -41,14 +42,31 @@ class DegreeMismatchError(ValueError):
 _INTEGER_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
+# a decimal literal with an exponent, in Fraction's grammar (a sign, and
+# underscores between digits), the exponent captured
+_EXPONENT = re.compile(
+    r"[+-]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?[eE]([+-]?\d+(?:_\d+)*)"
+)
+
+# the largest exponent a decimal literal may carry: Fraction builds
+# 10**exponent, so "1e999999999" would take hours; this is the digit
+# limit that `int` already puts on the "a/b" form
+MAX_EXPONENT = sys.int_info.default_max_str_digits
+
+
 def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
     """Parse "a/b", "a" or a decimal literal into a scalar of the given
     mode.  An ASCII "a" or "a/b" is read by `int`, with one
     Fraction(a, b); everything else goes to Fraction's own parser, which
-    gives the same value, or the same error, for every string."""
+    gives the same value, or the same error, for every string, save that
+    a decimal literal whose exponent is past +-`MAX_EXPONENT` is refused
+    with a ValueError before Fraction builds its power of ten."""
     text = text.strip()
     match = _INTEGER_RATIO.fullmatch(text)
     if match is None:
+        decimal = _EXPONENT.fullmatch(text)
+        if decimal and abs(int(decimal[1])) > MAX_EXPONENT:
+            raise ValueError(f"exponent past +-{MAX_EXPONENT} in decimal literal {text!r}")
         value = Fraction(text)
     else:
         num, den = match.groups()

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvkraw import bispec, hyperg, kappa, liemod, linalg, verify
 from mvkraw.bispec import AffineCoeff
@@ -172,6 +174,21 @@ class TestStencils:
         assert counts == [7, 3]
         assert all(c <= 7 for c in counts)
         assert bispec.operator_universal(k, 2).term_count() == 7
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 3),
+        st.sampled_from([[0, 0, 1, -1, F(1, 2), F(-3, 4)], [0, 0.0, 1.0, -0.5, 2.5]]),
+        st.data(),
+    )
+    def test_term_count_is_the_stencil_length(self, d, N, entries, data):
+        # read off the matrix, the count is that of the affine terms,
+        # on matrices with zero entries and repeated diagonals
+        width = range(d + 1)
+        M = tuple(tuple(data.draw(st.sampled_from(entries)) for _ in width) for _ in width)
+        op = bispec.DifferenceOperator(M, N, None, "drawn")
+        assert op.term_count() == len(bispec._stencil(M, N))
 
     def test_index_range(self):
         k = milch2()

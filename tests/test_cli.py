@@ -454,6 +454,16 @@ class TestTableFlow:
         err = self._check_with_entry(capsys, milch2_file, tmp_path, mode, "3/+4")
         assert err == "error: malformed table value: Invalid literal for Fraction: '3/+4'\n"
 
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_table_exponent_past_the_bound_exit_2(self, capsys, milch2_file, tmp_path, mode):
+        # Fraction would build 10**999999999 for this 11-character entry;
+        # it is refused as a parse error at once
+        err = self._check_with_entry(capsys, milch2_file, tmp_path, mode, "1e999999999")
+        assert err == (
+            "error: malformed table value: "
+            "exponent past +-4300 in decimal literal '1e999999999'\n"
+        )
+
     @staticmethod
     def _check_with_entry(capsys, milch2_file, tmp_path, mode, entry):
         """stderr of `check --table` on the Milch d=2 N=2 table with entry

@@ -433,6 +433,29 @@ class TestOrthogonality:
         assert rep.failures == failures
         assert rep.details["max_residual"] == str(max_resid)
 
+    def test_rows_side_is_summed_only_after_a_columns_miss(self, monkeypatch):
+        # in exact mode a passing columns side, T^t Wt T = Dc, proves the
+        # rows side, T Dc^-1 T^t = Wt^-1, so a passing table makes one
+        # Gram sum; a corrupted table makes both and gets the records of
+        # both sides, and an approx run, whose float sums always come out,
+        # makes both
+        calls = []
+        real = numeric.gram_misses
+        monkeypatch.setattr(hyperg, "gram_misses", lambda *a: calls.append(1) or real(*a))
+        N = 3
+        tab, broken = hyperg.table(HR, N), corrupted(HR, N, (2, 5))
+        runs = [(tab, 0, 1), (broken, 0, 2), (approx_twin(tab), 1e-10, 2)]
+        runs.append((approx_twin(broken), 1e-10, 2))
+        reports = []
+        for t, tol, want in runs:
+            calls.clear()
+            reports.append(hyperg.check_orthogonality(t.kappa, N, tol, tab=t))
+            assert len(calls) == want
+        assert [r.passed for r in reports] == [True, False, True, False]
+        for rep in reports[1::2]:
+            assert {f["side"] for f in rep.failures} == {"columns", "rows"}
+        assert reports[1].failures == fraction_orthogonality(HR, N, broken)[0]
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.integers(0, 5),

@@ -304,9 +304,47 @@ class TestStructureChecks:
         # both closed forms against honest conjugation, outside the suite
         for i in range(k.d + 1):
             phi = liemod.basis_phi(k.d, i)
-            assert conjugated(k, phi) == liemod.closed_form(k.nu, k.p, k.pt, k.u, i)
+            assert conjugated(k, phi) == liemod.closed_form(k.integer_view, i)
             if i:
                 assert conjugated(k, liemod.mirror_closed_form(k, i)) == phi
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.sampled_from([kappa.griffiths_from_p, kappa.family_milch]),
+        st.data(),
+    )
+    def test_closed_forms_are_the_written_formula(self, d, family, data):
+        # from the set's integer view, each closed form is e_kl with
+        # nu p_i pt_k u_ik u_il and phi_j with p_i (nu pt_j u_ij^2 - 1),
+        # and the mirror is that of the involuted set; its approx twin
+        # keeps the float products in their order
+        parts = [data.draw(st.fractions(F(1, 30), 1, max_denominator=30)) for _ in range(d + 1)]
+        k = family([x / sum(parts) for x in parts])
+        cols = range(d + 1)
+        for twin, scalar in ((k, F), (approx_twin(k), float)):
+            forms = liemod.closed_forms(twin)
+            mirror = kappa.ParameterSet(d, twin.nu, twin.pt, twin.p, linalg.transpose(twin.u))
+            for kk, closed in ((twin, forms.closed), (mirror, forms.mirror)):
+                nu, p, pt, u = scalar(kk.nu), kk.p, kk.pt, kk.u
+                shift = F(1, d + 1)
+                assert closed[0] == tuple(
+                    tuple(pt[r] - (shift if r == c else 0) for c in cols) for r in cols
+                )
+                for i in range(1, d + 1):
+                    want = [
+                        [nu * p[i] * pt[a] * u[i][a] * u[i][b] if a != b else 0 for b in cols]
+                        for a in cols
+                    ]
+                    for j in range(1, d + 1):
+                        c = p[i] * (nu * pt[j] * u[i][j] ** 2 - 1)
+                        for r in cols:
+                            want[r][r] -= c * shift
+                        want[j][j] += c
+                    assert closed[i] == linalg.freeze(want)
+                    assert all(type(x) is scalar for row in closed[i] for x in row)
+                    if kk is twin:
+                        assert bispec.operator_m(twin, 2, i).matrix == closed[i]
 
     @pytest.mark.parametrize(
         "k",

@@ -1,6 +1,7 @@
 """Scalar modes and the combinatorial substrate."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -48,17 +49,35 @@ class TestScalars:
             return type(exc), str(exc)
         return type(value), value
 
+    # a decimal literal with an exponent, as Fraction's grammar writes it
+    _DECIMAL = re.compile(
+        r"""\s*[-+]?(?=\d|\.\d)(\d*|\d+(_\d+)*)
+        (\.(\d*|\d+(_\d+)*))?E(?P<exp>[-+]?\d+(_\d+)*)\s*""",
+        re.VERBOSE | re.IGNORECASE,
+    )
+
+    @classmethod
+    def _fraction(cls, text):
+        """Fraction(text.strip()), save that a decimal literal whose
+        exponent is past +-4300 is refused without calling Fraction,
+        which would build 10**exponent."""
+        literal = cls._DECIMAL.fullmatch(text)
+        if literal and abs(int(literal["exp"])) > 4300:
+            raise ValueError(f"exponent past +-4300 in decimal literal {text.strip()!r}")
+        return Fraction(text.strip())
+
     def _assert_parses_as_fraction(self, text):
         # the int fast path gives what Fraction's own parser gives, value
-        # or error, in both modes
+        # or error, in both modes, and refuses an exponent past the bound
         for mode, convert in ((EXACT, Fraction), (APPROX, float)):
-            want = self._parsed(lambda t: convert(Fraction(t.strip())), text)
+            want = self._parsed(lambda t: convert(self._fraction(t)), text)
             assert self._parsed(lambda t: parse_scalar(t, mode), text) == want, (text, mode)
 
     @pytest.mark.parametrize(
         "text",
         ["1/-2", "3/+4", "3 /4", "1_000/3", "0.5", "1e3", "\u0663/4", "1/0", "-0/5", "", "/",
-         "-1/0", "+5/0", " -12/18\n", "007/0", "+0", "9e999"],
+         "-1/0", "+5/0", " -12/18\n", "007/0", "+0", "9e999", "1e4301", "0e500001",
+         "1e-4_301", "1E+4_300", " .5e-4300 ", "1/2e99999"],
     )
     def test_parse_cases_match_fraction(self, text):
         self._assert_parses_as_fraction(text)
@@ -72,6 +91,14 @@ class TestScalars:
     )
     def test_parse_matches_fraction(self, text):
         self._assert_parses_as_fraction(text)
+
+    @pytest.mark.parametrize("mode", [EXACT, APPROX])
+    @pytest.mark.parametrize("text", ["1e4301", "0e500001", "1e-4_301", "1e999999999"])
+    def test_exponent_past_the_bound_is_refused(self, text, mode):
+        # Fraction would build 10**exponent; the refusal is a ValueError,
+        # which the CLI reports as a parse error (exit 2)
+        with pytest.raises(ValueError, match=r"exponent past \+-4300"):
+            parse_scalar(text, mode)
 
     def test_format_lowest_terms(self):
         assert format_scalar(Fraction(2, 4)) == "1/2"
