@@ -19,17 +19,19 @@ The kernel sum runs on integers: omega is scaled to W/D once per set
 instance, and the view of each N, with the factorials and powers that
 depend on nothing else, is kept on the instance
 (`ParameterSet.kernel_form`), so an entry never hashes or compares the
-set.  The view also holds the memo of kernel row-vector lists
+set.  The view also holds the memo of kernel lists
 (`numeric.enumerate_kernels`), which goes with the set instance, not
 with a module.  Each value is then one division, one Fraction, at the
 end; floats take the same loop.
 
 Tables hold P over the full degree-N lattice in graded-lex order, rows
 indexed by the first argument.  Their form is chosen by (exact, d): an
-exact set with d >= 2 sums every kernel once into an integer matrix S
-over the kernel margins and contracts it with the falling factorials,
+exact set with d >= 2 sums every kernel into an integer matrix S over
+the kernel margins, by one transfer over the entries of the kernels
+that lists none of them, and contracts it with the falling factorials,
 F S^T F^T; approx sets and d = 1 take one `eval_hypergeometric` per
-entry (see `table`).  A table keeps one integer view of itself, every
+entry, an exact d = 1 entry on the terms that the same transfer gives
+(see `table`).  A table keeps one integer view of itself, every
 row and column scaled to integers on first use
 (`PolynomialTable.integer_view`), which the table checks of a run
 share.  On top of tables sit the two-sided orthogonality check
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, product, repeat
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from . import kappa as kappa_mod
 from .kappa import ParameterSet
@@ -114,61 +116,105 @@ class _Falling(dict):
         return falls
 
 
-class _View(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class _View:
     """The term factors of the kernel sums that depend only on (kappa, N),
     with omega = W/D taken from `ParameterSet.kernel_form`."""
 
     exact: bool  # whether the set is exact
+    W: list  # the rows of omega, on ints for an exact set
+    N: int
     fact: tuple  # k! for k = 0..N
     falling: _Falling  # n!/(n-c)! by n, each list made on first use
     by_total: tuple  # per kernel total t: (-1)^t D^(N-t) (N-t)!, at exact d = 1 the whole term
-    rows: tuple | None  # {row: (W_i^row, row!)} per row i; None at exact d = 1
     scale: int  # N!^2 D^N
-    memo: dict  # the kernel row-vector lists (`numeric.enumerate_kernels`)
+    memo: dict  # the kernel lists (`numeric.enumerate_kernels`)
+
+    @functools.cached_property
+    def rows(self) -> tuple:
+        """{v: (W_i^v, v!)} per row i over the degree points v: the row
+        factors of `eval_hypergeometric`'s loop, made on its first call,
+        so an exact table, which takes the margin transfer, never makes
+        them.  Where a float power leaves the float range, the
+        OverflowError names omega and N."""
+        vectors = list(enumerate_degree_points(len(self.W), self.N))
+        try:  # only float powers overflow
+            return tuple(
+                {v: (power_product(Wi, v), multi_factorial(v)) for v in vectors}
+                for Wi in self.W
+            )
+        except OverflowError:
+            raise OverflowError(
+                f"the approx powers of omega = {self.W} in the kernel sums at N = {self.N} "
+                "leave the float range"
+            ) from None
 
 
 def _integer_view(kappa: ParameterSet, N: int) -> _View:
     """The `_View` of (kappa, N), built once per set instance and N and
     kept in the views of `ParameterSet.kernel_form`, so finding it
-    hashes nothing.  Its memo is filled as the sums run, so the entries
-    of a table share the row-vector lists and none outlives the set
-    instance.
+    hashes nothing.  Its memo is filled as the per-entry sums run, so
+    the entries of a table share the kernel lists and none outlives the
+    set instance; its row factors are made by the first such sum.
 
     An exact set with d = 1 has one kernel per total t, so by_total
-    holds its whole term c[t] = (-1)^t D^(N-t) (N-t)! N!/t! W^t and rows
-    is None: c[0] is the scale, and c[t+1] = -c[t] W / (D (N-t) (t+1))
-    is an exact division by a small int.  Approx sets keep the row
-    factors at every d, so their float terms are formed in one order
-    whatever d is.  Where a float power leaves the float range, the
-    OverflowError names omega and N.
+    holds its whole term c[t] = (-1)^t D^(N-t) (N-t)! N!/t! W^t, read
+    off the diagonal S[t][t] of the margin transfer (`_margin_transfer`)
+    that an exact d >= 2 table takes.  Approx sets keep the row factors
+    at every d, so their float terms are formed in one order whatever d
+    is.
     """
     exact, W, D, views = kappa.kernel_form
     if N in views:
         return views[N]
     fact = tuple(accumulate(range(1, N + 1), mul, initial=1))
-    scale = fact[N] ** 2 * D**N
-    rows = None
+    by_total = [(-1) ** t * D ** (N - t) * fact[N - t] for t in range(N + 1)]
     if exact and kappa.d == 1:
-        (w,), term = W[0], scale
-        by_total = [term]
-        for t in range(N):
-            term = -term * w // (D * (N - t) * (t + 1))
-            by_total.append(term)
-    else:
-        by_total = [(-1) ** t * D ** (N - t) * fact[N - t] for t in range(N + 1)]
-        vectors = list(enumerate_degree_points(kappa.d, N))
-        try:  # only float powers overflow
-            rows = tuple(
-                {v: (power_product(Wi, v), multi_factorial(v)) for v in vectors}
-                for Wi in W
-            )
-        except OverflowError:
-            raise OverflowError(
-                f"the approx powers of omega = {W} in the kernel sums at N = {N} "
-                "leave the float range"
-            ) from None
-    view = views[N] = _View(exact, fact, _Falling(fact), tuple(by_total), rows, scale, {})
+        sums = _margin_transfer(W, N, fact, by_total)
+        by_total = [sums.get(((t,), (t,)), 0) for t in range(N + 1)]
+    scale = fact[N] ** 2 * D**N
+    view = views[N] = _View(exact, W, N, fact, _Falling(fact), tuple(by_total), scale, {})
     return view
+
+
+def _margin_transfer(W: list, N: int, fact: tuple, by_total: Sequence) -> dict:
+    """{(r, c): S[r][c]}, S[r][c] = sum of by_total[t] N!/A! W^A over the
+    d x d kernels A of total t <= N with row sums r and column sums c, on
+    ints, built entry by entry of A without listing a kernel.
+
+    As N!/A! = (N!/t!) multinomial(t; A), a state, keyed by the row sums
+    so far (the last one still open) and the column sums, holds the sum
+    of multinomial(t; A) W^A over the partial kernels that reach it.
+    Setting entry (i, j) to a multiplies a state of total t by
+    W_ij^a C(t + a, a), which p = p W_ij (t + a) // a builds one a at a
+    time, each division exact; an entry with W_ij = 0 can only be 0 and
+    leaves the states as they are.  The finished states are scaled by
+    by_total[t] N!/t!.  At d = 1 the states are the totals t, and S[t][t]
+    is the term of Griffiths' Krawtchouk 2F1.
+    """
+    d = len(W)
+    states = {((), (0,) * d): 1}
+    for Wi in W:
+        states = {(rows + (0,), cols): v for (rows, cols), v in states.items()}
+        for j, w in enumerate(Wi):
+            if not w:
+                continue
+            grown = dict(states)  # every state with entry (i, j) = 0
+            for (rows, cols), p in states.items():
+                t = sum(cols)
+                head, s = rows[:-1], rows[-1]
+                left, c, right = cols[:j], cols[j], cols[j + 1 :]
+                for a in range(1, N - t + 1):
+                    p = p * w * (t + a) // a
+                    key = head + (s + a,), left + (c + a,) + right
+                    grown[key] = grown.get(key, 0) + p
+            states = grown
+    top = fact[N]
+    sums = {}
+    for key, v in states.items():
+        t = sum(key[1])
+        sums[key] = by_total[t] * (top // fact[t]) * v
+    return sums
 
 
 def eval_hypergeometric(
@@ -206,18 +252,18 @@ def eval_hypergeometric(
     by_total = view.by_total
 
     acc = 0
-    if view.rows is None:  # exact d = 1: one integer term per total
+    if d == 1 and view.exact:  # one integer term per total
         (col,), (row,) = col_falls, row_falls
         for ker in kernels:
             t = ker.total
             acc += col[t] * row[t] * by_total[t]
         return Fraction(acc, view.scale)
-    top = view.fact[N]
+    rows, top = view.rows, view.fact[N]
     try:  # only floats overflow; ints and Fractions have no range
         for ker in kernels:
             term = by_total[ker.total]
             cells = 1
-            for row, r, powers, falls in zip(ker.entries, ker.row_sums, view.rows, row_falls):
+            for row, r, powers, falls in zip(ker.entries, ker.row_sums, rows, row_falls):
                 w, f = powers[row]
                 term *= w * falls[r]
                 cells *= f
@@ -295,23 +341,12 @@ class PolynomialTable:
 
 def _margin_sums(kappa: ParameterSet, N: int, index: dict) -> list:
     """S[r][c] = sum of (-1)^t D^(N-t) (N-t)! N!/A! W^A over the kernels A
-    with row sums r and column sums c (see `table`), on ints, as
-    by_col[c] = [(r, S[r][c]), ...] over layout indices."""
-    d = kappa.d
+    with row sums r and column sums c (see `table`), on ints, by one
+    `_margin_transfer`, as by_col[c] = [(r, S[r][c]), ...] over layout
+    indices."""
     view = _integer_view(kappa, N)
-    by_total, top = view.by_total, view.fact[N]
-    sums: dict = {}
-    for ker in enumerate_kernels(d, N, (N,) * d, (N,) * d, view.memo):
-        term = by_total[ker.total]
-        cells = 1
-        for row, powers in zip(ker.entries, view.rows):
-            w, f = powers[row]
-            term *= w
-            cells *= f
-        key = ker.row_sums, ker.col_sums
-        sums[key] = sums.get(key, 0) + term * (top // cells)
     by_col = [[] for _ in index]
-    for (r, c), s in sums.items():
+    for (r, c), s in _margin_transfer(view.W, N, view.fact, view.by_total).items():
         by_col[index[c]].append((index[r], s))
     return by_col
 
@@ -357,10 +392,11 @@ def table(kappa: ParameterSet, N: int) -> PolynomialTable:
     with K' depending on (kappa, N) alone and block-diagonal in
     t = |r| = |c|: the multivariable form of the Mizukawa-Tanaka sum,
     whose d = 1 case is Griffiths' Krawtchouk 2F1.  The table then
-    (1) enumerates every kernel of total <= N once, in one
-    `enumerate_kernels` call; (2) sums the integers
-    S[r][c] = N!^2 D^N K'[r][c] on the integer view of `_integer_view`
-    (`_margin_sums`); and (3) contracts T = F S^T F^T on ints, with
+    (1) sums the integers S[r][c] = N!^2 D^N K'[r][c] on the integer
+    view of `_integer_view` by one transfer over the entries of the
+    kernels of total <= N, which lists no kernel and makes neither the
+    view's row factors nor its kernel lists (`_margin_transfer`,
+    `_margin_sums`); and (2) contracts T = F S^T F^T on ints, with
     F[v][c] = fall(v, c) for each c <= v generated under v, not
     filtered from the lattice, and makes one Fraction(T, N!^2 D^N) per
     entry (`_margin_table`).  Nothing of it is kept after the call.
@@ -371,10 +407,11 @@ def table(kappa: ParameterSet, N: int) -> PolynomialTable:
     because another float summation order would change the bytes of
     their tables and reports.  And d = 1, where each margin class is a
     single kernel, its total t, so the per-entry sum already is the
-    contraction: an exact entry adds one integer of the view per t times
-    two falling factorials, over the row-vector list of its kernels
-    0..min(m, mt), one list per value of min(m, mt) (the benchmark's
-    traced counts pin its per-entry sums).
+    contraction: an exact entry adds the view's term c[t], the diagonal
+    of the same transfer, times two falling factorials, over the
+    kernels 0..min(m, mt), one list of them per value of min(m, mt),
+    shared by the entries (the benchmark's traced counts pin its
+    per-entry sums).
     """
     points = tuple(enumerate_lattice(kappa.d, N))
     if kappa.d > 1 and kappa.kernel_form[0]:

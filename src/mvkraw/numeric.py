@@ -76,17 +76,40 @@ def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
     return value
 
 
+# `str` writes an int of at most this many digits whatever digit limit
+# the interpreter is set to
+_CHUNK_DIGITS = sys.int_info.str_digits_check_threshold
+
+
+def _digits(n: int) -> str:
+    """The decimal digits of n, written in chunks of `_CHUNK_DIGITS`, so
+    that an int past the digit limit of `str` is written too."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunk, parts = 10**_CHUNK_DIGITS, []
+    while n >= chunk:
+        n, low = divmod(n, chunk)
+        parts.append(str(low).zfill(_CHUNK_DIGITS))
+    parts.append(str(n))
+    return sign + "".join(reversed(parts))
+
+
 def format_scalar(x: Scalar) -> str:
     """Canonical string form: lowest-terms "a/b" (or "a") exactly, 17
-    significant digits in floating mode."""
+    significant digits in floating mode.  An exact value is written
+    whatever its size: parts past the digit limit that `str` puts on an
+    int are written in chunks (`_digits`)."""
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+    try:
+        if isinstance(x, int):
+            return str(x)
+        if isinstance(x, Fraction):
+            if x.denominator == 1:
+                return str(x.numerator)
+            return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # a part past the digit limit of `str`
+        num, den = x.numerator, x.denominator
+        return _digits(num) if den == 1 else f"{_digits(num)}/{_digits(den)}"
     if isinstance(x, float):
         return f"{x:.17g}"
     if isinstance(x, complex):
@@ -359,23 +382,27 @@ def enumerate_kernels(
     proportional to the matrices actually yielded.  Rows 0..d-3 are
     expanded a level at a time into one lex-ordered list of prefixes;
     the last two rows are generated per prefix, so the list holds
-    (d-2)-row prefixes only.  At d = 1 a kernel is one row, and each
-    comes straight from the row-vector list with no prefix.  Each
-    row-vector list is made once per ``memo`` (`_row_vectors`): the
-    kernel sums pass the one that `hyperg._integer_view` keeps per set
-    instance and N, so the entries of a table share their lists and no
-    list outlives its set.  None means a fresh dict for this call.
+    (d-2)-row prefixes only.  Each row-vector list is made once per
+    ``memo`` (`_row_vectors`).  At d = 1 a kernel is its total t, and
+    the kernels 0..top, top = min(row cap, column cap, degree), are one
+    list of `KernelMatrix` per top in ``memo``, yielded as they are.
+    The kernel sums pass the memo that `hyperg._integer_view` keeps per
+    set instance and N, so the entries of a table share their lists and
+    no list outlives its set.  None means a fresh dict for this call.
     """
     if len(row_caps) != d or len(col_caps) != d:
         raise ValueError("need one cap per row and per column")
     if min(row_caps) < 0 or min(col_caps) < 0:
         raise ValueError("caps must be nonnegative")
-    col_caps = tuple(min(c, degree) for c in col_caps)
     memo = {} if memo is None else memo
-    if d == 1:
-        for row, s in _row_vectors(col_caps, min(row_caps[0], degree), memo):
-            yield KernelMatrix((row,), (s,), row, s)
+    if d == 1:  # the kernels 0..top, one list per top
+        top = min(row_caps[0], col_caps[0], degree)
+        kernels = memo.get(top)
+        if kernels is None:
+            kernels = memo[top] = [KernelMatrix(((t,),), (t,), (t,), t) for t in range(top + 1)]
+        yield from kernels
         return
+    col_caps = tuple(min(c, degree) for c in col_caps)
 
     def grow(prefixes, cap: int) -> Iterator[tuple]:
         # each prefix (rows, row sums, column caps left, total) with one more row

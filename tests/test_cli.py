@@ -4,6 +4,7 @@ import argparse
 import inspect
 import io
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -463,6 +464,28 @@ class TestTableFlow:
             "error: malformed table value: "
             "exponent past +-4300 in decimal literal '1e999999999'\n"
         )
+
+    def test_table_entry_past_the_str_digit_limit_is_reported(self, capsys, milch2_file, tmp_path):
+        # "1e4300" is inside the exponent bound, but it and the residuals
+        # it makes have more digits than `str` writes for an int: the
+        # report is still written, each record on a line through the
+        # entry (row 1 on the rows side, column 2 on the columns side)
+        tab_path = tmp_path / "table.json"
+        run(capsys, "table", "--kappa", milch2_file, "--N", "2", "--output", str(tab_path))
+        obj = json.loads(tab_path.read_text())
+        obj["values"][1][2] = "1e4300"
+        tab_path.write_text(json.dumps(obj))
+        argv = ("check", "--table", str(tab_path), "--suite", "orthogonality")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        (report,) = json.loads(out)["reports"]
+        assert not report["pass"] and report["failures"]
+        points = [list(n) for n in enumerate_lattice(2, 2)]
+        line = {"rows": points[1], "columns": points[2]}
+        for f in report["failures"]:
+            assert line[f["side"]] in f["pair"], f
+            assert re.fullmatch(r"-?[0-9]+(/[0-9]+)?", f["residual"])
+        assert max(len(f["residual"]) for f in report["failures"]) > 4300
 
     @staticmethod
     def _check_with_entry(capsys, milch2_file, tmp_path, mode, entry):

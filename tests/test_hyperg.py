@@ -213,18 +213,23 @@ class TestTable:
         assert len(calls) <= 2, calls[:4]
 
     def test_kernel_row_memo_belongs_to_the_set_view(self):
-        # the row-vector lists of the kernel sums are kept in the view of
-        # one set instance and N, not in a module: a second table of the
-        # same instance makes no new list, and a new instance of the same
-        # set starts with none
+        # the kernel lists of the per-entry sums are kept in the view of
+        # one set instance and N, not in a module: an exact d >= 2 table
+        # takes the margin transfer and fills neither the memo nor the
+        # row factors, `eval` fills both, a second call of the same
+        # instance makes no new list, and a new instance of the same set
+        # starts with none
         k = kappa.family_milch([F(1, 2), F(1, 4), F(1, 8), F(1, 8)])
         N = 3
-        memo = hyperg._integer_view(k, N).memo
+        view = hyperg._integer_view(k, N)
+        memo = view.memo
         assert memo == {}
-        first = hyperg.table(k, N)
+        hyperg.table(k, N)
+        assert memo == {} and "rows" not in vars(view)
+        first = hyperg.eval_hypergeometric(k, N, (1, 1, 1), (0, 2, 1))
         keys = set(memo)
-        assert keys
-        assert hyperg.table(k, N).values == first.values
+        assert keys and "rows" in vars(view)
+        assert hyperg.eval_hypergeometric(k, N, (1, 1, 1), (0, 2, 1)) == first
         assert set(memo) == keys
         fresh = kappa.family_milch([F(1, 2), F(1, 4), F(1, 8), F(1, 8)])
         assert fresh == k and fresh is not k
@@ -291,12 +296,12 @@ weight = st.fractions(min_value=F(1, 30), max_value=1, max_denominator=30)
 
 
 @st.composite
-def exact_sets(draw):
-    """(set, N): Griffiths on random weights (d <= 4), Hoare-Rahman on a
-    random quadruple, Milch on random weights, or DS at q = 2 with
-    d = 2, 3; N <= 4, and N <= 3 at d = 4 to keep the reference sums
-    cheap."""
-    family = draw(st.sampled_from(["griffiths", "hoare-rahman", "milch", "ds"]))
+def exact_sets(draw, families=("griffiths", "hoare-rahman", "milch", "ds"), min_d=2, max_d=4, max_N=4):
+    """(set, N) of one of `families`: Griffiths on random weights
+    (min_d <= d <= max_d), Hoare-Rahman on a random quadruple, Milch on
+    random weights (as Griffiths), or DS at q = 2 with d = 2, 3;
+    N <= max_N, and N <= 3 at d = 4 to keep the reference sums cheap."""
+    family = draw(st.sampled_from(families))
     if family == "hoare-rahman":
         try:
             k = kappa.family_hoare_rahman(*(draw(weight) for _ in range(4)))
@@ -305,10 +310,10 @@ def exact_sets(draw):
     elif family == "ds":
         k = kappa.family_ds(F(2), draw(st.integers(2, 3)))
     else:
-        parts = [draw(weight) for _ in range(draw(st.integers(2, 4)) + 1)]
+        parts = [draw(weight) for _ in range(draw(st.integers(min_d, max_d)) + 1)]
         p = [x / sum(parts) for x in parts]
         k = kappa.griffiths_from_p(p) if family == "griffiths" else kappa.family_milch(p)
-    return k, draw(st.integers(0, 3 if k.d == 4 else 4))
+    return k, draw(st.integers(0, 3 if k.d == 4 else max_N))
 
 
 @st.composite
@@ -395,6 +400,72 @@ class TestMarginTable:
         assert not orthogonality.passed
         for f in orthogonality.failures:
             assert any(x in lines[f["side"]] for x in f["pair"]), f
+
+
+def enumerated_margin_sums(k, N, by_total):
+    """{(r, c): S[r][c]} by listing every kernel A of total t <= N and
+    adding by_total[t] N!/A! W^A at its margins: the reference of the
+    margin transfer, with no zero sums kept."""
+    W = k.kernel_form[1]
+    sums = {}
+    for ker in numeric.enumerate_kernels(k.d, N, (N,) * k.d, (N,) * k.d):
+        cells = [(a, w) for row, Wi in zip(ker.entries, W) for a, w in zip(row, Wi)]
+        term = by_total[ker.total] * math.factorial(N)
+        term //= math.prod(math.factorial(a) for a, _ in cells)
+        term *= math.prod(w**a for a, w in cells)
+        key = ker.row_sums, ker.col_sums
+        sums[key] = sums.get(key, 0) + term
+    return {key: s for key, s in sums.items() if s}
+
+
+class TestMarginTransfer:
+    """The margin sums S built entry by entry of the kernels, against the
+    kernels listed one by one, and the d = 1 terms read off them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(exact_sets(("griffiths", "hoare-rahman", "milch"), min_d=1, max_d=3, max_N=6))
+    def test_equals_the_enumerated_sums(self, case):
+        k, N = case
+        D = k.kernel_form[2]
+        by_total = [(-1) ** t * D ** (N - t) * math.factorial(N - t) for t in range(N + 1)]
+        fact = tuple(math.factorial(x) for x in range(N + 1))
+        got = hyperg._margin_transfer(k.kernel_form[1], N, fact, by_total)
+        assert {key: s for key, s in got.items() if s} == enumerated_margin_sums(k, N, by_total)
+
+    @settings(max_examples=30, deadline=None)
+    @given(d1_sets())
+    def test_d1_terms_equal_the_ratio_recurrence(self, case):
+        # c[0] = N!^2 D^N and c[t+1] = -c[t] W / (D (N-t) (t+1))
+        k, N = case
+        _, ((w,),), D, _ = k.kernel_form
+        want = [math.factorial(N) ** 2 * D**N]
+        for t in range(N):
+            want.append(-want[-1] * w // (D * (N - t) * (t + 1)))
+        assert list(hyperg._integer_view(k, N).by_total) == want
+
+    def test_d1_kernel_lists_are_shared_by_a_tables_entries(self, monkeypatch):
+        # the 441 entries of a d = 1 table at N = 20 are served, for each
+        # top = min(m, mt), the one list that the view's memo keeps, the
+        # same KernelMatrix objects every time, and that list is the one
+        # a fresh memo makes
+        k, N = kappa.family_ds(F(3), 1), 20
+        served = {}
+        original = hyperg.enumerate_kernels
+
+        def recording(d, degree, row_caps, col_caps, memo=None):
+            kernels = list(original(d, degree, row_caps, col_caps, memo))
+            served.setdefault(min(row_caps[0], col_caps[0]), []).append(kernels)
+            yield from kernels
+
+        monkeypatch.setattr(hyperg, "enumerate_kernels", recording)
+        hyperg.table(k, N)
+        memo = hyperg._integer_view(k, N).memo
+        assert sorted(served) == sorted(memo) == list(range(N + 1))
+        for top, calls in served.items():
+            assert len(calls) == 2 * (N - top) + 1
+            assert all(x is y for kernels in calls for x, y in zip(kernels, memo[top]))
+            assert all(len(kernels) == top + 1 for kernels in calls)
+            assert memo[top] == list(original(1, N, (top,), (top,)))
 
 
 class TestOrthogonality:
@@ -645,18 +716,17 @@ class TestDuality:
     def test_full_check_sums_each_kernel_once_and_expands_per_column(
         self, monkeypatch
     ):
-        # the exact d = 2 table of the run is one enumeration of every
-        # kernel of total <= N, with no per-entry sum; duality and
-        # threeway each expand the generating function once per column
+        # the exact d = 2 table of the run sums every kernel of total
+        # <= N once, by the margin transfer, with no kernel enumeration
+        # and no per-entry sum; duality and threeway each expand the
+        # generating function once per column
         k = kappa.family_hoare_rahman(1, 2, 3, 4)
         N = 2
         L = len(list(enumerate_lattice(k.d, N)))
         calls = count_work(monkeypatch)
         reports = verify.run_suites(verify.SUITES, k, N)
         assert all(r.passed for r in reports)
-        kernels = math.comb(N + k.d**2, k.d**2)
-        assert kernels == 15
-        assert calls == {"sums": 0, "enumerations": 1, "kernels": kernels, "expansions": 2 * L}
+        assert calls == {"sums": 0, "enumerations": 0, "kernels": 0, "expansions": 2 * L}
 
     @pytest.mark.parametrize(
         "k,N,tol",
