@@ -47,11 +47,13 @@ class ForbiddenFamilyError(ValueError):
     """A family builder refused its parameters."""
 
 
-def _parse_scalar_list(text: str, mode: str) -> list[Scalar]:
+def _parse_scalar_list(flag: str, text: str, mode: str) -> list[Scalar]:
     try:
         return [parse_scalar(part, mode) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad scalar list {text!r}: {exc}") from exc
+    except OverflowError as exc:
+        raise OverflowError(f"the list {flag} {text}: {exc}") from None
 
 
 def _parse_int_list(text: str) -> tuple:
@@ -201,7 +203,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.verb == "params-griffiths":
-        p = _parse_scalar_list(args.p, mode)
+        p = _parse_scalar_list("--p", args.p, mode)
         kap = _build_family(
             kappa_mod.griffiths_from_p, p, tol if mode == APPROX else None
         )
@@ -212,19 +214,19 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.family == "hoare-rahman":
             if not args.params:
                 raise UsageError("hoare-rahman needs --params a,b,c,e")
-            vals = _parse_scalar_list(args.params, mode)
+            vals = _parse_scalar_list("--params", args.params, mode)
             if len(vals) != 4:
                 raise UsageError("hoare-rahman takes exactly four parameters")
             kap = _build_family(kappa_mod.family_hoare_rahman, *vals)
         elif args.family == "milch":
             if not args.p:
                 raise UsageError("milch needs --p weight list")
-            p = _parse_scalar_list(args.p, mode)
+            p = _parse_scalar_list("--p", args.p, mode)
             kap = _build_family(kappa_mod.family_milch, p)
         else:
             if args.q is None or args.d is None:
                 raise UsageError("ds needs --q and --d")
-            q = _parse_scalar_list(args.q, mode)
+            q = _parse_scalar_list("--q", args.q, mode)
             if len(q) != 1:
                 raise UsageError("ds takes exactly one --q")
             kap = _build_family(kappa_mod.family_ds, q[0], args.d)

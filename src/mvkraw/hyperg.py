@@ -15,24 +15,24 @@ and only the kernel sum is independent of it.  All routes take the
 reduced degree vectors m, mt (length d, with the 0-th coordinates
 N - |m|, N - |mt| implied) and agree exactly.
 
-The kernel sum runs on integers: omega is scaled to W/D once per set
-instance, and the view of each N, with the factorials and powers that
-depend on nothing else, is kept on the instance
-(`ParameterSet.kernel_form`), so an entry never hashes or compares the
-set.  The view also holds the memo of kernel lists
-(`numeric.enumerate_kernels`), which goes with the set instance, not
-with a module.  Each value is then one division, one Fraction, at the
-end; floats take the same loop.
+The kernel sum runs on integers: omega = 1 - u is read as W/D off the
+set's integer view (`ParameterSet.integer_view`), u = U/D giving
+W = D - U, and the view of each N, with the factorials and powers that
+depend on nothing else, is kept with it on the instance, so an entry
+never hashes or compares the set.  The view also holds the memo of
+kernel lists (`numeric.enumerate_kernels`), which goes with the set
+instance, not with a module.  Each value is then one division, one
+Fraction, at the end; floats take the same loop.
 
 Tables hold P over the full degree-N lattice in graded-lex order, rows
-indexed by the first argument.  Their form is chosen by (exact, d): an
-exact set with d >= 2 sums every kernel into an integer matrix S over
-the kernel margins, by one transfer over the entries of the kernels
-that lists none of them, and contracts it with the falling factorials,
-F S^T F^T; approx sets and d = 1 take one `eval_hypergeometric` per
-entry, an exact d = 1 entry on the terms that the same transfer gives
-(see `table`).  A table keeps one integer view of itself, every
-row and column scaled to integers on first use
+indexed by the first argument.  Their form is chosen by d and the
+integer view's exact flag: an exact set with d >= 2 sums every kernel
+into an integer matrix S over the kernel margins, by one transfer over
+the entries of the kernels that lists none of them, and contracts it
+with the falling factorials, F S^T F^T; approx sets and d = 1 take one
+`eval_hypergeometric` per entry, an exact d = 1 entry on the terms that
+the same transfer gives (see `table`).  A table keeps one integer view
+of itself, every row and column scaled to integers on first use
 (`PolynomialTable.integer_view`), which the table checks of a run
 share.  On top of tables sit the two-sided orthogonality check
 (weighted columns and weighted rows both come out diagonal with
@@ -68,7 +68,6 @@ from .numeric import (
     expand_forms,
     format_scalar,
     gram_misses,
-    is_exact,
     multi_factorial,
     multinomial,
     multinomial_weights,
@@ -119,9 +118,9 @@ class _Falling(dict):
 @dataclass(frozen=True, eq=False)
 class _View:
     """The term factors of the kernel sums that depend only on (kappa, N),
-    with omega = W/D taken from `ParameterSet.kernel_form`."""
+    with omega = W/D read off `ParameterSet.integer_view`."""
 
-    exact: bool  # whether the set is exact
+    exact: bool  # the integer view's flag
     W: list  # the rows of omega, on ints for an exact set
     N: int
     fact: tuple  # k! for k = 0..N
@@ -152,10 +151,12 @@ class _View:
 
 def _integer_view(kappa: ParameterSet, N: int) -> _View:
     """The `_View` of (kappa, N), built once per set instance and N and
-    kept in the views of `ParameterSet.kernel_form`, so finding it
-    hashes nothing.  Its memo is filled as the per-entry sums run, so
-    the entries of a table share the kernel lists and none outlives the
-    set instance; its row factors are made by the first such sum.
+    kept in the views of `ParameterSet.integer_view`, so finding it
+    hashes nothing.  omega = 1 - u[i][j], i, j >= 1, is W/D, W = D - U
+    on the view's u = U/D (1 - u[i][j] with D = 1 for floats).  Its memo
+    is filled as the per-entry sums run, so the entries of a table share
+    the kernel lists and none outlives the set instance; its row factors
+    are made by the first such sum.
 
     An exact set with d = 1 has one kernel per total t, so by_total
     holds its whole term c[t] = (-1)^t D^(N-t) (N-t)! N!/t! W^t, read
@@ -164,9 +165,10 @@ def _integer_view(kappa: ParameterSet, N: int) -> _View:
     at every d, so their float terms are formed in one order whatever d
     is.
     """
-    exact, W, D, views = kappa.kernel_form
+    exact, _, _, _, (u, D), views = kappa.integer_view
     if N in views:
         return views[N]
+    W = [[D - x for x in row[1:]] for row in u[1:]]
     fact = tuple(accumulate(range(1, N + 1), mul, initial=1))
     by_total = [(-1) ** t * D ** (N - t) * fact[N - t] for t in range(N + 1)]
     if exact and kappa.d == 1:
@@ -331,7 +333,7 @@ class PolynomialTable:
         """(rows, columns): every row and every column of the table as
         (ints, S) with line = ints / S (`numeric.clear_denominators`; a
         float line is kept as it is, with S = 1).  Made on first use and
-        kept on the instance, like `ParameterSet.kernel_form`, so the
+        kept on the instance, like `ParameterSet.integer_view`, so the
         checks of a run share one scaling of each line."""
         return (
             tuple(clear_denominators(row) for row in self.values),
@@ -414,7 +416,7 @@ def table(kappa: ParameterSet, N: int) -> PolynomialTable:
     per-entry sums).
     """
     points = tuple(enumerate_lattice(kappa.d, N))
-    if kappa.d > 1 and kappa.kernel_form[0]:
+    if kappa.d > 1 and kappa.integer_view[0]:
         values = _margin_table(kappa, N, points)
     else:
         values = tuple(
@@ -451,11 +453,19 @@ def table_from_json_dict(obj: dict, mode: str = EXACT, tol: Scalar = 0) -> Polyn
     if len(raw) != size or any(len(r) != size for r in raw):
         raise ValueError("table dimensions do not match the lattice")
     points = tuple(enumerate_lattice(kap.d, N))
-    try:
-        values = tuple(tuple(parse_scalar(str(x), mode) for x in row) for row in raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed table value: {exc}") from exc
-    return PolynomialTable(kap, N, points, values)
+    values = []
+    for n, row in zip(points, raw):
+        line = []
+        for nt, x in zip(points, row):
+            try:
+                line.append(parse_scalar(str(x), mode))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"malformed table value: {exc}") from exc
+            except OverflowError as exc:  # an approx entry past the float range
+                where = f"row {list(n)}, column {list(nt)}"
+                raise OverflowError(f"the table entry {str(x)!r} at {where}: {exc}") from None
+        values.append(tuple(line))
+    return PolynomialTable(kap, N, points, tuple(values))
 
 
 def check_orthogonality(
@@ -489,12 +499,12 @@ def check_orthogonality(
     points = tab.points
     nu_pow = exactify(kappa.nu) ** N
     nfact = math.factorial(N)
-    exact = all(map(is_exact, (kappa.nu, *kappa.p, *kappa.pt)))
+    exact = kappa.integer_view[0]
     failures = []
     max_resid = 0
 
     rows, columns = tab.integer_view
-    wt, wp = (multinomial_weights(w, N, points) for w in (kappa.pt, kappa.p))
+    wt, wp = (multinomial_weights(kappa.integer_view[k], N, points) for k in (3, 2))
     sides = []
     for side, lines, weights, (other, oscale), other_w in (
         ("columns", columns, wt, wp, kappa.p),

@@ -9,10 +9,12 @@ and column all ones, subject to the defining matrix identity
 
 ``validate`` is the single point where these conditions are checked;
 everything downstream treats a ParameterSet as sealed and never
-re-checks.  Three explicit families plus a Gram-Schmidt construction
-from a bare weight vector produce valid sets, and the bispectral
-involution swaps the two weight vectors while transposing the mixing
-matrix.
+re-checks.  A set keeps one scaled form of itself, its integer view
+(`ParameterSet.integer_view`), with the one flag that says whether it is
+exact; the kernel sums, closed forms and checks read both.  Three
+explicit families plus a Gram-Schmidt construction from a bare weight
+vector produce valid sets, and the bispectral involution swaps the two
+weight vectors while transposing the mixing matrix.
 """
 
 from __future__ import annotations
@@ -47,43 +49,24 @@ class ParameterSet:
     u: tuple  # (d+1) x (d+1), tuple of row-tuples
 
     @functools.cached_property
-    def kernel_form(self) -> tuple:
-        """(exact, W, D, views) for the kernel sums: whether the set is
-        exact, omega = W/D with integer rows W and D the lcm of omega's
-        denominators (W = omega and D = 1 when an entry is a float), and
-        {N: view} of `hyperg._integer_view`.  Made on first use and kept
-        on the instance, not as a field, so ==, hash and the wire form
-        never see it, and an approx set and its equal exact twin never
-        share it."""
-        exact = all(is_exact(x) for row in self.u for x in row)
-        W, D = linalg.integer_rows(omega(self))
-        return exact, W, D, {}
-
-    @functools.cached_property
-    def pt_ratios(self) -> tuple:
-        """(Q, S) with pt_r / pt_c = Q[r][c] / S, Q on integer rows over
-        one scale (`linalg.integer_rows`; floats keep pt_r / pt_c with
-        S = 1): the weights by which the antiautomorphism
-        (`liemod.antiauto`) scales a transpose.  Made on first use and
-        kept on the instance, like `kernel_form`."""
-        return linalg.integer_rows([[exactify(a) / b for b in self.pt] for a in self.pt])
-
-    @functools.cached_property
     def integer_view(self) -> tuple:
-        """(exact, nu, p, pt, u), each value as (ints, D) with the value
-        ints / D: nu as a one-entry list, p and pt over the lcm of their
-        denominators (`numeric.clear_denominators`), u on integer rows
-        over one scale (`linalg.integer_rows`).  A set with a float
-        anywhere is not exact and keeps every value as it is, with
-        D = 1, so float arithmetic on the view is the plain arithmetic
-        of the set.  Made on first use and kept on the instance, like
-        `kernel_form`."""
+        """(exact, nu, p, pt, u, views), each value as (ints, D) with the
+        value ints / D: nu as a one-entry list, p and pt over the lcm of
+        their denominators (`numeric.clear_denominators`), u on integer
+        rows over one scale (`linalg.integer_rows`).  exact is the one
+        decision whether the set is exact: a set with a float anywhere
+        is not, and keeps every value as it is with D = 1, so float
+        arithmetic on the view is the plain arithmetic of the set.
+        views is {N: view} of `hyperg._integer_view`.  Kept on the
+        instance, not as a field, so ==, hash and the wire form never
+        see it, and an approx set and its equal exact twin never share
+        it."""
         values = (self.nu, *self.p, *self.pt, *(x for row in self.u for x in row))
         if all(map(is_exact, values)):
             nu, p, pt = (clear_denominators(v) for v in ((self.nu,), self.p, self.pt))
-            return True, nu, p, pt, linalg.integer_rows(self.u)
+            return True, nu, p, pt, linalg.integer_rows(self.u), {}
         rows = [list(row) for row in self.u]
-        return False, ([self.nu], 1), (list(self.p), 1), (list(self.pt), 1), (rows, 1)
+        return False, ([self.nu], 1), (list(self.p), 1), (list(self.pt), 1), (rows, 1), {}
 
 
 @dataclass(frozen=True)
@@ -133,9 +116,9 @@ def default_tol(*values: Scalar) -> Scalar:
 
 
 def tol_for(kappa: ParameterSet, tol: Scalar = 0) -> Scalar:
-    """The tolerance of a re-check on a sealed set: the run's tol, or
-    `default_tol` of the set's weights when that is 0."""
-    return tol or default_tol(kappa.nu, *kappa.p, *kappa.pt)
+    """The tolerance of a re-check on a sealed set: the run's tol, else 0
+    if the set's integer view calls it exact and `DEFAULT_EPS` if not."""
+    return tol or (0 if kappa.integer_view[0] else DEFAULT_EPS)
 
 
 def diagnose(
@@ -232,14 +215,6 @@ def involute(kappa: ParameterSet, tol: Scalar) -> ParameterSet:
     """
     tol = tol_for(kappa, tol)
     return validate(kappa.nu, kappa.pt, kappa.p, linalg.transpose(kappa.u), tol)
-
-
-def omega(kappa: ParameterSet) -> tuple:
-    """The d x d deviation matrix 1 - u[i][j], 1 <= i, j <= d."""
-    return tuple(
-        tuple(1 - kappa.u[i][j] for j in range(1, kappa.d + 1))
-        for i in range(1, kappa.d + 1)
-    )
 
 
 def griffiths_from_p(p: Sequence[Scalar], tol: Scalar | None = None) -> ParameterSet:
@@ -418,14 +393,21 @@ def to_json_dict(kappa: ParameterSet) -> dict:
 
 def from_json_dict(obj: dict, mode: str = EXACT, tol: Scalar = 0) -> ParameterSet:
     """Parse and re-validate the wire form."""
+
+    def scalar(field: str, x) -> Scalar:  # an approx value past the float range names its field
+        try:
+            return parse_scalar(str(x), mode)
+        except OverflowError as exc:
+            raise OverflowError(f"the parameter-set field {field} = {str(x)!r}: {exc}") from None
+
     try:
         d = obj["d"]
         if isinstance(d, bool) or not isinstance(d, int):
             raise TypeError(f"d must be an integer, got {d!r}")
-        nu = parse_scalar(str(obj["nu"]), mode)
-        p = [parse_scalar(str(x), mode) for x in obj["p"]]
-        pt = [parse_scalar(str(x), mode) for x in obj["pt"]]
-        u = [[parse_scalar(str(x), mode) for x in row] for row in obj["u"]]
+        nu = scalar("nu", obj["nu"])
+        p = [scalar(f"p[{j}]", x) for j, x in enumerate(obj["p"])]
+        pt = [scalar(f"pt[{j}]", x) for j, x in enumerate(obj["pt"])]
+        u = [[scalar(f"u[{i}][{j}]", x) for j, x in enumerate(r)] for i, r in enumerate(obj["u"])]
     except (KeyError, ValueError, ZeroDivisionError, TypeError) as exc:
         raise ValueError(f"malformed parameter-set object: {exc}") from exc
     if d != len(p) - 1:

@@ -10,14 +10,16 @@ it writes plain phi_i over the conjugated basis, the matrix whose
 derivation action is the i-th difference operator of `bispec`.  The
 lemma22 suite checks both closed forms against honest conjugation.  The
 antiautomorphism a(b) = Pt b^t Pt^{-1} fixes both Cartan bases and
-transports matrix units with explicit weight ratios; a is linear, so the
-lemma21 suite proves it involutive and product-reversing on the matrix
-units and their (d+1)^4 pairs, with no sampled matrices.  Both suites
-run on integers: the run's one conjugator keeps R and R^-1 on integer
-rows (`Conjugator.scaled`), the Cartan elements are (d+1) phi_i, each
-matrix is carried with its scale, and each identity is compared by
-`numeric.misses`, cross-multiplied, a Fraction made only for a miss;
-floats keep scale 1 and the plain products.
+transports matrix units with explicit weight ratios pt_r/pt_c, read off
+the set's integer view (`ParameterSet.integer_view`) as pt[r]/pt[c] on
+its ints; a is linear, so the lemma21 suite proves it involutive and
+product-reversing on the matrix units and their (d+1)^4 pairs, with no
+sampled matrices.  Both suites run on integers for a set that its
+integer view calls exact: the run's one conjugator keeps R and R^-1 on
+integer rows (`Conjugator.scaled`), the Cartan elements are
+(d+1) phi_i, each matrix is carried with its scale, and each identity
+is compared by `numeric.misses`, cross-multiplied, a Fraction made only
+for a miss; floats keep scale 1 and the plain products.
 
 Matrices act on homogeneous polynomials in x_0..x_d, each a plain dict
 {exponent: coefficient} with zeros left out (as `numeric.expand_forms`
@@ -66,7 +68,6 @@ from .numeric import (
     expand_forms,
     format_scalar,
     gram_misses,
-    is_exact,
     misses,
     multi_factorial,
     multinomial_weights,
@@ -154,7 +155,7 @@ def closed_form(view: tuple, i: int) -> Matrix:
     entry times d+1 over the scales of the view, and each entry is one
     Fraction at the end; a float view makes the plain products in the
     same order.  The data are not re-validated."""
-    exact, ([nu], Dn), (p, Dp), (pt, Dq), (u, Du) = view
+    exact, ([nu], Dn), (p, Dp), (pt, Dq), (u, Du), _ = view
     width = len(p)
     cols = range(width)
     if exact:  # nu pt_j u_ij^2 - 1 = (nu pt_j u_ij^2 - one) / one on the view's ints
@@ -186,9 +187,9 @@ def _over(entries: list, scale: int) -> Matrix:
 
 def _mirrored(view: tuple) -> tuple:
     """The integer view of the involuted set: p and pt swapped, u
-    transposed."""
-    exact, nu, p, pt, (u, Du) = view
-    return exact, nu, pt, p, ([list(col) for col in zip(*u)], Du)
+    transposed, and no kernel-sum views."""
+    exact, nu, p, pt, (u, Du), _ = view
+    return exact, nu, pt, p, ([list(col) for col in zip(*u)], Du), {}
 
 
 def mirror_closed_form(kappa: ParameterSet, i: int) -> Matrix:
@@ -222,13 +223,14 @@ def closed_forms(kappa: ParameterSet) -> ClosedForms:
 
 def antiauto(kappa: ParameterSet, beta: Matrix) -> Matrix:
     """a(b) = Pt b^t Pt^{-1}; with Pt diagonal this is the transpose of b
-    scaled entrywise by the weight ratios pt_r/pt_c = Q[r][c]/S, which
-    the set keeps on ints (`ParameterSet.pt_ratios`): one Fraction per
-    nonzero entry of an integer b, and a zero entry stays the int 0."""
-    Q, S = kappa.pt_ratios
+    scaled entrywise by the weight ratios pt_r/pt_c, read off the set's
+    integer view (`ParameterSet.integer_view`) as pt[r]/pt[c] on its
+    ints: one Fraction per nonzero entry of an integer b, and a zero
+    entry stays the int 0."""
+    pt = kappa.integer_view[3][0]
     return tuple(
-        tuple(ratio(q * x, S) if x else 0 for q, x in zip(ratios, col))
-        for ratios, col in zip(Q, zip(*beta))
+        tuple(ratio(pt[r] * x, pt[c]) if x else 0 for c, x in enumerate(col))
+        for r, col in enumerate(zip(*beta))
     )
 
 
@@ -238,7 +240,7 @@ def antiauto(kappa: ParameterSet, beta: Matrix) -> Matrix:
 
 
 def _cartan(d: int, exact: bool) -> list:
-    """phi_0..phi_d: (d+1) phi_i on ints over d+1 in an exact run, the
+    """phi_0..phi_d: (d+1) phi_i on ints over d+1 for an exact set, the
     Fraction matrices over 1 beside floats."""
     phis = (basis_phi(d, i) for i in range(d + 1))
     return [linalg.integer_rows(phi) if exact else (phi, 1) for phi in phis]
@@ -281,10 +283,10 @@ def check_lemma21(
     them (`_image`).  The Cartan elements, the units and their
     conjugates by the run's integer conjugator are on ints in an exact
     run, and the weight ratios of the transports are read off the set's
-    integer views (`ParameterSet.pt_ratios`, `ParameterSet.integer_view`),
-    so each identity is compared on ints.  Since e_ij e_kl = delta_jk
-    e_il, a pair needs no product on the left, and a(e_kl) a(e_ij) is
-    summed over the nonzero entries of the images."""
+    integer view (`ParameterSet.integer_view`), so each identity is
+    compared on ints.  Since e_ij e_kl = delta_jk e_il, a pair needs no
+    product on the left, and a(e_kl) a(e_ij) is summed over the nonzero
+    entries of the images."""
     d = kappa.d
     tol = tol_for(kappa, tol)
     failures = []
@@ -303,13 +305,12 @@ def check_lemma21(
     ints = iter(ints)
     images = {ij: {rc: next(ints) for rc in f} for ij, f in images.items()}
 
-    for i, phi in enumerate(_cartan(d, tol == 0)):
+    exact, _, (p, _), (pt, _), _, _ = kappa.integer_view
+    for i, phi in enumerate(_cartan(d, exact)):
         _expect(failures, tol, f"a(phi_{i}) = phi_{i}", _image(images, S, phi), phi)
         dphi = conj.conjugate(phi)
         tag = f"a(dual_phi_{i}) = dual_phi_{i}"
         _expect(failures, tol, tag, _image(images, S, dphi), dphi)
-    Q, Sq = kappa.pt_ratios  # pt_j / pt_i = Q[j][i] / Sq
-    P = kappa.integer_view[2][0]  # p_j / p_i = P[j] / P[i]
     duals = {(i, j): conj.conjugate(e) for (i, j), e in units.items() if i != j}
     for (i, j), e in units.items():
         image = _image(images, S, e)
@@ -319,7 +320,7 @@ def check_lemma21(
                 tol,
                 f"a(e_{i}{j}) = (pt_{j}/pt_{i}) e_{j}{i}",
                 image,
-                (linalg.mat_scale(Q[j][i], units[j, i][0]), Sq),
+                (linalg.mat_scale(pt[j], units[j, i][0]), pt[i]),
             )
             dual, scale = duals[j, i]
             _expect(
@@ -327,7 +328,7 @@ def check_lemma21(
                 tol,
                 f"a(dual_e_{i}{j}) = (p_{j}/p_{i}) dual_e_{j}{i}",
                 _image(images, S, duals[i, j]),
-                (linalg.mat_scale(P[j], dual), P[i] * scale),
+                (linalg.mat_scale(p[j], dual), p[i] * scale),
             )
         tag = f"a(a(e_{i}{j})) = e_{i}{j}"
         _expect(failures, tol, tag, _image(images, S, image), e)
@@ -362,7 +363,7 @@ def check_generation(
     tol = tol_for(kappa, tol)
     failures = []
 
-    phis = _cartan(d, tol == 0)
+    phis = _cartan(d, kappa.integer_view[0])
     dphis = [conj.conjugate(phi) for phi in phis]
     for i, dphi in enumerate(dphis):
         _expect(failures, tol, f"dual_phi_{i} closed form", dphi, (forms.closed[i], 1))
@@ -517,7 +518,7 @@ def pairing_weight(kappa: ParameterSet, N: int, n: MultiIndex) -> Scalar:
     reciprocal of the multinomial weight N! pt^n/n! that `transition`
     and `orthogonality` read on ints (`numeric.multinomial_weights`)."""
     den = power_product(kappa.pt, n) * math.factorial(N)
-    if all(map(is_exact, kappa.pt)):
+    if kappa.integer_view[0]:
         return Fraction(multi_factorial(n), den)
     return multi_factorial(n) / den
 
@@ -745,7 +746,7 @@ def check_transition(
     (`_expands_to`); a Fraction is built only for a miss.
     """
     points = tab.points
-    pt_w, p_w = (multinomial_weights(w, N, points) for w in (kappa.pt, kappa.p))
+    pt_w, p_w = (multinomial_weights(kappa.integer_view[k], N, points) for k in (3, 2))
     table_rows, table_columns = tab.integer_view
     rows, D = X
     failures = []

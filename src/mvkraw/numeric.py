@@ -242,13 +242,14 @@ def weight_over_factorial(weights: Sequence[Scalar], lam: Sequence[int]) -> Scal
     return power / multi_factorial(lam)
 
 
-def multinomial_weights(w: Sequence[Scalar], N: int, points: Sequence) -> tuple:
+def multinomial_weights(w: tuple, N: int, points: Sequence) -> tuple:
     """(ints, S) with N! w^n / n! = ints[k] / S at the k-th point n of
-    `points`, each of degree N: for w = W/D on ints, multinomial(N, n)
-    W^n over S = D^N.  Float weights are N! (w^n / n!), with S = 1."""
-    if not all(map(is_exact, w)):
-        return [math.factorial(N) * weight_over_factorial(w, n) for n in points], 1
-    W, D = clear_denominators(w)
+    `points`, each of degree N, for w = W/D as a set's integer view
+    holds it, (W, D): multinomial(N, n) W^n over S = D^N.  Float
+    weights, with D = 1, are N! (W^n / n!), with S = 1."""
+    W, D = w
+    if not all(map(is_exact, W)):
+        return [math.factorial(N) * weight_over_factorial(W, n) for n in points], 1
     return [multinomial(N, n) * power_product(W, n) for n in points], D**N
 
 

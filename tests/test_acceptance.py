@@ -304,7 +304,7 @@ def test_criterion_09_d1_closed_form(capsys):
     ]
     for p in weights:
         k = kappa.family_milch(p)
-        om = kappa.omega(k)[0][0]
+        om = 1 - k.u[1][1]
         for N in range(1, 7):
             for mt in range(N + 1):
                 val = hyperg.eval_hypergeometric(k, N, (1,), (mt,))

@@ -844,6 +844,57 @@ class TestInternalErrors:
             "at N = 2000 leave the float range"
         )
 
+    def test_approx_table_entry_past_the_float_range_is_located(
+        self, capsys, milch2_file, tmp_path
+    ):
+        # "1e4300" is a valid exact entry, but no float: approx mode exits
+        # 5 naming the entry and its row and column lattice points
+        tab_path = tmp_path / "table.json"
+        run(capsys, "table", "--kappa", milch2_file, "--N", "2", "--output", str(tab_path))
+        obj = json.loads(tab_path.read_text())
+        obj["values"][1][2] = "1e4300"
+        tab_path.write_text(json.dumps(obj))
+        argv = ("check", "--table", str(tab_path), "--suite", "orthogonality")
+        code, out, err = run(capsys, "--mode", "approx", *argv)
+        assert (code, out) == (5, "")
+        points = [list(n) for n in enumerate_lattice(2, 2)]
+        assert err.startswith(
+            f"error: the table entry '1e4300' at row {points[1]}, column {points[2]}: "
+        )
+        assert err.endswith("; exact mode has no float range\n")
+
+    def test_approx_parameter_field_past_the_float_range_is_located(
+        self, capsys, milch2_file, tmp_path
+    ):
+        # each field of a parameter-set file is named by its place
+        for place, keys in (("nu", ["nu"]), ("p[1]", ["p", 1]), ("pt[2]", ["pt", 2]),
+                            ("u[2][1]", ["u", 2, 1])):
+            obj = json.loads(open(milch2_file).read())
+            *outer, last = keys
+            field = obj
+            for key in outer:
+                field = field[key]
+            field[last] = "-1e400"
+            path = tmp_path / f"{keys[0]}.json"
+            path.write_text(json.dumps(obj))
+            code, out, err = run(capsys, "--mode", "approx", "params-validate", "--input", str(path))
+            assert (code, out) == (5, "")
+            assert err.startswith(f"error: the parameter-set field {place} = '-1e400': ")
+            # exact mode reads the same file as a set that fails validation
+            assert run(capsys, "params-validate", "--input", str(path))[0] == 3
+
+    def test_approx_flag_list_past_the_float_range_is_located(self, capsys):
+        for argv, flag, text in (
+            (("params-griffiths", "--p", "1e400,1/2"), "--p", "1e400,1/2"),
+            (("params-family", "--family", "milch", "--p", "1/2,1e400"), "--p", "1/2,1e400"),
+            (("params-family", "--family", "hoare-rahman", "--params", "1,2,3,1e400"),
+             "--params", "1,2,3,1e400"),
+            (("params-family", "--family", "ds", "--q", "1e400", "--d", "1"), "--q", "1e400"),
+        ):
+            code, out, err = run(capsys, "--mode", "approx", *argv)
+            assert (code, out) == (5, "")
+            assert err.startswith(f"error: the list {flag} {text}: ")
+
 
 class TestLatticeBudget:
     def test_huge_N_is_refused_before_the_lattice_is_made(

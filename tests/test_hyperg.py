@@ -59,7 +59,7 @@ class TestHandValues:
 
     def test_d1_reduces_to_gauss_sum(self):
         k = milch1()
-        om = kappa.omega(k)[0][0]
+        om = 1 - k.u[1][1]
         for N in (2, 3, 4):
             for m in range(N + 1):
                 for mt in range(N + 1):
@@ -69,7 +69,7 @@ class TestHandValues:
     def test_d1_linear_closed_form(self):
         # first nontrivial row: P(1, mt) = 1 - mt * omega / N
         k = kappa.family_ds(F(2), 1)
-        om = kappa.omega(k)[0][0]
+        om = 1 - k.u[1][1]
         for N in (1, 2, 5):
             for mt in range(N + 1):
                 val = hyperg.eval_hypergeometric(k, N, (1,), (mt,))
@@ -245,7 +245,7 @@ class TestTable:
         # omega has denominator 1 here (D = 1), which must not be taken
         # for the float path: exactness comes from the parameters
         k = kappa.family_milch([F(1, 2), F(1, 6), F(1, 6), F(1, 6)])
-        assert all(F(w).denominator == 1 for row in kappa.omega(k) for w in row)
+        assert all(F(1 - x).denominator == 1 for row in k.u[1:] for x in row[1:])
         tab = hyperg.table(k, 3)
         for n, row in zip(tab.points, tab.values):
             for nt, value in zip(tab.points, row):
@@ -402,11 +402,18 @@ class TestMarginTable:
             assert any(x in lines[f["side"]] for x in f["pair"]), f
 
 
+def omega_form(k):
+    """omega = 1 - u[i][j], i, j >= 1, as (W, D) with W on integer rows
+    and D the lcm of its denominators, scaled apart from the set's
+    integer view: the reference of the kernel sums' W/D."""
+    return linalg.integer_rows([[1 - x for x in row[1:]] for row in k.u[1:]])
+
+
 def enumerated_margin_sums(k, N, by_total):
     """{(r, c): S[r][c]} by listing every kernel A of total t <= N and
     adding by_total[t] N!/A! W^A at its margins: the reference of the
     margin transfer, with no zero sums kept."""
-    W = k.kernel_form[1]
+    W = omega_form(k)[0]
     sums = {}
     for ker in numeric.enumerate_kernels(k.d, N, (N,) * k.d, (N,) * k.d):
         cells = [(a, w) for row, Wi in zip(ker.entries, W) for a, w in zip(row, Wi)]
@@ -418,6 +425,37 @@ def enumerated_margin_sums(k, N, by_total):
     return {key: s for key, s in sums.items() if s}
 
 
+class TestIntegerView:
+    """The set's one integer view against Fraction references: omega as
+    the kernel sums read it, and the weight ratios of the
+    antiautomorphism, for exact sets and their approx twins."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(exact_sets(min_d=1, max_d=3), st.data())
+    def test_omega_and_antiauto_match_fraction_references(self, case, data):
+        k, N = case
+        twin = kappa.from_json_dict(kappa.to_json_dict(k), "approx", 1e-10)
+        n = k.d + 1
+        for s, exact in ((k, True), (twin, False)):
+            view = hyperg._integer_view(s, N)
+            D = s.integer_view[4][1]
+            assert view.exact is exact and (exact or D == 1)
+            for i in range(1, n):
+                for j in range(1, n):
+                    w = view.W[i - 1][j - 1]
+                    if exact:
+                        assert type(w) is int and F(w, D) == 1 - s.u[i][j], (i, j)
+                    else:
+                        assert type(w) is float and w == 1 - s.u[i][j], (i, j)
+        # a(b) = Pt b^t Pt^-1 by plain matrix products, on a random integer b
+        b = tuple(tuple(data.draw(st.integers(-5, 5)) for _ in range(n)) for _ in range(n))
+        scale = [linalg.diagonal(k.pt), linalg.diagonal([1 / F(x) for x in k.pt])]
+        want = linalg.mat_mul(linalg.mat_mul(scale[0], linalg.transpose(b)), scale[1])
+        assert liemod.antiauto(k, b) == want
+        got = [x for row in liemod.antiauto(twin, b) for x in row]
+        assert got == pytest.approx([float(x) for row in want for x in row], rel=1e-12)
+
+
 class TestMarginTransfer:
     """The margin sums S built entry by entry of the kernels, against the
     kernels listed one by one, and the d = 1 terms read off them."""
@@ -426,10 +464,10 @@ class TestMarginTransfer:
     @given(exact_sets(("griffiths", "hoare-rahman", "milch"), min_d=1, max_d=3, max_N=6))
     def test_equals_the_enumerated_sums(self, case):
         k, N = case
-        D = k.kernel_form[2]
+        D = omega_form(k)[1]
         by_total = [(-1) ** t * D ** (N - t) * math.factorial(N - t) for t in range(N + 1)]
         fact = tuple(math.factorial(x) for x in range(N + 1))
-        got = hyperg._margin_transfer(k.kernel_form[1], N, fact, by_total)
+        got = hyperg._margin_transfer(hyperg._integer_view(k, N).W, N, fact, by_total)
         assert {key: s for key, s in got.items() if s} == enumerated_margin_sums(k, N, by_total)
 
     @settings(max_examples=30, deadline=None)
@@ -437,7 +475,7 @@ class TestMarginTransfer:
     def test_d1_terms_equal_the_ratio_recurrence(self, case):
         # c[0] = N!^2 D^N and c[t+1] = -c[t] W / (D (N-t) (t+1))
         k, N = case
-        _, ((w,),), D, _ = k.kernel_form
+        ((w,),), D = omega_form(k)
         want = [math.factorial(N) ** 2 * D**N]
         for t in range(N):
             want.append(-want[-1] * w // (D * (N - t) * (t + 1)))
@@ -556,7 +594,7 @@ class TestOrthogonality:
                     if g != target:
                         want.append((a, b, g, target))
             ints, line_scales = zip(*scaled)
-            int_weights = numeric.multinomial_weights(w, N, points)
+            int_weights = numeric.multinomial_weights(numeric.clear_denominators(w), N, points)
             got = numeric.gram_misses(ints, line_scales, int_weights, diag, [1] * len(points), 0)
             assert want and [m[:4] for m in got] == want
 

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvkraw import kappa
+from mvkraw import hyperg, kappa
 from mvkraw import linalg, verify
 
 
@@ -35,7 +35,10 @@ class TestValidate:
         assert k.u == ((1, 1, 1), (1, 1, -1), (1, -1, 0))
         assert k.nu == 4
         assert matrix_identity_holds(k)
-        assert kappa.omega(k) == ((0, 2), (2, 1))
+        # omega = 1 - u[i][j], i, j >= 1, as the kernel sums read it off
+        # the set's integer view, with no denominator to clear
+        assert k.integer_view[4][1] == 1
+        assert hyperg._integer_view(k, 2).W == [[0, 2], [2, 1]]
 
     def test_hoare_rahman_hand_values(self):
         k = kappa.family_hoare_rahman(1, 2, 3, 4)

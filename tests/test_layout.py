@@ -82,7 +82,7 @@ def _tail(node):
 def test_no_memo_is_keyed_by_a_parameter_set():
     # a memo keyed by a set hashes its scalars at every call, and serves
     # an approx set its equal exact twin's entry; what depends on a set
-    # is kept on the instance (`ParameterSet.kernel_form`)
+    # is kept on the instance (`ParameterSet.integer_view`)
     keyed = []
     for name, tree in _modules().items():
         for node in ast.walk(tree):
@@ -237,3 +237,23 @@ def test_one_ratio_and_one_gram_comparison():
         "hyperg.py:check_orthogonality",
         "liemod.py:check_dual_norms",
     ]
+
+
+def test_one_exactness_decision():
+    # whether a set is exact is decided once, by the flag of its integer
+    # view (`ParameterSet.integer_view`); a module that tests the set's
+    # own scalars again can disagree with it, and with the other sites
+    deciders, fields = {"is_exact", "default_tol"}, {"nu", "p", "pt", "u"}
+    calls = set()
+    for name, tree in _modules().items():
+        if name == "kappa.py":
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            inner = list(ast.walk(node))
+            if any(isinstance(n, ast.Name) and n.id in deciders for n in inner) and any(
+                isinstance(n, ast.Attribute) and n.attr in fields for n in inner
+            ):
+                calls.add(f"{name}:{node.lineno}")
+    assert sorted(calls) == []

@@ -20,7 +20,6 @@ from mvkraw.numeric import (
     multi_factorial,
     multinomial_weights,
     power_product,
-    ratio,
     weight_over_factorial,
 )
 
@@ -63,8 +62,7 @@ def antiauto_with_p_weights(k, beta):
 
 def antiauto_with_perturbed_ratio(k, beta):
     """The antiautomorphism with pt_0/pt_1 moved by 1/7."""
-    Q, S = k.pt_ratios
-    ratios = [[ratio(q, S) for q in row] for row in Q]
+    ratios = [[exactify(a) / b for b in k.pt] for a in k.pt]
     ratios[0][1] += F(1, 7)
     return tuple(
         tuple(r * x for r, x in zip(row, col)) for row, col in zip(ratios, zip(*beta))
@@ -795,7 +793,7 @@ class TestPairingRoute:
         weights = [
             liemod.pairing_weight(a, 0, zero),
             weight_over_factorial(a.p, zero),
-            multinomial_weights(a.pt, 0, [zero])[0][0],
+            multinomial_weights(a.integer_view[3], 0, [zero])[0][0],
         ]
         assert weights == [1, 1, 1]
         assert [type(w) for w in weights] == [float] * 3
