@@ -250,21 +250,22 @@ def _bounds(op: DifferenceOperator, line: Sequence[Scalar], tol: Scalar) -> list
     ]
 
 
-def _misses(op: DifferenceOperator, ev: Scalar, line: Sequence, scaled: tuple, tol: Scalar):
+def _misses(op: DifferenceOperator, ev: Scalar, scaled: tuple, tol: Scalar):
     """Where op applied to a table line is not literally ev times the
     line: (k, got, want, bound) per such layout index k, with the
     tolerance of `_bounds` (0 in exact mode).  `scaled` is the line's
-    (ints, S) from the table's integer view; each point is compared on
-    ints, acc den == num ints[k] D for ev = num/den, and a Fraction is
-    built only for a miss."""
+    (ints, S) from the table's integer view, a float line itself with
+    S = 1; each point is compared on ints, acc den == num ints[k] D for
+    ev = num/den, and a Fraction is built only for a miss."""
     ints, S = scaled
     D = op.scale
-    bounds = _bounds(op, line, tol) if tol else None
+    if tol:
+        bounds = _bounds(op, ints if S == 1 else [Fraction(x, S) for x in ints], tol)
     num, den = ev.numerator, ev.denominator
     for k, acc in enumerate(apply(op, ints)):
         if type(acc) is int and acc * den == num * ints[k] * D:
             continue
-        yield k, ratio(acc, D * S), ev * line[k], bounds[k] if tol else 0
+        yield k, ratio(acc, D * S), ev * ratio(ints[k], S), bounds[k] if tol else 0
 
 
 def check_eigen(
@@ -289,12 +290,11 @@ def check_eigen(
     # columns are the rows of the transposed table, as the mirror family
     # is the tilde family of the involuted set
     rows, columns = tab.integer_view
-    sides = ((tab.values, rows, ops_second), (tuple(zip(*tab.values)), columns, ops_first))
-    for lines, scaled_lines, ops in sides:
-        for fixed, line, scaled in zip(points, lines, scaled_lines):
+    for scaled_lines, ops in ((rows, ops_second), (columns, ops_first)):
+        for fixed, scaled in zip(points, scaled_lines):
             for op in ops:
                 ev = op.eigenvalue(fixed[1:])
-                for k, got, want, bound in _misses(op, ev, line, scaled, tol):
+                for k, got, want, bound in _misses(op, ev, scaled, tol):
                     max_resid = max(max_resid, abs(got - want))
                     if not scalars_equal(got, want, bound):
                         failures.append(
@@ -341,9 +341,9 @@ def check_universal(
     failures = []
     max_resid = 0
 
-    for n, row, scaled in zip(points, tab.values, tab.integer_view[0]):
+    for n, scaled in zip(points, tab.integer_view[0]):
         ev = universal.eigenvalue(n[1:])
-        for k, got, want, bound in _misses(universal, ev, row, scaled, tol):
+        for k, got, want, bound in _misses(universal, ev, scaled, tol):
             resid = abs(got - want)
             max_resid = max(max_resid, resid)
             if not scalars_equal(got, want, bound):

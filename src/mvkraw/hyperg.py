@@ -31,16 +31,22 @@ into an integer matrix S over the kernel margins, by one transfer over
 the entries of the kernels that lists none of them, and contracts it
 with the falling factorials, F S^T F^T; approx sets and d = 1 take one
 `eval_hypergeometric` per entry, an exact d = 1 entry on the terms that
-the same transfer gives (see `table`).  A table keeps one integer view
-of itself, every row and column scaled to integers on first use
+the same transfer gives (see `table`).  An exact table stays on
+integers from build to file: its rows are integer lines over a scale
+(`PolynomialTable.lines`), T's rows over N!^2 D^N as built or a parsed
+row's ints over the lcm of its denominators, written with one gcd per
+entry (`numeric.format_ratio`) and read without a Fraction per entry
+(`numeric.parse_ratio`).  A table keeps one integer view of itself,
+every row and column in lowest terms, read off the lines on first use
 (`PolynomialTable.integer_view`), which the table checks of a run
-share.  On top of tables sit the two-sided orthogonality check
-(weighted columns and weighted rows both come out diagonal with
-explicit normalizations, under the multinomial weights N! w^n/n! of
-`numeric.multinomial_weights`; its Gram sums are compared on ints by
-`numeric.gram_misses`, which `liemod`'s norms check shares) and the
-duality check: row n of the table is the generating column of n for
-the involuted parameter set, so duality crosses the two routes.
+share; its Fraction values are made only when read, which a passing
+exact check does not do.  On top of tables sit the two-sided
+orthogonality check (weighted columns and weighted rows both come out
+diagonal with explicit normalizations, under the multinomial weights
+N! w^n/n! of `numeric.multinomial_weights`; its Gram sums are compared
+on ints by `numeric.gram_misses`, which `liemod`'s norms check shares)
+and the duality check: row n of the table is the generating column of
+n for the involuted parameter set, so duality crosses the two routes.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ from typing import Sequence
 from . import kappa as kappa_mod
 from .kappa import ParameterSet
 from .numeric import (
+    APPROX,
     EXACT,
     Scalar,
     clear_denominators,
@@ -66,11 +73,14 @@ from .numeric import (
     enumerate_lattice,
     exactify,
     expand_forms,
+    format_ratio,
     format_scalar,
     gram_misses,
+    misses,
     multi_factorial,
     multinomial,
     multinomial_weights,
+    parse_ratio,
     parse_scalar,
     power_product,
     ratio,
@@ -320,25 +330,56 @@ class PolynomialTable:
     """Values of P over the full degree-N lattice, graded-lex both ways.
 
     values[r][c] = P(points[r][1:], points[c][1:]) where points is the
-    lattice in layout order; the first argument indexes rows.
+    lattice in layout order; the first argument indexes rows.  The table
+    holds its rows as `lines`, one (line, S) per row with
+    values[r][c] = line[c] / S: an exact table as it is built or read,
+    ints over a scale S (the margin form's N!^2 D^N, a parsed row's lcm
+    of its denominators), and a table of given values, from the
+    per-entry sums or a caller, as those values with S = 1.
     """
 
     kappa: ParameterSet
     N: int
     points: tuple
-    values: tuple
+    lines: tuple
+
+    @functools.cached_property
+    def values(self) -> tuple:
+        """The rows of values, made on first read: each int entry x of a
+        line as the Fraction x / S, any other entry as it is.  A table
+        that is only written, or only passes its checks, never makes
+        them."""
+        return tuple(
+            tuple(Fraction(x, S) if type(x) is int else x for x in line)
+            for line, S in self.lines
+        )
 
     @functools.cached_property
     def integer_view(self) -> tuple:
         """(rows, columns): every row and every column of the table as
-        (ints, S) with line = ints / S (`numeric.clear_denominators`; a
-        float line is kept as it is, with S = 1).  Made on first use and
-        kept on the instance, like `ParameterSet.integer_view`, so the
-        checks of a run share one scaling of each line."""
-        return (
-            tuple(clear_denominators(row) for row in self.values),
-            tuple(clear_denominators(col) for col in zip(*self.values)),
-        )
+        (ints, S) with line = ints / S in lowest terms, the form that
+        `numeric.clear_denominators` gives (a float line is kept as it
+        is, with S = 1).  It is read off the lines: a row of ints is
+        divided by one gcd of its scale and entries, and the columns, on
+        the lcm M of the row scales, by one gcd each; a line of given
+        values is cleared by `clear_denominators` first.  Made on first
+        use and kept on the instance, like `ParameterSet.integer_view`,
+        so the checks of a run share one scaling of each line."""
+        lines = [(line, S) if S != 1 else clear_denominators(line) for line, S in self.lines]
+        if not all(type(x) is int for line, _ in lines for x in line):  # a float line
+            columns = zip(*(line for line, _ in self.lines))  # given values, S = 1
+            return tuple(lines), tuple(map(clear_denominators, columns))
+        M = math.lcm(*(S for _, S in lines))
+        lifted = (line if S == M else [x * (M // S) for x in line] for line, S in lines)
+        columns = ((col, M) for col in zip(*lifted))
+        return tuple(map(_lowest, lines)), tuple(map(_lowest, columns))
+
+
+def _lowest(scaled: tuple) -> tuple:
+    """(ints, S) of ints and S > 0 divided by their gcd."""
+    ints, S = scaled
+    g = math.gcd(S, *ints)
+    return [x // g for x in ints] if g != 1 else list(ints), S // g
 
 
 def _margin_sums(kappa: ParameterSet, N: int, index: dict) -> list:
@@ -354,7 +395,7 @@ def _margin_sums(kappa: ParameterSet, N: int, index: dict) -> list:
 
 
 def _margin_table(kappa: ParameterSet, N: int, points: tuple) -> tuple:
-    """The exact values T / (N!^2 D^N), T = F S^T F^T (see `table`)."""
+    """The rows of T = F S^T F^T as (ints, N!^2 D^N) lines (see `table`)."""
     view = _integer_view(kappa, N)
     falling, scale = view.falling, view.scale
     vectors = [n[1:] for n in points]
@@ -366,19 +407,14 @@ def _margin_table(kappa: ParameterSet, N: int, points: tuple) -> tuple:
         rows = [falling[x] for x in v]
         falls = [math.prod(map(list.__getitem__, rows, c)) for c in cs]
         below.append((list(map(index.__getitem__, cs)), falls))
-    values = []
+    lines = []
     for cols, falls in below:
         g = [0] * len(points)  # row m of F S^T
         for c, f in zip(cols, falls):
             for r, s in by_col[c]:
                 g[r] += f * s
-        values.append(
-            tuple(
-                Fraction(sum(map(mul, map(g.__getitem__, rs), fr)), scale)
-                for rs, fr in below
-            )
-        )
-    return tuple(values)
+        lines.append((tuple(sum(map(mul, map(g.__getitem__, rs), fr)) for rs, fr in below), scale))
+    return tuple(lines)
 
 
 def table(kappa: ParameterSet, N: int) -> PolynomialTable:
@@ -400,8 +436,11 @@ def table(kappa: ParameterSet, N: int) -> PolynomialTable:
     view's row factors nor its kernel lists (`_margin_transfer`,
     `_margin_sums`); and (2) contracts T = F S^T F^T on ints, with
     F[v][c] = fall(v, c) for each c <= v generated under v, not
-    filtered from the lattice, and makes one Fraction(T, N!^2 D^N) per
-    entry (`_margin_table`).  Nothing of it is kept after the call.
+    filtered from the lattice (`_margin_table`): the table's lines are
+    the rows of T over the scale N!^2 D^N, and no Fraction is made, so
+    writing the table takes one gcd per entry (`numeric.format_ratio`)
+    and its checks read the lines' integer view.  Nothing else of it is
+    kept after the call.
     The values are those of `eval_hypergeometric`, which stays the
     route of `eval` and the reference this form is tested against.
 
@@ -413,29 +452,41 @@ def table(kappa: ParameterSet, N: int) -> PolynomialTable:
     of the same transfer, times two falling factorials, over the
     kernels 0..min(m, mt), one list of them per value of min(m, mt),
     shared by the entries (the benchmark's traced counts pin its
-    per-entry sums).
+    per-entry sums).  Their rows are lines of values with scale 1.
     """
     points = tuple(enumerate_lattice(kappa.d, N))
     if kappa.d > 1 and kappa.integer_view[0]:
-        values = _margin_table(kappa, N, points)
+        lines = _margin_table(kappa, N, points)
     else:
-        values = tuple(
-            tuple(eval_hypergeometric(kappa, N, n[1:], nt[1:]) for nt in points)
+        lines = tuple(
+            (tuple(eval_hypergeometric(kappa, N, n[1:], nt[1:]) for nt in points), 1)
             for n in points
         )
-    return PolynomialTable(kappa, N, points, values)
+    return PolynomialTable(kappa, N, points, lines)
 
 
 def table_to_json_dict(tab: PolynomialTable) -> dict:
+    """The wire form: every value as `format_scalar` writes it, an entry
+    of an integer line by `format_ratio` on the ints, with no Fraction."""
     return {
         "kappa": kappa_mod.to_json_dict(tab.kappa),
         "N": tab.N,
         "order": "grlex",
-        "values": [[format_scalar(x) for x in row] for row in tab.values],
+        "values": [
+            [format_scalar(x) for x in line]
+            if S == 1
+            else [format_ratio(x, S) for x in line]
+            for line, S in tab.lines
+        ],
     }
 
 
 def table_from_json_dict(obj: dict, mode: str = EXACT, tol: Scalar = 0) -> PolynomialTable:
+    """The table of a wire form, checked against its lattice.  In exact
+    mode each row is read into ints over the lcm of its denominators
+    (`numeric.parse_ratio`), with no Fraction for an "a" or "a/b" entry;
+    approx entries are floats (`parse_scalar`) with scale 1."""
+    exact = mode != APPROX
     try:
         kap = kappa_mod.from_json_dict(obj["kappa"], mode, tol)
         N = obj["N"]
@@ -453,19 +504,23 @@ def table_from_json_dict(obj: dict, mode: str = EXACT, tol: Scalar = 0) -> Polyn
     if len(raw) != size or any(len(r) != size for r in raw):
         raise ValueError("table dimensions do not match the lattice")
     points = tuple(enumerate_lattice(kap.d, N))
-    values = []
+    lines = []
     for n, row in zip(points, raw):
         line = []
         for nt, x in zip(points, row):
             try:
-                line.append(parse_scalar(str(x), mode))
+                line.append(parse_ratio(str(x)) if exact else parse_scalar(str(x), mode))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"malformed table value: {exc}") from exc
             except OverflowError as exc:  # an approx entry past the float range
                 where = f"row {list(n)}, column {list(nt)}"
                 raise OverflowError(f"the table entry {str(x)!r} at {where}: {exc}") from None
-        values.append(tuple(line))
-    return PolynomialTable(kap, N, points, tuple(values))
+        if exact:
+            S = math.lcm(*(b for _, b in line))
+            lines.append((tuple(a * (S // b) for a, b in line), S))
+        else:
+            lines.append((tuple(line), 1))
+    return PolynomialTable(kap, N, points, tuple(lines))
 
 
 def check_orthogonality(
@@ -542,15 +597,19 @@ def check_duality(
 ) -> CheckReport:
     """The table is the transpose of the involuted set's: row n of the
     table against the generating column of n' for the involuted set, one
-    expansion per row, so the check crosses the two routes.  In approx
-    mode a pair passes within tol times the larger of 1 and the two
-    values."""
+    expansion per row, so the check crosses the two routes.  Each row is
+    compared with its column by `numeric.misses`, on the table's integer
+    view, so an exact pair is compared cross-multiplied on ints and its
+    values are made only for a miss.  In approx mode a pair passes
+    within tol times the larger of 1 and the two values."""
     dual = kappa_mod.involute(kappa, tol)
+    points = tab.points
     failures = []
-    for n, row in zip(tab.points, tab.values):
+    for n, (ints, S) in zip(points, tab.integer_view[0]):
         column = generating_column(dual, N, n[1:])
-        for nt, a in zip(tab.points, row):
-            b = column.get(nt, Fraction(0))
+        dual_row = [column.get(nt, 0) for nt in points]
+        for k, a, b in misses(ints, S, dual_row, 1):
+            nt = points[k]
             bound = tol * max(1, abs(a), abs(b)) if tol else 0
             if not scalars_equal(a, b, bound):
                 failures.append(

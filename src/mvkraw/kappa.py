@@ -20,6 +20,7 @@ weight vectors while transposing the mixing matrix.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -353,14 +354,22 @@ def family_milch(p: Sequence[Scalar]) -> ParameterSet:
 
 
 def family_ds(q: Scalar, d: int) -> ParameterSet:
-    """Self-dual geometric family with anti-triangular mixing matrix."""
+    """Self-dual geometric family with anti-triangular mixing matrix.
+    Where a float q puts the weight q^-d or nu = q^d past the float
+    range (0 included for q^-d), the OverflowError names q and d."""
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     if q == 0 or q == 1:
         raise FamilyParameterError("q(q-1)")
     q = exactify(q)
 
-    p = [q ** (-d)]
+    try:  # only float powers leave the range
+        p = [q ** (-d)]
+        nu = 1 / p[0]
+    except (OverflowError, ZeroDivisionError):
+        nu = math.inf
+    if abs(nu) == math.inf:
+        raise OverflowError(f"the approx ds weights at q = {q}, d = {d} leave the float range")
     for k in range(1, d + 1):
         p.append(q ** (-d + k - 1) * (q - 1))
 
@@ -377,7 +386,7 @@ def family_ds(q: Scalar, d: int) -> ParameterSet:
         u_rows.append(tuple(row))
 
     tol = default_tol(q)
-    return validate(1 / p[0], tuple(p), tuple(p), tuple(u_rows), tol)
+    return validate(nu, tuple(p), tuple(p), tuple(u_rows), tol)
 
 
 def to_json_dict(kappa: ParameterSet) -> dict:

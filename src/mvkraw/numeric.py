@@ -76,6 +76,21 @@ def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
     return value
 
 
+def parse_ratio(text: str) -> tuple:
+    """(a, b), b > 0, with a/b the exact value that `parse_scalar` reads,
+    not reduced: an ASCII "a" or "a/b" with b != 0 by `int` alone, with
+    no Fraction built; everything else by `parse_scalar`, with its value
+    or its error."""
+    match = _INTEGER_RATIO.fullmatch(text.strip())
+    if match is not None:
+        num, den = match.groups()
+        num, den = int(num), 1 if den is None else int(den)
+        if den:
+            return num, den
+    value = parse_scalar(text)
+    return value.numerator, value.denominator
+
+
 # `str` writes an int of at most this many digits whatever digit limit
 # the interpreter is set to
 _CHUNK_DIGITS = sys.int_info.str_digits_check_threshold
@@ -108,13 +123,29 @@ def format_scalar(x: Scalar) -> str:
                 return str(x.numerator)
             return f"{x.numerator}/{x.denominator}"
     except ValueError:  # a part past the digit limit of `str`
-        num, den = x.numerator, x.denominator
-        return _digits(num) if den == 1 else f"{_digits(num)}/{_digits(den)}"
+        return _long_text(x.numerator, x.denominator)
     if isinstance(x, float):
         return f"{x:.17g}"
     if isinstance(x, complex):
         return f"{x.real:.17g}{x.imag:+.17g}j"
     raise TypeError(f"not a scalar: {x!r}")
+
+
+def _long_text(num: int, den: int) -> str:
+    """The lowest-terms num/den as `format_scalar` writes it, by `_digits`."""
+    return _digits(num) if den == 1 else f"{_digits(num)}/{_digits(den)}"
+
+
+def format_ratio(num: int, den: int) -> str:
+    """`format_scalar(Fraction(num, den))` for ints num and den > 0, by one
+    gcd and no Fraction: the text of an entry of an integer table line."""
+    g = math.gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # a part past the digit limit of `str`
+        return _long_text(num, den)
 
 
 def is_exact(x: Scalar) -> bool:

@@ -64,24 +64,24 @@ def check_threeway(
     the kernel-sum route is read from the table, the generating route
     one column at a time, and the pairing route from each row X[nt] of
     the expansion matrix and the weight w = num/den of each n.  Each row
-    of the table is compared with both other routes by
-    `numeric.misses`, on ints in exact mode, and residuals are computed
-    only for a miss.  In approx mode the routes agree within tol times
-    the larger of 1 and their largest magnitude."""
+    of the table's integer view is compared with both other routes by
+    `numeric.misses`, on ints in exact mode, and the values and the
+    residuals are made only for a miss.  In approx mode the routes agree
+    within tol times the larger of 1 and their largest magnitude."""
     points = tab.points
     columns = [hyperg.generating_column(kappa, N, nt[1:]) for nt in points]
     weights = [liemod.pairing_weight(kappa, N, n) for n in points]
     rows, D = X
     failures = []
     max_resid = 0
-    for n, line, w in zip(points, tab.values, weights):
+    for n, (ints, S), w in zip(points, tab.integer_view[0], weights):
         num, den = (w.numerator, w.denominator * D) if is_exact(w) else (w, D)
         generating = [column.get(n, 0) for column in columns]
         pairing = [rows[nt].get(n, 0) * num for nt in points]
-        missed = {k for k, _, _ in misses(line, 1, generating, 1)}
-        missed.update(k for k, _, _ in misses(line, 1, pairing, den))
+        missed = {k for k, _, _ in misses(ints, S, generating, 1)}
+        missed.update(k for k, _, _ in misses(ints, S, pairing, den))
         for c in sorted(missed):
-            a, b, p = line[c], generating[c], ratio(pairing[c], den)
+            a, b, p = ratio(ints[c], S), generating[c], ratio(pairing[c], den)
             resid = max(abs(a - b), abs(a - p))
             max_resid = max(max_resid, resid)
             bound = tol * max(1, abs(a), abs(b), abs(p)) if tol else 0

@@ -116,14 +116,14 @@ def corrupted(k, N, entry, delta=F(1, 7)):
     tab = hyperg.table(k, N)
     vals = [list(r) for r in tab.values]
     vals[entry[0]][entry[1]] += delta
-    return hyperg.PolynomialTable(k, N, tab.points, tuple(tuple(r) for r in vals))
+    return hyperg.PolynomialTable(k, N, tab.points, tuple((tuple(r), 1) for r in vals))
 
 
 def approx_twin(tab):
     """The same table and set in approx mode, at the default eps."""
     k = kappa.from_json_dict(kappa.to_json_dict(tab.kappa), "approx", 1e-10)
-    values = tuple(tuple(float(x) for x in row) for row in tab.values)
-    return hyperg.PolynomialTable(k, tab.N, tab.points, values)
+    lines = tuple((tuple(float(x) for x in row), 1) for row in tab.values)
+    return hyperg.PolynomialTable(k, tab.N, tab.points, lines)
 
 
 HR = kappa.family_hoare_rahman(1, 2, 3, 4)
@@ -389,7 +389,7 @@ class TestEigenChecks:
         r0, c0 = 2, 3
         vals[r0][c0] += F(1, 7)
         broken = hyperg.PolynomialTable(
-            k, 2, tab.points, tuple(tuple(r) for r in vals)
+            k, 2, tab.points, tuple((tuple(r), 1) for r in vals)
         )
         rep = eigen(k, 2, tab=broken)
         assert not rep.passed
@@ -422,7 +422,7 @@ class TestEigenChecks:
         tab = hyperg.table(k, 2)
         vals = [list(r) for r in tab.values]
         vals[1][2] = F(9)
-        broken = hyperg.PolynomialTable(k, 2, tab.points, tuple(map(tuple, vals)))
+        broken = hyperg.PolynomialTable(k, 2, tab.points, tuple((tuple(r), 1) for r in vals))
         rep = eigen(k, 2, tab=broken)
         names = {f["operator"] for f in rep.failures}
         assert len(rep.failures) == 20

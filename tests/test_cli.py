@@ -449,6 +449,76 @@ class TestTableFlow:
         assert err == "error: malformed table value: Fraction(1, 0)\n"
 
     @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_table_word_entry_exit_2(self, capsys, milch2_file, tmp_path, mode):
+        # an entry that no parser reads keeps Fraction's message in both modes
+        err = self._check_with_entry(capsys, milch2_file, tmp_path, mode, "x")
+        assert err == "error: malformed table value: Invalid literal for Fraction: 'x'\n"
+
+    def test_hand_edited_entries_give_the_canonical_report(self, capsys, tmp_path):
+        # "2/4", "+3", " 1/2 ", "0.5" and "1e2" are read as the values of
+        # their canonical forms: every entry respelled, and five entries
+        # replaced by those spellings against the file with their
+        # canonical texts, give the report bytes of the canonical file
+        hr = write_kappa(tmp_path, kappa.family_hoare_rahman(1, 2, 3, 4))
+        canonical = tmp_path / "table.json"
+        run(capsys, "table", "--kappa", hr, "--N", "2", "--output", str(canonical))
+        obj = json.loads(canonical.read_text())
+
+        def report(values, name):
+            path = tmp_path / name
+            path.write_text(json.dumps(dict(obj, values=values)))
+            return run(capsys, "check", "--table", str(path))
+
+        def respell(text):
+            num, _, den = text.partition("/")
+            if den:
+                return f" {2 * int(num)}/{2 * int(den)} "
+            return f"+{num}" if not num.startswith("-") else f"{num}.0"
+
+        want = report(obj["values"], "same.json")
+        assert want[0] == 0
+        respelled = [[respell(x) for x in row] for row in obj["values"]]
+        assert report(respelled, "respelled.json") == want
+
+        spellings = [("1/2", "2/4"), ("3", "+3"), ("1/2", " 1/2 "), ("1/2", "0.5"), ("100", "1e2")]
+        canonical_values = [list(row) for row in obj["values"]]
+        edited = [list(row) for row in obj["values"]]
+        for k, (text, spelled) in enumerate(spellings):
+            canonical_values[1 + k][2 + k % 3] = text
+            edited[1 + k][2 + k % 3] = spelled
+        want = report(canonical_values, "canonical.json")
+        assert want[0] == 1 and want[2] == ""
+        assert report(edited, "edited.json") == want
+
+    @pytest.mark.parametrize(
+        "k,N",
+        [
+            (kappa.family_hoare_rahman(1, 2, 3, 4), 3),
+            (kappa.family_milch([F(1, 2), F(1, 4), F(1, 8), F(1, 8)]), 2),
+            (kappa.family_ds(F(3), 1), 6),
+        ],
+        ids=["hr-d2", "milch-d3", "ds-d1"],
+    )
+    def test_exact_table_and_passing_checks_never_make_values(
+        self, capsys, tmp_path, monkeypatch, k, N
+    ):
+        # the table is written from its integer lines, and a passing exact
+        # check, of a table file or of a set, compares on their integer
+        # view: none of them makes the table's Fraction values
+        path = write_kappa(tmp_path, k)
+        want = tmp_path / "want.json"
+        run(capsys, "table", "--kappa", path, "--N", str(N), "--output", str(want))
+        monkeypatch.setattr(
+            hyperg.PolynomialTable, "values", property(lambda tab: pytest.fail("values read"))
+        )
+        got = tmp_path / "got.json"
+        code, _, _ = run(capsys, "table", "--kappa", path, "--N", str(N), "--output", str(got))
+        assert code == 0 and got.read_bytes() == want.read_bytes()
+        for argv in (("--table", str(got)), ("--kappa", path, "--N", str(N))):
+            code, out, err = run(capsys, "check", *argv)
+            assert (code, err) == (0, "") and json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
     def test_table_signed_denominator_exit_2(self, capsys, milch2_file, tmp_path, mode):
         # "3/+4" is not the ASCII "a/b" that the fast parse reads, and
         # Fraction's own parser refuses it with its own message
@@ -894,6 +964,21 @@ class TestInternalErrors:
             code, out, err = run(capsys, "--mode", "approx", *argv)
             assert (code, out) == (5, "")
             assert err.startswith(f"error: the list {flag} {text}: ")
+
+    @pytest.mark.parametrize("q", ["1e200", "1e-200"])
+    def test_approx_ds_weights_past_the_float_range_exit_5(self, capsys, q):
+        # at d = 3 the weight q^-3 underflows to 0 at q = 1e200 and
+        # overflows at q = 1e-200: both exit 5 naming q and d, not with a
+        # traceback or the bare errno of the power, while exact mode
+        # builds the set
+        argv = ("params-family", "--family", "ds", "--q", q, "--d", "3")
+        code, out, err = run(capsys, "--mode", "approx", *argv)
+        assert (code, out) == (5, "")
+        assert err == (
+            f"error: the approx ds weights at q = {float(q)}, d = 3 leave the float range; "
+            "exact mode has no float range\n"
+        )
+        assert run(capsys, *argv)[0] == 0
 
 
 class TestLatticeBudget:

@@ -224,7 +224,7 @@ def corrupted(k, N, entries, approx):
         k = kappa.from_json_dict(kappa.to_json_dict(k), "approx", 1e-10)
         values = [[float(x) for x in row] for row in values]
         tol = 1e-10
-    return k, tol, hyperg.PolynomialTable(k, N, tab.points, tuple(map(tuple, values)))
+    return k, tol, hyperg.PolynomialTable(k, N, tab.points, tuple((tuple(r), 1) for r in values))
 
 
 @pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])

@@ -622,7 +622,7 @@ class TestOrthogonality:
         values = [list(row) for row in tab.values]
         values[1][2] += 1.0
         broken = hyperg.PolynomialTable(
-            k, 2, tab.points, tuple(tuple(r) for r in values)
+            k, 2, tab.points, tuple((tuple(r), 1) for r in values)
         )
         rep = hyperg.check_orthogonality(k, 2, 1e-10, tab=broken)
         assert not rep.passed
@@ -650,6 +650,75 @@ class TestOrthogonality:
         assert not reports["universal"].passed
 
 
+# 3-digit numerators over 3-digit primes, as the benchmark draws its sets
+prime_ratio = st.builds(
+    F, st.integers(100, 999), st.sampled_from([503, 601, 701, 809, 907, 997])
+)
+
+
+@st.composite
+def table_cases(draw):
+    """A table of each form: the margin form of an exact d >= 2 set
+    (Hoare-Rahman, Milch, Griffiths, or Hoare-Rahman on 3-digit primes),
+    that table written and parsed back, an exact d = 1 table, or an
+    approx table."""
+    form = draw(st.sampled_from(["margin", "prime-hr", "parsed", "d1", "approx"]))
+    if form == "d1":
+        k, N = draw(d1_sets())
+        return hyperg.table(k, min(N, 12))
+    if form == "prime-hr":
+        try:
+            k = kappa.family_hoare_rahman(*(draw(prime_ratio) for _ in range(4)))
+        except kappa.FamilyParameterError:
+            reject()
+        N = draw(st.integers(0, 3))
+    else:
+        k, N = draw(exact_sets(families=("hoare-rahman", "milch", "griffiths"), max_d=3))
+    if form == "approx":
+        k = kappa.from_json_dict(kappa.to_json_dict(k), "approx", 1e-10)
+    tab = hyperg.table(k, N)
+    if form == "parsed":
+        tab = hyperg.table_from_json_dict(json.loads(json.dumps(hyperg.table_to_json_dict(tab))))
+    return tab
+
+
+class TestTableLines:
+    """A table's integer lines against the Fraction values they stand for."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(table_cases())
+    def test_integer_view_equals_cleared_values(self, tab):
+        # int for int and scale for scale what `clear_denominators` gives
+        # on the values, rows and columns
+        rows, columns = tab.integer_view
+        assert rows == tuple(map(numeric.clear_denominators, tab.values))
+        assert columns == tuple(map(numeric.clear_denominators, zip(*tab.values)))
+        exact = tab.kappa.integer_view[0]
+        for ints, S in rows + columns:
+            assert type(S) is int
+            assert all(type(x) is (int if exact else float) for x in ints)
+
+    @settings(max_examples=30, deadline=None)
+    @given(table_cases())
+    def test_text_from_the_lines_equals_the_values_text(self, tab):
+        # the wire form, written from the lines, is what `format_scalar`
+        # writes for each value
+        text = hyperg.table_to_json_dict(tab)["values"]
+        assert text == [[numeric.format_scalar(x) for x in row] for row in tab.values]
+
+    def test_margin_and_parsed_tables_hold_ints(self):
+        k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        tab = hyperg.table(k, 3)
+        scale = math.factorial(3) ** 2 * k.integer_view[4][1] ** 3
+        assert {S for _, S in tab.lines} == {scale}
+        assert all(type(x) is int for line, _ in tab.lines for x in line)
+        back = hyperg.table_from_json_dict(hyperg.table_to_json_dict(tab))
+        assert all(type(x) is int for line, _ in back.lines for x in line)
+        assert back.values == tab.values
+        assert back.integer_view == tab.integer_view
+        assert all(type(x) is F for row in back.values for x in row)
+
+
 def test_table_checks_scale_each_line_once(monkeypatch):
     # orthogonality, recurrence and universal read one integer view of
     # the table, so each of its L rows and L columns is scaled once a run
@@ -657,16 +726,14 @@ def test_table_checks_scale_each_line_once(monkeypatch):
     tab = hyperg.table(k, 4)
     lines = [tuple(row) for row in tab.values] + [tuple(c) for c in zip(*tab.values)]
     scaled = []
-    original = numeric.clear_denominators
+    original = hyperg._lowest
 
-    def counting(values):
-        if tuple(values) in lines:
-            scaled.append(tuple(values))
-        return original(values)
+    def counting(line):
+        out = original(line)
+        scaled.append(tuple(F(x, out[1]) for x in out[0]))
+        return out
 
-    for module in (numeric, hyperg, bispec, liemod, linalg):
-        if hasattr(module, "clear_denominators"):
-            monkeypatch.setattr(module, "clear_denominators", counting)
+    monkeypatch.setattr(hyperg, "_lowest", counting)
     reports = verify.run_suites(["orthogonality", "recurrence", "universal"], k, 4, table=tab)
     assert all(r.passed for r in reports)
     assert sorted(scaled) == sorted(lines)  # the 2L lines, once each
@@ -794,7 +861,7 @@ class TestDuality:
         values = [list(row) for row in tab.values]
         values[4][7] += 1
         broken = hyperg.PolynomialTable(
-            k, 3, tab.points, tuple(tuple(r) for r in values)
+            k, 3, tab.points, tuple((tuple(r), 1) for r in values)
         )
         rep = hyperg.check_duality(k, 3, tol, tab=broken)
         assert [f["pair"] for f in rep.failures] == [

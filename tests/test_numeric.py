@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mvkraw.numeric import (
     APPROX,
@@ -18,11 +18,13 @@ from mvkraw.numeric import (
     enumerate_kernels,
     enumerate_lattice,
     exactify,
+    format_ratio,
     format_scalar,
     gram_misses,
     is_exact,
     multi_factorial,
     multinomial,
+    parse_ratio,
     parse_scalar,
     power_product,
     scalars_equal,
@@ -68,10 +70,19 @@ class TestScalars:
 
     def _assert_parses_as_fraction(self, text):
         # the int fast path gives what Fraction's own parser gives, value
-        # or error, in both modes, and refuses an exponent past the bound
+        # or error, in both modes, and refuses an exponent past the bound;
+        # `parse_ratio` gives the same value as ints a/b with b > 0, or the
+        # same error
         for mode, convert in ((EXACT, Fraction), (APPROX, float)):
             want = self._parsed(lambda t: convert(self._fraction(t)), text)
             assert self._parsed(lambda t: parse_scalar(t, mode), text) == want, (text, mode)
+
+        def ratio_value(t):
+            a, b = parse_ratio(t)
+            assert type(a) is int and type(b) is int and b > 0
+            return Fraction(a, b)
+
+        assert self._parsed(ratio_value, text) == self._parsed(parse_scalar, text), text
 
     @pytest.mark.parametrize(
         "text",
@@ -104,6 +115,30 @@ class TestScalars:
         assert format_scalar(Fraction(2, 4)) == "1/2"
         assert format_scalar(Fraction(-6, 3)) == "-2"
         assert format_scalar(5) == "5"
+
+    # parts past the 4,300 digits that `str` writes for an int
+    long_ints = st.builds(
+        lambda m, e, sign: sign * (m * 10**e + 1),
+        st.integers(1, 10**6),
+        st.integers(4290, 4400),
+        st.sampled_from([1, -1]),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.integers(-(10**30), 10**30), long_ints),
+        st.one_of(st.integers(1, 10**30), long_ints.map(abs)),
+        st.integers(1, 10**6),
+    )
+    @example(0, 7, 1)
+    @example(-12, 4, 1)
+    @example(10**4400, 10**4301, 3)
+    def test_format_ratio_equals_format_scalar(self, num, den, common):
+        # the text of an integer table entry over its scale, by one gcd,
+        # is what `format_scalar` writes for the Fraction: negative, zero,
+        # integral, not in lowest terms, and parts past the digit limit
+        a, b = num * common, den * common
+        assert format_ratio(a, b) == format_scalar(Fraction(a, b))
 
     def test_format_float_17_digits(self):
         s = format_scalar(1 / 3)
