@@ -2,9 +2,9 @@
 
 Subpackages by role:
 
-- ``numeric``: scalar modes, combinatorics, lattice and kernel enumeration
+- ``numeric``: scalar modes, combinatorics, the lattice, the d = 1 kernel totals
 - ``kappa``: the parameter space, families, involution, validation
-- ``hyperg``: hypergeometric and generating-function evaluation, tables
+- ``hyperg``: kernel-sum and generating-function evaluation, tables
 - ``liemod``: matrix Lie algebra, module action, bilinear form, pairing
 - ``bispec``: difference operators in the degree variables
 - ``verify``: named check suites over all of the above

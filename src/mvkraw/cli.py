@@ -33,9 +33,10 @@ EXIT_FLOAT_RANGE = 5
 
 # The most lattice points, comb(N + d, d), that `table`, `eval` or a
 # lattice suite of `check` takes on: a table holds L^2 values, 10^8 at
-# this budget, and one `eval` builds per-N factors for every lattice
-# point, so a larger run is refused (exit 2) before anything is
-# enumerated.
+# this budget, and one `eval` sums its kernels by their margins, one
+# big-int state per pair of margins under its caps, up to L^2 of them
+# as a table's sum has, so a larger run is refused (exit 2) before any
+# sum starts.
 MAX_LATTICE = 10**4
 
 

@@ -15,23 +15,23 @@ and only the kernel sum is independent of it.  All routes take the
 reduced degree vectors m, mt (length d, with the 0-th coordinates
 N - |m|, N - |mt| implied) and agree exactly.
 
-The kernel sum runs on integers: omega = 1 - u is read as W/D off the
-set's integer view (`ParameterSet.integer_view`), u = U/D giving
+The kernel sum runs on integers, in both modes: omega = 1 - u is read
+as W/D off the set's integer view (`ParameterSet.integer_view`), an
+approx set's floats at their exact dyadic values, u = U/D giving
 W = D - U, and the view of each N, with the factorials and powers that
 depend on nothing else, is kept with it on the instance, so an entry
-never hashes or compares the set.  The view also holds the memo of
-kernel lists (`numeric.enumerate_kernels`), which goes with the set
-instance, not with a module.  Each value is then one division, one
-Fraction, at the end; floats take the same loop.
+never hashes or compares the set.  The kernel term is written once, in
+`_margin_transfer`, which sums it by kernel margins over the entries of
+the kernels, capped at N for a table and at (mt, m) for one value.
+Each value is then one division at the end: a Fraction for an exact
+set, the correctly rounded float for an approx one.
 
 Tables hold P over the full degree-N lattice in graded-lex order, rows
-indexed by the first argument.  Their form is chosen by d and the
-integer view's exact flag: an exact set with d >= 2 sums every kernel
-into an integer matrix S over the kernel margins, by one transfer over
-the entries of the kernels that lists none of them, and contracts it
-with the falling factorials, F S^T F^T; approx sets and d = 1 take one
-`eval_hypergeometric` per entry, an exact d = 1 entry on the terms that
-the same transfer gives (see `table`).  An exact table stays on
+indexed by the first argument.  Their form is chosen by d alone: a set
+with d >= 2 sums every kernel into an integer matrix S over the kernel
+margins, by one transfer, and contracts it with the falling factorials,
+F S^T F^T; d = 1 takes one `eval_hypergeometric` per entry on the terms
+that the same transfer gives (see `table`).  An exact table stays on
 integers from build to file: its rows are integer lines over a scale
 (`PolynomialTable.lines`), T's rows over N!^2 D^N as built or a parsed
 row's ints over the lcm of its denominators, written with one gcd per
@@ -51,7 +51,6 @@ n for the involuted parameter set, so duality crosses the two routes.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import heapq
 import math
@@ -62,13 +61,13 @@ from operator import mul
 from typing import Sequence
 
 from . import kappa as kappa_mod
+from . import linalg
 from .kappa import ParameterSet
 from .numeric import (
     APPROX,
     EXACT,
     Scalar,
     clear_denominators,
-    enumerate_degree_points,
     enumerate_kernels,
     enumerate_lattice,
     exactify,
@@ -77,12 +76,10 @@ from .numeric import (
     format_scalar,
     gram_misses,
     misses,
-    multi_factorial,
     multinomial,
     multinomial_weights,
     parse_ratio,
     parse_scalar,
-    power_product,
     ratio,
     scalars_equal,
     weight_over_factorial,
@@ -128,71 +125,55 @@ class _Falling(dict):
 @dataclass(frozen=True, eq=False)
 class _View:
     """The term factors of the kernel sums that depend only on (kappa, N),
-    with omega = W/D read off `ParameterSet.integer_view`."""
+    with omega = W/D on ints (see `_integer_view`)."""
 
     exact: bool  # the integer view's flag
-    W: list  # the rows of omega, on ints for an exact set
+    W: list  # the rows of omega, on ints over D
     N: int
     fact: tuple  # k! for k = 0..N
     falling: _Falling  # n!/(n-c)! by n, each list made on first use
-    by_total: tuple  # per kernel total t: (-1)^t D^(N-t) (N-t)!, at exact d = 1 the whole term
+    by_total: tuple  # per kernel total t: (-1)^t D^(N-t) (N-t)!, at d = 1 the whole term
     scale: int  # N!^2 D^N
-    memo: dict  # the kernel lists (`numeric.enumerate_kernels`)
-
-    @functools.cached_property
-    def rows(self) -> tuple:
-        """{v: (W_i^v, v!)} per row i over the degree points v: the row
-        factors of `eval_hypergeometric`'s loop, made on its first call,
-        so an exact table, which takes the margin transfer, never makes
-        them.  Where a float power leaves the float range, the
-        OverflowError names omega and N."""
-        vectors = list(enumerate_degree_points(len(self.W), self.N))
-        try:  # only float powers overflow
-            return tuple(
-                {v: (power_product(Wi, v), multi_factorial(v)) for v in vectors}
-                for Wi in self.W
-            )
-        except OverflowError:
-            raise OverflowError(
-                f"the approx powers of omega = {self.W} in the kernel sums at N = {self.N} "
-                "leave the float range"
-            ) from None
 
 
 def _integer_view(kappa: ParameterSet, N: int) -> _View:
     """The `_View` of (kappa, N), built once per set instance and N and
     kept in the views of `ParameterSet.integer_view`, so finding it
     hashes nothing.  omega = 1 - u[i][j], i, j >= 1, is W/D, W = D - U
-    on the view's u = U/D (1 - u[i][j] with D = 1 for floats).  Its memo
-    is filled as the per-entry sums run, so the entries of a table share
-    the kernel lists and none outlives the set instance; its row factors
-    are made by the first such sum.
+    on the view's u = U/D.  An approx set's floats are dyadic rationals,
+    so its u is scaled to ints at its exact values (`Fraction` of each
+    float, `linalg.integer_rows`): its kernel sums run on the same ints
+    as an exact set's, and each value is rounded once, at the end.
 
-    An exact set with d = 1 has one kernel per total t, so by_total
-    holds its whole term c[t] = (-1)^t D^(N-t) (N-t)! N!/t! W^t, read
-    off the diagonal S[t][t] of the margin transfer (`_margin_transfer`)
-    that an exact d >= 2 table takes.  Approx sets keep the row factors
-    at every d, so their float terms are formed in one order whatever d
-    is.
+    At d = 1 a kernel is its total t, so by_total holds its whole term
+    c[t] = (-1)^t D^(N-t) (N-t)! N!/t! W^t, read off the diagonal
+    S[t][t] of the margin transfer (`_margin_transfer`).
     """
     exact, _, _, _, (u, D), views = kappa.integer_view
     if N in views:
         return views[N]
+    if not exact:
+        u, D = linalg.integer_rows([[Fraction(x) for x in row] for row in u])
     W = [[D - x for x in row[1:]] for row in u[1:]]
     fact = tuple(accumulate(range(1, N + 1), mul, initial=1))
     by_total = [(-1) ** t * D ** (N - t) * fact[N - t] for t in range(N + 1)]
-    if exact and kappa.d == 1:
-        sums = _margin_transfer(W, N, fact, by_total)
+    if kappa.d == 1:
+        sums = _margin_transfer(W, N, fact, by_total, (N,), (N,))
         by_total = [sums.get(((t,), (t,)), 0) for t in range(N + 1)]
     scale = fact[N] ** 2 * D**N
-    view = views[N] = _View(exact, W, N, fact, _Falling(fact), tuple(by_total), scale, {})
+    view = views[N] = _View(exact, W, N, fact, _Falling(fact), tuple(by_total), scale)
     return view
 
 
-def _margin_transfer(W: list, N: int, fact: tuple, by_total: Sequence) -> dict:
+def _margin_transfer(
+    W: list, N: int, fact: tuple, by_total: Sequence, row_caps: Sequence, col_caps: Sequence
+) -> dict:
     """{(r, c): S[r][c]}, S[r][c] = sum of by_total[t] N!/A! W^A over the
-    d x d kernels A of total t <= N with row sums r and column sums c, on
-    ints, built entry by entry of A without listing a kernel.
+    d x d kernels A of total t <= N with row sums r <= row_caps and
+    column sums c <= col_caps, on ints, built entry by entry of A without
+    listing a kernel.  This is the one place where the kernel term is
+    written: a table passes the caps N, `eval_hypergeometric` the
+    degree vectors (mt, m), beyond which the falling factorials vanish.
 
     As N!/A! = (N!/t!) multinomial(t; A), a state, keyed by the row sums
     so far (the last one still open) and the column sums, holds the sum
@@ -206,9 +187,9 @@ def _margin_transfer(W: list, N: int, fact: tuple, by_total: Sequence) -> dict:
     """
     d = len(W)
     states = {((), (0,) * d): 1}
-    for Wi in W:
+    for Wi, row_cap in zip(W, row_caps):
         states = {(rows + (0,), cols): v for (rows, cols), v in states.items()}
-        for j, w in enumerate(Wi):
+        for j, (w, col_cap) in enumerate(zip(Wi, col_caps)):
             if not w:
                 continue
             grown = dict(states)  # every state with entry (i, j) = 0
@@ -216,7 +197,7 @@ def _margin_transfer(W: list, N: int, fact: tuple, by_total: Sequence) -> dict:
                 t = sum(cols)
                 head, s = rows[:-1], rows[-1]
                 left, c, right = cols[:j], cols[j], cols[j + 1 :]
-                for a in range(1, N - t + 1):
+                for a in range(1, min(N - t, row_cap - s, col_cap - c) + 1):
                     p = p * w * (t + a) // a
                     key = head + (s + a,), left + (c + a,) + right
                     grown[key] = grown.get(key, 0) + p
@@ -229,6 +210,19 @@ def _margin_transfer(W: list, N: int, fact: tuple, by_total: Sequence) -> dict:
     return sums
 
 
+def _rounded(view: _View, acc: int, m: Sequence[int], mt: Sequence[int]) -> float:
+    """P(m, mt) = acc / N!^2 D^N of an approx set as the nearest float
+    (int / int true division rounds once); where it leaves the float
+    range, the OverflowError names P(m, mt) and N."""
+    try:
+        return acc / view.scale
+    except OverflowError:
+        raise OverflowError(
+            f"the approx kernel sum of P({list(m)}, {list(mt)}) at N = {view.N} "
+            "leaves the float range"
+        ) from None
+
+
 def eval_hypergeometric(
     kappa: ParameterSet, N: int, m: Sequence[int], mt: Sequence[int]
 ) -> Scalar:
@@ -236,8 +230,8 @@ def eval_hypergeometric(
 
     Summation runs over d x d nonnegative-integer matrices A; rising
     factorials of -m and -mt kill every A whose column sums exceed m or
-    whose row sums exceed mt, so enumeration is capped accordingly (and
-    the total never exceeds N, keeping the denominator nonzero).
+    whose row sums exceed mt, so the sum is capped accordingly (and the
+    total never exceeds N, keeping the denominator nonzero).
 
     The sum runs on the integer view omega = W/D of `_integer_view`:
     with c, r the column and row sums of A and t its total,
@@ -248,11 +242,13 @@ def eval_hypergeometric(
 
     is an integer (the signs of the two rising factorials cancel, as
     sum c = sum r = t), so the terms add up on ints and the sum is
-    divided by N!^2 D^N once.  At exact d = 1 the kernel is its total
-    t = r = c, and the term is the view's one integer for t times the
-    two falling factorials.  Floats take the row-factor loop with D = 1
-    and a true division; where a term or the quotient leaves the float
-    range, the OverflowError names the value.
+    divided by N!^2 D^N once: a Fraction for an exact set, the correctly
+    rounded float for an approx one (`_rounded`).  At d >= 2 the kernels
+    enter through their margins alone: the margin transfer capped at
+    rows <= mt and columns <= m (`_margin_transfer`) is contracted with
+    the falling factorials fall(mt, r) fall(m, c).  At d = 1 the kernel
+    is its total t = r = c (`numeric.enumerate_kernels`), and the term
+    is the view's one integer for t times the two falling factorials.
     """
     d = kappa.d
     m = check_degree_vector(d, N, m, "m")
@@ -260,39 +256,18 @@ def eval_hypergeometric(
     view = _integer_view(kappa, N)
     col_falls = [view.falling[x] for x in m]
     row_falls = [view.falling[x] for x in mt]
-    kernels = enumerate_kernels(d, N, mt, m, view.memo)
-    by_total = view.by_total
-
-    acc = 0
-    if d == 1 and view.exact:  # one integer term per total
-        (col,), (row,) = col_falls, row_falls
-        for ker in kernels:
-            t = ker.total
-            acc += col[t] * row[t] * by_total[t]
-        return Fraction(acc, view.scale)
-    rows, top = view.rows, view.fact[N]
-    try:  # only floats overflow; ints and Fractions have no range
-        for ker in kernels:
-            term = by_total[ker.total]
-            cells = 1
-            for row, r, powers, falls in zip(ker.entries, ker.row_sums, rows, row_falls):
-                w, f = powers[row]
-                term *= w * falls[r]
-                cells *= f
-            for c, falls in zip(ker.col_sums, col_falls):
-                term *= falls[c]
-            acc += term * (top // cells)
-        if view.exact:
-            return Fraction(acc, view.scale)
-        value = acc / view.scale
-    except OverflowError:
-        value = math.inf
-    if cmath.isfinite(value):
-        return value
-    raise OverflowError(
-        f"the approx kernel sum of P({list(m)}, {list(mt)}) at N = {N} "
-        "leaves the float range"
-    )
+    if d == 1:  # one integer term per total
+        (col,), (row,), by_total = col_falls, row_falls, view.by_total
+        acc = sum(col[t] * row[t] * by_total[t] for t in enumerate_kernels(N, mt[0], m[0]))
+    else:
+        sums = _margin_transfer(view.W, N, view.fact, view.by_total, mt, m)
+        acc = sum(
+            math.prod(map(list.__getitem__, row_falls, r))
+            * math.prod(map(list.__getitem__, col_falls, c))
+            * s
+            for (r, c), s in sums.items()
+        )
+    return Fraction(acc, view.scale) if view.exact else _rounded(view, acc, m, mt)
 
 
 def generating_column(
@@ -334,8 +309,9 @@ class PolynomialTable:
     holds its rows as `lines`, one (line, S) per row with
     values[r][c] = line[c] / S: an exact table as it is built or read,
     ints over a scale S (the margin form's N!^2 D^N, a parsed row's lcm
-    of its denominators), and a table of given values, from the
-    per-entry sums or a caller, as those values with S = 1.
+    of its denominators), and a table of given values, from the d = 1
+    per-entry sums, an approx set's rounded margin form or a caller, as
+    those values with S = 1.
     """
 
     kappa: ParameterSet
@@ -389,13 +365,16 @@ def _margin_sums(kappa: ParameterSet, N: int, index: dict) -> list:
     indices."""
     view = _integer_view(kappa, N)
     by_col = [[] for _ in index]
-    for (r, c), s in _margin_transfer(view.W, N, view.fact, view.by_total).items():
+    caps = (N,) * kappa.d
+    for (r, c), s in _margin_transfer(view.W, N, view.fact, view.by_total, caps, caps).items():
         by_col[index[c]].append((index[r], s))
     return by_col
 
 
 def _margin_table(kappa: ParameterSet, N: int, points: tuple) -> tuple:
-    """The rows of T = F S^T F^T as (ints, N!^2 D^N) lines (see `table`)."""
+    """The rows of T = F S^T F^T as (ints, N!^2 D^N) lines, an approx
+    set's rows then as floats, each entry rounded once (`_rounded`),
+    with scale 1 (see `table`)."""
     view = _integer_view(kappa, N)
     falling, scale = view.falling, view.scale
     vectors = [n[1:] for n in points]
@@ -413,15 +392,20 @@ def _margin_table(kappa: ParameterSet, N: int, points: tuple) -> tuple:
         for c, f in zip(cols, falls):
             for r, s in by_col[c]:
                 g[r] += f * s
-        lines.append((tuple(sum(map(mul, map(g.__getitem__, rs), fr)) for rs, fr in below), scale))
-    return tuple(lines)
+        lines.append(tuple(sum(map(mul, map(g.__getitem__, rs), fr)) for rs, fr in below))
+    if view.exact:
+        return tuple((line, scale) for line in lines)
+    return tuple(
+        (tuple(_rounded(view, x, m, mt) for x, mt in zip(line, vectors)), 1)
+        for line, m in zip(lines, vectors)
+    )
 
 
 def table(kappa: ParameterSet, N: int) -> PolynomialTable:
     """The full lattice-by-lattice grid of P, by kernel sums, in one of
-    two forms chosen by (exact, d).
+    two forms chosen by d alone.
 
-    An exact set with d >= 2 takes the margin form.  A kernel A enters
+    A set with d >= 2 takes the margin form.  A kernel A enters
     P(m, mt) through its row sums r and column sums c only by the
     falling factorials fall(mt, r) fall(m, c), so
 
@@ -432,30 +416,29 @@ def table(kappa: ParameterSet, N: int) -> PolynomialTable:
     whose d = 1 case is Griffiths' Krawtchouk 2F1.  The table then
     (1) sums the integers S[r][c] = N!^2 D^N K'[r][c] on the integer
     view of `_integer_view` by one transfer over the entries of the
-    kernels of total <= N, which lists no kernel and makes neither the
-    view's row factors nor its kernel lists (`_margin_transfer`,
-    `_margin_sums`); and (2) contracts T = F S^T F^T on ints, with
-    F[v][c] = fall(v, c) for each c <= v generated under v, not
-    filtered from the lattice (`_margin_table`): the table's lines are
-    the rows of T over the scale N!^2 D^N, and no Fraction is made, so
-    writing the table takes one gcd per entry (`numeric.format_ratio`)
-    and its checks read the lines' integer view.  Nothing else of it is
-    kept after the call.
-    The values are those of `eval_hypergeometric`, which stays the
-    route of `eval` and the reference this form is tested against.
+    kernels of total <= N, capped at N, which lists no kernel
+    (`_margin_transfer`, `_margin_sums`); and (2) contracts
+    T = F S^T F^T on ints, with F[v][c] = fall(v, c) for each c <= v
+    generated under v, not filtered from the lattice (`_margin_table`).
+    An exact table's lines are the rows of T over the scale N!^2 D^N,
+    and no Fraction is made, so writing the table takes one gcd per
+    entry (`numeric.format_ratio`) and its checks read the lines'
+    integer view.  An approx set's T is the same on the exact values of
+    its floats, and its lines are turned into floats once, at the end,
+    each entry the correctly rounded value of its exact sum.  Nothing
+    else of it is kept after the call.  The values are those of
+    `eval_hypergeometric`, which takes the same transfer capped at
+    (mt, m) per value.
 
-    Two cases keep one `eval_hypergeometric` per entry.  Approx sets,
-    because another float summation order would change the bytes of
-    their tables and reports.  And d = 1, where each margin class is a
-    single kernel, its total t, so the per-entry sum already is the
-    contraction: an exact entry adds the view's term c[t], the diagonal
-    of the same transfer, times two falling factorials, over the
-    kernels 0..min(m, mt), one list of them per value of min(m, mt),
-    shared by the entries (the benchmark's traced counts pin its
+    At d = 1 each margin class is a single kernel, its total t, so the
+    per-entry sum already is the contraction: each entry, in both
+    modes, is one `eval_hypergeometric`, the view's term c[t], the
+    diagonal of the same transfer, times two falling factorials, over
+    the totals 0..min(m, mt) (the benchmark's traced counts pin these
     per-entry sums).  Their rows are lines of values with scale 1.
     """
     points = tuple(enumerate_lattice(kappa.d, N))
-    if kappa.d > 1 and kappa.integer_view[0]:
+    if kappa.d > 1:
         lines = _margin_table(kappa, N, points)
     else:
         lines = tuple(

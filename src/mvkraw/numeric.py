@@ -6,11 +6,11 @@ library code is generic over the scalar type; the mode only decides how
 inputs are parsed, how equality is tested (literal vs. within ``eps``)
 and how values are serialized.
 
-The combinatorial layer provides rising factorials, multinomial
-coefficients, the simplex lattice of multi-indices of fixed total
-degree, and the enumeration of square nonnegative-integer matrices with
-bounded row/column/total sums (the summation index of the
-hypergeometric evaluation).
+The combinatorial layer provides multinomial coefficients and weights,
+the one sparse-polynomial expansion, the simplex lattice of
+multi-indices of fixed total degree, and the kernels of a d = 1 kernel
+sum, its totals (`enumerate_kernels`).  A kernel sum at d >= 2 lists no
+kernel: it runs over the kernel entries (`hyperg._margin_transfer`).
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import math
 import re
 import sys
 from fractions import Fraction
-from operator import add, le, mul, sub
-from typing import Iterator, NamedTuple, Sequence, Union
+from operator import add, le, mul
+from typing import Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction, float, complex]
 
@@ -366,88 +366,11 @@ def enumerate_degree_points(d: int, degree: int) -> Iterator[tuple]:
         yield lam[1:]
 
 
-class KernelMatrix(NamedTuple):
-    """A d x d nonnegative-integer matrix with cached marginal sums."""
-
-    entries: tuple  # tuple of d row-tuples
-    row_sums: tuple
-    col_sums: tuple
-    total: int
-
-
-def _row_vectors(caps: tuple, limit: int, memo: dict) -> list:
-    """Every (v, |v|) with v[j] <= caps[j] and |v| <= limit, in lex order,
-    built from the last coordinate forward as one list, once per key of
-    ``memo``.  The key is (caps, limit) with each cap clamped to the
-    limit and the limit to the caps' sum, neither of which changes the
-    list, so calls that ask for the same list share it."""
-    limit = min(limit, sum(caps))
-    caps = tuple(c if c < limit else limit for c in caps)
-    out = memo.get((caps, limit))
-    if out is None:
-        out = [((), 0)]
-        for cap in reversed(caps):
-            out = [
-                ((a,) + rest, a + s)
-                for a in range(cap + 1)
-                for rest, s in out
-                if a + s <= limit
-            ]
-        memo[caps, limit] = out
-    return out
-
-
-def enumerate_kernels(
-    d: int,
-    degree: int,
-    row_caps: Sequence[int],
-    col_caps: Sequence[int],
-    memo: dict | None = None,
-) -> Iterator[KernelMatrix]:
-    """All d x d matrices with row i sum <= row_caps[i], column j sum
-    <= col_caps[j] and total sum <= degree, in lex order of the
-    flattened entries.
-
-    The matrix is built a row at a time: each row runs over the vectors
-    that fit under the column caps still left, so caps are enforced
-    during generation, not by post-filtering, and the work is
-    proportional to the matrices actually yielded.  Rows 0..d-3 are
-    expanded a level at a time into one lex-ordered list of prefixes;
-    the last two rows are generated per prefix, so the list holds
-    (d-2)-row prefixes only.  Each row-vector list is made once per
-    ``memo`` (`_row_vectors`).  At d = 1 a kernel is its total t, and
-    the kernels 0..top, top = min(row cap, column cap, degree), are one
-    list of `KernelMatrix` per top in ``memo``, yielded as they are.
-    The kernel sums pass the memo that `hyperg._integer_view` keeps per
-    set instance and N, so the entries of a table share their lists and
-    no list outlives its set.  None means a fresh dict for this call.
-    """
-    if len(row_caps) != d or len(col_caps) != d:
-        raise ValueError("need one cap per row and per column")
-    if min(row_caps) < 0 or min(col_caps) < 0:
+def enumerate_kernels(degree: int, row_cap: int, col_cap: int) -> Iterator[int]:
+    """The kernels of a d = 1 kernel sum: a 1 x 1 matrix is its total t,
+    and the sum of P(m, mt) at N runs over t = 0..min(mt, m, N), with
+    row_cap = mt and col_cap = m.  Sums at d >= 2 list no kernel; they
+    run over the kernel entries (`hyperg._margin_transfer`)."""
+    if min(row_cap, col_cap) < 0:
         raise ValueError("caps must be nonnegative")
-    memo = {} if memo is None else memo
-    if d == 1:  # the kernels 0..top, one list per top
-        top = min(row_caps[0], col_caps[0], degree)
-        kernels = memo.get(top)
-        if kernels is None:
-            kernels = memo[top] = [KernelMatrix(((t,),), (t,), (t,), t) for t in range(top + 1)]
-        yield from kernels
-        return
-    col_caps = tuple(min(c, degree) for c in col_caps)
-
-    def grow(prefixes, cap: int) -> Iterator[tuple]:
-        # each prefix (rows, row sums, column caps left, total) with one more row
-        for rows, rsums, col_rem, total in prefixes:
-            for row, s in _row_vectors(col_rem, min(cap, degree - total), memo):
-                yield rows + (row,), rsums + (s,), tuple(map(sub, col_rem, row)), total + s
-
-    prefixes = [((), (), col_caps, 0)]
-    for cap in row_caps[:-2]:
-        prefixes = list(grow(prefixes, cap))
-    prefixes = grow(prefixes, row_caps[-2])  # the second-to-last row, one prefix at a time
-    cap = row_caps[-1]
-    for rows, rsums, col_rem, total in prefixes:  # the last row fixes the column sums
-        used = tuple(map(sub, col_caps, col_rem))
-        for row, s in _row_vectors(col_rem, min(cap, degree - total), memo):
-            yield KernelMatrix(rows + (row,), rsums + (s,), tuple(map(add, used, row)), total + s)
+    yield from range(min(row_cap, col_cap, degree) + 1)

@@ -756,6 +756,34 @@ class TestModes:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize(
+        "family,N,suites",
+        [
+            ("ds-d1", 20, ("--suite", "recurrence,universal,threeway")),
+            ("ds-d1", 16, ()),
+            ("ds-d2", 14, ("--suite", "recurrence,universal,threeway,duality")),
+            ("griffiths", 10, ("--suite", "recurrence")),
+        ],
+        ids=["ds-d1-N20", "ds-d1-N16-full", "ds-d2-N14", "griffiths-N10"],
+    )
+    def test_approx_kernel_sums_survive_cancellation(self, capsys, tmp_path, family, N, suites):
+        # float kernel terms summed one by one cancelled to about 1e-9 of
+        # the values at ds q = 3, d = 1, N = 20, and each of these checks
+        # failed; the sums now run on the exact values of the floats and
+        # round once, and every check passes at the default eps
+        k = {
+            "ds-d1": kappa.family_ds(F(3), 1),
+            "ds-d2": kappa.family_ds(F(3), 2),
+            "griffiths": kappa.griffiths_from_p([F(101, 400), F(99, 400), F(1, 2)]),
+        }[family]
+        code, out, _ = run(
+            capsys,
+            "--mode", "approx",
+            "check", "--kappa", write_kappa(tmp_path, k), "--N", str(N), *suites,
+        )
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
     def test_approx_duality_relative_to_large_values(self, capsys, tmp_path):
         # values of this set reach 2.6e6 at N = 4, where the two routes
         # differ by more than the absolute eps
@@ -884,35 +912,49 @@ class TestInternalErrors:
         assert "conjugator inverse failed; parameter set corrupt" in err
 
     def test_approx_overflow_exit_5(self, capsys, tmp_path):
-        # N!^2 is beyond the float range at N = 100; exact mode is unchanged
-        ds = write_kappa(tmp_path, kappa.family_ds(F(3), 1))
-        code, out, err = run(
-            capsys, "--mode", "approx", "table", "--kappa", ds, "--N", "100"
+        # Milch with the weight 1e-100 (valid at eps 1e-102) has omega_11
+        # near 1e100, and P([4, 0], [4, 0]) near 1e399 at N = 4 is past the
+        # float range, while P([3, 0], [3, 0]) near -2.5e299 is not: the
+        # margin-form table and `eval` exit 5 naming the value, and exact
+        # mode has the value
+        w = F(1, 10**100)
+        milch = write_kappa(tmp_path, kappa.family_milch([F(1, 2), w, F(1, 2) - w]))
+        approx = ("--mode", "approx", "--eps", "1e-102")
+        code, out, err = run(capsys, *approx, "table", "--kappa", milch, "--N", "4")
+        assert (code, out) == (5, "")
+        assert err == (
+            "error: the approx kernel sum of P([4, 0], [4, 0]) at N = 4 leaves the float range; "
+            "exact mode has no float range\n"
         )
-        assert code == 5
-        assert out == ""
-        assert err.startswith("error: the approx kernel sum of P([")
-        assert "at N = 100 leaves the float range" in err
-        argv = ("eval", "--kappa", ds, "--N", "100", "--m", "1", "--mt", "1")
-        code, _, err = run(capsys, "--mode", "approx", *argv)
-        assert code == 5 and "P([1], [1]) at N = 100" in err
-        code, out, _ = run(capsys, *argv)
-        assert code == 0 and out.strip() == "197/200"
+        argv = ("eval", "--kappa", milch, "--N", "4", "--m", "4,0", "--mt", "4,0")
+        code, out, err = run(capsys, *approx, *argv)
+        assert (code, out) == (5, "")
+        assert "P([4, 0], [4, 0]) at N = 4 leaves the float range" in err
+        exact = hyperg.eval_hypergeometric(kappa.family_milch([F(1, 2), w, F(1, 2) - w]), 4, (4, 0), (4, 0))
+        assert run(capsys, *argv) == (0, f"{exact}\n", "") and exact > 10**398
+        code, out, _ = run(capsys, *approx, *argv[:-4], "--m", "3,0", "--mt", "3,0")
+        assert code == 0 and float(out) == pytest.approx(-2.5e299)
 
     def test_approx_overflow_of_the_powers_exit_5(self, capsys, tmp_path):
-        # omega = 3/2, and its powers up to N = 2000 leave the float range
-        # before any kernel is summed
-        ds = write_kappa(tmp_path, kappa.family_ds(F(3), 1))
-        code, out, err = run(
-            capsys, "--mode", "approx", "eval", "--kappa", ds,
-            "--N", "2000", "--m", "1000", "--mt", "999",
-        )
-        assert code == 5
-        assert out == ""
-        assert err.startswith(
-            "error: the approx powers of omega = [[1.5]] in the kernel sums "
-            "at N = 2000 leave the float range"
-        )
+        # at d = 1 the per-entry sums run on the exact values of the floats
+        # too, and no float power is formed: with omega near 1e100,
+        # P([4], [4]) near 1e399 at N = 4 exits 5 naming the value, and
+        # P([3], [3]) is a float, although omega^4 is past the float range
+        w = F(1, 10**100)
+        k = kappa.family_milch([1 - w, w])
+        milch = write_kappa(tmp_path, k, "milch.json")
+        approx = ("--mode", "approx", "--eps", "1e-102")
+        for verb in (("table",), ("eval", "--m", "4", "--mt", "4")):
+            code, out, err = run(capsys, *approx, *verb, "--kappa", milch, "--N", "4")
+            assert (code, out) == (5, "")
+            assert err.startswith(
+                "error: the approx kernel sum of P([4], [4]) at N = 4 leaves the float range"
+            )
+        argv = ("eval", "--kappa", milch, "--N", "4", "--m", "3", "--mt", "3")
+        code, out, _ = run(capsys, *approx, *argv)
+        exact = hyperg.eval_hypergeometric(k, 4, (3,), (3,))
+        assert code == 0 and float(out) == pytest.approx(float(exact), rel=1e-12)
+        assert exact < -1e299
 
     def test_approx_table_entry_past_the_float_range_is_located(
         self, capsys, milch2_file, tmp_path

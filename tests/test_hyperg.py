@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mvkraw import bispec, hyperg, kappa, liemod, linalg, numeric, verify
 from mvkraw.numeric import enumerate_degree_points, enumerate_lattice
 from test_bispec import CORRUPTIONS, FAMILIES, HR, approx_twin, corrupted
+import kernel_oracle
 
 
 def milch1():
@@ -212,34 +213,22 @@ class TestTable:
         assert len(tables[0].values) == 21 and tables[0].values == tables[1].values
         assert len(calls) <= 2, calls[:4]
 
-    def test_kernel_row_memo_belongs_to_the_set_view(self):
-        # the kernel lists of the per-entry sums are kept in the view of
-        # one set instance and N, not in a module: an exact d >= 2 table
-        # takes the margin transfer and fills neither the memo nor the
-        # row factors, `eval` fills both, a second call of the same
-        # instance makes no new list, and a new instance of the same set
-        # starts with none
-        k = kappa.family_milch([F(1, 2), F(1, 4), F(1, 8), F(1, 8)])
+    def test_set_view_belongs_to_the_instance(self):
+        # the per-N view of the kernel sums is kept with one set instance,
+        # not in a module: a table and an `eval` at that N share it, and a
+        # new instance of the same set starts with no view
+        k = milch3()
         N = 3
-        view = hyperg._integer_view(k, N)
-        memo = view.memo
-        assert memo == {}
+        views = k.integer_view[5]
+        assert views == {}
         hyperg.table(k, N)
-        assert memo == {} and "rows" not in vars(view)
+        view = views[N]
         first = hyperg.eval_hypergeometric(k, N, (1, 1, 1), (0, 2, 1))
-        keys = set(memo)
-        assert keys and "rows" in vars(view)
         assert hyperg.eval_hypergeometric(k, N, (1, 1, 1), (0, 2, 1)) == first
-        assert set(memo) == keys
-        fresh = kappa.family_milch([F(1, 2), F(1, 4), F(1, 8), F(1, 8)])
+        assert views == {N: view} and hyperg._integer_view(k, N) is view
+        fresh = milch3()
         assert fresh == k and fresh is not k
-        assert hyperg._integer_view(fresh, N).memo == {}
-        # a list is kept once per key, whatever caps asked for it: the
-        # 441 entries of a d = 1 table at N = 20 ask for the kernels
-        # 0..min(m, mt), 21 lists in all
-        k1 = kappa.family_ds(F(3), 1)
-        hyperg.table(k1, 20)
-        assert len(hyperg._integer_view(k1, 20).memo) == 21
+        assert fresh.integer_view[5] == {}
 
     def test_exact_table_where_omega_is_integral(self):
         # omega has denominator 1 here (D = 1), which must not be taken
@@ -409,26 +398,11 @@ def omega_form(k):
     return linalg.integer_rows([[1 - x for x in row[1:]] for row in k.u[1:]])
 
 
-def enumerated_margin_sums(k, N, by_total):
-    """{(r, c): S[r][c]} by listing every kernel A of total t <= N and
-    adding by_total[t] N!/A! W^A at its margins: the reference of the
-    margin transfer, with no zero sums kept."""
-    W = omega_form(k)[0]
-    sums = {}
-    for ker in numeric.enumerate_kernels(k.d, N, (N,) * k.d, (N,) * k.d):
-        cells = [(a, w) for row, Wi in zip(ker.entries, W) for a, w in zip(row, Wi)]
-        term = by_total[ker.total] * math.factorial(N)
-        term //= math.prod(math.factorial(a) for a, _ in cells)
-        term *= math.prod(w**a for a, w in cells)
-        key = ker.row_sums, ker.col_sums
-        sums[key] = sums.get(key, 0) + term
-    return {key: s for key, s in sums.items() if s}
-
-
 class TestIntegerView:
     """The set's one integer view against Fraction references: omega as
-    the kernel sums read it, and the weight ratios of the
-    antiautomorphism, for exact sets and their approx twins."""
+    the kernel sums read it, an approx twin's at the exact values of its
+    floats, and the weight ratios of the antiautomorphism, for exact sets
+    and their approx twins."""
 
     @settings(max_examples=40, deadline=None)
     @given(exact_sets(min_d=1, max_d=3), st.data())
@@ -437,16 +411,22 @@ class TestIntegerView:
         twin = kappa.from_json_dict(kappa.to_json_dict(k), "approx", 1e-10)
         n = k.d + 1
         for s, exact in ((k, True), (twin, False)):
+            # W on ints over one D > 0, at the exact values of the floats
+            # of the approx twin: every nonzero omega gives the same D
             view = hyperg._integer_view(s, N)
-            D = s.integer_view[4][1]
-            assert view.exact is exact and (exact or D == 1)
+            assert view.exact is exact
+            scales = set()
             for i in range(1, n):
                 for j in range(1, n):
-                    w = view.W[i - 1][j - 1]
-                    if exact:
-                        assert type(w) is int and F(w, D) == 1 - s.u[i][j], (i, j)
-                    else:
-                        assert type(w) is float and w == 1 - s.u[i][j], (i, j)
+                    w, omega = view.W[i - 1][j - 1], 1 - F(s.u[i][j])
+                    assert type(w) is int and (omega != 0 or w == 0), (i, j)
+                    if omega:
+                        scales.add(w / omega)
+            if scales:
+                (D,) = scales
+                assert D.denominator == 1 and D > 0
+                assert view.scale == math.factorial(N) ** 2 * D.numerator**N
+                assert not exact or D == s.integer_view[4][1]
         # a(b) = Pt b^t Pt^-1 by plain matrix products, on a random integer b
         b = tuple(tuple(data.draw(st.integers(-5, 5)) for _ in range(n)) for _ in range(n))
         scale = [linalg.diagonal(k.pt), linalg.diagonal([1 / F(x) for x in k.pt])]
@@ -458,17 +438,39 @@ class TestIntegerView:
 
 class TestMarginTransfer:
     """The margin sums S built entry by entry of the kernels, against the
-    kernels listed one by one, and the d = 1 terms read off them."""
+    brute-force kernel list of `kernel_oracle`, the d = 1 terms read off
+    them, and every kernel sum against the oracle's series."""
 
     @settings(max_examples=40, deadline=None)
-    @given(exact_sets(("griffiths", "hoare-rahman", "milch"), min_d=1, max_d=3, max_N=6))
-    def test_equals_the_enumerated_sums(self, case):
+    @given(exact_sets(("griffiths", "hoare-rahman", "milch"), min_d=1, max_d=3, max_N=6), st.data())
+    def test_equals_the_enumerated_sums(self, case, data):
+        # under a table's caps N, and under random caps; N <= 4 at d = 3
+        # keeps the brute-force list small
         k, N = case
-        D = omega_form(k)[1]
+        N = min(N, 4) if k.d == 3 else N
+        W, D = omega_form(k)
         by_total = [(-1) ** t * D ** (N - t) * math.factorial(N - t) for t in range(N + 1)]
         fact = tuple(math.factorial(x) for x in range(N + 1))
-        got = hyperg._margin_transfer(hyperg._integer_view(k, N).W, N, fact, by_total)
-        assert {key: s for key, s in got.items() if s} == enumerated_margin_sums(k, N, by_total)
+        random_caps = st.lists(st.integers(0, N), min_size=k.d, max_size=k.d)
+        for caps in ((N,) * k.d, (N,) * k.d), (data.draw(random_caps), data.draw(random_caps)):
+            got = hyperg._margin_transfer(hyperg._integer_view(k, N).W, N, fact, by_total, *caps)
+            want = kernel_oracle.margin_sums(W, N, by_total, *caps)
+            assert {key: s for key, s in got.items() if s} == want, caps
+
+    @settings(max_examples=30, deadline=None)
+    @given(exact_sets(min_d=1, max_d=3, max_N=6), st.data())
+    def test_values_equal_the_oracle_in_both_modes(self, case, data):
+        # exact: the oracle's Fraction and the generating route; approx:
+        # float() of the oracle's sum on the exact values of the twin's
+        # floats, bit for bit
+        k, N = case
+        points = list(enumerate_degree_points(k.d, N))
+        m, mt = data.draw(st.sampled_from(points)), data.draw(st.sampled_from(points))
+        value = hyperg.eval_hypergeometric(k, N, m, mt)
+        assert value == kernel_oracle.kernel_sum(k.u, N, m, mt) == hyperg.eval_generating(k, N, m, mt)
+        twin = kappa.from_json_dict(kappa.to_json_dict(k), "approx", 1e-10)
+        got = hyperg.eval_hypergeometric(twin, N, m, mt)
+        assert type(got) is float and got == float(kernel_oracle.kernel_sum(twin.u, N, m, mt))
 
     @settings(max_examples=30, deadline=None)
     @given(d1_sets())
@@ -481,29 +483,27 @@ class TestMarginTransfer:
             want.append(-want[-1] * w // (D * (N - t) * (t + 1)))
         assert list(hyperg._integer_view(k, N).by_total) == want
 
-    def test_d1_kernel_lists_are_shared_by_a_tables_entries(self, monkeypatch):
-        # the 441 entries of a d = 1 table at N = 20 are served, for each
-        # top = min(m, mt), the one list that the view's memo keeps, the
-        # same KernelMatrix objects every time, and that list is the one
-        # a fresh memo makes
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_d1_table_sums_the_totals_per_entry(self, monkeypatch, mode):
+        # each of the 441 entries of a d = 1 table at N = 20, in either
+        # mode, enumerates the totals 0..min(m, mt) once, capped by its
+        # own m and mt
         k, N = kappa.family_ds(F(3), 1), 20
-        served = {}
+        if mode == "approx":
+            k = kappa.from_json_dict(kappa.to_json_dict(k), "approx", 1e-10)
+        served = []
         original = hyperg.enumerate_kernels
 
-        def recording(d, degree, row_caps, col_caps, memo=None):
-            kernels = list(original(d, degree, row_caps, col_caps, memo))
-            served.setdefault(min(row_caps[0], col_caps[0]), []).append(kernels)
-            yield from kernels
+        def recording(degree, row_cap, col_cap):
+            totals = list(original(degree, row_cap, col_cap))
+            served.append(((degree, row_cap, col_cap), totals))
+            yield from totals
 
         monkeypatch.setattr(hyperg, "enumerate_kernels", recording)
         hyperg.table(k, N)
-        memo = hyperg._integer_view(k, N).memo
-        assert sorted(served) == sorted(memo) == list(range(N + 1))
-        for top, calls in served.items():
-            assert len(calls) == 2 * (N - top) + 1
-            assert all(x is y for kernels in calls for x, y in zip(kernels, memo[top]))
-            assert all(len(kernels) == top + 1 for kernels in calls)
-            assert memo[top] == list(original(1, N, (top,), (top,)))
+        points = list(enumerate_lattice(1, N))
+        want = [((N, nt[1], n[1]), list(range(min(n[1], nt[1]) + 1))) for n in points for nt in points]
+        assert served == want
 
 
 class TestOrthogonality:
@@ -833,14 +833,29 @@ class TestDuality:
         assert all(r.passed for r in reports)
         assert calls == {"sums": 0, "enumerations": 0, "kernels": 0, "expansions": 2 * L}
 
+    def test_approx_check_sums_each_kernel_once_and_expands_per_column(
+        self, monkeypatch
+    ):
+        # the table's form is chosen by d alone: the approx d = 2 table
+        # takes the margin transfer as the exact one does
+        k = kappa.from_json_dict(
+            kappa.to_json_dict(kappa.family_hoare_rahman(1, 2, 3, 4)), "approx", 1e-10
+        )
+        N = 2
+        L = len(list(enumerate_lattice(k.d, N)))
+        calls = count_work(monkeypatch)
+        reports = verify.run_suites(verify.SUITES, k, N, 1e-10)
+        assert all(r.passed for r in reports)
+        assert calls == {"sums": 0, "enumerations": 0, "kernels": 0, "expansions": 2 * L}
+
     @pytest.mark.parametrize(
         "k,N,tol",
         [
-            (kappa.from_json_dict(kappa.to_json_dict(kappa.family_hoare_rahman(1, 2, 3, 4)),
-                                  "approx", 1e-10), 2, 1e-10),
+            (kappa.from_json_dict(kappa.to_json_dict(kappa.family_ds(F(3), 1)), "approx", 1e-10),
+             4, 1e-10),
             (kappa.family_ds(F(3), 1), 4, 0),
         ],
-        ids=["approx-d2", "exact-d1"],
+        ids=["approx-d1", "exact-d1"],
     )
     def test_approx_and_d1_tables_sum_per_entry(self, monkeypatch, k, N, tol):
         L = len(list(enumerate_lattice(k.d, N)))

@@ -3,16 +3,15 @@
 import math
 import re
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mvkraw import hyperg
 from mvkraw.numeric import (
     APPROX,
     EXACT,
     DegreeMismatchError,
-    KernelMatrix,
     clear_denominators,
     enumerate_degree_points,
     enumerate_kernels,
@@ -29,6 +28,7 @@ from mvkraw.numeric import (
     power_product,
     scalars_equal,
 )
+import kernel_oracle
 
 
 class TestScalars:
@@ -261,27 +261,14 @@ class TestLattice:
         assert all(len(y) == 2 and sum(y) <= 2 for y in red)
 
 
-def brute_force_kernels(d, degree, row_caps, col_caps):
-    """Reference enumeration by filtering the full entry cube."""
-    out = []
-    for cells in product(range(degree + 1), repeat=d * d):
-        rows = [cells[i * d : (i + 1) * d] for i in range(d)]
-        row_sums = [sum(r) for r in rows]
-        col_sums = [sum(r[j] for r in rows) for j in range(d)]
-        if (
-            sum(row_sums) <= degree
-            and all(r <= c for r, c in zip(row_sums, row_caps))
-            and all(r <= c for r, c in zip(col_sums, col_caps))
-        ):
-            out.append(tuple(tuple(r) for r in rows))
-    return sorted(out)
-
-
 class TestKernels:
+    """The d = 1 enumerator of totals, and the margin sums of every d,
+    against the brute-force kernel list of `kernel_oracle`."""
+
     def test_small_square_count(self):
-        # frozen from the brute-force reference above
-        got = list(enumerate_kernels(2, 2, (2, 2), (2, 2)))
-        assert len(got) == 15
+        # a 1 x 1 kernel is its total: caps 3 and 2 at degree 4 leave 0..2
+        assert list(enumerate_kernels(4, 3, 2)) == [0, 1, 2]
+        assert len(kernel_oracle.kernels(2, (2, 2), (2, 2))) == 15
 
     @pytest.mark.parametrize(
         "d,degree,row_caps,col_caps",
@@ -293,8 +280,17 @@ class TestKernels:
         ],
     )
     def test_matches_brute_force(self, d, degree, row_caps, col_caps):
-        got = sorted(k.entries for k in enumerate_kernels(d, degree, row_caps, col_caps))
-        assert got == brute_force_kernels(d, degree, row_caps, col_caps)
+        # with omega all ones and by_total all ones, S[r][c] is the sum of
+        # N!/A! over the listed kernels with margins (r, c): the capped
+        # transfer visits exactly the kernels of the brute-force list
+        listed = kernel_oracle.kernels(degree, row_caps, col_caps)
+        W, by_total = [[1] * d for _ in range(d)], [1] * (degree + 1)
+        fact = tuple(math.factorial(x) for x in range(degree + 1))
+        got = hyperg._margin_transfer(W, degree, fact, by_total, row_caps, col_caps)
+        assert got == kernel_oracle.margin_sums(W, degree, by_total, row_caps, col_caps)
+        assert {key for key, s in got.items() if s} == set(map(kernel_oracle.margins, listed))
+        if d == 1:
+            assert list(enumerate_kernels(degree, *row_caps, *col_caps)) == [a for ((a,),) in listed]
 
     @given(
         st.integers(1, 3),
@@ -308,59 +304,29 @@ class TestKernels:
         col_caps = data.draw(
             st.lists(st.integers(0, 4), min_size=d, max_size=d)
         )
-        seen = set()
-        for k in enumerate_kernels(d, degree, row_caps, col_caps):
-            assert isinstance(k, KernelMatrix)
-            assert k.total == sum(k.row_sums) == sum(k.col_sums) <= degree
-            assert all(r <= c for r, c in zip(k.row_sums, row_caps))
-            assert all(r <= c for r, c in zip(k.col_sums, col_caps))
-            assert k.entries not in seen
-            seen.add(k.entries)
+        W = [[1] * d for _ in range(d)]
+        fact = tuple(math.factorial(x) for x in range(degree + 1))
+        sums = hyperg._margin_transfer(W, degree, fact, [1] * (degree + 1), row_caps, col_caps)
+        for r, c in sums:
+            assert sum(r) == sum(c) <= degree
+            assert all(x <= y for x, y in zip(r, row_caps))
+            assert all(x <= y for x, y in zip(c, col_caps))
+        if d == 1:
+            totals = list(enumerate_kernels(degree, *row_caps, *col_caps))
+            assert totals == [t for (t,), _ in sums]
 
-    @given(
-        st.integers(1, 3),
-        st.integers(0, 4),
-        st.data(),
-    )
-    def test_lex_order_of_flattened_entries(self, d, degree, data):
-        # approx kernel sums add in this order, so it is part of the contract
-        row_caps = data.draw(st.lists(st.integers(0, 4), min_size=d, max_size=d))
-        col_caps = data.draw(st.lists(st.integers(0, 4), min_size=d, max_size=d))
-        flat = [
-            sum(k.entries, ())
-            for k in enumerate_kernels(d, degree, row_caps, col_caps)
-        ]
-        assert all(a < b for a, b in zip(flat, flat[1:]))
-
-    @given(
-        st.lists(
-            st.integers(1, 3).flatmap(
-                lambda d: st.tuples(
-                    st.just(d),
-                    st.integers(0, 4),
-                    st.lists(st.integers(0, 4), min_size=d, max_size=d),
-                    st.lists(st.integers(0, 4), min_size=d, max_size=d),
-                )
-            ),
-            max_size=8,
-        )
-    )
-    def test_shared_memo_yields_what_a_fresh_call_yields(self, calls):
-        # the kernel sums of a table share one row-vector memo; a list
-        # made for one call must serve every later call as it is
-        memo = {}
-        for d, degree, row_caps, col_caps in calls:
-            shared = list(enumerate_kernels(d, degree, row_caps, col_caps, memo))
-            fresh = list(enumerate_kernels(d, degree, row_caps, col_caps))
-            assert shared == fresh  # all four fields, in the same order
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+    def test_lex_order_of_flattened_entries(self, degree, row_cap, col_cap):
+        # a 1 x 1 kernel flattens to its total: the totals come in the lex
+        # order of the brute-force list, each once
+        listed = kernel_oracle.kernels(degree, (row_cap,), (col_cap,))
+        assert list(enumerate_kernels(degree, row_cap, col_cap)) == [a for ((a,),) in listed]
 
     def test_zero_matrix_always_first_present(self):
-        kernels = list(enumerate_kernels(2, 0, (5, 5), (5, 5)))
-        assert len(kernels) == 1
-        assert kernels[0].total == 0
+        assert list(enumerate_kernels(0, 5, 5)) == [0]
+        assert next(enumerate_kernels(5, 0, 5)) == 0
 
     def test_bad_caps_rejected(self):
-        with pytest.raises(ValueError):
-            list(enumerate_kernels(2, 2, (1,), (1, 1)))
-        with pytest.raises(ValueError):
-            list(enumerate_kernels(2, 2, (1, -1), (1, 1)))
+        for caps in ((-1, 1), (1, -1)):
+            with pytest.raises(ValueError):
+                list(enumerate_kernels(2, *caps))

@@ -3,12 +3,13 @@
 The fixture holds the `mvkraw table` JSON, in exact and in approx mode,
 of five tables: Hoare-Rahman (1,2,3,4) at N = 3, Milch (1/2,1/4,1/8,1/8)
 at N = 2, ds q = 3, d = 1 at N = 8 and at N = 20, and Griffiths
-(101/400,99/400,1/2) at N = 3.  Approx kernel sums add their terms in
-the order in which the kernels are enumerated, so the approx tables pin
-that order too: a change to kernel enumeration or to the term
-arithmetic must leave every value string as it is.  At N = 20 the
-approx d = 1 sums cancel to about 1e-9 of their values, so that table
-pins the float order where it matters most.
+(101/400,99/400,1/2) at N = 3.  An approx kernel sum runs on the exact
+values of the set's floats, on ints, and is rounded once, so each
+approx entry is the correctly rounded value of its exact sum, whatever
+order the terms are added in: the approx tables pin those values.  At
+N = 20 the d = 1 terms are far larger than the values they cancel to,
+so that table pins the rounding where a sum of float terms would lose
+most.
 
 Regenerate the fixture only when a table changes on purpose:
 
