@@ -39,8 +39,8 @@ and compare each sum with the eigenvalue times the line on ints, and
 `check_commute` composes two integer forms directly, so a Fraction is
 built only where a check fails.  The affine form of the action, one
 coefficient per shift that is affine in the point (`_stencil`), is kept
-for the `stencil` dump; `term_count` reads its number of terms off the
-matrix.
+for the `stencil` dump and for the `term_counts` of `check_eigen`, its
+number of terms.
 """
 
 from __future__ import annotations
@@ -121,16 +121,6 @@ class DifferenceOperator:
         """The affine form of the action (`_stencil`)."""
         return _stencil(self.matrix, self.N)
 
-    def term_count(self) -> int:
-        """The number of terms of `stencil`, read off the matrix: one
-        per nonzero off-diagonal entry, each with its own shift, and the
-        no-shift term unless M[0][0] N and every M[j][j] - M[0][0]
-        vanish."""
-        M = self.matrix
-        off = sum(1 for k, row in enumerate(M) for l, x in enumerate(row) if k != l and x != 0)
-        uneven = any(M[j][j] != M[0][0] for j in range(1, len(M)))
-        return off + int(M[0][0] * self.N != 0 or uneven)
-
 
 def _stencil(M: Matrix, N: int) -> dict:
     """The derivation action x^lam -> sum_kl M[k][l] lam_l x^(lam+v_k-v_l)
@@ -142,24 +132,22 @@ def _stencil(M: Matrix, N: int) -> dict:
     k, l >= 1; zero terms are dropped."""
     d = len(M) - 1
     js = range(1, d + 1)
-
-    def times_lam(l: int, c: Scalar) -> AffineCoeff:
-        if l == 0:
-            return AffineCoeff(c * N, tuple(-c for _ in js))
-        return AffineCoeff(0, tuple(c if m == l else 0 for m in js))
-
     pairs = [(0, l) for l in js] + [(k, 0) for k in js] + [(0, 0)]
     pairs += [(k, l) for k in js for l in js if k != l]
     stencil = {}
     for k, l in pairs:
-        shift = tuple((m == k) - (m == l) for m in js)
+        c = M[k][l]
         if k == l:
-            diag = tuple(M[j][j] - M[0][0] for j in js)
-            coeff = AffineCoeff(M[0][0] * N, diag)
+            coeff = AffineCoeff(c * N, tuple(M[j][j] - c for j in js))
+            if coeff.is_zero():
+                continue
+        elif c == 0:  # M[k][l] lam_l vanishes with its entry
+            continue
+        elif l == 0:  # lam_0 = N - |y|
+            coeff = AffineCoeff(c * N, (-c,) * d)
         else:
-            coeff = times_lam(l, M[k][l])
-        if not coeff.is_zero():
-            stencil[shift] = coeff
+            coeff = AffineCoeff(0, tuple(c if m == l else 0 for m in js))
+        stencil[tuple((m == k) - (m == l) for m in js)] = coeff
     return stencil
 
 
@@ -309,9 +297,9 @@ def check_eigen(
 
     details = {
         "term_counts": {
-            "second_index_family": [op.term_count() for op in ops_second],
-            "first_index_family": [op.term_count() for op in ops_first],
-            "universal": operator_universal(kappa, N).term_count(),
+            "second_index_family": [len(op.stencil) for op in ops_second],
+            "first_index_family": [len(op.stencil) for op in ops_first],
+            "universal": len(operator_universal(kappa, N).stencil),
         },
         "term_bound": d * d + d + 1,
         "max_residual": format_scalar(max_resid),

@@ -358,28 +358,21 @@ def _lowest(scaled: tuple) -> tuple:
     return [x // g for x in ints] if g != 1 else list(ints), S // g
 
 
-def _margin_sums(kappa: ParameterSet, N: int, index: dict) -> list:
-    """S[r][c] = sum of (-1)^t D^(N-t) (N-t)! N!/A! W^A over the kernels A
-    with row sums r and column sums c (see `table`), on ints, by one
-    `_margin_transfer`, as by_col[c] = [(r, S[r][c]), ...] over layout
-    indices."""
-    view = _integer_view(kappa, N)
-    by_col = [[] for _ in index]
-    caps = (N,) * kappa.d
-    for (r, c), s in _margin_transfer(view.W, N, view.fact, view.by_total, caps, caps).items():
-        by_col[index[c]].append((index[r], s))
-    return by_col
-
-
 def _margin_table(kappa: ParameterSet, N: int, points: tuple) -> tuple:
     """The rows of T = F S^T F^T as (ints, N!^2 D^N) lines, an approx
     set's rows then as floats, each entry rounded once (`_rounded`),
-    with scale 1 (see `table`)."""
+    with scale 1 (see `table`).  S[r][c], the sum of (-1)^t D^(N-t)
+    (N-t)! N!/A! W^A over the kernels A with row sums r and column sums
+    c, comes on ints from one `_margin_transfer`, as by_col[c] =
+    [(r, S[r][c]), ...] over layout indices."""
     view = _integer_view(kappa, N)
     falling, scale = view.falling, view.scale
     vectors = [n[1:] for n in points]
     index = {v: k for k, v in enumerate(vectors)}
-    by_col = _margin_sums(kappa, N, index)
+    by_col = [[] for _ in index]
+    caps = (N,) * kappa.d
+    for (r, c), s in _margin_transfer(view.W, N, view.fact, view.by_total, caps, caps).items():
+        by_col[index[c]].append((index[r], s))
     below = []  # per point v: (layout indices of c <= v, F[v][c])
     for v in vectors:
         cs = list(product(*(range(x + 1) for x in v)))
@@ -417,7 +410,7 @@ def table(kappa: ParameterSet, N: int) -> PolynomialTable:
     (1) sums the integers S[r][c] = N!^2 D^N K'[r][c] on the integer
     view of `_integer_view` by one transfer over the entries of the
     kernels of total <= N, capped at N, which lists no kernel
-    (`_margin_transfer`, `_margin_sums`); and (2) contracts
+    (`_margin_transfer`); and (2) contracts
     T = F S^T F^T on ints, with F[v][c] = fall(v, c) for each c <= v
     generated under v, not filtered from the lattice (`_margin_table`).
     An exact table's lines are the rows of T over the scale N!^2 D^N,

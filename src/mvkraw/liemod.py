@@ -29,22 +29,26 @@ x^(lam+v_i-v_j).  On the degree-N lattice that action is one
 contravariance check of norms both read; the action is linear in the
 matrix, so each form is read from the unit moves of the run's one
 `move_table`.  The substituted variables
-xt = x R carry the dual weight basis, and the module suites are
-identities of the expansion matrix X[lam][n] = coeff_n(xt^lam): the d
-recurrences as intertwinings (adjacency); orthogonality of the xt^lam
-for a form diagonal on plain monomials with weight nu^N n!/pt^n, and
+xt = x R carry the dual weight basis, and the change of basis
+x^n <-> xt^nt on degree-N polynomials has two matrices: X = Sym^N(R),
+X[lam][n] = coeff_n(xt^lam), and its inverse Y = Sym^N(R^-1),
+Y[n][mu] = the coefficient of xt^mu in x^n (`to_dual_coords`).  Both
+are one `expansion_matrix`, dense integer lines in layout order over one
+scale, made once per run from the run's one conjugator.  The module
+suites are identities of these two: the d recurrences as intertwinings
+of X (adjacency); orthogonality of the xt^lam for a form diagonal on
+plain monomials with weight nu^N n!/pt^n, read off the lines of X, and
 the form's contravariance <b.f, g> = <f, a(b).g> on the units e_ij
-(norms); both basis transitions against the table (transition).  The
-pairing <x^n, xt^nt> recovers P(n', nt') up to an explicit constant and
-serves as the third evaluation route.  Substituting y_j = pt_j x_j
-turns xt^nt into the generating function of `hyperg.generating_column`,
-so both routes expand through the one core `numeric.expand_forms`, as
-does the inverse substitution of `to_dual_coords`; for exact data the
-core runs on ints.  The module suites read X as one `expansion_matrix`,
-made once per run from the run's one conjugator, on ints over one
-scale, and both closed forms as `closed_forms`, made once per run;
-adjacency reads the two actions it needs from the lattice forms of the
-run's generators (`bispec.generators`).
+(norms); both basis transitions against the table, X against its
+columns and Y against its rows (transition).  The pairing
+<x^n, xt^nt> recovers P(n', nt') up to an explicit constant and serves
+as the third evaluation route.  Substituting y_j = pt_j x_j turns
+xt^nt into the generating function of `hyperg.generating_column`, so
+both routes expand through the one core `numeric.expand_forms`, as do
+X and Y; for exact data the core runs on ints.  Both closed forms come
+as `closed_forms`, made once per run; adjacency reads the two actions
+it needs from the lattice forms of the run's generators
+(`bispec.generators`).
 """
 
 from __future__ import annotations
@@ -399,10 +403,6 @@ def check_generation(
 # the polynomial module
 
 
-def monomial(lam: MultiIndex, coeff: Scalar = 1) -> dict:
-    return {tuple(lam): coeff} if coeff != 0 else {}
-
-
 def act(beta: Matrix, f: dict) -> dict:
     """Derivation action: e_ij contributes lam_j x^(lam+v_i-v_j), the
     diagonal contributes sum_k beta_kk lam_k on the spot."""
@@ -468,12 +468,6 @@ def lattice_form(M: Matrix, moves: tuple) -> tuple:
     return tuple(rows), D
 
 
-def _add_scaled(acc: dict, coeffs: dict, c: Scalar) -> None:
-    """acc += c * coeffs, in place; zeros are left for the caller to drop."""
-    for lam, v in coeffs.items():
-        acc[lam] = acc.get(lam, 0) + c * v
-
-
 def xtilde_monomial(conj: Conjugator, lam: MultiIndex) -> dict:
     """The substituted monomial xt^lam = prod_k (sum_j x_j rhat[j][k])^lam_k
     expanded over plain monomials, one Fraction per coefficient."""
@@ -482,34 +476,35 @@ def xtilde_monomial(conj: Conjugator, lam: MultiIndex) -> dict:
 
 
 def expansion_matrix(R: Matrix, points) -> tuple:
-    """(rows, D) with rows[lam][n] / D the coefficient of x^n in
-    prod_k (sum_j x_j R[j][k])^lam_k for every lam of `points`, in their
-    order, zeros left out: one expansion per point on ints
-    (`numeric.expand_forms`), every row brought to the one scale D, the
-    lcm of the rows' scales; floats keep D = 1.  With R = rhat it is X,
-    which the module suites read on ints through this one scaling."""
+    """(lines, D) with lines[k][j] / D the coefficient of the j-th
+    point's monomial x^n in prod_i (sum_j x_j R[j][i])^lam_i, lam the
+    k-th point, for the degree-N lattice in the layout order of
+    `points`, zeros included: Sym^N(R) on the monomial basis.  One
+    expansion per point on ints (`numeric.expand_forms`), every line
+    brought to the one scale D, the lcm of the expansions' scales;
+    floats keep D = 1.  With R = rhat it is X, with R = rhat_inv its
+    inverse Y (`to_dual_coords`); the module suites read both on ints
+    through this one scaling."""
+    points = tuple(points)
+    index = {n: j for j, n in enumerate(points)}
     forms = tuple(zip(*R))
-    expanded = [(lam, *expand_forms(forms, lam)) for lam in points]
-    D = math.lcm(*(s for _, _, s in expanded))
-    rows = {
-        lam: coeffs if s == D else {n: c * (D // s) for n, c in coeffs.items()}
-        for lam, coeffs, s in expanded
-    }
-    return rows, D
+    expanded = [expand_forms(forms, lam) for lam in points]
+    D = math.lcm(*(s for _, s in expanded))
+    lines = []
+    for coeffs, s in expanded:
+        line = [0] * len(points)
+        for n, c in coeffs.items():
+            line[index[n]] = c if s == D else c * (D // s)
+        lines.append(line)
+    return lines, D
 
 
-def to_dual_coords(conj: Conjugator, f: dict) -> dict:
-    """Coefficients of f over the substituted basis: apply the inverse
-    substitution x = xt rhat_inv (`expansion_matrix` of rhat_inv) and
-    collect.  For exact f and rhat_inv the terms add up on ints, over
-    the expansions' one scale times that of f's coefficients, with one
-    Fraction per coefficient."""
-    cs, Df = clear_denominators(list(f.values()))
-    rows, D = expansion_matrix(conj.rhat_inv, f)
-    out: dict = {}
-    for c, lam in zip(cs, f):
-        _add_scaled(out, rows[lam], c)
-    return {mu: ratio(v, Df * D) for mu, v in out.items() if v != 0}
+def to_dual_coords(conj: Conjugator, points) -> tuple:
+    """Y = Sym^N(rhat_inv), the inverse of X: (lines, D) with
+    lines[k][j] / D the coefficient of xt^mu, mu the j-th point, in x^n,
+    n the k-th, from the inverse substitution x = xt rhat_inv
+    (`expansion_matrix`).  A run builds it once, for `transition`."""
+    return expansion_matrix(conj.rhat_inv, points)
 
 
 def pairing_weight(kappa: ParameterSet, N: int, n: MultiIndex) -> Scalar:
@@ -562,7 +557,7 @@ def check_dual_norms(
 ) -> CheckReport:
     """Two facts about the form.  The substituted monomials are
     orthogonal for it, with norms n!/p^n (no nu power): the Gram of the
-    rows of X[lam][n] = coeff_n(xt^lam) under the form's weights, summed
+    lines of X[lam][n] = coeff_n(xt^lam) under the form's weights, summed
     on ints over X's one scale and the weights' own and compared with
     each norm on ints (`numeric.gram_misses`, as for the table's
     orthogonality); a Fraction is built only for a miss.  The norms grow
@@ -572,8 +567,7 @@ def check_dual_norms(
     table."""
     points = tuple(enumerate_lattice(kappa.d, N))
     weights, scaled = _form_weights(kappa, N)
-    rows, D = X
-    lines = [[rows[lam].get(n, 0) for n in points] for lam in points]
+    lines, D = X
     norms = [1 / weight_over_factorial(kappa.p, lam) for lam in points]
     sizes = [abs(x) for x in norms]
     failures = []
@@ -663,8 +657,7 @@ def check_adjacency(
     d = kappa.d
     width = d + 1
     points = tuple(enumerate_lattice(d, N))
-    rows, D = X
-    lines = [[rows[lam].get(n, 0) for n in points] for lam in points]
+    lines, D = X
     zeros = [0] * len(points)
     size = [max(map(abs, line)) for line in lines] if tol else None
     failures = []
@@ -709,18 +702,14 @@ def check_adjacency(
     )
 
 
-def _expands_to(
-    got: dict, D: int, line: tuple, weights: tuple, points: tuple, tol: Scalar
-) -> bool:
-    """Whether got[n] / D = line[k] weights[k] within tol at the k-th
-    point n, for every point (a missing n reads 0), with the line a
-    table line of the integer view and the weights from
-    `numeric.multinomial_weights`, each as (ints, S), compared by
-    `numeric.misses`."""
+def _expands_to(got: list, D: int, line: tuple, weights: tuple, tol: Scalar) -> bool:
+    """Whether got[k] / D = line[k] weights[k] within tol at every
+    point k, with got a dense line of X or Y, the line a table line of
+    the integer view and the weights from `numeric.multinomial_weights`,
+    each as (ints, S), compared by `numeric.misses`."""
     (values, S), (ints, Sw) = line, weights
-    coeffs = [got.get(n, 0) for n in points]
     want = list(map(mul, values, ints))
-    return all(scalars_equal(g, w, tol) for _, g, w in misses(coeffs, D, want, S * Sw))
+    return all(scalars_equal(g, w, tol) for _, g, w in misses(got, D, want, S * Sw))
 
 
 def check_transition(
@@ -729,8 +718,8 @@ def check_transition(
     tol: Scalar = 0,
     *,
     tab: hyperg.PolynomialTable,
-    conj: Conjugator,
     X: tuple,
+    Y: tuple,
 ) -> CheckReport:
     """Both basis-transition expansions as exact polynomial identities:
 
@@ -738,28 +727,31 @@ def check_transition(
         x^n / nu^N   = N! sum_nt P(n',nt') (p^nt/nt!) xt^nt
 
     with P read from the table, so this cross-ties the module picture to
-    the series definition.  The first compares each row X[nt] of the
-    expansion matrix with a column of the table; the second reads
-    x^n / nu^N in the substituted basis (`to_dual_coords`, the inverse
-    expansion) and compares it with a row.  Each coefficient is compared
-    with its table entry times its weight cross-multiplied on ints
-    (`_expands_to`); a Fraction is built only for a miss.
+    the series definition.  The first compares each line X[nt] of the
+    expansion matrix with a column of the table, the second each line
+    Y[n] of its inverse (`to_dual_coords`), read as x^n / nu^N, with a
+    row.  In exact mode nu = NU / Dn is read off the set's integer view,
+    so a line of Y over its scale Dy is Dn^N Y[n] over Dy NU^N, on ints;
+    floats take the plain 1 / nu^N.  Each coefficient is compared with
+    its table entry times its weight cross-multiplied (`_expands_to`);
+    a Fraction is built only for a miss.
     """
     points = tab.points
-    pt_w, p_w = (multinomial_weights(kappa.integer_view[k], N, points) for k in (3, 2))
+    exact, ([nu], Dn), p, pt, _, _ = kappa.integer_view
     table_rows, table_columns = tab.integer_view
-    rows, D = X
+    (Xs, Dx), (Ys, Dy) = X, Y
+    lift, Sy = (Dn**N, Dy * nu**N) if exact else (1 / nu**N, Dy)
+    sides = (  # (record, lines, factor, scale, table lines, weights)
+        ("substituted-over-plain", Xs, 1, Dx, table_columns, pt),
+        ("plain-over-substituted", Ys, lift, Sy, table_rows, p),
+    )
     failures = []
-
-    for column, nt in zip(table_columns, points):
-        if not _expands_to(rows[nt], D, column, pt_w, points, tol):
-            failures.append({"expansion": "substituted-over-plain", "at": list(nt)})
-
-    inv_nu_pow = 1 / exactify(kappa.nu) ** N
-    for row, n in zip(table_rows, points):
-        got = to_dual_coords(conj, monomial(n, inv_nu_pow))
-        if not _expands_to(got, 1, row, p_w, points, tol):
-            failures.append({"expansion": "plain-over-substituted", "at": list(n)})
+    for expansion, lines, factor, scale, table_lines, w in sides:
+        weights = multinomial_weights(w, N, points)
+        for line, want, at in zip(lines, table_lines, points):
+            got = line if factor == 1 else [x * factor for x in line]
+            if not _expands_to(got, scale, want, weights, tol):
+                failures.append({"expansion": expansion, "at": list(at)})
 
     return CheckReport(
         "transition", not failures, failures, {"points": len(points)}

@@ -3,14 +3,16 @@
 Each suite name maps to one check; `run_suites` executes a list of them
 against a parameter set at the run's tolerance, and is the one place
 their inputs are built: the polynomial table, the conjugator (its
-inverse checked at that tolerance), the expansion matrix X of
-`liemod.expansion_matrix` on ints, both closed forms
-(`liemod.closed_forms`), the unit-move table of `liemod.move_table`,
-from which every lattice form of the run is read, and the 2d
-generators of `bispec.generators`, each lazily and once per run,
-handed to each check that reads it.  The
+inverse checked at that tolerance), the expansion matrix X =
+Sym^N(rhat) of `liemod.expansion_matrix` and its inverse Y =
+Sym^N(rhat^-1) of `liemod.to_dual_coords`, both dense integer lines
+from that one conjugator, both closed forms (`liemod.closed_forms`),
+the unit-move table of `liemod.move_table`, from which every lattice
+form of the run is read, and the 2d generators of `bispec.generators`,
+each lazily and once per run, handed to each check that reads it.  The
 three-way check reads the kernel sums from the table, the generating
-route one column expansion at a time, and the pairing route from X.
+route one column expansion at a time, and the pairing route from the
+columns of X, transposed once.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ def check_threeway(
 ) -> CheckReport:
     """All three evaluation routes on every index pair of the lattice;
     the kernel-sum route is read from the table, the generating route
-    one column at a time, and the pairing route from each row X[nt] of
-    the expansion matrix and the weight w = num/den of each n.  Each row
+    one column at a time, and the pairing route from each column X[.][n]
+    of the expansion matrix, the lines of X transposed once, and the
+    weight w = num/den of each n.  Each row
     of the table's integer view is compared with both other routes by
     `numeric.misses`, on ints in exact mode, and the values and the
     residuals are made only for a miss.  In approx mode the routes agree
@@ -71,13 +74,14 @@ def check_threeway(
     points = tab.points
     columns = [hyperg.generating_column(kappa, N, nt[1:]) for nt in points]
     weights = [liemod.pairing_weight(kappa, N, n) for n in points]
-    rows, D = X
+    lines, D = X
     failures = []
     max_resid = 0
-    for n, (ints, S), w in zip(points, tab.integer_view[0], weights):
+    by_column = zip(*lines)  # X transposed once: X[nt][n] over the nt, per n
+    for n, (ints, S), w, coeffs in zip(points, tab.integer_view[0], weights, by_column):
         num, den = (w.numerator, w.denominator * D) if is_exact(w) else (w, D)
         generating = [column.get(n, 0) for column in columns]
-        pairing = [rows[nt].get(n, 0) * num for nt in points]
+        pairing = [x * num for x in coeffs]
         missed = {k for k, _, _ in misses(ints, S, generating, 1)}
         missed.update(k for k, _, _ in misses(ints, S, pairing, den))
         for c in sorted(missed):
@@ -110,10 +114,10 @@ def run_suites(
     table: hyperg.PolynomialTable | None = None,
 ) -> list[CheckReport]:
     """Run the named suites in order.  The table (`table` when one is
-    given), the conjugator at `tol`, the expansion matrix, the closed
-    forms, the move table and the generators with their lattice forms
-    are each built on first need and handed to every suite that reads
-    them."""
+    given), the conjugator at `tol`, the expansion matrix X and its
+    inverse Y, the closed forms, the move table and the generators with
+    their lattice forms are each built on first need and handed to every
+    suite that reads them."""
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown check suite {name!r}")
@@ -134,13 +138,14 @@ def run_suites(
         "lemma22": (liemod.check_generation, "conj", "forms"),
         "norms": (liemod.check_dual_norms, "X", "moves"),
         "adjacency": (liemod.check_adjacency, "X", "gens"),
-        "transition": (liemod.check_transition, "tab", "conj", "X"),
+        "transition": (liemod.check_transition, "tab", "X", "Y"),
         "threeway": (check_threeway, "tab", "X"),
     }
     build = {
         "tab": lambda: hyperg.table(kappa, N),
         "conj": lambda: liemod.conjugator(kappa, tol),
         "X": lambda: liemod.expansion_matrix(need("conj").rhat, enumerate_lattice(kappa.d, N)),
+        "Y": lambda: liemod.to_dual_coords(need("conj"), enumerate_lattice(kappa.d, N)),
         "forms": lambda: liemod.closed_forms(kappa),
         "moves": lambda: liemod.move_table(kappa.d, N),
         "gens": lambda: bispec.generators(kappa, N, need("forms"), need("moves")),

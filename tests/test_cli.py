@@ -277,11 +277,12 @@ class TestCheck:
             expansion_matrix = liemod.expansion_matrix
 
             def corrupted(R, points):
-                # X and, in transition, the inverse expansions of monomials
-                rows, D = expansion_matrix(R, points)
-                if (1, 1, 1) in rows:
-                    rows[(1, 1, 1)][(3, 0, 0)] = rows[(1, 1, 1)].get((3, 0, 0), 0) + 1
-                return rows, D
+                # X and, in transition, its inverse Y
+                points = tuple(points)
+                lines, D = expansion_matrix(R, points)
+                if (1, 1, 1) in points:
+                    lines[points.index((1, 1, 1))][points.index((3, 0, 0))] += 1
+                return lines, D
 
             monkeypatch.setattr(liemod, "expansion_matrix", corrupted)
         reports = {}

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mvkraw import hyperg, kappa, liemod, verify
 from mvkraw.numeric import (
+    enumerate_lattice,
     exactify,
     expand_forms,
     format_scalar,
@@ -280,3 +281,48 @@ def test_perturbed_u_fails_threeway_at_a_pair():
         if plain_column(bad, N, nt).get(n, 0) != tab.values[r][c]
     ]
     assert sorted(f["pair"] for f in rep.failures) == sorted(want)
+
+
+# X = Sym^N(rhat) and Y = Sym^N(rhat^-1) are inverse matrices
+
+
+SYM_SETS = [
+    pytest.param(HR, id="hr1234"),
+    pytest.param(kappa.family_hoare_rahman(F(17, 101), F(-3, 7), F(29, 113), F(5, 211)), id="hr-odd"),
+    pytest.param(kappa.family_milch([F(1, 2), F(1, 4), F(1, 8), F(1, 8)]), id="milch-d3"),
+    pytest.param(kappa.griffiths_from_p([F(101, 400), F(99, 400), F(1, 2)]), id="griffiths"),
+    pytest.param(kappa.family_ds(F(3), 1), id="ds-q3-d1"),
+]
+
+
+@pytest.mark.parametrize("k", SYM_SETS)
+@pytest.mark.parametrize("N", range(5))
+def test_x_times_y_is_the_identity(k, N):
+    # Sym^N is a functor: Sym^N(rhat) Sym^N(rhat^-1) = Sym^N(I), so the
+    # integer lines multiply to Dx Dy I over the layout
+    conj = liemod.conjugator(k, 0)
+    points = list(enumerate_lattice(k.d, N))
+    X, Dx = liemod.expansion_matrix(conj.rhat, points)
+    Y, Dy = liemod.to_dual_coords(conj, points)
+    assert all(type(x) is int for line in X + Y for x in line)
+    product = [[sum(x * y for x, y in zip(line, column)) for column in zip(*Y)] for line in X]
+    identity = [[Dx * Dy * (a == b) for b in range(len(points))] for a in range(len(points))]
+    assert product == identity
+
+
+@pytest.mark.parametrize("row,entry", [(0, 0), (4, 7), (9, 3)])
+def test_moved_entry_of_y_fails_transition_at_its_row(monkeypatch, row, entry):
+    # one entry of Y moved by one: plain-over-substituted fails at that
+    # row of Y and at no other, and the X side still passes
+    N = 3
+    to_dual_coords = liemod.to_dual_coords
+
+    def moved(conj, points):
+        Y, Dy = to_dual_coords(conj, points)
+        Y[row][entry] += 1
+        return Y, Dy
+
+    monkeypatch.setattr(liemod, "to_dual_coords", moved)
+    (rep,) = verify.run_suites(["transition"], HR, N)
+    points = list(enumerate_lattice(HR.d, N))
+    assert rep.failures == [{"expansion": "plain-over-substituted", "at": list(points[row])}]

@@ -362,17 +362,18 @@ class TestMarginTable:
         k = kappa.family_hoare_rahman(1, 2, 3, 4)
         N = 3
         points = list(enumerate_lattice(k.d, N))
-        original = hyperg._margin_sums
+        original = hyperg._margin_transfer
         moved = []
 
-        def off_by_one(*args):
-            by_col = original(*args)
-            (r, s), *rest = by_col[1]
-            by_col[1] = [(r, s + 1), *rest]
-            moved.append(points[r][1:])
-            return by_col
+        def off_by_one(W, N, fact, by_total, row_caps, col_caps):
+            sums = original(W, N, fact, by_total, row_caps, col_caps)
+            if row_caps == col_caps == (N,) * k.d:  # the table's transfer
+                r = next(r for r, c in sums if c == points[1][1:])
+                sums[r, points[1][1:]] += 1
+                moved.append(r)
+            return sums
 
-        monkeypatch.setattr(hyperg, "_margin_sums", off_by_one)
+        monkeypatch.setattr(hyperg, "_margin_transfer", off_by_one)
         threeway, orthogonality, duality = verify.run_suites(
             ["threeway", "orthogonality", "duality"], k, N
         )

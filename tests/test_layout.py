@@ -199,15 +199,16 @@ def test_no_module_imports_random():
 
 
 def test_expansion_matrix_is_scaled_in_one_place():
-    # X comes on ints over one scale from `liemod.expansion_matrix`, made
-    # once per run; a module check that scales X itself scales all of it
-    # again on every run
+    # X and Y come on ints over one scale each from
+    # `liemod.expansion_matrix`, made once per run; a module check that
+    # scales them itself, or makes a Fraction per coefficient, does all
+    # of it again on every run
     tree = _modules()["liemod.py"]
     calls = [
         f"{fn}:{node.lineno}"
-        for fn in ("check_dual_norms", "check_adjacency")
+        for fn in ("check_dual_norms", "check_adjacency", "check_transition", "_expands_to")
         for node in ast.walk(_function(tree, fn))
-        if isinstance(node, ast.Call) and _tail(node) == "clear_denominators"
+        if isinstance(node, ast.Call) and _tail(node) in ("clear_denominators", "Fraction")
     ]
     assert calls == []
 

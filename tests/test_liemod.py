@@ -113,8 +113,8 @@ class TestConjugator:
         assert linalg.mat_mul(conj.rhat, conj.rhat_inv) == linalg.identity(3)
 
     def test_expands_each_power_once_per_direction(self, monkeypatch):
-        # the expansion matrix expands each xt^lam once, forward, and the
-        # inverse substitution of a monomial expands it once, backward
+        # a run of the four suites that read X or Y expands each xt^lam
+        # once, forward, for X, and each x^lam once, backward, for Y
         calls = []
 
         def counting(forms, exponents, caps=None):
@@ -125,16 +125,19 @@ class TestConjugator:
         k = milch2()
         points = list(enumerate_lattice(k.d, 2))
         conj = liemod.conjugator(k, 0)
-        rows, D = liemod.expansion_matrix(conj.rhat, points)
-        assert list(rows) == points
-        for lam in points:
-            coeffs, scale = expand_forms(tuple(zip(*conj.rhat)), lam)
-            assert {n: F(c, D) for n, c in rows[lam].items()} == {
-                n: F(c, scale) for n, c in coeffs.items()
-            }
-            liemod.to_dual_coords(conj, liemod.monomial(lam))
+        forward, backward = tuple(zip(*conj.rhat)), tuple(zip(*conj.rhat_inv))
+        reports = verify.run_suites(["norms", "adjacency", "transition", "threeway"], k, 2)
+        assert all(rep.passed for rep in reports)
         assert len(calls) == 2 * len(points)
         assert len(set(calls)) == len(calls)
+        assert set(calls) == {(forms, lam) for forms in (forward, backward) for lam in points}
+        # each line of X and of Y is its expansion, over the matrix's one scale
+        for R, forms in ((conj.rhat, forward), (conj.rhat_inv, backward)):
+            lines, D = liemod.expansion_matrix(R, points)
+            assert len(lines) == len(points)
+            for lam, line in zip(points, lines):
+                coeffs, scale = expand_forms(forms, lam)
+                assert [F(c, D) for c in line] == [F(coeffs.get(n, 0), scale) for n in points]
 
     def test_adjacency_expands_each_power_once(self, monkeypatch):
         calls = []
@@ -546,11 +549,6 @@ class TestStructureChecks:
 
 
 class TestPolynomials:
-    def test_monomial(self):
-        assert liemod.monomial([2, 0, 1]) == {(2, 0, 1): 1}
-        assert liemod.monomial((1, 1, 1), 3) == {(1, 1, 1): 3}
-        assert liemod.monomial((1, 1, 1), 0) == {}
-
     def test_expand_forms(self):
         # (y0 + y1)(y0 + y1)
         sq = expand_forms([(1, 1), (1, 1)], (1, 1))
@@ -572,14 +570,14 @@ class TestPolynomials:
         assert 0 < len(capped) < len(full)
 
     def test_act_moves_one_unit(self):
-        out = liemod.act(liemod.basis_e(2, 1, 0), liemod.monomial((2, 0, 0)))
+        out = liemod.act(liemod.basis_e(2, 1, 0), {(2, 0, 0): 1})
         assert out == {(1, 1, 0): 2}
         # annihilates when the source exponent is zero
-        out = liemod.act(liemod.basis_e(2, 0, 2), liemod.monomial((2, 0, 0)))
+        out = liemod.act(liemod.basis_e(2, 0, 2), {(2, 0, 0): 1})
         assert out == {}
 
     def test_act_diagonal(self):
-        out = liemod.act(liemod.basis_phi(1, 1), liemod.monomial((1, 2)))
+        out = liemod.act(liemod.basis_phi(1, 1), {(1, 2): 1})
         assert out == {(1, 2): 2 - F(3, 2)}
 
     def test_act_is_representation(self):
@@ -593,7 +591,7 @@ class TestPolynomials:
             b = tuple(
                 tuple(F(rng.randint(-3, 3)) for _ in range(3)) for _ in range(3)
             )
-            f = liemod.monomial(rng.choice(pts))
+            f = {rng.choice(pts): 1}
             lhs = liemod.act(linalg.commutator(a, b), f)
             ab = liemod.act(a, liemod.act(b, f))
             ba = liemod.act(b, liemod.act(a, f))
@@ -606,13 +604,6 @@ class TestSubstitutedBasis:
         k = classical()
         xt = liemod.xtilde_monomial(liemod.conjugator(k, 0), (1, 1))
         assert xt == {(2, 0): F(1, 4), (0, 2): F(-1, 4)}
-
-    def test_round_trip_through_dual_coords(self):
-        conj = liemod.conjugator(milch2(), 0)
-        for lam in enumerate_lattice(2, 2):
-            xt = liemod.xtilde_monomial(conj, lam)
-            back = liemod.to_dual_coords(conj, xt)
-            assert back == liemod.monomial(lam)
 
     def test_weight_property(self):
         # substituted monomials are joint eigenvectors of the conjugated
@@ -659,10 +650,12 @@ class TestBilinearForm:
         # row's diagonal pair and at no pair that avoids the row
         N = 2
         points = list(enumerate_lattice(k.d, N))
-        rows, D = liemod.expansion_matrix(liemod.conjugator(k, 0).rhat, points)
-        for lam in (points[0], points[len(points) // 2], points[-1]):
-            n = next(iter(rows[lam]))
-            bad = {**rows, lam: {**rows[lam], n: rows[lam][n] + D}}
+        lines, D = liemod.expansion_matrix(liemod.conjugator(k, 0).rhat, points)
+        for row in (0, len(points) // 2, len(points) - 1):
+            lam = points[row]
+            j = next(j for j, x in enumerate(lines[row]) if x)
+            bad = [list(line) for line in lines]
+            bad[row][j] += D
             rep = liemod.check_dual_norms(k, N, X=(bad, D), moves=liemod.move_table(k.d, N))
             assert not rep.passed
             pairs = [f["pair"] for f in rep.failures]
@@ -678,12 +671,12 @@ class TestBilinearForm:
         # n! / p^n, in the same order; the contravariance half adds none
         k, N = kappa.family_hoare_rahman(1, 2, 3, 4), 3
         points = list(enumerate_lattice(k.d, N))
-        rows, D = liemod.expansion_matrix(liemod.conjugator(k, 0).rhat, points)
-        lam, n = points[row], points[column]
-        bad = {**rows, lam: {**rows[lam], n: rows[lam].get(n, 0) + offset}}
+        lines, D = liemod.expansion_matrix(liemod.conjugator(k, 0).rhat, points)
+        bad = [list(line) for line in lines]
+        bad[row][column] += offset
         rep = liemod.check_dual_norms(k, N, X=(bad, D), moves=liemod.move_table(k.d, N))
         weights = [multi_factorial(m) * F(k.nu) ** N / power_product(k.pt, m) for m in points]
-        lines = [[F(bad[a].get(m, 0), D) for m in points] for a in points]
+        lines = [[F(x, D) for x in line] for line in bad]
         want = []
         for a, line_a in zip(points, lines):
             for b, line_b in zip(points, lines):
@@ -733,9 +726,9 @@ class TestBilinearForm:
         for beta in elements:
             adj = liemod.antiauto(k, beta)
             for n in points:
-                f = liemod.monomial(n)
+                f = {n: 1}
                 for m in points:
-                    g = liemod.monomial(m)
+                    g = {m: 1}
                     assert form(liemod.act(beta, f), g) == form(f, liemod.act(adj, g))
         assert suite("norms", k, N).passed
 
@@ -825,17 +818,24 @@ class TestLatticeChecks:
     @pytest.mark.parametrize("k", FAMILIES)
     def test_intertwining_against_inverse_expansion(self, k):
         # the independent reference for the plain half: phi_i.xt^lam read
-        # in the substituted basis through the inverse expansion is the
-        # mirror's action on x^lam, coefficient by coefficient
+        # in the substituted basis through Y, the inverse expansion, is
+        # the mirror's action on x^lam, coefficient by coefficient
         conj = liemod.conjugator(k, 0)
         for N in range(1, 4):
-            for lam in enumerate_lattice(k.d, N):
+            points = list(enumerate_lattice(k.d, N))
+            index = {n: j for j, n in enumerate(points)}
+            Y, Dy = liemod.to_dual_coords(conj, points)
+            for lam in points:
                 xt = liemod.xtilde_monomial(conj, lam)
                 for i in range(1, k.d + 1):
                     moved = liemod.act(liemod.basis_phi(k.d, i), xt)
-                    got = liemod.to_dual_coords(conj, moved)
+                    got = {}
+                    for j, mu in enumerate(points):
+                        x = sum(c * Y[index[n]][j] for n, c in moved.items())
+                        if x != 0:
+                            got[mu] = F(x) / Dy
                     mirror = liemod.mirror_closed_form(k, i)
-                    want = liemod.act(mirror, liemod.monomial(lam))
+                    want = liemod.act(mirror, {lam: 1})
                     assert got == want
 
     def test_adjacency_detects_row_scaled_set(self):
@@ -862,10 +862,10 @@ class TestLatticeChecks:
         k = kappa.family_hoare_rahman(1, 2, 3, 4)
         N = 2
         points = list(enumerate_lattice(k.d, N))
-        rows, D = liemod.expansion_matrix(liemod.conjugator(k, 0).rhat, points)
-        rows[(1, 1, 0)][(2, 0, 0)] = rows[(1, 1, 0)].get((2, 0, 0), 0) + 1
+        lines, D = liemod.expansion_matrix(liemod.conjugator(k, 0).rhat, points)
+        lines[points.index((1, 1, 0))][points.index((2, 0, 0))] += 1
         gens = bispec.generators(k, N, liemod.closed_forms(k), liemod.move_table(k.d, N))
-        rep = liemod.check_adjacency(k, N, X=(rows, D), gens=gens)
+        rep = liemod.check_adjacency(k, N, X=(lines, D), gens=gens)
         assert not rep.passed
         plain = [[2, 0, 0], [1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1]]
         want = []
