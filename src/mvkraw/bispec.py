@@ -39,8 +39,8 @@ and compare each sum with the eigenvalue times the line on ints, and
 `check_commute` composes two integer forms directly, so a Fraction is
 built only where a check fails.  The affine form of the action, one
 coefficient per shift that is affine in the point (`_stencil`), is kept
-for the `stencil` dump and for the `term_counts` of `check_eigen`, its
-number of terms.
+for the `stencil` dump; the `term_counts` of `check_eigen`, its number
+of terms, are counted off the matrix (`_term_count`).
 """
 
 from __future__ import annotations
@@ -149,6 +149,15 @@ def _stencil(M: Matrix, N: int) -> dict:
             coeff = AffineCoeff(0, tuple(c if m == l else 0 for m in js))
         stencil[tuple((m == k) - (m == l) for m in js)] = coeff
     return stencil
+
+
+def _term_count(M: Matrix, N: int) -> int:
+    """len(_stencil(M, N)), counted off M without building a coefficient:
+    one term per nonzero off-diagonal entry, and the no-shift term
+    M[0][0] N + sum_j (M[j][j] - M[0][0]) y_j where it is not zero."""
+    c = M[0][0]
+    shifts = sum(x != 0 for k, row in enumerate(M) for l, x in enumerate(row) if k != l)
+    return shifts + (c * N != 0 or any(row[j] != c for j, row in enumerate(M)))
 
 
 def _tilde_law(d: int, N: int, i: int) -> Callable:
@@ -297,9 +306,9 @@ def check_eigen(
 
     details = {
         "term_counts": {
-            "second_index_family": [len(op.stencil) for op in ops_second],
-            "first_index_family": [len(op.stencil) for op in ops_first],
-            "universal": len(operator_universal(kappa, N).stencil),
+            "second_index_family": [_term_count(op.matrix, N) for op in ops_second],
+            "first_index_family": [_term_count(op.matrix, N) for op in ops_first],
+            "universal": _term_count(_universal_matrix(kappa), N),
         },
         "term_bound": d * d + d + 1,
         "max_residual": format_scalar(max_resid),

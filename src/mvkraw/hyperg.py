@@ -8,10 +8,13 @@ route expands the defining generating function
     prod_i (1 + sum_j u[i][j] z_j)^mt_i  =  sum_m binom * P(m, mt) z^m
 
 with `numeric.expand_forms`: one expansion is the whole column P(., mt)
-(`generating_column`), a capped one a single value.  The pairing route
-of `liemod` expands the same product (substitute y_j = pt_j x_j in
-xt^nt) through the same core, so routes 2 and 3 share their expansion
-and only the kernel sum is independent of it.  All routes take the
+(`generating_column`), a capped one a single value, as `eval` takes
+it.  The columns of every mt together are the lines of one symmetric
+power of the row factors (`generating_forms`), which the checks read
+as `liemod.generating_matrix`.  The pairing route of `liemod` expands
+the same product (substitute y_j = pt_j x_j in xt^nt), so routes 2
+and 3 share their expansion and only the kernel sum is independent of
+it.  All routes take the
 reduced degree vectors m, mt (length d, with the 0-th coordinates
 N - |m|, N - |mt| implied) and agree exactly.
 
@@ -46,7 +49,8 @@ diagonal with explicit normalizations, under the multinomial weights
 N! w^n/n! of `numeric.multinomial_weights`; its Gram sums are compared
 on ints by `numeric.gram_misses`, which `liemod`'s norms check shares)
 and the duality check: row n of the table is the generating column of
-n for the involuted parameter set, so duality crosses the two routes.
+n for the involuted parameter set, line n of its generating matrix, so
+duality crosses the two routes.
 """
 
 from __future__ import annotations
@@ -270,6 +274,12 @@ def eval_hypergeometric(
     return Fraction(acc, view.scale) if view.exact else _rounded(view, acc, m, mt)
 
 
+def generating_forms(kappa: ParameterSet) -> tuple:
+    """The d+1 row factors (1, u[i][1], ..., u[i][d]) of the generating
+    function, each a linear form in z_0..z_d."""
+    return tuple((1,) + row[1:] for row in kappa.u)
+
+
 def generating_column(
     kappa: ParameterSet, N: int, mt: Sequence[int], caps: Sequence[int] | None = None
 ) -> dict:
@@ -282,10 +292,8 @@ def generating_column(
     above ``caps`` is formed; a point missing from the result has P = 0.
     Independent of the kernel sum; used as its oracle.
     """
-    d = kappa.d
-    mt = check_degree_vector(d, N, mt, "mt")
-    forms = [(1,) + kappa.u[i][1:] for i in range(d + 1)]
-    coeffs, D = expand_forms(forms, (N - sum(mt),) + mt, caps)
+    mt = check_degree_vector(kappa.d, N, mt, "mt")
+    coeffs, D = expand_forms(generating_forms(kappa), (N - sum(mt),) + mt, caps)
     scaled = ((n, c, D * multinomial(N, n)) for n, c in coeffs.items())
     return {n: ratio(c, den) for n, c, den in scaled}
 
@@ -565,32 +573,33 @@ def check_orthogonality(
 
 
 def check_duality(
-    kappa: ParameterSet,
     N: int,
     tol: Scalar = 0,
     *,
     tab: PolynomialTable,
+    G_dual: tuple,
 ) -> CheckReport:
     """The table is the transpose of the involuted set's: row n of the
-    table against the generating column of n' for the involuted set, one
-    expansion per row, so the check crosses the two routes.  Each row is
-    compared with its column by `numeric.misses`, on the table's integer
-    view, so an exact pair is compared cross-multiplied on ints and its
-    values are made only for a miss.  In approx mode a pair passes
-    within tol times the larger of 1 and the two values."""
-    dual = kappa_mod.involute(kappa, tol)
+    table against line n of the involuted set's generating matrix
+    G_dual = (lines, D) (`liemod.generating_matrix`, built once per
+    run), whose entry at nt is P(n', nt') times D multinomial(N, nt), so
+    the check crosses the two routes.  Each row, its entries times their
+    multinomials, is compared with its line by `numeric.misses`, on the
+    table's integer view, so an exact pair is compared cross-multiplied
+    on ints and its values are made only for a miss.  In approx mode a
+    pair passes within tol times the larger of 1 and the two values."""
     points = tab.points
+    lines, D = G_dual
+    weights = [multinomial(N, nt) for nt in points]
     failures = []
-    for n, (ints, S) in zip(points, tab.integer_view[0]):
-        column = generating_column(dual, N, n[1:])
-        dual_row = [column.get(nt, 0) for nt in points]
-        for k, a, b in misses(ints, S, dual_row, 1):
-            nt = points[k]
+    for n, (ints, S), line in zip(points, tab.integer_view[0], lines):
+        for k, _, _ in misses(list(map(mul, ints, weights)), S, line, D):
+            a, b = ratio(ints[k], S), ratio(line[k], D * weights[k])
             bound = tol * max(1, abs(a), abs(b)) if tol else 0
             if not scalars_equal(a, b, bound):
                 failures.append(
                     {
-                        "pair": [list(n), list(nt)],
+                        "pair": [list(n), list(points[k])],
                         "value": format_scalar(a),
                         "dual_value": format_scalar(b),
                     }

@@ -34,7 +34,8 @@ x^n <-> xt^nt on degree-N polynomials has two matrices: X = Sym^N(R),
 X[lam][n] = coeff_n(xt^lam), and its inverse Y = Sym^N(R^-1),
 Y[n][mu] = the coefficient of xt^mu in x^n (`to_dual_coords`).  Both
 are one `expansion_matrix`, dense integer lines in layout order over one
-scale, made once per run from the run's one conjugator.  The module
+scale, built a degree at a time and made once per run from the run's
+one conjugator.  The module
 suites are identities of these two: the d recurrences as intertwinings
 of X (adjacency); orthogonality of the xt^lam for a form diagonal on
 plain monomials with weight nu^N n!/pt^n, read off the lines of X, and
@@ -44,8 +45,10 @@ columns and Y against its rows (transition).  The pairing
 <x^n, xt^nt> recovers P(n', nt') up to an explicit constant and serves
 as the third evaluation route.  Substituting y_j = pt_j x_j turns
 xt^nt into the generating function of `hyperg.generating_column`, so
-both routes expand through the one core `numeric.expand_forms`, as do
-X and Y; for exact data the core runs on ints.  Both closed forms come
+for one value both routes expand through the one capped core
+`numeric.expand_forms`; the checks read all values at once, from X and
+from the generating matrix of the set (`generating_matrix`), another
+`expansion_matrix`.  For exact data both run on ints.  Both closed forms come
 as `closed_forms`, made once per run; adjacency reads the two actions
 it needs from the lattice forms of the run's generators
 (`bispec.generators`).
@@ -57,7 +60,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
+from itertools import chain, repeat
+from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
 from . import hyperg, linalg
@@ -72,6 +76,7 @@ from .numeric import (
     expand_forms,
     format_scalar,
     gram_misses,
+    is_exact,
     misses,
     multi_factorial,
     multinomial_weights,
@@ -478,25 +483,76 @@ def xtilde_monomial(conj: Conjugator, lam: MultiIndex) -> dict:
 def expansion_matrix(R: Matrix, points) -> tuple:
     """(lines, D) with lines[k][j] / D the coefficient of the j-th
     point's monomial x^n in prod_i (sum_j x_j R[j][i])^lam_i, lam the
-    k-th point, for the degree-N lattice in the layout order of
-    `points`, zeros included: Sym^N(R) on the monomial basis.  One
-    expansion per point on ints (`numeric.expand_forms`), every line
-    brought to the one scale D, the lcm of the expansions' scales;
-    floats keep D = 1.  With R = rhat it is X, with R = rhat_inv its
-    inverse Y (`to_dual_coords`); the module suites read both on ints
-    through this one scaling."""
+    k-th point, for `points` the degree-N lattice in layout order, zeros
+    included: Sym^N(R) on the monomial basis, line k the
+    `numeric.expand_forms` of lam over one scale D.
+
+    Built a degree at a time on dense integer lines, column i of R, the
+    linear form i, scaled to ints once as F_i / D_i: the line of lam is
+    the line of its parent lam - e_k, k the first nonzero part of lam,
+    times form k alone, over the parent's scale times D_k, so each
+    monomial prefix is expanded once for all the lines that share it.
+    The degree-t lattice is the first C(t+d, d) points of the layout,
+    lam_0 lowered by N - t, so one index map per j, nu -> nu - e_j (-1
+    where nu_j = 0, which reads the 0 that ends each line), cut to the
+    degree, does the shifts.  D is the lcm of the line scales
+    prod_i D_i^lam_i.  A float R is read at its floats' exact values
+    and each entry rounded once, with D = 1; an entry past the float
+    range raises an OverflowError that names it.  With R = rhat it is X,
+    with R = rhat_inv its inverse Y (`to_dual_coords`), and with the
+    generating function's row factors the generating matrix
+    (`generating_matrix`)."""
     points = tuple(points)
-    index = {n: j for j, n in enumerate(points)}
-    forms = tuple(zip(*R))
-    expanded = [expand_forms(forms, lam) for lam in points]
-    D = math.lcm(*(s for _, s in expanded))
-    lines = []
-    for coeffs, s in expanded:
-        line = [0] * len(points)
-        for n, c in coeffs.items():
-            line[index[n]] = c if s == D else c * (D // s)
-        lines.append(line)
-    return lines, D
+    width, N = len(R), sum(points[0])
+    if points != tuple(enumerate_lattice(width - 1, N)):
+        raise ValueError("points must be the degree-N lattice in layout order")
+    exact = all(map(is_exact, chain(*R)))
+    forms = [clear_denominators(col if exact else list(map(Fraction, col))) for col in zip(*R)]
+    index = {lam[1:]: i for i, lam in enumerate(points)}
+    less = [
+        [index.get(lam[1:j] + (lam[j] - 1,) + lam[j + 1 :], -1) for lam in points]
+        for j in range(1, width)
+    ]
+    lines, plus = [([1, 0], 1)], functools.partial(map, add)
+    for t in range(1, N + 1):
+        size, below = math.comb(t + width - 1, t), len(lines)
+        maps = [[*range(below), *(-1,) * (size - below)]] + [m[:size] for m in less]
+        gathers = [itemgetter(*m) for m in maps]
+        grown = []
+        for i in range(size):
+            k = next(j for j, m in enumerate(maps) if m[i] >= 0)
+            parent, s = lines[maps[k][i]]
+            F, Dk = forms[k]
+            terms = [
+                gather(parent) if f == 1 else map(mul, gather(parent), repeat(f))
+                for gather, f in zip(gathers, F)
+                if f
+            ]
+            line = list(functools.reduce(plus, terms)) if terms else [0] * size
+            line.append(0)
+            grown.append((line, s * Dk))
+        lines = grown
+    if not exact:
+        return [_rounded(line, s, lam, points) for (line, s), lam in zip(lines, points)], 1
+    D = math.lcm(*(s for _, s in lines))
+    return [line[:-1] if s == D else [x * (D // s) for x in line[:-1]] for line, s in lines], D
+
+
+def _rounded(line: list, s: int, lam: tuple, points: tuple) -> list:
+    """The entries of the integer line of lam over s, its trailing 0
+    dropped, each the nearest float (int / int true division rounds
+    once); where one leaves the float range, the OverflowError names
+    its pair of points."""
+    out = []
+    for x, n in zip(line, points):
+        try:
+            out.append(x / s)
+        except OverflowError:
+            raise OverflowError(
+                f"entry ({list(lam)}, {list(n)}) of an approx Sym^{sum(lam)} matrix "
+                "leaves the float range"
+            ) from None
+    return out
 
 
 def to_dual_coords(conj: Conjugator, points) -> tuple:
@@ -505,6 +561,15 @@ def to_dual_coords(conj: Conjugator, points) -> tuple:
     n the k-th, from the inverse substitution x = xt rhat_inv
     (`expansion_matrix`).  A run builds it once, for `transition`."""
     return expansion_matrix(conj.rhat_inv, points)
+
+
+def generating_matrix(kappa: ParameterSet, points) -> tuple:
+    """(lines, D) with lines[k][j] / (D multinomial(N, n)) = P(n', nt'),
+    nt the k-th point and n the j-th: Sym^N of the generating function's
+    row factors (`hyperg.generating_forms`), so line k is the generating
+    column of nt (`hyperg.generating_column`) with its multinomials left
+    in, all lines from one `expansion_matrix`."""
+    return expansion_matrix(linalg.transpose(hyperg.generating_forms(kappa)), points)
 
 
 def pairing_weight(kappa: ParameterSet, N: int, n: MultiIndex) -> Scalar:

@@ -7,7 +7,7 @@ inputs are parsed, how equality is tested (literal vs. within ``eps``)
 and how values are serialized.
 
 The combinatorial layer provides multinomial coefficients and weights,
-the one sparse-polynomial expansion, the simplex lattice of
+the one capped sparse-polynomial expansion, the simplex lattice of
 multi-indices of fixed total degree, and the kernels of a d = 1 kernel
 sum, its totals (`enumerate_kernels`).  A kernel sum at d >= 2 lists no
 kernel: it runs over the kernel entries (`hyperg._margin_transfer`).
@@ -21,7 +21,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from operator import add, le, mul
+from operator import add, le, mul, ne
 from typing import Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction, float, complex]
@@ -188,7 +188,13 @@ def misses(a: Sequence, A: int, b: Sequence, B: int) -> Iterator[tuple]:
     differs is the only one whose values are made; a line with a float
     gives every pair, the values for the caller to compare within its
     bound."""
-    exact = set(map(type, a)) | set(map(type, b)) <= {int, Fraction}
+    kinds = set(map(type, a)) | set(map(type, b))
+    if kinds <= {int}:  # two integer lines: the cross products compared at C speed
+        differ = map(ne, map(mul, a, itertools.repeat(B)), map(mul, b, itertools.repeat(A)))
+        for k in itertools.compress(itertools.count(), differ):
+            yield k, ratio(a[k], A), ratio(b[k], B)
+        return
+    exact = kinds <= {int, Fraction}
     for k, (x, y) in enumerate(zip(a, b)):
         if exact and x.numerator * y.denominator * B == y.numerator * x.denominator * A:
             continue
@@ -290,8 +296,12 @@ def expand_forms(
     caps: Sequence[int] | None = None,
 ) -> tuple:
     """prod_k (sum_j forms[k][j] y_j)^exponents[k] as (coeffs, D), the
-    coefficient of y^key being coeffs[key] / D: the single
-    sparse-polynomial expansion of the library.
+    coefficient of y^key being coeffs[key] / D: the single capped
+    expansion of one product, behind `eval --method gen` and the
+    pairing route of `eval` (`hyperg.generating_column`,
+    `liemod.pairing_eval`).  A whole symmetric power, every product of
+    a degree, is `liemod.expansion_matrix`, whose lines equal these
+    expansions.
 
     When every entry of the forms in use is exact, each form is scaled
     to integers once, form k = F_k / D_k (`clear_denominators`), so the

@@ -273,7 +273,7 @@ def test_criterion_08_duality(capsys):
     for d in (1, 2):
         for name, k in reps_by_d()[d].items():
             for N in range(1, 5):
-                rep = hyperg.check_duality(k, N, tab=table_for(k, N))
+                (rep,) = verify.run_suites(["duality"], k, N, 0, table_for(k, N))
                 ok = ok and rep.passed
                 runs += 1
 

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvkraw import bispec, hyperg, kappa, liemod, linalg, verify
 from mvkraw.bispec import AffineCoeff
@@ -358,6 +360,31 @@ class TestEigenChecks:
             c <= rep.details["term_bound"]
             for c in counts["second_index_family"] + counts["first_index_family"]
         )
+
+    @pytest.mark.parametrize("k,N", FAMILIES + [pytest.param(MILCH_D3, 2, id="milch-d3")])
+    def test_term_counts_are_the_stencil_sizes(self, k, N):
+        # term_counts are counted off the matrices, with no affine
+        # coefficient built: each is the size of the operator's stencil
+        gens = generators(k, N)
+        counts = bispec.check_eigen(k, N, tab=hyperg.table(k, N), gens=gens).details["term_counts"]
+        for family, ops in gens.items():
+            assert counts[family] == [len(op.stencil) for op in ops]
+        assert counts["universal"] == len(bispec.operator_universal(k, N).stencil)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: st.lists(
+                st.lists(st.sampled_from([0, 0, 1, -1, F(1, 2), 2, 0.0, 1.5]), min_size=d + 1, max_size=d + 1),
+                min_size=d + 1,
+                max_size=d + 1,
+            )
+        ),
+        st.integers(0, 4),
+    )
+    def test_term_count_is_the_stencil_size(self, M, N):
+        M = linalg.freeze(M)
+        assert bispec._term_count(M, N) == len(bispec._stencil(M, N))
 
     @pytest.mark.parametrize("k,N", FAMILIES)
     def test_universal_passes(self, k, N):

@@ -957,6 +957,27 @@ class TestInternalErrors:
         assert code == 0 and float(out) == pytest.approx(float(exact), rel=1e-12)
         assert exact < -1e299
 
+    def test_approx_sym_power_past_the_float_range_is_located(self, capsys, tmp_path):
+        # the Milch set of test_approx_overflow_exit_5 has u near 1e100,
+        # so its generating matrices at N = 4 hold entries near 1e400: on a
+        # table of zeros, duality and threeway exit 5 naming the entry of
+        # the involute's matrix and of the set's
+        w = F(1, 10**100)
+        milch = write_kappa(tmp_path, kappa.family_milch([F(1, 2), w, F(1, 2) - w]))
+        tab_path = tmp_path / "table.json"
+        run(capsys, "table", "--kappa", milch, "--N", "4", "--output", str(tab_path))
+        obj = json.loads(tab_path.read_text())
+        obj["values"] = [["0"] * len(row) for row in obj["values"]]
+        tab_path.write_text(json.dumps(obj))
+        for suite in ("duality", "threeway"):
+            argv = ("--eps", "1e-102", "check", "--table", str(tab_path), "--suite", suite)
+            assert run(capsys, "--mode", "approx", *argv) == (
+                5,
+                "",
+                "error: entry ([0, 4, 0], [0, 4, 0]) of an approx Sym^4 matrix leaves the "
+                "float range; exact mode has no float range\n",
+            )
+
     def test_approx_table_entry_past_the_float_range_is_located(
         self, capsys, milch2_file, tmp_path
     ):

@@ -4,12 +4,13 @@ recomputations of their failure records."""
 
 import math
 from fractions import Fraction as F
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvkraw import hyperg, kappa, liemod, verify
+from mvkraw import hyperg, kappa, liemod, linalg, verify
 from mvkraw.numeric import (
     enumerate_lattice,
     exactify,
@@ -129,9 +130,19 @@ def test_caps_and_scales_of_a_hand_product():
 # transition against the same checks recomputed on plain Fractions
 
 
+def plain_sym(forms, exponents):
+    # the expansion at the exact values of the forms' scalars; with a
+    # float among them, each coefficient rounded once to the nearest
+    # float, as approx X, Y and the generating matrices are defined
+    coeffs = plain_expand([tuple(map(F, form)) for form in forms], exponents)
+    if all(map(is_exact, itertools.chain(*forms))):
+        return coeffs
+    return {key: float(c) for key, c in coeffs.items()}
+
+
 def plain_column(k, N, nt):
     forms = [(1,) + tuple(exactify(x) for x in k.u[i][1:]) for i in range(k.d + 1)]
-    coeffs = plain_expand(forms, nt)
+    coeffs = plain_sym(forms, nt)
     return {n: exactify(c) / multinomial(N, n) for n, c in coeffs.items()}
 
 
@@ -143,7 +154,7 @@ def plain_threeway(k, N, tol, tab):
         for c, nt in enumerate(points):
             a = tab.values[r][c]
             b = plain_column(k, N, nt).get(n, F(0))
-            x = plain_expand(tuple(zip(*rhat)), nt).get(n, 0)
+            x = plain_sym(tuple(zip(*rhat)), nt).get(n, 0)
             p = x * liemod.pairing_weight(k, N, n)
             max_resid = max(max_resid, abs(a - b), abs(a - p))
             bound = tol * max(1, abs(a), abs(b), abs(p)) if tol else 0
@@ -188,7 +199,7 @@ def plain_transition(k, N, tol, tab):
 
     failures = []
     for c, nt in enumerate(points):
-        got = plain_expand(tuple(zip(*conj.rhat)), nt)
+        got = plain_sym(tuple(zip(*conj.rhat)), nt)
         want = {
             n: tab.values[r][c] * (1 / liemod.pairing_weight(k, N, n))
             for r, n in enumerate(points)
@@ -199,7 +210,7 @@ def plain_transition(k, N, tol, tab):
     for r, n in enumerate(points):
         got = {
             nt: inv_nu_pow * x
-            for nt, x in plain_expand(tuple(zip(*conj.rhat_inv)), n).items()
+            for nt, x in plain_sym(tuple(zip(*conj.rhat_inv)), n).items()
         }
         want = {
             nt: tab.values[r][c] * (math.factorial(N) * weight_over_factorial(k.p, nt))
@@ -270,7 +281,8 @@ def test_perturbed_u_fails_threeway_at_a_pair():
     bad = kappa.ParameterSet(HR.d, HR.nu, HR.p, HR.pt, tuple(map(tuple, u)))
     tab = hyperg.table(HR, N)
     X = liemod.expansion_matrix(liemod.conjugator(HR, 0).rhat, tab.points)
-    rep = verify.check_threeway(bad, N, tab=tab, X=X)
+    G = liemod.generating_matrix(bad, tab.points)
+    rep = verify.check_threeway(bad, N, tab=tab, X=X, G=G)
     assert not rep.passed
     assert all(f["pair"][0] in map(list, tab.points) for f in rep.failures)
     assert all(f["kernel_sum"] == f["pairing"] != f["generating"] for f in rep.failures)
@@ -326,3 +338,102 @@ def test_moved_entry_of_y_fails_transition_at_its_row(monkeypatch, row, entry):
     (rep,) = verify.run_suites(["transition"], HR, N)
     points = list(enumerate_lattice(HR.d, N))
     assert rep.failures == [{"expansion": "plain-over-substituted", "at": list(points[row])}]
+
+
+# the Sym^N builder against the one expansion per point and a brute force
+
+
+def brute_sym(R, lam):
+    # prod_i (sum_j x_j R[j][i])^lam_i, one term per choice of a variable
+    # for each of the N factors, on Fractions
+    factors = [i for i, e in enumerate(lam) for _ in range(e)]
+    out = {}
+    for js in itertools.product(range(len(R)), repeat=len(factors)):
+        n = tuple(js.count(j) for j in range(len(R)))
+        out[n] = out.get(n, 0) + math.prod(F(R[j][i]) for j, i in zip(js, factors))
+    return {n: c for n, c in out.items() if c}
+
+
+@st.composite
+def sym_powers(draw, entries=st.one_of(st.just(0), st.fractions(-9, 9, max_denominator=40))):
+    # a (d+1) x (d+1) matrix, d <= 3, with zero entries and at times a
+    # zero column, and a degree N <= 4
+    d = draw(st.integers(1, 3))
+    R = [[draw(entries) for _ in range(d + 1)] for _ in range(d + 1)]
+    zero = draw(st.one_of(st.none(), st.integers(0, d)))
+    for row in R if zero is not None else ():
+        row[zero] = 0
+    return linalg.freeze(R), draw(st.integers(0, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sym_powers())
+def test_sym_power_lines_are_the_expansions(case):
+    # every line of the builder is its point's `expand_forms` over the
+    # one scale, and at N <= 2 the brute-force product
+    R, N = case
+    points = list(enumerate_lattice(len(R) - 1, N))
+    lines, D = liemod.expansion_matrix(R, points)
+    assert all(type(x) is int for line in lines for x in line)
+    scales = []
+    for lam, line in zip(points, lines):
+        coeffs, scale = expand_forms(tuple(zip(*R)), lam)
+        scales.append(scale)
+        assert [F(x, D) for x in line] == [F(coeffs.get(n, 0), scale) for n in points]
+        if N <= 2:
+            want = brute_sym(R, lam)
+            assert [F(x, D) for x in line] == [want.get(n, 0) for n in points]
+    assert D == math.lcm(*scales)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sym_powers(st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False))))
+def test_float_sym_power_is_the_rounded_exact_one(case):
+    # a float matrix is read at its floats' exact values, and each entry
+    # is the nearest float to the exact entry of Sym^N
+    R, N = case
+    points = list(enumerate_lattice(len(R) - 1, N))
+    lines, D = liemod.expansion_matrix(R, points)
+    exact, De = liemod.expansion_matrix(tuple(tuple(map(F, row)) for row in R), points)
+    assert D == 1
+    assert [[x.hex() for x in line] for line in lines] == [
+        [float(F(x, De)).hex() for x in line] for line in exact
+    ]
+
+
+def test_float_sym_power_past_the_float_range_names_the_entry():
+    points = list(enumerate_lattice(1, 2))
+    with pytest.raises(OverflowError, match=r"entry \(\[2, 0\], \[2, 0\]\)"):
+        liemod.expansion_matrix(((1e200, 0.0), (0.0, 1.0)), points)
+
+
+@pytest.mark.parametrize("suite", ["duality", "threeway"])
+@pytest.mark.parametrize("row,entry", [(0, 0), (4, 7), (9, 3)])
+def test_moved_entry_of_a_generating_matrix_fails_at_its_pair(monkeypatch, suite, row, entry):
+    # one entry of the generating matrix moved by one: duality (the
+    # involute's matrix, line n against row n of the table) and threeway
+    # (the set's matrix, line nt against column nt) each fail at that
+    # one pair, with the generating value off by 1 / (D multinomial)
+    N = 3
+    points = list(enumerate_lattice(HR.d, N))
+    generating_matrix = liemod.generating_matrix
+    scales = []
+
+    def moved(k, pts):
+        lines, D = generating_matrix(k, pts)
+        lines[row][entry] += 1
+        scales.append(D)
+        return lines, D
+
+    monkeypatch.setattr(liemod, "generating_matrix", moved)
+    (rep,) = verify.run_suites([suite], HR, N)
+    (D,) = scales
+    step = F(1, D * multinomial(N, points[entry]))
+    (failure,) = rep.failures
+    if suite == "duality":
+        assert failure["pair"] == [list(points[row]), list(points[entry])]
+        assert F(failure["dual_value"]) - F(failure["value"]) == step
+    else:
+        assert failure["pair"] == [list(points[entry]), list(points[row])]
+        assert F(failure["generating"]) - F(failure["kernel_sum"]) == step
+        assert failure["pairing"] == failure["kernel_sum"]

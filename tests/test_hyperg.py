@@ -779,9 +779,9 @@ def fraction_orthogonality(k, N, tab):
 
 def count_work(monkeypatch) -> dict:
     """Count, from here on, the per-entry kernel sums, the kernel
-    enumerations with the kernels they yield, and the expansions that
-    `hyperg` makes."""
-    calls = {"sums": 0, "enumerations": 0, "kernels": 0, "expansions": 0}
+    enumerations with the kernels they yield, the expansions that
+    `hyperg` makes, and the generating matrices of the runs."""
+    calls = {"sums": 0, "enumerations": 0, "kernels": 0, "expansions": 0, "generating": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -800,6 +800,9 @@ def count_work(monkeypatch) -> dict:
         hyperg, "eval_hypergeometric", counting("sums", hyperg.eval_hypergeometric)
     )
     monkeypatch.setattr(hyperg, "expand_forms", counting("expansions", hyperg.expand_forms))
+    monkeypatch.setattr(
+        liemod, "generating_matrix", counting("generating", liemod.generating_matrix)
+    )
     monkeypatch.setattr(hyperg, "enumerate_kernels", enumerations)
     return calls
 
@@ -815,7 +818,7 @@ class TestDuality:
         ids=["hr", "milch-d2", "ds-d2"],
     )
     def test_involute_transposes_table(self, k, N):
-        rep = hyperg.check_duality(k, N, tab=hyperg.table(k, N))
+        (rep,) = verify.run_suites(["duality"], k, N, 0, hyperg.table(k, N))
         assert rep.passed
         assert rep.failures == []
 
@@ -824,15 +827,17 @@ class TestDuality:
     ):
         # the exact d = 2 table of the run sums every kernel of total
         # <= N once, by the margin transfer, with no kernel enumeration
-        # and no per-entry sum; duality and threeway each expand the
-        # generating function once per column
+        # and no per-entry sum; duality and threeway expand no column:
+        # each reads one generating matrix, the involute's and the set's,
+        # each built once per run
         k = kappa.family_hoare_rahman(1, 2, 3, 4)
         N = 2
-        L = len(list(enumerate_lattice(k.d, N)))
         calls = count_work(monkeypatch)
         reports = verify.run_suites(verify.SUITES, k, N)
         assert all(r.passed for r in reports)
-        assert calls == {"sums": 0, "enumerations": 0, "kernels": 0, "expansions": 2 * L}
+        assert calls == {
+            "sums": 0, "enumerations": 0, "kernels": 0, "expansions": 0, "generating": 2
+        }
 
     def test_approx_check_sums_each_kernel_once_and_expands_per_column(
         self, monkeypatch
@@ -843,11 +848,12 @@ class TestDuality:
             kappa.to_json_dict(kappa.family_hoare_rahman(1, 2, 3, 4)), "approx", 1e-10
         )
         N = 2
-        L = len(list(enumerate_lattice(k.d, N)))
         calls = count_work(monkeypatch)
         reports = verify.run_suites(verify.SUITES, k, N, 1e-10)
         assert all(r.passed for r in reports)
-        assert calls == {"sums": 0, "enumerations": 0, "kernels": 0, "expansions": 2 * L}
+        assert calls == {
+            "sums": 0, "enumerations": 0, "kernels": 0, "expansions": 0, "generating": 2
+        }
 
     @pytest.mark.parametrize(
         "k,N,tol",
@@ -864,7 +870,8 @@ class TestDuality:
         reports = verify.run_suites(verify.SUITES, k, N, tol)
         assert all(r.passed for r in reports)
         assert calls["sums"] == calls["enumerations"] == L**2
-        assert calls["expansions"] == 2 * L
+        assert calls["expansions"] == 0
+        assert calls["generating"] == 2
 
     @pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])
     def test_detects_corruption_at_the_pair(self, approx):
@@ -879,7 +886,7 @@ class TestDuality:
         broken = hyperg.PolynomialTable(
             k, 3, tab.points, tuple((tuple(r), 1) for r in values)
         )
-        rep = hyperg.check_duality(k, 3, tol, tab=broken)
+        (rep,) = verify.run_suites(["duality"], k, 3, tol, broken)
         assert [f["pair"] for f in rep.failures] == [
             [list(tab.points[4]), list(tab.points[7])]
         ]

@@ -113,46 +113,58 @@ class TestConjugator:
         assert linalg.mat_mul(conj.rhat, conj.rhat_inv) == linalg.identity(3)
 
     def test_expands_each_power_once_per_direction(self, monkeypatch):
-        # a run of the four suites that read X or Y expands each xt^lam
-        # once, forward, for X, and each x^lam once, backward, for Y
-        calls = []
+        # a run of the four suites that read X or Y builds X = Sym^N(rhat)
+        # once, forward, and Y = Sym^N(rhat^-1) once, backward, besides
+        # the generating matrix of threeway, and expands no power alone
+        builds, calls = [], []
+        expansion_matrix = liemod.expansion_matrix
+
+        def building(R, points):
+            builds.append(R)
+            return expansion_matrix(R, points)
 
         def counting(forms, exponents, caps=None):
             calls.append((forms, tuple(exponents)))
             return expand_forms(forms, exponents, caps)
 
+        monkeypatch.setattr(liemod, "expansion_matrix", building)
         monkeypatch.setattr(liemod, "expand_forms", counting)
         k = milch2()
         points = list(enumerate_lattice(k.d, 2))
         conj = liemod.conjugator(k, 0)
         forward, backward = tuple(zip(*conj.rhat)), tuple(zip(*conj.rhat_inv))
+        generating = linalg.transpose(hyperg.generating_forms(k))
         reports = verify.run_suites(["norms", "adjacency", "transition", "threeway"], k, 2)
         assert all(rep.passed for rep in reports)
-        assert len(calls) == 2 * len(points)
-        assert len(set(calls)) == len(calls)
-        assert set(calls) == {(forms, lam) for forms in (forward, backward) for lam in points}
+        assert calls == []
+        assert builds == [conj.rhat, conj.rhat_inv, generating]
         # each line of X and of Y is its expansion, over the matrix's one scale
         for R, forms in ((conj.rhat, forward), (conj.rhat_inv, backward)):
-            lines, D = liemod.expansion_matrix(R, points)
+            lines, D = expansion_matrix(R, points)
             assert len(lines) == len(points)
             for lam, line in zip(points, lines):
                 coeffs, scale = expand_forms(forms, lam)
                 assert [F(c, D) for c in line] == [F(coeffs.get(n, 0), scale) for n in points]
 
     def test_adjacency_expands_each_power_once(self, monkeypatch):
-        calls = []
+        builds = []
+        expansion_matrix = liemod.expansion_matrix
 
-        def counting(forms, exponents, caps=None):
-            calls.append((forms, tuple(exponents)))
-            return expand_forms(forms, exponents, caps)
+        def building(R, points):
+            builds.append(R)
+            return expansion_matrix(R, points)
 
-        monkeypatch.setattr(liemod, "expand_forms", counting)
+        monkeypatch.setattr(liemod, "expansion_matrix", building)
         k = kappa.family_hoare_rahman(1, 2, 3, 4)
-        forward = tuple(zip(*liemod.conjugator(k, 0).rhat))
+        rhat = liemod.conjugator(k, 0).rhat
         assert suite("adjacency", k, 3).passed
-        # the intertwinings need only the forward expansions, one per point
-        assert len(set(calls)) == len(calls) == len(list(enumerate_lattice(k.d, 3)))
-        assert all(forms == forward for forms, _ in calls)
+        # the intertwinings need only the forward matrix X, built once
+        assert builds == [rhat]
+        points = list(enumerate_lattice(k.d, 3))
+        lines, D = expansion_matrix(rhat, points)
+        for lam, line in zip(points, lines):
+            coeffs, scale = expand_forms(tuple(zip(*rhat)), lam)
+            assert [F(c, D) for c in line] == [F(coeffs.get(n, 0), scale) for n in points]
 
     def test_full_check_acts_on_monomials_only(self, monkeypatch):
         # `act` runs only where the run's one move table is built, once
@@ -188,27 +200,33 @@ class TestConjugator:
     def test_one_conjugator_per_check_run(self, monkeypatch):
         # lemma21, lemma22 and transition share the run's conjugator, and
         # norms, adjacency, transition and threeway its expansion matrix,
-        # so all 12 suites expand each power once: 20 distinct expansions
-        # at HR N = 3, each of the 10 points once forward and, by
-        # transition, once inverse
-        calls = []
+        # so all 12 suites build each Sym^N matrix once: X and, by
+        # transition, Y from the conjugator, and the generating matrices
+        # of threeway and duality, with no power expanded alone
+        calls, builds = [], []
         conjugators = []
 
         def counting(forms, exponents, caps=None):
             calls.append((forms, tuple(exponents)))
             return expand_forms(forms, exponents, caps)
 
+        def building(R, points):
+            builds.append(R)
+            return expansion_matrix(R, points)
+
         def counting_conjugator(k, tol):
             conjugators.append(tol)
             return conjugator(k, tol)
 
-        conjugator = liemod.conjugator
+        conjugator, expansion_matrix = liemod.conjugator, liemod.expansion_matrix
         monkeypatch.setattr(liemod, "expand_forms", counting)
+        monkeypatch.setattr(liemod, "expansion_matrix", building)
         monkeypatch.setattr(liemod, "conjugator", counting_conjugator)
         k = kappa.family_hoare_rahman(1, 2, 3, 4)
         reports = verify.run_suites(verify.SUITES, k, 3)
         assert all(r.passed for r in reports)
-        assert len(calls) == len(set(calls)) == 20
+        assert calls == []
+        assert len(builds) == len(set(builds)) == 4
         assert conjugators == [0]
 
     def test_lemma_suites_matrix_products(self, monkeypatch):
