@@ -7,14 +7,14 @@ route expands the defining generating function
 
     prod_i (1 + sum_j u[i][j] z_j)^mt_i  =  sum_m binom * P(m, mt) z^m
 
-with `numeric.expand_forms`: one expansion is the whole column P(., mt)
-(`generating_column`), a capped one a single value, as `eval` takes
-it.  The columns of every mt together are the lines of one symmetric
-power of the row factors (`generating_forms`), which the checks read
-as `liemod.generating_matrix`.  The pairing route of `liemod` expands
-the same product (substitute y_j = pt_j x_j in xt^nt), so routes 2
-and 3 share their expansion and only the kernel sum is independent of
-it.  All routes take the
+as one line of the symmetric power Sym^N of the row factors
+(`generating_forms`): `eval` reads the line of mt alone
+(`eval_generating`), and the checks read all lines at once as
+`liemod.generating_matrix`, both from `liemod.expansion_matrix`, the
+one expansion of a product of linear forms.  The pairing route of
+`liemod` expands the same product (substitute y_j = pt_j x_j in xt^nt),
+so routes 2 and 3 share their expansion and only the kernel sum is
+independent of it.  All routes take the
 reduced degree vectors m, mt (length d, with the 0-th coordinates
 N - |m|, N - |mt| implied) and agree exactly.
 
@@ -65,7 +65,7 @@ from operator import mul
 from typing import Sequence
 
 from . import kappa as kappa_mod
-from . import linalg
+from . import liemod, linalg
 from .kappa import ParameterSet
 from .numeric import (
     APPROX,
@@ -75,7 +75,6 @@ from .numeric import (
     enumerate_kernels,
     enumerate_lattice,
     exactify,
-    expand_forms,
     format_ratio,
     format_scalar,
     gram_misses,
@@ -85,6 +84,7 @@ from .numeric import (
     parse_ratio,
     parse_scalar,
     ratio,
+    rounded,
     scalars_equal,
     weight_over_factorial,
 )
@@ -214,17 +214,9 @@ def _margin_transfer(
     return sums
 
 
-def _rounded(view: _View, acc: int, m: Sequence[int], mt: Sequence[int]) -> float:
-    """P(m, mt) = acc / N!^2 D^N of an approx set as the nearest float
-    (int / int true division rounds once); where it leaves the float
-    range, the OverflowError names P(m, mt) and N."""
-    try:
-        return acc / view.scale
-    except OverflowError:
-        raise OverflowError(
-            f"the approx kernel sum of P({list(m)}, {list(mt)}) at N = {view.N} "
-            "leaves the float range"
-        ) from None
+def _kernel_sum(m: Sequence[int], mt: Sequence[int], N: int) -> str:
+    """The name of an approx kernel sum in an OverflowError."""
+    return f"the approx kernel sum of P({list(m)}, {list(mt)}) at N = {N}"
 
 
 def eval_hypergeometric(
@@ -247,7 +239,7 @@ def eval_hypergeometric(
     is an integer (the signs of the two rising factorials cancel, as
     sum c = sum r = t), so the terms add up on ints and the sum is
     divided by N!^2 D^N once: a Fraction for an exact set, the correctly
-    rounded float for an approx one (`_rounded`).  At d >= 2 the kernels
+    rounded float for an approx one (`numeric.rounded`).  At d >= 2 the kernels
     enter through their margins alone: the margin transfer capped at
     rows <= mt and columns <= m (`_margin_transfer`) is contracted with
     the falling factorials fall(mt, r) fall(m, c).  At d = 1 the kernel
@@ -271,7 +263,9 @@ def eval_hypergeometric(
             * s
             for (r, c), s in sums.items()
         )
-    return Fraction(acc, view.scale) if view.exact else _rounded(view, acc, m, mt)
+    if view.exact:
+        return Fraction(acc, view.scale)
+    return rounded(acc, view.scale, lambda: _kernel_sum(m, mt, N))
 
 
 def generating_forms(kappa: ParameterSet) -> tuple:
@@ -280,32 +274,31 @@ def generating_forms(kappa: ParameterSet) -> tuple:
     return tuple((1,) + row[1:] for row in kappa.u)
 
 
-def generating_column(
-    kappa: ParameterSet, N: int, mt: Sequence[int], caps: Sequence[int] | None = None
-) -> dict:
-    """Generating-function evaluation of the column {n: P(n', mt)} over
-    full lattice points n: one expansion of the product of the d+1 row
-    factors (1 + sum_j u[i][j] z_j)^mt_i (mt_0 = N - |mt|), homogenised
-    by z_0, each coefficient divided by the multinomial of n.  The
-    expansion runs on ints for an exact set (`numeric.expand_forms`), so
-    each value is one Fraction, c / (D multinomial(N, n)).  No point
-    above ``caps`` is formed; a point missing from the result has P = 0.
-    Independent of the kernel sum; used as its oracle.
-    """
-    mt = check_degree_vector(kappa.d, N, mt, "mt")
-    coeffs, D = expand_forms(generating_forms(kappa), (N - sum(mt),) + mt, caps)
-    scaled = ((n, c, D * multinomial(N, n)) for n, c in coeffs.items())
-    return {n: ratio(c, den) for n, c, den in scaled}
-
-
 def eval_generating(
     kappa: ParameterSet, N: int, m: Sequence[int], mt: Sequence[int]
 ) -> Scalar:
-    """P(m, mt) read off `generating_column`, capped at n = (N - |m|, m)
-    so that no monomial beyond the one wanted is formed."""
+    """Generating-function evaluation of P(m, mt): the coefficient of
+    z^n, n = (N - |m|, m), in the product of the d+1 row factors
+    (1 + sum_j u[i][j] z_j)^mt_i (mt_0 = N - |mt|), homogenised by z_0,
+    divided by the multinomial of n.  The product is the line of
+    (N - |mt|, mt) of Sym^N of the row factors, read alone from its
+    chain of parents (`liemod.expansion_matrix`) on ints, an approx
+    set's u at its floats' exact values, so the value is one division:
+    a Fraction for an exact set, the nearest float for an approx one
+    (`numeric.rounded`), which the kernel sum gives too.  Independent of
+    the kernel sum; used as its oracle."""
     m = check_degree_vector(kappa.d, N, m, "m")
+    mt = check_degree_vector(kappa.d, N, mt, "mt")
+    points = tuple(enumerate_lattice(kappa.d, N))
     n = (N - sum(m),) + m
-    return generating_column(kappa, N, mt, n).get(n, Fraction(0))
+    R = linalg.transpose(generating_forms(kappa))
+    line, D = liemod.expansion_matrix(R, points, (N - sum(mt),) + mt)
+    c, den = line[points.index(n)], D * multinomial(N, n)
+    if kappa.integer_view[0]:
+        return Fraction(c, den)
+    return rounded(
+        c, den, lambda: f"the approx generating value of P({list(m)}, {list(mt)}) at N = {N}"
+    )
 
 
 @dataclass(frozen=True)
@@ -368,7 +361,7 @@ def _lowest(scaled: tuple) -> tuple:
 
 def _margin_table(kappa: ParameterSet, N: int, points: tuple) -> tuple:
     """The rows of T = F S^T F^T as (ints, N!^2 D^N) lines, an approx
-    set's rows then as floats, each entry rounded once (`_rounded`),
+    set's rows then as floats, each entry rounded once (`numeric.rounded`),
     with scale 1 (see `table`).  S[r][c], the sum of (-1)^t D^(N-t)
     (N-t)! N!/A! W^A over the kernels A with row sums r and column sums
     c, comes on ints from one `_margin_transfer`, as by_col[c] =
@@ -397,7 +390,7 @@ def _margin_table(kappa: ParameterSet, N: int, points: tuple) -> tuple:
     if view.exact:
         return tuple((line, scale) for line in lines)
     return tuple(
-        (tuple(_rounded(view, x, m, mt) for x, mt in zip(line, vectors)), 1)
+        (tuple(rounded(x, scale, lambda: _kernel_sum(m, mt, N)) for x, mt in zip(line, vectors)), 1)
         for line, m in zip(lines, vectors)
     )
 

@@ -22,7 +22,7 @@ is compared by `numeric.misses`, cross-multiplied, a Fraction made only
 for a miss; floats keep scale 1 and the plain products.
 
 Matrices act on homogeneous polynomials in x_0..x_d, each a plain dict
-{exponent: coefficient} with zeros left out (as `numeric.expand_forms`
+{exponent: coefficient} with zeros left out (as `xtilde_monomial`
 returns them), as derivations: e_ij sends x^lam to lam_j
 x^(lam+v_i-v_j).  On the degree-N lattice that action is one
 `lattice_form`, which the difference operators of `bispec` and the
@@ -35,7 +35,8 @@ X[lam][n] = coeff_n(xt^lam), and its inverse Y = Sym^N(R^-1),
 Y[n][mu] = the coefficient of xt^mu in x^n (`to_dual_coords`).  Both
 are one `expansion_matrix`, dense integer lines in layout order over one
 scale, built a degree at a time and made once per run from the run's
-one conjugator.  The module
+one conjugator; it is the only code that expands a product of linear
+forms, and it reads one line alone from the chain of its parents.  The module
 suites are identities of these two: the d recurrences as intertwinings
 of X (adjacency); orthogonality of the xt^lam for a form diagonal on
 plain monomials with weight nu^N n!/pt^n, read off the lines of X, and
@@ -44,11 +45,12 @@ the form's contravariance <b.f, g> = <f, a(b).g> on the units e_ij
 columns and Y against its rows (transition).  The pairing
 <x^n, xt^nt> recovers P(n', nt') up to an explicit constant and serves
 as the third evaluation route.  Substituting y_j = pt_j x_j turns
-xt^nt into the generating function of `hyperg.generating_column`, so
-for one value both routes expand through the one capped core
-`numeric.expand_forms`; the checks read all values at once, from X and
+xt^nt into the generating function of `hyperg.eval_generating`, so
+for one value both routes read one line of a Sym^N matrix
+(`xtilde_monomial`); the checks read all values at once, from X and
 from the generating matrix of the set (`generating_matrix`), another
-`expansion_matrix`.  For exact data both run on ints.  Both closed forms come
+`expansion_matrix`.  Both run on ints, an approx set's floats at their
+exact values.  Both closed forms come
 as `closed_forms`, made once per run; adjacency reads the two actions
 it needs from the lattice forms of the run's generators
 (`bispec.generators`).
@@ -73,7 +75,6 @@ from .numeric import (
     clear_denominators,
     enumerate_lattice,
     exactify,
-    expand_forms,
     format_scalar,
     gram_misses,
     is_exact,
@@ -82,6 +83,7 @@ from .numeric import (
     multinomial_weights,
     power_product,
     ratio,
+    rounded,
     scalars_equal,
     weight_over_factorial,
 )
@@ -475,31 +477,37 @@ def lattice_form(M: Matrix, moves: tuple) -> tuple:
 
 def xtilde_monomial(conj: Conjugator, lam: MultiIndex) -> dict:
     """The substituted monomial xt^lam = prod_k (sum_j x_j rhat[j][k])^lam_k
-    expanded over plain monomials, one Fraction per coefficient."""
-    coeffs, D = expand_forms(tuple(zip(*conj.rhat)), tuple(lam))
-    return coeffs if D == 1 else {n: Fraction(c, D) for n, c in coeffs.items()}
+    expanded over plain monomials, its nonzero coefficients, one
+    Fraction each: the line of lam of X = Sym^N(rhat) read alone
+    (`expansion_matrix`), an approx rhat at its floats' exact values."""
+    points = tuple(enumerate_lattice(len(lam) - 1, sum(lam)))
+    line, D = expansion_matrix(conj.rhat, points, lam)
+    return {n: Fraction(c, D) for n, c in zip(points, line) if c}
 
 
-def expansion_matrix(R: Matrix, points) -> tuple:
+def expansion_matrix(R: Matrix, points, lam: MultiIndex | None = None) -> tuple:
     """(lines, D) with lines[k][j] / D the coefficient of the j-th
     point's monomial x^n in prod_i (sum_j x_j R[j][i])^lam_i, lam the
     k-th point, for `points` the degree-N lattice in layout order, zeros
-    included: Sym^N(R) on the monomial basis, line k the
-    `numeric.expand_forms` of lam over one scale D.
+    included: Sym^N(R) on the monomial basis over one scale D.  With a
+    point `lam`, its line alone, as (line, D) on ints over its own scale.
 
     Built a degree at a time on dense integer lines, column i of R, the
     linear form i, scaled to ints once as F_i / D_i: the line of lam is
     the line of its parent lam - e_k, k the first nonzero part of lam,
     times form k alone, over the parent's scale times D_k, so each
-    monomial prefix is expanded once for all the lines that share it.
+    monomial prefix is expanded once for all the lines that share it,
+    and one line takes the N + 1 lines of its chain of parents.
     The degree-t lattice is the first C(t+d, d) points of the layout,
     lam_0 lowered by N - t, so one index map per j, nu -> nu - e_j (-1
     where nu_j = 0, which reads the 0 that ends each line), cut to the
     degree, does the shifts.  D is the lcm of the line scales
-    prod_i D_i^lam_i.  A float R is read at its floats' exact values
-    and each entry rounded once, with D = 1; an entry past the float
-    range raises an OverflowError that names it.  With R = rhat it is X,
-    with R = rhat_inv its inverse Y (`to_dual_coords`), and with the
+    prod_i D_i^lam_i.  A float R is read at its floats' exact values;
+    the whole matrix is then rounded entry by entry (`numeric.rounded`),
+    with D = 1, and an entry past the float range raises an
+    OverflowError that names it, while one line is left on ints, for
+    its reader to round per value.  With R = rhat it is X, with
+    R = rhat_inv its inverse Y (`to_dual_coords`), and with the
     generating function's row factors the generating matrix
     (`generating_matrix`)."""
     points = tuple(points)
@@ -508,18 +516,23 @@ def expansion_matrix(R: Matrix, points) -> tuple:
         raise ValueError("points must be the degree-N lattice in layout order")
     exact = all(map(is_exact, chain(*R)))
     forms = [clear_denominators(col if exact else list(map(Fraction, col))) for col in zip(*R)]
-    index = {lam[1:]: i for i, lam in enumerate(points)}
+    index = {nu[1:]: i for i, nu in enumerate(points)}
     less = [
-        [index.get(lam[1:j] + (lam[j] - 1,) + lam[j + 1 :], -1) for lam in points]
+        [index.get(nu[1:j] + (nu[j] - 1,) + nu[j + 1 :], -1) for nu in points]
         for j in range(1, width)
     ]
-    lines, plus = [([1, 0], 1)], functools.partial(map, add)
+    if lam is not None:  # the layout index of lam's parent of each degree
+        path, mu = [0] * (N + 1), list(lam)
+        for t in range(N, 0, -1):
+            path[t] = index[tuple(mu[1:])]
+            mu[next(j for j, e in enumerate(mu) if e)] -= 1
+    lines, plus = {0: ([1, 0], 1)}, functools.partial(map, add)
     for t in range(1, N + 1):
-        size, below = math.comb(t + width - 1, t), len(lines)
+        size, below = math.comb(t + width - 1, t), math.comb(t + width - 2, t - 1)
         maps = [[*range(below), *(-1,) * (size - below)]] + [m[:size] for m in less]
         gathers = [itemgetter(*m) for m in maps]
-        grown = []
-        for i in range(size):
+        grown = {}
+        for i in range(size) if lam is None else path[t : t + 1]:
             k = next(j for j, m in enumerate(maps) if m[i] >= 0)
             parent, s = lines[maps[k][i]]
             F, Dk = forms[k]
@@ -530,29 +543,22 @@ def expansion_matrix(R: Matrix, points) -> tuple:
             ]
             line = list(functools.reduce(plus, terms)) if terms else [0] * size
             line.append(0)
-            grown.append((line, s * Dk))
+            grown[i] = (line, s * Dk)
         lines = grown
+    if lam is not None:
+        line, s = lines[path[N]]
+        return line[:-1], s
+    lines = lines.values()
     if not exact:
-        return [_rounded(line, s, lam, points) for (line, s), lam in zip(lines, points)], 1
+        return [
+            [
+                rounded(x, s, lambda: f"entry ({list(nu)}, {list(n)}) of an approx Sym^{N} matrix")
+                for x, n in zip(line, points)
+            ]
+            for (line, s), nu in zip(lines, points)
+        ], 1
     D = math.lcm(*(s for _, s in lines))
     return [line[:-1] if s == D else [x * (D // s) for x in line[:-1]] for line, s in lines], D
-
-
-def _rounded(line: list, s: int, lam: tuple, points: tuple) -> list:
-    """The entries of the integer line of lam over s, its trailing 0
-    dropped, each the nearest float (int / int true division rounds
-    once); where one leaves the float range, the OverflowError names
-    its pair of points."""
-    out = []
-    for x, n in zip(line, points):
-        try:
-            out.append(x / s)
-        except OverflowError:
-            raise OverflowError(
-                f"entry ({list(lam)}, {list(n)}) of an approx Sym^{sum(lam)} matrix "
-                "leaves the float range"
-            ) from None
-    return out
 
 
 def to_dual_coords(conj: Conjugator, points) -> tuple:
@@ -567,8 +573,8 @@ def generating_matrix(kappa: ParameterSet, points) -> tuple:
     """(lines, D) with lines[k][j] / (D multinomial(N, n)) = P(n', nt'),
     nt the k-th point and n the j-th: Sym^N of the generating function's
     row factors (`hyperg.generating_forms`), so line k is the generating
-    column of nt (`hyperg.generating_column`) with its multinomials left
-    in, all lines from one `expansion_matrix`."""
+    column of nt with its multinomials left in, all lines from one
+    `expansion_matrix`; `hyperg.eval_generating` reads one line alone."""
     return expansion_matrix(linalg.transpose(hyperg.generating_forms(kappa)), points)
 
 
@@ -576,11 +582,20 @@ def pairing_weight(kappa: ParameterSet, N: int, n: MultiIndex) -> Scalar:
     """n!/(pt^n N!), which turns coeff_n(xt^nt) into P(n', nt') for
     every nt: a full-grid sweep computes it once per n.  It is the
     reciprocal of the multinomial weight N! pt^n/n! that `transition`
-    and `orthogonality` read on ints (`numeric.multinomial_weights`)."""
+    and `orthogonality` read on ints (`numeric.multinomial_weights`).
+    An approx weight is the plain float arithmetic; where it leaves the
+    float range (pt^n N! underflows to 0, or the quotient to inf), the
+    OverflowError names it and its point."""
     den = power_product(kappa.pt, n) * math.factorial(N)
     if kappa.integer_view[0]:
         return Fraction(multi_factorial(n), den)
-    return multi_factorial(n) / den
+    w = multi_factorial(n) / den if den else math.inf
+    if w == math.inf:
+        raise OverflowError(
+            f"the approx pairing weight n!/(pt^n N!) at n = {list(n)}, N = {N} "
+            "leaves the float range"
+        )
+    return w
 
 
 def _form_weights(kappa: ParameterSet, N: int) -> tuple:
@@ -605,16 +620,26 @@ def pairing_eval(
 ) -> Scalar:
     """P(n', nt') = <x^n, xt^nt> / (nu^N N!); the nu^N cancels against
     the form's weight, leaving coeff_n(xt^nt) times `pairing_weight`.
-    The reduced indices n[1:] and nt[1:] are refused as the other
-    routes refuse them (`hyperg.check_degree_vector`), then the degrees.
+    The coefficient is read off the one line of nt (`xtilde_monomial`),
+    exact; an approx set's is rounded once (`numeric.rounded`) before
+    the float weight multiplies it.  The reduced indices n[1:] and
+    nt[1:] are refused as the other routes refuse them
+    (`hyperg.check_degree_vector`), then the degrees.
     """
     n, nt = tuple(n), tuple(nt)
     hyperg.check_degree_vector(kappa.d, N, n[1:], "m")
     hyperg.check_degree_vector(kappa.d, N, nt[1:], "mt")
     if sum(n) != N or sum(nt) != N:
         raise DegreeMismatchError(f"|{n}| or |{nt}| differs from N = {N}")
-    c = xtilde_monomial(conj, nt).get(n, 0)
-    return c * pairing_weight(kappa, N, n)
+    c = xtilde_monomial(conj, nt).get(n, Fraction(0))
+    w = pairing_weight(kappa, N, n)
+    if kappa.integer_view[0]:
+        return c * w
+    return w * rounded(
+        c.numerator,
+        c.denominator,
+        lambda: f"the approx coefficient of x^{list(n)} in xt^{list(nt)}",
+    )
 
 
 def check_dual_norms(

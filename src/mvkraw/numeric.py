@@ -7,10 +7,13 @@ inputs are parsed, how equality is tested (literal vs. within ``eps``)
 and how values are serialized.
 
 The combinatorial layer provides multinomial coefficients and weights,
-the one capped sparse-polynomial expansion, the simplex lattice of
-multi-indices of fixed total degree, and the kernels of a d = 1 kernel
-sum, its totals (`enumerate_kernels`).  A kernel sum at d >= 2 lists no
-kernel: it runs over the kernel entries (`hyperg._margin_transfer`).
+the simplex lattice of multi-indices of fixed total degree, and the
+kernels of a d = 1 kernel sum, its totals (`enumerate_kernels`).  A
+kernel sum at d >= 2 lists no kernel: it runs over the kernel entries
+(`hyperg._margin_transfer`).  A product of linear forms is expanded in
+one place, `liemod.expansion_matrix`, on ints.  An approx value that is
+summed or expanded on the exact values of its floats becomes a float
+once, by `rounded`.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import math
 import re
 import sys
 from fractions import Fraction
-from operator import add, le, mul, ne
-from typing import Iterator, Sequence, Union
+from operator import add, mul, ne
+from typing import Callable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction, float, complex]
 
@@ -182,6 +185,18 @@ def ratio(num: Scalar, den: int) -> Scalar:
     return Fraction(num, den) if type(num) is int else num / den
 
 
+def rounded(num: int, den: int, what: Callable[[], str]) -> float:
+    """The nearest float to num / den, ints with den > 0: int / int true
+    division rounds once.  Where it leaves the float range, the
+    OverflowError names the value, what(), made only then.  An approx
+    kernel sum, Sym^N entry or `eval` value is made by this one
+    division from its exact value."""
+    try:
+        return num / den
+    except OverflowError:
+        raise OverflowError(f"{what()} leaves the float range") from None
+
+
 def misses(a: Sequence, A: int, b: Sequence, B: int) -> Iterator[tuple]:
     """(k, a[k] / A, b[k] / B) for each k where the two lines may differ.
     Exact lines are compared cross-multiplied on ints, and a pair that
@@ -288,66 +303,6 @@ def multinomial_weights(w: tuple, N: int, points: Sequence) -> tuple:
     if not all(map(is_exact, W)):
         return [math.factorial(N) * weight_over_factorial(W, n) for n in points], 1
     return [multinomial(N, n) * power_product(W, n) for n in points], D**N
-
-
-def expand_forms(
-    forms: Sequence[Sequence[Scalar]],
-    exponents: Sequence[int],
-    caps: Sequence[int] | None = None,
-) -> tuple:
-    """prod_k (sum_j forms[k][j] y_j)^exponents[k] as (coeffs, D), the
-    coefficient of y^key being coeffs[key] / D: the single capped
-    expansion of one product, behind `eval --method gen` and the
-    pairing route of `eval` (`hyperg.generating_column`,
-    `liemod.pairing_eval`).  A whole symmetric power, every product of
-    a degree, is `liemod.expansion_matrix`, whose lines equal these
-    expansions.
-
-    When every entry of the forms in use is exact, each form is scaled
-    to integers once, form k = F_k / D_k (`clear_denominators`), so the
-    recursion and the merge run on ints and D = prod_k D_k^exponents[k].
-    Otherwise the forms are used as they are, with D = 1, through the
-    same left-to-right operations, so float and complex values are those
-    of the plain expansion, bit for bit.  Each factor is expanded by the
-    multinomial theorem and merged into one dict.  A monomial whose
-    exponent of some y_j exceeds caps[j] is never formed, and zero
-    coefficients are dropped.
-    """
-    n = len(forms[0])
-    used = [(form, e) for form, e in zip(forms, exponents) if e]
-    D = 1
-    if all(is_exact(x) for form, _ in used for x in form):
-        scaled = []
-        for form, e in used:
-            ints, Dk = clear_denominators(form)
-            scaled.append((ints, e))
-            D *= Dk**e
-        used = scaled
-    acc = {(0,) * n: 1}
-    for form, e in used:
-        power: dict = {}
-
-        def rec(j: int, left: int, expo: tuple, c: Scalar) -> None:
-            # y_j takes a of the `left` factors still to place
-            top = left if caps is None else min(left, caps[j])
-            if form[j] == 0:
-                top = 0
-            if j == n - 1:  # the last variable takes all that is left
-                if left <= top:
-                    power[expo + (left,)] = c * form[j] ** left
-                return
-            for a in range(top + 1):
-                rec(j + 1, left - a, expo + (a,), c * math.comb(left, a) * form[j] ** a)
-
-        rec(0, e, (), 1)
-        merged: dict = {}
-        for k1, c1 in acc.items():
-            for k2, c2 in power.items():
-                key = tuple(map(add, k1, k2))
-                if caps is None or all(map(le, key, caps)):
-                    merged[key] = merged.get(key, 0) + c1 * c2
-        acc = merged
-    return {key: c for key, c in acc.items() if c != 0}, D
 
 
 def enumerate_lattice(d: int, degree: int) -> Iterator[MultiIndex]:

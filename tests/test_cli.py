@@ -957,6 +957,25 @@ class TestInternalErrors:
         assert code == 0 and float(out) == pytest.approx(float(exact), rel=1e-12)
         assert exact < -1e299
 
+    def test_approx_pairing_weight_past_the_float_range_is_located(self, capsys, tmp_path):
+        # the Milch set of test_approx_overflow_exit_5 has pt_1 near
+        # 5e-101, so pt^n underflows to 0 at n = (0, 4, 0) and the weight
+        # n!/(pt^n N!) is near 1e400: norms, which weighs its form with
+        # it, and the pairing route of `eval` exit 5 naming the weight
+        # and its point, with no traceback, and exact mode has the values
+        w = F(1, 10**100)
+        milch = write_kappa(tmp_path, kappa.family_milch([F(1, 2), w, F(1, 2) - w]))
+        error = (
+            "error: the approx pairing weight n!/(pt^n N!) at n = [0, 4, 0], N = 4 leaves "
+            "the float range; exact mode has no float range\n"
+        )
+        norms = ("check", "--kappa", milch, "--N", "4", "--suite", "norms")
+        pairing = ("eval", "--kappa", milch, "--N", "4", "--m", "4,0", "--mt", "0,0", "--method",
+                   "pairing")
+        for argv in (norms, pairing):
+            assert run(capsys, "--mode", "approx", "--eps", "1e-102", *argv) == (5, "", error)
+            assert run(capsys, *argv)[0] == 0
+
     def test_approx_sym_power_past_the_float_range_is_located(self, capsys, tmp_path):
         # the Milch set of test_approx_overflow_exit_5 has u near 1e100,
         # so its generating matrices at N = 4 hold entries near 1e400: on a

@@ -1,6 +1,7 @@
-"""The integer expansion core against the plain expansion it replaces,
-and the integer comparisons of its readers against plain-Fraction
-recomputations of their failure records."""
+"""The Sym^N builder, a line at a time or a whole matrix, against the
+plain expansion (`expansion_oracle`), and the integer comparisons of
+its readers against plain-Fraction recomputations of their failure
+records."""
 
 import math
 from fractions import Fraction as F
@@ -10,119 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expansion_oracle import plain_expand, plain_line
 from mvkraw import hyperg, kappa, liemod, linalg, verify
 from mvkraw.numeric import (
     enumerate_lattice,
     exactify,
-    expand_forms,
     format_scalar,
     is_exact,
     multinomial,
     scalars_equal,
     weight_over_factorial,
 )
-
-
-def plain_expand(forms, exponents, caps=None):
-    # the multinomial recursion and the merge on the scalars as given,
-    # left to right, with no scaling
-    n = len(forms[0])
-    acc = {(0,) * n: 1}
-    for form, e in zip(forms, exponents):
-        if e == 0:
-            continue
-        power = {}
-
-        def rec(j, left, expo, c):
-            top = left if caps is None else min(left, caps[j])
-            if form[j] == 0:
-                top = 0
-            if j == n - 1:
-                if left <= top:
-                    power[expo + (left,)] = c * form[j] ** left
-                return
-            for a in range(top + 1):
-                rec(j + 1, left - a, expo + (a,), c * math.comb(left, a) * form[j] ** a)
-
-        rec(0, e, (), 1)
-        merged = {}
-        for k1, c1 in acc.items():
-            for k2, c2 in power.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                if caps is None or all(a <= b for a, b in zip(key, caps)):
-                    merged[key] = merged.get(key, 0) + c1 * c2
-        acc = merged
-    return {key: c for key, c in acc.items() if c != 0}
-
-
-INTS = st.integers(-(10**3), 10**3)
-FRACTIONS = st.fractions(-(10**2), 10**2, max_denominator=10**3)
-SCALARS = {
-    "int": INTS,
-    "Fraction": FRACTIONS,
-    "int and Fraction": st.one_of(INTS, FRACTIONS, st.just(0)),
-    "float": st.floats(-1e3, 1e3, allow_nan=False),
-    "complex": st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
-}
-
-
-@st.composite
-def products(draw):
-    width = draw(st.integers(2, 4))
-
-    def form():
-        kind = SCALARS[draw(st.sampled_from(sorted(SCALARS)))]
-        return tuple(draw(kind) for _ in range(width))
-
-    forms = [form() for _ in range(draw(st.integers(1, 3)))]
-    exponents = [draw(st.integers(0, 3)) for _ in forms]
-    caps = draw(st.one_of(st.none(), st.lists(st.integers(0, 6), min_size=width, max_size=width)))
-    return forms, exponents, caps
-
-
-def bits(x):
-    # floats compare bit for bit, -0.0 included; exact values by value
-    if isinstance(x, float):
-        return x.hex()
-    if isinstance(x, complex):
-        return x.real.hex(), x.imag.hex()
-    return x
-
-
-@settings(max_examples=300, deadline=None)
-@given(products())
-def test_expansion_equals_the_plain_expansion(product):
-    forms, exponents, caps = product
-    got, D = expand_forms(forms, exponents, caps)
-    want = plain_expand(forms, exponents, caps)
-    assert got.keys() == want.keys()
-    used = [x for form, e in zip(forms, exponents) if e for x in form]
-    if all(map(is_exact, used)):
-        # every coefficient an int over the one scale prod_k D_k^e_k
-        assert all(type(c) is int for c in got.values())
-        assert D == math.prod(
-            math.lcm(*(exactify(x).denominator for x in form)) ** e
-            for form, e in zip(forms, exponents)
-            if e
-        )
-        assert {key: F(c, D) for key, c in got.items()} == want
-    else:
-        # a float or complex among the forms: the plain operations, as they are
-        assert D == 1
-        assert {key: (type(c), bits(c)) for key, c in got.items()} == {
-            key: (type(c), bits(c)) for key, c in want.items()
-        }
-
-
-def test_caps_and_scales_of_a_hand_product():
-    # (y0/2 + y1/3)^2 (y0 + y2): D = 6^2, and the cap y0 <= 1 keeps the
-    # coefficients of what it keeps
-    forms, exponents = [(F(1, 2), F(1, 3), 0), (1, 0, 1)], (2, 1)
-    full, D = expand_forms(forms, exponents)
-    assert D == 36
-    assert full == {(3, 0, 0): 9, (2, 1, 0): 12, (1, 2, 0): 4, (2, 0, 1): 9, (1, 1, 1): 12, (0, 2, 1): 4}
-    capped, _ = expand_forms(forms, exponents, caps=(1, 2, 1))
-    assert capped == {key: c for key, c in full.items() if key[0] <= 1}
 
 
 # ---------------------------------------------------------------------------
@@ -369,20 +268,22 @@ def sym_powers(draw, entries=st.one_of(st.just(0), st.fractions(-9, 9, max_denom
 @settings(max_examples=150, deadline=None)
 @given(sym_powers())
 def test_sym_power_lines_are_the_expansions(case):
-    # every line of the builder is its point's `expand_forms` over the
-    # one scale, and at N <= 2 the brute-force product
+    # every line of the builder is its point's plain expansion over the
+    # one scale, and at N <= 2 the brute-force product; the scale is the
+    # lcm of the lines' own, prod_i D_i^lam_i
     R, N = case
     points = list(enumerate_lattice(len(R) - 1, N))
     lines, D = liemod.expansion_matrix(R, points)
     assert all(type(x) is int for line in lines for x in line)
-    scales = []
     for lam, line in zip(points, lines):
-        coeffs, scale = expand_forms(tuple(zip(*R)), lam)
-        scales.append(scale)
-        assert [F(x, D) for x in line] == [F(coeffs.get(n, 0), scale) for n in points]
+        assert [F(x, D) for x in line] == plain_line(R, lam, points)
         if N <= 2:
             want = brute_sym(R, lam)
             assert [F(x, D) for x in line] == [want.get(n, 0) for n in points]
+    scales = [
+        math.prod(math.lcm(*(F(x).denominator for x in col)) ** e for col, e in zip(zip(*R), lam))
+        for lam in points
+    ]
     assert D == math.lcm(*scales)
 
 
@@ -405,6 +306,49 @@ def test_float_sym_power_past_the_float_range_names_the_entry():
     points = list(enumerate_lattice(1, 2))
     with pytest.raises(OverflowError, match=r"entry \(\[2, 0\], \[2, 0\]\)"):
         liemod.expansion_matrix(((1e200, 0.0), (0.0, 1.0)), points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(sym_powers(), sym_powers(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)))),
+    st.data(),
+)
+def test_expansion_equals_the_plain_expansion(case, data):
+    # one line read alone, from its chain of parents, is the plain
+    # expansion of its product on ints over its own scale prod_i
+    # D_i^lam_i, an exact or a float R alike (the floats at their exact
+    # values), and the line of the whole matrix: the same ints over the
+    # matrix's scale, or for a float R each entry of it rounded once
+    R, N = case
+    points = list(enumerate_lattice(len(R) - 1, N))
+    lam = data.draw(st.sampled_from(points))
+    line, scale = liemod.expansion_matrix(R, points, lam)
+    assert len(line) == len(points) and all(type(x) is int for x in line)
+    assert scale == math.prod(
+        math.lcm(*(F(x).denominator for x in col)) ** e for col, e in zip(zip(*R), lam)
+    )
+    exact = [F(x, scale) for x in line]
+    assert exact == plain_line(R, lam, points)
+    lines, D = liemod.expansion_matrix(R, points)
+    full = lines[points.index(lam)]
+    if all(map(is_exact, itertools.chain(*R))):
+        assert [F(x, D) for x in full] == exact
+    else:
+        assert D == 1
+        assert [x.hex() for x in full] == [float(x).hex() for x in exact]
+
+
+def test_scales_of_a_hand_product():
+    # (y0/2 + y1/3)^2 (y0 + y2), the line of (2, 1, 0) for the forms as
+    # the columns of R: ints over D = 6^2, read alone or in the matrix
+    R = ((F(1, 2), 1, 0), (F(1, 3), 0, 0), (0, 1, 0))
+    points = list(enumerate_lattice(2, 3))
+    line, D = liemod.expansion_matrix(R, points, (2, 1, 0))
+    assert D == 36
+    want = {(3, 0, 0): 9, (2, 1, 0): 12, (1, 2, 0): 4, (2, 0, 1): 9, (1, 1, 1): 12, (0, 2, 1): 4}
+    assert line == [want.get(n, 0) for n in points]
+    lines, D_all = liemod.expansion_matrix(R, points)
+    assert [F(x, D_all) for x in lines[points.index((2, 1, 0))]] == [F(x, D) for x in line]
 
 
 @pytest.mark.parametrize("suite", ["duality", "threeway"])

@@ -147,18 +147,39 @@ class TestGeneratingAgreement:
         ) == hyperg.eval_generating(k, N, m, mt)
 
 
+    @pytest.mark.parametrize(
+        "k,N",
+        [
+            (kappa.griffiths_from_p([F(101, 400), F(99, 400), F(1, 2)]), 5),
+            (kappa.family_hoare_rahman(F(17, 101), F(-3, 7), F(29, 113), F(5, 211)), 5),
+            (kappa.family_milch([F(1, 3), F(1, 3), F(1, 6), F(1, 6)]), 3),
+        ],
+        ids=["griffiths", "hr-odd", "milch-d3"],
+    )
+    def test_approx_generating_values_are_the_kernel_sums(self, k, N):
+        # both routes run on the exact values of the approx set's floats
+        # and round once, so `eval` writes the same bytes by either: the
+        # float expansion wrote other last digits at 145 of the 441
+        # values of the Griffiths set and at 162 of the HR set's
+        a = kappa.from_json_dict(kappa.to_json_dict(k), "approx", 1e-10)
+        for m in enumerate_degree_points(k.d, N):
+            for mt in enumerate_degree_points(k.d, N):
+                hyper = numeric.format_scalar(hyperg.eval_hypergeometric(a, N, m, mt))
+                assert numeric.format_scalar(hyperg.eval_generating(a, N, m, mt)) == hyper
+
+
 class TestGeneratingColumn:
     @pytest.mark.parametrize("k,N", FAMILIES)
     def test_equals_table_columns_capped_or_not(self, k, N):
+        # the generating column of nt is line nt of the generating
+        # matrix over D multinomial(N, n), read among all lines or alone,
+        # from its chain of parents, by `eval_generating`
         tab = hyperg.table(k, N)
-        for c, nt in enumerate(tab.points):
-            column = hyperg.generating_column(k, N, nt[1:])
-            assert set(column) <= set(tab.points)
-            for n, row in zip(tab.points, tab.values):
-                assert column.get(n, 0) == row[c], (n, nt)
-                capped = hyperg.generating_column(k, N, nt[1:], n)
-                assert all(map(lambda a, b: a <= b, key, n) for key in capped)
-                assert capped.get(n, 0) == row[c], (n, nt)
+        lines, D = liemod.generating_matrix(k, tab.points)
+        for c, (nt, column) in enumerate(zip(tab.points, lines)):
+            for n, x, row in zip(tab.points, column, tab.values):
+                assert F(x, D * numeric.multinomial(N, n)) == row[c], (n, nt)
+                assert hyperg.eval_generating(k, N, n[1:], nt[1:]) == row[c], (n, nt)
 
 
 class TestTable:
@@ -324,14 +345,16 @@ class TestKrawtchoukSums:
     @settings(max_examples=30, deadline=None)
     @given(d1_sets())
     def test_equals_generating_columns(self, case):
+        # the column of mt is line mt of the generating matrix, its
+        # entry at (N - m, m) over D binom(N, m)
         k, N = case
         assert k.d == 1
-        for mt in range(N + 1):
-            column = hyperg.generating_column(k, N, (mt,))
-            for m in range(N + 1):
+        lines, D = liemod.generating_matrix(k, list(enumerate_lattice(1, N)))
+        for mt, column in enumerate(lines):
+            for m, x in enumerate(column):
                 value = hyperg.eval_hypergeometric(k, N, (m,), (mt,))
                 assert type(value) is F
-                assert value == column.get((N - m, m), 0), (m, mt)
+                assert value == F(x, D * math.comb(N, m)), (m, mt)
 
 
 class TestMarginTable:
@@ -779,9 +802,9 @@ def fraction_orthogonality(k, N, tab):
 
 def count_work(monkeypatch) -> dict:
     """Count, from here on, the per-entry kernel sums, the kernel
-    enumerations with the kernels they yield, the expansions that
-    `hyperg` makes, and the generating matrices of the runs."""
-    calls = {"sums": 0, "enumerations": 0, "kernels": 0, "expansions": 0, "generating": 0}
+    enumerations with the kernels they yield, the lines of the Sym^N
+    builder read alone, and the generating matrices of the runs."""
+    calls = {"sums": 0, "enumerations": 0, "kernels": 0, "lines": 0, "generating": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -799,7 +822,13 @@ def count_work(monkeypatch) -> dict:
     monkeypatch.setattr(
         hyperg, "eval_hypergeometric", counting("sums", hyperg.eval_hypergeometric)
     )
-    monkeypatch.setattr(hyperg, "expand_forms", counting("expansions", hyperg.expand_forms))
+    expansion_matrix = liemod.expansion_matrix
+
+    def expansions(R, points, lam=None):
+        calls["lines"] += lam is not None
+        return expansion_matrix(R, points, lam)
+
+    monkeypatch.setattr(liemod, "expansion_matrix", expansions)
     monkeypatch.setattr(
         liemod, "generating_matrix", counting("generating", liemod.generating_matrix)
     )
@@ -836,7 +865,7 @@ class TestDuality:
         reports = verify.run_suites(verify.SUITES, k, N)
         assert all(r.passed for r in reports)
         assert calls == {
-            "sums": 0, "enumerations": 0, "kernels": 0, "expansions": 0, "generating": 2
+            "sums": 0, "enumerations": 0, "kernels": 0, "lines": 0, "generating": 2
         }
 
     def test_approx_check_sums_each_kernel_once_and_expands_per_column(
@@ -852,7 +881,7 @@ class TestDuality:
         reports = verify.run_suites(verify.SUITES, k, N, 1e-10)
         assert all(r.passed for r in reports)
         assert calls == {
-            "sums": 0, "enumerations": 0, "kernels": 0, "expansions": 0, "generating": 2
+            "sums": 0, "enumerations": 0, "kernels": 0, "lines": 0, "generating": 2
         }
 
     @pytest.mark.parametrize(
@@ -870,7 +899,7 @@ class TestDuality:
         reports = verify.run_suites(verify.SUITES, k, N, tol)
         assert all(r.passed for r in reports)
         assert calls["sums"] == calls["enumerations"] == L**2
-        assert calls["expansions"] == 0
+        assert calls["lines"] == 0
         assert calls["generating"] == 2
 
     @pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expansion_oracle import plain_line
 from mvkraw import bispec, hyperg, kappa, liemod, linalg, verify
 from mvkraw.numeric import (
     DegreeMismatchError,
     clear_denominators,
     enumerate_lattice,
     exactify,
-    expand_forms,
     gram_misses,
     multi_factorial,
     multinomial_weights,
@@ -115,36 +115,29 @@ class TestConjugator:
     def test_expands_each_power_once_per_direction(self, monkeypatch):
         # a run of the four suites that read X or Y builds X = Sym^N(rhat)
         # once, forward, and Y = Sym^N(rhat^-1) once, backward, besides
-        # the generating matrix of threeway, and expands no power alone
-        builds, calls = [], []
+        # the generating matrix of threeway, each whole: no line is read
+        # alone, and the builder is the package's one expansion
+        builds = []
         expansion_matrix = liemod.expansion_matrix
 
-        def building(R, points):
-            builds.append(R)
-            return expansion_matrix(R, points)
-
-        def counting(forms, exponents, caps=None):
-            calls.append((forms, tuple(exponents)))
-            return expand_forms(forms, exponents, caps)
+        def building(R, points, lam=None):
+            builds.append((R, lam))
+            return expansion_matrix(R, points, lam)
 
         monkeypatch.setattr(liemod, "expansion_matrix", building)
-        monkeypatch.setattr(liemod, "expand_forms", counting)
         k = milch2()
         points = list(enumerate_lattice(k.d, 2))
         conj = liemod.conjugator(k, 0)
-        forward, backward = tuple(zip(*conj.rhat)), tuple(zip(*conj.rhat_inv))
         generating = linalg.transpose(hyperg.generating_forms(k))
         reports = verify.run_suites(["norms", "adjacency", "transition", "threeway"], k, 2)
         assert all(rep.passed for rep in reports)
-        assert calls == []
-        assert builds == [conj.rhat, conj.rhat_inv, generating]
-        # each line of X and of Y is its expansion, over the matrix's one scale
-        for R, forms in ((conj.rhat, forward), (conj.rhat_inv, backward)):
+        assert builds == [(conj.rhat, None), (conj.rhat_inv, None), (generating, None)]
+        # each line of X and of Y is its plain expansion, over the matrix's one scale
+        for R in (conj.rhat, conj.rhat_inv):
             lines, D = expansion_matrix(R, points)
             assert len(lines) == len(points)
             for lam, line in zip(points, lines):
-                coeffs, scale = expand_forms(forms, lam)
-                assert [F(c, D) for c in line] == [F(coeffs.get(n, 0), scale) for n in points]
+                assert [F(c, D) for c in line] == plain_line(R, lam, points)
 
     def test_adjacency_expands_each_power_once(self, monkeypatch):
         builds = []
@@ -163,8 +156,7 @@ class TestConjugator:
         points = list(enumerate_lattice(k.d, 3))
         lines, D = expansion_matrix(rhat, points)
         for lam, line in zip(points, lines):
-            coeffs, scale = expand_forms(tuple(zip(*rhat)), lam)
-            assert [F(c, D) for c in line] == [F(coeffs.get(n, 0), scale) for n in points]
+            assert [F(c, D) for c in line] == plain_line(rhat, lam, points)
 
     def test_full_check_acts_on_monomials_only(self, monkeypatch):
         # `act` runs only where the run's one move table is built, once
@@ -202,30 +194,26 @@ class TestConjugator:
         # norms, adjacency, transition and threeway its expansion matrix,
         # so all 12 suites build each Sym^N matrix once: X and, by
         # transition, Y from the conjugator, and the generating matrices
-        # of threeway and duality, with no power expanded alone
-        calls, builds = [], []
+        # of threeway and duality, each whole, with no line read alone
+        builds, lines = [], []
         conjugators = []
 
-        def counting(forms, exponents, caps=None):
-            calls.append((forms, tuple(exponents)))
-            return expand_forms(forms, exponents, caps)
-
-        def building(R, points):
+        def building(R, points, lam=None):
             builds.append(R)
-            return expansion_matrix(R, points)
+            lines.append(lam)
+            return expansion_matrix(R, points, lam)
 
         def counting_conjugator(k, tol):
             conjugators.append(tol)
             return conjugator(k, tol)
 
         conjugator, expansion_matrix = liemod.conjugator, liemod.expansion_matrix
-        monkeypatch.setattr(liemod, "expand_forms", counting)
         monkeypatch.setattr(liemod, "expansion_matrix", building)
         monkeypatch.setattr(liemod, "conjugator", counting_conjugator)
         k = kappa.family_hoare_rahman(1, 2, 3, 4)
         reports = verify.run_suites(verify.SUITES, k, 3)
         assert all(r.passed for r in reports)
-        assert calls == []
+        assert lines == [None] * 4
         assert len(builds) == len(set(builds)) == 4
         assert conjugators == [0]
 
@@ -567,25 +555,22 @@ class TestStructureChecks:
 
 
 class TestPolynomials:
-    def test_expand_forms(self):
-        # (y0 + y1)(y0 + y1)
-        sq = expand_forms([(1, 1), (1, 1)], (1, 1))
-        assert sq == ({(2, 0): 1, (1, 1): 2, (0, 2): 1}, 1)
-        # (y0 - y1)(y0 + y1): the cancelled y0 y1 term is dropped
-        assert expand_forms([(1, -1), (1, 1)], (1, 1)) == ({(2, 0): 1, (0, 2): -1}, 1)
+    def test_sym_power_hand_lines(self):
+        # the forms are the columns of R, and a line of Sym^N(R) is the
+        # product lam picks, read alone: (y0 + y1)(y0 + y1)
+        points = list(enumerate_lattice(1, 2))
+        assert liemod.expansion_matrix(((1, 1), (1, 1)), points, (1, 1)) == ([1, 2, 1], 1)
+        # (y0 - y1)(y0 + y1): the y0 y1 term cancels to 0
+        assert liemod.expansion_matrix(((1, 1), (-1, 1)), points, (1, 1)) == ([1, 0, -1], 1)
         # (y0 + 2 y1)^2 (y0/2 + 3 y2)^2: the second form is scaled to
-        # (y0 + 6 y2)/2, so the coefficients are ints over D = 2^2; caps
-        # prune monomials, never the coefficients of those kept
-        forms, exponents = [(1, 2, 0), (F(1, 2), 0, 3)], (2, 2)
-        full, D = expand_forms(forms, exponents)
-        assert D == 4 and all(type(c) is int for c in full.values())
-        assert full[(4, 0, 0)] == 1 and full[(0, 2, 2)] == 36 * D
-        capped, D_capped = expand_forms(forms, exponents, caps=(3, 1, 4))
-        assert D_capped == D
-        assert capped == {
-            key: c for key, c in full.items() if key[0] <= 3 and key[1] <= 1
-        }
-        assert 0 < len(capped) < len(full)
+        # (y0 + 6 y2)/2, so the coefficients are ints over D = 2^2
+        R = ((1, F(1, 2), 0), (2, 0, 0), (0, 3, 0))
+        points = list(enumerate_lattice(2, 4))
+        line, D = liemod.expansion_matrix(R, points, (2, 2, 0))
+        assert D == 4 and all(type(c) is int for c in line)
+        assert line[points.index((4, 0, 0))] == 1 and line[points.index((0, 2, 2))] == 36 * D
+        lines, D_all = liemod.expansion_matrix(R, points)
+        assert [F(c, D_all) for c in lines[points.index((2, 2, 0))]] == [F(c, D) for c in line]
 
     def test_act_moves_one_unit(self):
         out = liemod.act(liemod.basis_e(2, 1, 0), {(2, 0, 0): 1})
