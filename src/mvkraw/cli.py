@@ -297,6 +297,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             _lattice_budget(kap.d, N)
         try:
             reports = verify.run_suites(names, kap, N, tol, tab)
+        except InvalidParameterSetError:
+            raise
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         out = {

@@ -83,6 +83,7 @@ from .numeric import (
     multinomial_weights,
     parse_ratio,
     parse_scalar,
+    power,
     ratio,
     rounded,
     scalars_equal,
@@ -529,7 +530,7 @@ def check_orthogonality(
     residual, the columns and rows side of each pair in turn.
     """
     points = tab.points
-    nu_pow = exactify(kappa.nu) ** N
+    nu_pow = power(exactify(kappa.nu), N, "nu")
     nfact = math.factorial(N)
     exact = kappa.integer_view[0]
     failures = []

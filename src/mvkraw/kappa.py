@@ -7,11 +7,14 @@ and column all ones, subject to the defining matrix identity
 
     nu * P * U * Ptilde * U^t == identity.
 
-``validate`` is the single point where these conditions are checked;
-everything downstream treats a ParameterSet as sealed and never
-re-checks.  A set keeps one scaled form of itself, its integer view
-(`ParameterSet.integer_view`), with the one flag that says whether it is
-exact; the kernel sums, closed forms and checks read both.  Three
+``validate`` is the single point where these conditions are checked,
+and it seals the set it returns with the tolerance of the proof
+(`sealed`): the involution, the def11 suite and the conjugator read the
+seal at that tolerance instead of checking again, and only a set built
+directly, with no seal, is diagnosed again.  A set keeps one scaled
+form of itself, its integer view (`ParameterSet.integer_view`), with
+the one flag that says whether it is exact; the diagnosis, kernel sums,
+closed forms and checks read both.  Three
 explicit families plus a Gram-Schmidt construction from a bare weight
 vector produce valid sets, and the bispectral involution swaps the two
 weight vectors while transposing the mixing matrix.
@@ -33,6 +36,7 @@ from .numeric import (
     exactify,
     format_scalar,
     is_exact,
+    misses,
     parse_scalar,
     scalars_equal,
 )
@@ -61,7 +65,7 @@ class ParameterSet:
         views is {N: view} of `hyperg._integer_view`.  Kept on the
         instance, not as a field, so ==, hash and the wire form never
         see it, and an approx set and its equal exact twin never share
-        it."""
+        it; so is the seal of `validate`."""
         values = (self.nu, *self.p, *self.pt, *(x for row in self.u for x in row))
         if all(map(is_exact, values)):
             nu, p, pt = (clear_denominators(v) for v in ((self.nu,), self.p, self.pt))
@@ -122,6 +126,18 @@ def tol_for(kappa: ParameterSet, tol: Scalar = 0) -> Scalar:
     return tol or (0 if kappa.integer_view[0] else DEFAULT_EPS)
 
 
+def sealed(kappa: ParameterSet, tol: Scalar) -> bool:
+    """Whether `validate` (or `involute` of a sealed set) proved kappa's
+    defining conditions at tol.  The seal is kept on the instance, like
+    its integer view; a set built directly has none."""
+    return kappa.__dict__.get("_sealed_tol") == tol
+
+
+def _seal(kappa: ParameterSet, tol: Scalar) -> ParameterSet:
+    kappa.__dict__["_sealed_tol"] = tol
+    return kappa
+
+
 def diagnose(
     nu: Scalar,
     p: Sequence[Scalar],
@@ -129,7 +145,13 @@ def diagnose(
     u: Sequence[Sequence[Scalar]],
     tol: Scalar = 0,
 ) -> list[Violation]:
-    """Check every defining condition; empty list means valid."""
+    """Check every defining condition; empty list means valid.  Identity
+    (iii) is read off the integer view of the data as a set
+    (`ParameterSet.integer_view`): nu P U is u's integer rows scaled by
+    NU P_i and Pt U^t its integer columns scaled by Q_k, so an exact
+    product is one integer matrix, compared with its scale times I
+    (`numeric.misses`), a Fraction made only for a miss; a float set's
+    view is its values, and the product is the plain one."""
     bad = []
     nu = exactify(nu)
     d = len(p) - 1
@@ -163,22 +185,22 @@ def diagnose(
             bad.append(Violation("ii", (j, 0), f"u[{j}][0] != 1"))
 
     if not eq(nu, 0):
-        product = linalg.mat_mul(
-            linalg.mat_mul(linalg.diagonal([nu * x for x in p]), linalg.freeze(u)),
-            linalg.mat_mul(linalg.diagonal(pt), linalg.transpose(linalg.freeze(u))),
-        )
-        for i in range(d + 1):
-            for j in range(d + 1):
-                want = 1 if i == j else 0
-                if not eq(product[i][j], want):
-                    bad.append(
-                        Violation(
-                            "iii",
-                            (i, j),
-                            f"(nu P U Pt U^t)[{i}][{j}] = "
-                            f"{format_scalar(product[i][j])} != {want}",
-                        )
+        view = ParameterSet(d, nu, tuple(p), tuple(pt), linalg.freeze(u)).integer_view
+        _, ([NU], Dn), (P, Dp), (Q, Dq), (U, Du), _ = view
+        rows = linalg.scale_rows([NU * x for x in P], U)
+        product = linalg.product(rows, linalg.scale_rows(Q, linalg.transpose(U)))
+        flat = [x for row in product for x in row]
+        identity = [int(i == j) for i in range(d + 1) for j in range(d + 1)]
+        for k, got, _ in misses(flat, Dn * Dp * Dq * Du * Du, identity, 1):
+            i, j = divmod(k, d + 1)
+            if not eq(got, identity[k]):
+                bad.append(
+                    Violation(
+                        "iii",
+                        (i, j),
+                        f"(nu P U Pt U^t)[{i}][{j}] = {format_scalar(got)} != {identity[k]}",
                     )
+                )
 
     if not eq(sum(p), 1):
         bad.append(Violation("weights_sum", (), "sum(p) != 1"))
@@ -200,22 +222,29 @@ def validate(
     tol: Scalar = 0,
 ) -> ParameterSet:
     """Seal candidate data into a ParameterSet or raise with the full
-    list of violated conditions."""
+    list of violated conditions.  The conditions are diagnosed once, at
+    tol, and the set is sealed with it (`sealed`)."""
     bad = diagnose(nu, p, pt, u, tol)
     if bad:
         raise InvalidParameterSetError(bad)
-    return ParameterSet(len(p) - 1, nu, tuple(p), tuple(pt), linalg.freeze(u))
+    return _seal(ParameterSet(len(p) - 1, nu, tuple(p), tuple(pt), linalg.freeze(u)), tol)
 
 
 def involute(kappa: ParameterSet, tol: Scalar) -> ParameterSet:
     """Swap the two weight vectors and transpose the mixing matrix.
 
-    Validity of the image is a consequence of the defining identity, so
-    a failure here means the input was corrupted.  The image is
-    validated at `tol_for(kappa, tol)`.
+    Validity of the image is a consequence of the defining identity: AB
+    = I implies BA = I for square A and B, and the other conditions are
+    symmetric under the swap.  So the image of a set sealed at
+    `tol_for(kappa, tol)` is sealed at it with no second diagnosis; an
+    unsealed set's image is validated at it, and a failure there means
+    the input was corrupted.
     """
     tol = tol_for(kappa, tol)
-    return validate(kappa.nu, kappa.pt, kappa.p, linalg.transpose(kappa.u), tol)
+    u = linalg.transpose(kappa.u)
+    if not sealed(kappa, tol):
+        return validate(kappa.nu, kappa.pt, kappa.p, u, tol)
+    return _seal(ParameterSet(kappa.d, kappa.nu, kappa.pt, kappa.p, u), tol)
 
 
 def griffiths_from_p(p: Sequence[Scalar], tol: Scalar | None = None) -> ParameterSet:

@@ -19,7 +19,10 @@ integer view calls exact: the run's one conjugator keeps R and R^-1 on
 integer rows (`Conjugator.scaled`), the Cartan elements are
 (d+1) phi_i, each matrix is carried with its scale, and each identity
 is compared by `numeric.misses`, cross-multiplied, a Fraction made only
-for a miss; floats keep scale 1 and the plain products.
+for a miss; floats keep scale 1 and the plain products.  A product
+whose factor is a matrix unit or a Cartan element is taken by that
+shape: a conjugated unit is an outer product, a conjugated Cartan
+element one column-scaled product, a bracket with one entrywise.
 
 Matrices act on homogeneous polynomials in x_0..x_d, each a plain dict
 {exponent: coefficient} with zeros left out (as `xtilde_monomial`
@@ -67,7 +70,7 @@ from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
 from . import hyperg, linalg
-from .kappa import ParameterSet, tol_for
+from .kappa import ParameterSet, sealed, tol_for
 from .numeric import (
     DegreeMismatchError,
     MultiIndex,
@@ -81,6 +84,7 @@ from .numeric import (
     misses,
     multi_factorial,
     multinomial_weights,
+    power,
     power_product,
     ratio,
     rounded,
@@ -141,16 +145,33 @@ class Conjugator:
         entries, scale = beta
         return linalg.product(linalg.product(A, entries), B), Da * scale * Db
 
+    def conjugate_diagonal(self, beta: tuple) -> tuple:
+        """`conjugate` of a diagonal beta: one product of A with its
+        columns scaled by beta's diagonal (`linalg.through_diagonal`)."""
+        (A, Da), (B, Db) = self.scaled
+        entries, scale = beta
+        diagonal = [row[r] for r, row in enumerate(entries)]
+        return linalg.through_diagonal(A, diagonal, B), Da * scale * Db
+
+    def conjugate_unit(self, i: int, j: int) -> tuple:
+        """R e_ij R^-1 as (entries, scale): column i of A times row j of
+        B (`linalg.through_unit`)."""
+        (A, Da), (B, Db) = self.scaled
+        return linalg.through_unit(A, i, j, B), Da * Db
+
 
 def conjugator(kappa: ParameterSet, tol: Scalar) -> Conjugator:
-    """The conjugator of kappa, its inverse checked at `tol_for(kappa, tol)`."""
-    rhat = linalg.mat_mul(linalg.diagonal(kappa.pt), linalg.transpose(kappa.u))
-    rhat_inv = linalg.mat_scale(
-        exactify(kappa.nu), linalg.mat_mul(linalg.diagonal(kappa.p), kappa.u)
-    )
+    """The conjugator of kappa: rhat = Pt U^t and rhat_inv = nu P U, each
+    built by scaling rows (`linalg.scale_rows`).  rhat rhat_inv = I is
+    the defining identity read the other way round (AB = I implies BA =
+    I for square matrices), so it is checked at `tol_for(kappa, tol)`
+    only for a set not sealed at that tol (`kappa.sealed`); a failure
+    means the set was corrupted past validation."""
+    rhat = linalg.scale_rows(kappa.pt, linalg.transpose(kappa.u))
+    rhat_inv = linalg.mat_scale(exactify(kappa.nu), linalg.scale_rows(kappa.p, kappa.u))
     tol = tol_for(kappa, tol)
-    if not linalg.mats_equal(
-        linalg.mat_mul(rhat, rhat_inv), linalg.identity(kappa.d + 1), tol
+    if not sealed(kappa, tol) and not linalg.mats_equal(
+        linalg.product(rhat, rhat_inv), linalg.identity(kappa.d + 1), tol
     ):
         raise AssertionError("conjugator inverse failed; parameter set corrupt")
     return Conjugator(rhat, rhat_inv)
@@ -251,10 +272,15 @@ def antiauto(kappa: ParameterSet, beta: Matrix) -> Matrix:
 
 
 def _cartan(d: int, exact: bool) -> list:
-    """phi_0..phi_d: (d+1) phi_i on ints over d+1 for an exact set, the
-    Fraction matrices over 1 beside floats."""
-    phis = (basis_phi(d, i) for i in range(d + 1))
-    return [linalg.integer_rows(phi) if exact else (phi, 1) for phi in phis]
+    """phi_0..phi_d: (d+1) phi_i = (d+1) e_ii - I on ints over d+1 for an
+    exact set, the Fraction matrices over 1 beside floats."""
+    n = d + 1
+    if not exact:
+        return [(basis_phi(d, i), 1) for i in range(n)]
+    return [
+        (tuple(tuple(n * (r == i) - 1 if r == c else 0 for c in range(n)) for r in range(n)), n)
+        for i in range(n)
+    ]
 
 
 def _image(images: dict, S: int, m: tuple) -> tuple:
@@ -319,10 +345,10 @@ def check_lemma21(
     exact, _, (p, _), (pt, _), _, _ = kappa.integer_view
     for i, phi in enumerate(_cartan(d, exact)):
         _expect(failures, tol, f"a(phi_{i}) = phi_{i}", _image(images, S, phi), phi)
-        dphi = conj.conjugate(phi)
+        dphi = conj.conjugate_diagonal(phi)
         tag = f"a(dual_phi_{i}) = dual_phi_{i}"
         _expect(failures, tol, tag, _image(images, S, dphi), dphi)
-    duals = {(i, j): conj.conjugate(e) for (i, j), e in units.items() if i != j}
+    duals = {(i, j): conj.conjugate_unit(i, j) for i, j in units if i != j}
     for (i, j), e in units.items():
         image = _image(images, S, e)
         if i != j:
@@ -375,7 +401,7 @@ def check_generation(
     failures = []
 
     phis = _cartan(d, kappa.integer_view[0])
-    dphis = [conj.conjugate(phi) for phi in phis]
+    dphis = [conj.conjugate_diagonal(phi) for phi in phis]
     for i, dphi in enumerate(dphis):
         _expect(failures, tol, f"dual_phi_{i} closed form", dphi, (forms.closed[i], 1))
     for i in range(1, d + 1):
@@ -384,16 +410,19 @@ def check_generation(
 
     # phi_j = C_j / K and dual_phi_0 = dC / S: [C_j, dC] = K S [phi_j,
     # dual_phi_0], made once per j, and the middle and outer brackets
-    # gain one K each, so outer - middle = (outer' - K middle') / (K^3 S)
+    # gain one K each, so outer - middle = (outer' - K middle') / (K^3 S);
+    # each C_j is diagonal, so each bracket is entrywise
     dC, S = dphis[0]
+    K = phis[0][1]
     pt, Dq = kappa.integer_view[3]  # 1 / (2 pt_i) = Dq / (2 pt[i])
-    inners = [linalg.commutator(C, dC) for C, _ in phis]
-    for i, (Ci, K) in enumerate(phis):
-        for j, (Cj, _) in enumerate(phis):
+    diagonals = [[row[r] for r, row in enumerate(C)] for C, _ in phis]
+    inners = [linalg.diagonal_commutator(c, dC) for c in diagonals]
+    for i, ci in enumerate(diagonals):
+        for j, cj in enumerate(diagonals):
             if i == j:
                 continue
-            middle = linalg.commutator(Ci, inners[j])
-            outer = linalg.commutator(Cj, middle)
+            middle = linalg.diagonal_commutator(ci, inners[j])
+            outer = linalg.diagonal_commutator(cj, middle)
             delta = linalg.mat_sub(outer, linalg.mat_scale(K, middle))
             _expect(
                 failures,
@@ -603,7 +632,7 @@ def _form_weights(kappa: ParameterSet, N: int) -> tuple:
     degree-N lattice, and the same weights in layout order as (ints, S)
     on integers (`numeric.clear_denominators`) for the Gram sums; the
     form is diagonal on monomials, so this is all of it."""
-    scale = exactify(kappa.nu) ** N * math.factorial(N)
+    scale = power(exactify(kappa.nu), N, "nu") * math.factorial(N)
     weights = {
         lam: scale * pairing_weight(kappa, N, lam)
         for lam in enumerate_lattice(kappa.d, N)
@@ -830,7 +859,7 @@ def check_transition(
     exact, ([nu], Dn), p, pt, _, _ = kappa.integer_view
     table_rows, table_columns = tab.integer_view
     (Xs, Dx), (Ys, Dy) = X, Y
-    lift, Sy = (Dn**N, Dy * nu**N) if exact else (1 / nu**N, Dy)
+    lift, Sy = (Dn**N, Dy * nu**N) if exact else (1 / power(nu, N, "nu"), Dy)
     sides = (  # (record, lines, factor, scale, table lines, weights)
         ("substituted-over-plain", Xs, 1, Dx, table_columns, pt),
         ("plain-over-substituted", Ys, lift, Sy, table_rows, p),

@@ -3,16 +3,17 @@
 Matrices are immutable ((d+1) x (d+1) at most 4x4 here), entries are
 scalars in either mode; nothing in the package needs a general inverse,
 so none is provided.  `product` is the plain product, left-to-right
-row-column sums in the entries' own arithmetic.  `mat_mul` runs a
-product of exact matrices on integers: each factor is scaled to integer
-rows (`integer_rows`) and each entry is one Fraction of an integer
-row-column sum.  A caller that multiplies the same matrices many times
-scales them once itself and calls `product` on the integers.
+row-column sums in the entries' own arithmetic; a caller that
+multiplies exact matrices scales them to integer rows once itself
+(`integer_rows`) and calls it on the integers.  A caller that knows a
+factor is diagonal or a matrix unit calls the helper for that shape
+(`scale_rows`, `through_diagonal`, `through_unit`,
+`diagonal_commutator`), which makes the nonzero terms of the plain
+product alone, in its order.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
@@ -27,13 +28,6 @@ def freeze(rows: Sequence[Sequence[Scalar]]) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def diagonal(entries: Sequence[Scalar]) -> Matrix:
-    n = len(entries)
-    return tuple(
-        tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)
-    )
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -56,18 +50,25 @@ def product(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """The product ab.  When the entries are ints and at least one
-    Fraction, a = A/Da and b = B/Db with A and B on ints, every
-    row-column sum runs on ints and each entry is one Fraction(sum,
-    Da Db).  Int products stay int, and a float or complex entry keeps
-    D = 1, so approx values are those of the plain `product`."""
-    kinds = set(map(type, (x for m in (a, b) for row in m for x in row)))
-    if not (Fraction in kinds and kinds <= {int, Fraction}):
-        return product(a, b)
-    (a, da), (b, db) = integer_rows(a), integer_rows(b)
-    den = da * db
-    return tuple(tuple(Fraction(x, den) for x in row) for row in product(a, b))
+def scale_rows(c: Sequence[Scalar], a: Matrix) -> Matrix:
+    """diag(c) a: row r of a times c[r]."""
+    return tuple(tuple(x * y for y in row) for x, row in zip(c, a))
+
+
+def through_diagonal(a: Matrix, c: Sequence[Scalar], b: Matrix) -> Matrix:
+    """a diag(c) b: column k of a times c[k], then one plain product."""
+    return product(tuple(tuple(map(mul, row, c)) for row in a), b)
+
+
+def through_unit(a: Matrix, i: int, j: int, b: Matrix) -> Matrix:
+    """a e_ij b: the outer product of column i of a and row j of b."""
+    return tuple(tuple(row[i] * y for y in b[j]) for row in a)
+
+
+def diagonal_commutator(c: Sequence[Scalar], a: Matrix) -> Matrix:
+    """[diag(c), a], entry (r, s) the plain product's c[r] a[r][s] -
+    a[r][s] c[s]."""
+    return tuple(tuple(cr * x - x * cs for x, cs in zip(row, c)) for cr, row in zip(c, a))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -80,12 +81,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_scale(c: Scalar, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
-
-
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    """[a, b] = ab - ba by the plain `product`: on integer matrices it
-    stays on ints."""
-    return mat_sub(product(a, b), product(b, a))
 
 
 def mats_equal(a: Matrix, b: Matrix, tol: Scalar = 0) -> bool:

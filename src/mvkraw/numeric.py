@@ -197,6 +197,19 @@ def rounded(num: int, den: int, what: Callable[[], str]) -> float:
         raise OverflowError(f"{what()} leaves the float range") from None
 
 
+def power(x: Scalar, N: int, name: str) -> Scalar:
+    """x ** N; where a float power leaves the float range (past it, or 0
+    from a nonzero x), the OverflowError names it as a power of `name`."""
+    try:
+        y = x**N
+    except OverflowError:
+        y = 0
+    if y == 0 and x != 0:
+        raise OverflowError(f"the approx power {name}^{N} at {name} = {format_scalar(x)} "
+                            "leaves the float range")
+    return y
+
+
 def misses(a: Sequence, A: int, b: Sequence, B: int) -> Iterator[tuple]:
     """(k, a[k] / A, b[k] / B) for each k where the two lines may differ.
     Exact lines are compared cross-multiplied on ints, and a pair that

@@ -3,7 +3,8 @@
 Each suite name maps to one check; `run_suites` executes a list of them
 against a parameter set at the run's tolerance, and is the one place
 their inputs are built: the polynomial table, the conjugator (its
-inverse checked at that tolerance), the expansion matrix X =
+inverse checked at that tolerance unless the set is sealed at it), the
+expansion matrix X =
 Sym^N(rhat) of `liemod.expansion_matrix` and its inverse Y =
 Sym^N(rhat^-1) of `liemod.to_dual_coords`, both dense integer lines
 from that one conjugator, the generating matrices of the set and of
@@ -55,8 +56,13 @@ KAPPA_ONLY_SUITES = frozenset({"def11", "lemma21", "lemma22"})
 
 
 def check_def11(kappa: ParameterSet, tol: Scalar = 0) -> CheckReport:
-    """Re-run the defining-condition diagnosis on a sealed set."""
-    violations = kappa_mod.diagnose(kappa.nu, kappa.p, kappa.pt, kappa.u, tol)
+    """The defining-condition diagnosis of kappa at tol: the one that
+    sealed it, with no violation, when `validate` sealed it at tol
+    (`kappa.sealed`), else a fresh `kappa.diagnose`, each violation a
+    located record."""
+    violations = [] if kappa_mod.sealed(kappa, tol) else kappa_mod.diagnose(
+        kappa.nu, kappa.p, kappa.pt, kappa.u, tol
+    )
     return CheckReport(
         "def11",
         not violations,

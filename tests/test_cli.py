@@ -912,6 +912,63 @@ class TestInternalErrors:
         assert err.startswith("error: internal invariant failed: ")
         assert "conjugator inverse failed; parameter set corrupt" in err
 
+    def test_invalid_set_inside_a_check_run_exit_3(self, capsys, milch2_file, monkeypatch):
+        # the same corrupt, unsealed set under duality: the involution
+        # refuses its image, an invalid parameter set (exit 3), not a usage
+        # error
+        k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        pt = (k.pt[0], k.pt[1] + F(1, 7)) + k.pt[2:]
+        corrupt = kappa.ParameterSet(k.d, k.nu, k.p, pt, k.u)
+        monkeypatch.setattr(cli, "_load_kappa", lambda path, mode, tol: corrupt)
+        code, out, err = run(
+            capsys, "check", "--kappa", milch2_file, "--N", "2", "--suite", "duality"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: invalid parameter set: ")
+        assert err.count("\n") == 1
+
+    def test_a_set_accepted_at_eps_is_not_refused_later(self, capsys, tmp_path):
+        # Milch (1/2 - 1e-100, 1/2, 1e-100) loads at eps 1e-102, so its seal
+        # holds for the run: the involute is its image with no second
+        # diagnosis, and the conjugator makes no inverse check that float
+        # round-off near 1e100 cannot meet; the lemma suites and adjacency
+        # run and report their float defects as failures (exit 1), norms
+        # exits 5 at its pairing weight, and duality passes
+        w = F(1, 10**100)
+        milch = write_kappa(tmp_path, kappa.family_milch([F(1, 2) - w, F(1, 2), w]))
+        approx = ("--mode", "approx", "--eps", "1e-102")
+        assert run(capsys, *approx, "params-validate", "--input", milch)[0] == 0
+        code, out, err = run(capsys, *approx, "params-involute", "--kappa", milch)
+        assert (code, err) == (0, "")
+        image = json.loads(out)
+        assert image["p"] == ["0.5", "0.5", "2e-100"] and image["pt"] == ["0.5", "0.5", "1e-100"]
+        for suite in ("lemma21", "lemma22", "adjacency"):
+            code, out, err = run(capsys, *approx, "check", "--kappa", milch, "--N", "4", "--suite", suite)
+            assert (code, err) == (1, "")
+            (report,) = json.loads(out)["reports"]
+            assert report["failures"]
+        code, out, err = run(capsys, *approx, "check", "--kappa", milch, "--N", "4", "--suite", "norms")
+        assert (code, out) == (5, "")
+        assert err.startswith("error: the approx pairing weight n!/(pt^n N!) at n = [0, 0, 4], N = 4")
+        code, out, err = run(capsys, *approx, "check", "--kappa", milch, "--N", "1", "--suite", "duality")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["pass"] is True
+
+    def test_approx_power_of_nu_past_the_float_range_is_located(self, capsys, tmp_path):
+        # Griffiths from p = (1e-100, 1/2, 1/2 - 1e-100) has nu = 1e100, so
+        # nu^4 is past the float range: norms and orthogonality exit 5
+        # naming the power, and exact mode has the values
+        w = F(1, 10**100)
+        grif = write_kappa(tmp_path, kappa.griffiths_from_p([w, F(1, 2), F(1, 2) - w]))
+        error = (
+            "error: the approx power nu^4 at nu = 1e+100 leaves the float range; "
+            "exact mode has no float range\n"
+        )
+        for suite in ("norms", "orthogonality"):
+            argv = ("check", "--kappa", grif, "--N", "4", "--suite", suite)
+            assert run(capsys, "--mode", "approx", "--eps", "1e-102", *argv) == (5, "", error)
+            assert run(capsys, *argv)[0] == 0
+
     def test_approx_overflow_exit_5(self, capsys, tmp_path):
         # Milch with the weight 1e-100 (valid at eps 1e-102) has omega_11
         # near 1e100, and P([4, 0], [4, 0]) near 1e399 at N = 4 is past the

@@ -453,8 +453,8 @@ class TestIntegerView:
                 assert not exact or D == s.integer_view[4][1]
         # a(b) = Pt b^t Pt^-1 by plain matrix products, on a random integer b
         b = tuple(tuple(data.draw(st.integers(-5, 5)) for _ in range(n)) for _ in range(n))
-        scale = [linalg.diagonal(k.pt), linalg.diagonal([1 / F(x) for x in k.pt])]
-        want = linalg.mat_mul(linalg.mat_mul(scale[0], linalg.transpose(b)), scale[1])
+        scale = [linalg.scale_rows(w, linalg.identity(n)) for w in (k.pt, [1 / F(x) for x in k.pt])]
+        want = linalg.product(linalg.product(scale[0], linalg.transpose(b)), scale[1])
         assert liemod.antiauto(k, b) == want
         got = [x for row in liemod.antiauto(twin, b) for x in row]
         assert got == pytest.approx([float(x) for row in want for x in row], rel=1e-12)

@@ -1,20 +1,27 @@
 """Parameter space: validation, families, involution, serialization."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvkraw import hyperg, kappa
+from mvkraw import cli, hyperg, kappa, liemod
 from mvkraw import linalg, verify
+from mvkraw.numeric import format_scalar, scalars_equal
+
+
+def diagonal(entries):
+    n = len(entries)
+    return tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def matrix_identity_holds(k):
     """nu P U Pt U^t == I, multiplied out by hand."""
     n = k.d + 1
-    prod = linalg.mat_mul(
-        linalg.mat_mul(linalg.diagonal([k.nu * x for x in k.p]), k.u),
-        linalg.mat_mul(linalg.diagonal(k.pt), linalg.transpose(k.u)),
+    prod = linalg.product(
+        linalg.product(diagonal([k.nu * x for x in k.p]), k.u),
+        linalg.product(diagonal(k.pt), linalg.transpose(k.u)),
     )
     return prod == linalg.identity(n)
 
@@ -228,6 +235,96 @@ class TestInvolution:
         k = kappa.family_ds(2, 3)
         b = kappa.involute(k, 0)
         assert b.p == k.p  # weights fixed; u transposes
+
+
+class TestSeal:
+    """`validate` proves the defining conditions once and seals the set
+    with its tol; the involution, def11 and the conjugator read the seal
+    at that tol, and a set built directly is diagnosed as it is."""
+
+    def test_an_exact_run_diagnoses_once(self, tmp_path, monkeypatch, capsys):
+        # the load's validation is the run's one diagnosis: the involute is
+        # sealed by the swap, def11 reports the seal, and the conjugator
+        # makes no inverse check
+        path = tmp_path / "kappa.json"
+        path.write_text(json.dumps(kappa.to_json_dict(kappa.family_hoare_rahman(1, 2, 3, 4))))
+        calls = []
+        diagnose = kappa.diagnose
+        monkeypatch.setattr(kappa, "diagnose", lambda *a: calls.append(a) or diagnose(*a))
+        assert cli.main(["check", "--kappa", str(path), "--N", "2"]) == 0
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+    def test_seal_is_kept_off_equality_hash_and_wire(self):
+        k = kappa.family_milch([F(1, 2), F(1, 4), F(1, 4)])
+        twin = kappa.ParameterSet(k.d, k.nu, k.p, k.pt, k.u)
+        assert kappa.sealed(k, 0) and not kappa.sealed(twin, 0)
+        assert not kappa.sealed(k, 1e-10)
+        assert k == twin and hash(k) == hash(twin)
+        assert kappa.to_json_dict(k) == kappa.to_json_dict(twin)
+        assert repr(k) == repr(twin)
+        # the image of a sealed set is sealed at the same tol; an unsealed
+        # set's image is validated, and so sealed too
+        assert kappa.sealed(kappa.involute(k, 0), 0)
+        assert kappa.sealed(kappa.involute(twin, 0), 0)
+        assert kappa.involute(k, 0) == kappa.involute(twin, 0)
+
+    def test_def11_at_another_tol_diagnoses_again(self, monkeypatch):
+        k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        calls = []
+        diagnose = kappa.diagnose
+        monkeypatch.setattr(kappa, "diagnose", lambda *a: calls.append(a[-1]) or diagnose(*a))
+        assert verify.check_def11(k, 0).passed and calls == []
+        assert verify.check_def11(k, 1e-9).passed and calls == [1e-9]
+
+    def test_an_unsealed_corrupt_set_is_still_caught(self):
+        # pt_1 moved by 1/7, as in the CLI's internal-error test: def11
+        # fails with located records, the involution refuses the image and
+        # the conjugator refuses its inverse
+        k = kappa.family_hoare_rahman(1, 2, 3, 4)
+        pt = (k.pt[0], k.pt[1] + F(1, 7)) + k.pt[2:]
+        corrupt = kappa.ParameterSet(k.d, k.nu, k.p, pt, k.u)
+        (rep,) = verify.run_suites(["def11"], corrupt, None)
+        assert not rep.passed
+        assert {f["condition"] for f in rep.failures} == {"iii", "weights_sum"}
+        assert all(len(f["where"]) == 2 for f in rep.failures if f["condition"] == "iii")
+        with pytest.raises(kappa.InvalidParameterSetError):
+            kappa.involute(corrupt, 0)
+        with pytest.raises(AssertionError, match="conjugator inverse failed"):
+            liemod.conjugator(corrupt, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(1, 2, 3, 4), (F(17, 101), F(-3, 7), F(29, 113), F(5, 211))]),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.fractions(-3, 3, max_denominator=9),
+        st.booleans(),
+    )
+    def test_identity_iii_records_are_the_plain_products(self, params, r, c, move, approx):
+        # a set with u[r][c] moved, in exact or float values: the records of
+        # (iii) are those of the plain product of diagonal matrices, each
+        # entry's text included
+        k = kappa.family_hoare_rahman(*params)
+        value = float if approx else (lambda x: x)
+        u = [[value(x) for x in row] for row in k.u]
+        u[r][c] += value(move)
+        nu, p, pt = value(k.nu), [value(x) for x in k.p], [value(x) for x in k.pt]
+        tol = 1e-10 if approx else 0
+        product = linalg.product(
+            linalg.product(diagonal([F(nu) * x if not approx else nu * x for x in p]), linalg.freeze(u)),
+            linalg.product(diagonal(pt), linalg.transpose(linalg.freeze(u))),
+        )
+        want = [
+            kappa.Violation(
+                "iii", (i, j), f"(nu P U Pt U^t)[{i}][{j}] = {format_scalar(x)} != {int(i == j)}"
+            )
+            for i, row in enumerate(product)
+            for j, x in enumerate(row)
+            if not scalars_equal(x, int(i == j), tol)
+        ]
+        got = [v for v in kappa.diagnose(nu, p, pt, u, tol) if v.condition == "iii"]
+        assert got == want
 
 
 class TestJson:

@@ -76,7 +76,7 @@ def approx_twin(k):
 def conjugated(k, beta):
     """R beta R^-1, the element of the conjugated basis that beta names."""
     conj = liemod.conjugator(k, 0)
-    return linalg.mat_mul(linalg.mat_mul(conj.rhat, beta), conj.rhat_inv)
+    return linalg.product(linalg.product(conj.rhat, beta), conj.rhat_inv)
 
 
 class TestBasis:
@@ -110,7 +110,7 @@ class TestConjugator:
     def test_inverse_pair(self):
         k = milch2()
         conj = liemod.conjugator(k, 0)
-        assert linalg.mat_mul(conj.rhat, conj.rhat_inv) == linalg.identity(3)
+        assert linalg.product(conj.rhat, conj.rhat_inv) == linalg.identity(3)
 
     def test_expands_each_power_once_per_direction(self, monkeypatch):
         # a run of the four suites that read X or Y builds X = Sym^N(rhat)
@@ -218,22 +218,30 @@ class TestConjugator:
         assert conjugators == [0]
 
     def test_lemma_suites_matrix_products(self, monkeypatch):
-        # the run's conjugator makes 3 products; lemma21 and lemma22
-        # conjugate and bracket on the conjugator's integer rows with the
-        # plain product, so they make no `mat_mul`, which would scale its
-        # factors to integers again on every call
+        # the run's conjugator builds rhat and rhat_inv by scaling rows and,
+        # for a sealed set, makes no inverse check; lemma21 and lemma22
+        # conjugate and bracket on the conjugator's integer rows by the
+        # shape of their factors: a unit conjugate and a bracket with a
+        # Cartan element make no dense product, a Cartan conjugate makes
+        # one and a mirror closed form two, so d = 2 makes 2 (d + 1) + 2 d
+        # = 10; an unsealed set's conjugator makes the one product of its
+        # check
         k = milch2()
         calls = []
-        mat_mul = linalg.mat_mul
+        product = linalg.product
 
         def counting(a, b):
             calls.append(1)
-            return mat_mul(a, b)
+            return product(a, b)
 
-        monkeypatch.setattr(linalg, "mat_mul", counting)
+        monkeypatch.setattr(linalg, "product", counting)
         reports = verify.run_suites(["lemma21", "lemma22"], k, None)
         assert all(r.passed for r in reports)
-        assert len(calls) == 3
+        assert len(calls) == 10
+        unsealed = kappa.ParameterSet(k.d, k.nu, k.p, k.pt, k.u)
+        reports = verify.run_suites(["lemma21", "lemma22"], unsealed, None)
+        assert all(r.passed for r in reports)
+        assert len(calls) == 21
 
     def test_seal_rejects_corrupt_set(self):
         # bypass validation on purpose: this u breaks the defining identity
@@ -291,7 +299,7 @@ class TestAntiauto:
             )
 
         a, b = rand(), rand()
-        assert liemod.antiauto(k, linalg.mat_mul(a, b)) == linalg.mat_mul(
+        assert liemod.antiauto(k, linalg.product(a, b)) == linalg.product(
             liemod.antiauto(k, b), liemod.antiauto(k, a)
         )
         assert liemod.antiauto(k, liemod.antiauto(k, a)) == a
@@ -595,7 +603,7 @@ class TestPolynomials:
                 tuple(F(rng.randint(-3, 3)) for _ in range(3)) for _ in range(3)
             )
             f = {rng.choice(pts): 1}
-            lhs = liemod.act(linalg.commutator(a, b), f)
+            lhs = liemod.act(linalg.mat_sub(linalg.product(a, b), linalg.product(b, a)), f)
             ab = liemod.act(a, liemod.act(b, f))
             ba = liemod.act(b, liemod.act(a, f))
             rhs = {lam: ab.get(lam, 0) - ba.get(lam, 0) for lam in ab | ba.keys()}

@@ -25,6 +25,7 @@ from mvkraw.numeric import (
     multinomial,
     parse_ratio,
     parse_scalar,
+    power,
     power_product,
     scalars_equal,
 )
@@ -217,6 +218,19 @@ class TestScalars:
             assert h == (diag[a] if a == b else 0)
             assert bound == 1e-10 * max(sizes[a], sizes[b])
 
+
+    def test_power_names_a_float_power_past_the_range(self):
+        # past the top of the range, or 0 from a nonzero float, the power is
+        # named; exact powers and a float power in range are the plain ones
+        for x in (1e200, -1e200, 1e-200):
+            with pytest.raises(OverflowError) as err:
+                power(x, 2, "nu")
+            assert str(err.value) == (
+                f"the approx power nu^2 at nu = {format_scalar(x)} leaves the float range"
+            )
+        assert power(Fraction(10) ** 200, 2, "nu") == Fraction(10) ** 400
+        assert power(1e100, 3, "nu") == 1e100**3
+        assert power(0.0, 3, "nu") == 0.0 and power(2.5, 0, "nu") == 1.0
 
 class TestCombinatorics:
     def test_multinomial(self):
